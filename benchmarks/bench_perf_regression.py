@@ -10,7 +10,7 @@ Two kinds of gate:
 * **Counters** (hardware-independent): Theorem-1 work counters, candidate
   and boundary set sizes, and mesh topology must match the baseline within
   a tight relative tolerance.  Any drift means the algorithm changed.
-* **Wall time** (hardware-dependent): the vectorized kernel must stay
+* **Wall time** (hardware-dependent): the batched kernel must stay
   within a generous factor of the baseline median and must beat the naive
   oracle by the acceptance floor (``speedup_vs_naive >= 2``).
 """
@@ -46,9 +46,9 @@ def test_perf_regression(benchmark):
     write_artifacts(results, ARTIFACT_DIR)
 
     ubf = results["ubf"]
-    assert ubf["kernels_agree"], "vectorized kernel diverged from naive oracle"
+    assert ubf["kernels_agree"], "batched kernel diverged from naive oracle"
     assert ubf["speedup_vs_naive"] >= DEFAULT_MIN_SPEEDUP, (
-        f"vectorized kernel only {ubf['speedup_vs_naive']:.1f}x faster than "
+        f"batched kernel only {ubf['speedup_vs_naive']:.1f}x faster than "
         f"naive (acceptance floor: {DEFAULT_MIN_SPEEDUP}x)"
     )
 

@@ -17,11 +17,6 @@ pinned, seeded scenario end to end -- ``generate`` -> ``detect`` ->
   individually deterministic across hash seeds and worker counts.  Pair
   it with ``--error`` > 0, otherwise localization resolves to ``true``
   and no engine runs at all.
-* ``--ubf-kernels`` (optional fourth axis) -- replays the matrix per UBF
-  emptiness kernel.  Unlike engines, kernels promise *identical*
-  observables, so all kernels of one engine share a single byte-diff
-  group: a vectorized cell and a batched cell must produce the same
-  bytes.
 
 Every artifact the pipeline serializes -- the network JSON, the detection
 result, each exported mesh OBJ, and the JSONL execution trace (recorded
@@ -69,30 +64,21 @@ DEFAULT_HASH_SEEDS = ("0", "1", "random")
 DEFAULT_WORKERS = (1, 2, 4)
 
 #: Localization engines for the default matrix.  A single entry keeps the
-#: default run a two-axis matrix; pass ``--engines batch,sparse`` (with
+#: default run a two-axis matrix; pass ``--engines sparse,pernode`` (with
 #: ``--error`` > 0) to replay it once per engine.
-DEFAULT_ENGINES = ("batch",)
+DEFAULT_ENGINES = ("sparse",)
 
-#: UBF kernels for the default matrix.  A single entry keeps the default
-#: run small; pass ``--ubf-kernels vectorized,batched`` to assert the
-#: kernels are byte-interchangeable end to end.
-DEFAULT_KERNELS = ("vectorized",)
-
-#: UBF kernels ``repro detect --kernel`` accepts (hardcoded: this module
-#: is stdlib-only by design and must not import repro.geometry).
-VALID_KERNELS = ("naive", "vectorized", "batched", "native")
+#: Engines ``repro detect --engine`` accepts (hardcoded: this module is
+#: stdlib-only by design and must not import repro.network).
+VALID_ENGINES = ("sparse", "pernode")
 
 #: Span attributes that identify the run rather than describe behavior;
 #: stripped from traces before diffing (see module docstring).  Dotted
 #: entries address nested dicts (the ``detect`` span records its whole
-#: config, worker count and kernel included).  ``kernel`` qualifies
-#: because the kernels contract *is* byte-identical outputs -- the cells
-#: must only differ in the attribute naming the kernel.
+#: config, worker count included).
 RUN_IDENTITY_ATTRS = (
     "workers",
     "config.workers",
-    "kernel",
-    "config.ubf.kernel",
 )
 
 #: Serialization settings matching repro.observability.export, so a
@@ -110,22 +96,18 @@ class Cell:
 
     hash_seed: str
     workers: int
-    engine: str = "batch"
-    kernel: str = "vectorized"
+    engine: str = "sparse"
 
     @property
     def label(self) -> str:
         return (
             f"hashseed={self.hash_seed},workers={self.workers},"
-            f"engine={self.engine},kernel={self.kernel}"
+            f"engine={self.engine}"
         )
 
     @property
     def dirname(self) -> str:
-        return (
-            f"cell_hs{self.hash_seed}_w{self.workers}"
-            f"_{self.engine}_{self.kernel}"
-        )
+        return f"cell_hs{self.hash_seed}_w{self.workers}_{self.engine}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,22 +126,14 @@ def build_cells(
     hash_seeds: Sequence[str] = DEFAULT_HASH_SEEDS,
     workers: Sequence[int] = DEFAULT_WORKERS,
     engines: Sequence[str] = DEFAULT_ENGINES,
-    kernels: Sequence[str] = DEFAULT_KERNELS,
 ) -> List[Cell]:
     """The full matrix in deterministic (engine-major) order.
 
     Engine-major ordering keeps each engine's cells contiguous, so the
     per-engine baseline (the group's first cell) is always the group's
-    ``kernel[0] x hash_seed[0] x workers[0]`` corner.  Kernels deliberately
-    do *not* form their own groups -- see the module docstring.
+    ``hash_seed[0] x workers[0]`` corner.
     """
-    return [
-        Cell(hs, w, e, kn)
-        for e in engines
-        for kn in kernels
-        for hs in hash_seeds
-        for w in workers
-    ]
+    return [Cell(hs, w, e) for e in engines for hs in hash_seeds for w in workers]
 
 
 def _src_root() -> Path:
@@ -199,7 +173,6 @@ def run_cell(spec: ScenarioSpec, cell: Cell, cell_dir: Path) -> None:
             "--seed", str(spec.seed),
             "--error", str(spec.error),
             "--engine", cell.engine,
-            "--kernel", cell.kernel,
             "--workers", str(cell.workers),
             "--out", "result.json",
             "--trace", "trace.jsonl",
@@ -431,14 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engines",
         default=",".join(DEFAULT_ENGINES),
         help="comma-separated localization engines; each engine forms its "
-        "own byte-diff group (default: batch)",
-    )
-    parser.add_argument(
-        "--ubf-kernels",
-        default=",".join(DEFAULT_KERNELS),
-        help="comma-separated UBF kernels; kernels share one byte-diff "
-        "group per engine -- their artifacts must be byte-identical "
-        "(default: vectorized)",
+        "own byte-diff group (default: sparse)",
     )
     parser.add_argument(
         "--hash-seeds",
@@ -492,15 +458,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     engines = _parse_csv(args.engines)
     for engine in engines:
-        if engine not in ("batch", "sparse", "pernode"):
+        if engine not in VALID_ENGINES:
             print(f"error: invalid engine {engine!r}", file=sys.stderr)
             return 2
-    kernels = _parse_csv(args.ubf_kernels)
-    for kernel in kernels:
-        if kernel not in VALID_KERNELS:
-            print(f"error: invalid kernel {kernel!r}", file=sys.stderr)
-            return 2
-    cells = build_cells(hash_seeds, workers, engines, kernels)
+    cells = build_cells(hash_seeds, workers, engines)
     if len(cells) < 2:
         print("error: matrix needs at least two cells", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import (
+    LOCALIZATION_MODES,
     DetectorConfig,
     IFFConfig,
     LocalizationConfig,
@@ -71,6 +72,7 @@ from repro.io.serialization import (
     write_atomic,
 )
 from repro.network.generator import DeploymentConfig, generate_network
+from repro.network.localization import DEFAULT_ENGINE, ENGINES
 from repro.network.measurement import NoError, UniformAbsoluteError
 from repro.network.stats import compute_network_stats
 from repro.observability.export import write_trace
@@ -140,10 +142,10 @@ def _deployment_from_args(args) -> DeploymentConfig:
 def _detector_from_args(args) -> DetectorConfig:
     model = NoError() if args.error == 0 else UniformAbsoluteError(args.error)
     return DetectorConfig(
-        ubf=UBFConfig(epsilon=args.epsilon, kernel=getattr(args, "kernel", "vectorized")),
+        ubf=UBFConfig(epsilon=args.epsilon),
         iff=IFFConfig(theta=args.theta, ttl=args.ttl),
         localization_config=LocalizationConfig(
-            engine=getattr(args, "engine", "batch")
+            engine=getattr(args, "engine", DEFAULT_ENGINE)
         ),
         error_model=model,
         localization=getattr(args, "localization", "auto"),
@@ -179,7 +181,6 @@ def cmd_detect(args) -> int:
         network=args.network,
         seed=args.seed,
         workers=args.workers,
-        kernel=args.kernel,
     ):
         result = detector.detect(
             network, rng=np.random.default_rng(args.seed), tracer=tracer
@@ -266,9 +267,7 @@ def cmd_bench(args) -> int:
             scenario_id=args.scenario_id,
             repeat=args.repeat,
             time_naive=not args.skip_naive,
-            engine=args.bench_engine,
             full_oracle=args.oracle,
-            ubf_kernel=args.ubf_kernel,
             tracer=tracer,
         )
     print(render_bench_table(results))
@@ -601,23 +600,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the per-node stages (deterministic for any N)",
     )
     p.add_argument(
-        "--kernel",
-        choices=("naive", "vectorized", "batched", "native"),
-        default="vectorized",
-        help="UBF emptiness-search kernel (naive is the slow oracle; "
-        "batched flattens all nodes into one workset; native adds the C "
-        "scan with numpy fallback)",
-    )
-    p.add_argument(
         "--localization",
-        choices=("auto", "mds", "trilateration", "true"),
+        choices=LOCALIZATION_MODES,
         default="auto",
         help="coordinate source for UBF (auto: true under zero error, else mds)",
     )
     p.add_argument(
         "--engine",
-        choices=("batch", "sparse", "pernode"),
-        default="batch",
+        choices=ENGINES,
+        default=DEFAULT_ENGINE,
         help="MDS frame-construction engine (sparse uses native kernels "
         "where available; pernode is the slow oracle)",
     )
@@ -709,18 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline-dir",
         default="benchmarks/baselines",
         help="directory holding the committed BENCH_<stage>.json baselines",
-    )
-    p.add_argument(
-        "--bench-engine",
-        default="sparse",
-        choices=("batch", "sparse"),
-        help="localization engine the bench times (pernode stays the oracle)",
-    )
-    p.add_argument(
-        "--ubf-kernel",
-        default="batched",
-        choices=("vectorized", "batched", "native"),
-        help="UBF kernel the ubf/e2e stages time (naive stays the oracle)",
     )
     p.add_argument(
         "--oracle",

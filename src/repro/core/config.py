@@ -5,7 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.network.localization import DEFAULT_ENGINE, ENGINES
 from repro.network.measurement import DistanceErrorModel, NoError
+
+#: Values ``DetectorConfig.localization`` accepts (see its docstring).
+LOCALIZATION_MODES = ("auto", "mds", "trilateration", "true")
 
 
 @dataclass(frozen=True)
@@ -29,29 +33,15 @@ class UBFConfig:
         so the default is 2; setting 1 reproduces the most literal reading
         of Algorithm 1 and is kept for the ablation bench (it floods the
         interior with false positives at realistic densities).
-    kernel:
-        Emptiness-search implementation: ``"vectorized"`` (default) batches
-        all Eq.-1 candidate centers per node and checks emptiness via
-        chunked broadcasted distance matrices; ``"batched"`` flattens the
-        candidate balls of every node in a batch into one network-wide
-        workset and runs the emptiness waves with a single broadcast per
-        chunk (the wire-speed path for large networks); ``"native"`` uses
-        the batched enumeration with the C ``ubf_empty_check`` scan from
-        :mod:`repro.geometry.native` (graceful fallback to ``"batched"``
-        when no compiler is available); ``"naive"`` is the per-pair Python
-        oracle the other kernels are differentially tested against (see
-        docs/PERFORMANCE.md).  All produce identical results and counters.
-    chunk_size:
-        Candidate balls per distance-matrix batch in the vectorized and
-        batched kernels; the knob behind their early-exit strategy.
-        Ignored by ``"naive"``.
+
+    The emptiness search itself has no knobs: it always runs the batched
+    kernel of :mod:`repro.geometry.ballfit` (with the native C scan when
+    it loads), under a fixed working-set budget.
     """
 
     epsilon: float = 1e-3
     ball_radius: Optional[float] = None
     collection_hops: int = 2
-    kernel: str = "vectorized"
-    chunk_size: int = 64
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -60,12 +50,6 @@ class UBFConfig:
             raise ValueError("ball_radius must be positive")
         if self.collection_hops < 1:
             raise ValueError("collection_hops must be at least 1")
-        if self.kernel not in ("naive", "vectorized", "batched", "native"):
-            raise ValueError(
-                "kernel must be 'naive', 'vectorized', 'batched', or 'native'"
-            )
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
 
     @property
     def radius(self) -> float:
@@ -80,23 +64,21 @@ class LocalizationConfig:
     Attributes
     ----------
     engine:
-        Frame-construction engine for MDS localization:
-        ``"batch"`` (default) builds every node's collection with one
-        multi-source BFS sweep and embeds equal-size frames as stacked
-        ``(B, m, m)`` MDS batches; ``"sparse"`` keeps the batch grouping
-        but runs completion/centering/SMACOF through on-demand native
-        kernels (graceful numpy fallback), several times faster at scale;
-        ``"pernode"`` is the scalar per-node oracle both other engines are
+        Frame-construction engine for MDS localization: ``"sparse"``
+        (default) builds every node's collection with one multi-source BFS
+        sweep, groups equal-size frames, and runs completion, centering
+        and edge-list SMACOF through native kernels when they load (numpy
+        otherwise); ``"pernode"`` is the scalar per-node oracle it is
         differentially tested against (exact members and SMACOF step
         counts, coordinates within the documented float tolerance -- see
         :mod:`repro.network.localization`).
     """
 
-    engine: str = "batch"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
-        if self.engine not in ("batch", "sparse", "pernode"):
-            raise ValueError("engine must be 'batch', 'sparse', or 'pernode'")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +143,10 @@ class DetectorConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.localization not in ("mds", "true", "auto", "trilateration"):
+        if self.localization not in LOCALIZATION_MODES:
             raise ValueError(
-                "localization must be 'mds', 'trilateration', 'true', or 'auto'"
+                f"localization must be one of {LOCALIZATION_MODES}, "
+                f"got {self.localization!r}"
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")

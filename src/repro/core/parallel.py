@@ -91,8 +91,8 @@ MIN_PARALLEL_NODES = 64
 SHARD_SIZE = 128
 
 #: Nodes per localization shard.  Larger than :data:`SHARD_SIZE` because
-#: the batch engine amortizes its numpy call overhead across the frames of
-#: a shard -- too-small shards would starve the size-grouped MDS batches.
+#: the sparse engine amortizes its call overhead across the frames of a
+#: shard -- too-small shards would starve the size-grouped MDS batches.
 FRAME_SHARD_SIZE = 512
 
 #: Worker-process state installed once per worker by the pool initializer.
@@ -387,7 +387,6 @@ class _UBFShardTask:
     def span_attrs(self, node_ids: List[int]) -> Dict[str, Any]:
         return {
             "n_nodes": len(node_ids),
-            "kernel": self.config.kernel,
             "localization": self.localization,
         }
 
@@ -747,7 +746,7 @@ def run_frames_parallel(
 ) -> List[LocalFrame]:
     """Step (I) over the whole network, sharded across worker processes.
 
-    Builds every node's local frame once -- through the batched
+    Builds every node's local frame once -- through the sparse
     localization engine by default -- so downstream stages (UBF, quality
     diagnostics) reuse them instead of re-localizing per node.  Output is
     ordered as ``nodes`` (node-ID order by default) and byte-identical for

@@ -12,19 +12,19 @@ pair enumeration is exhaustive; Theorem 1 bounds the per-node work at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import UBFConfig
+from repro.geometry import ballfit
 from repro.geometry.ballfit import (
-    DEFAULT_CHUNK_SIZE,
     BallFitResult,
     empty_ball_exists,
     empty_ball_exists_batch,
+    search_bytes,
 )
 from repro.network.generator import Network
-from repro.network.graph import NetworkGraph
 from repro.network.localization import (
     LocalFrame,
     establish_local_frame,
@@ -60,28 +60,21 @@ class UBFNodeOutcome:
     points_checked: int = 0
 
 
-#: Nodes classified per :func:`repro.geometry.ballfit.empty_ball_exists_batch`
-#: call when ``UBFConfig.kernel`` is batched/native.  Purely a memory bound
-#: on the flattened candidate arrays (a few hundred MB at degree ~24);
-#: results are per-node and independent of the slicing.
-UBF_BATCH_NODES = 8192
-
-
 def ubf_classify_frame(
     frame: LocalFrame,
     radius: float,
     *,
     find_first: bool = True,
-    kernel: str = "vectorized",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    kernel: str = "batched",
 ) -> BallFitResult:
     """Run the UBF emptiness search inside one node's local frame.
 
     This is the node-level primitive: the frame contains everything the
     node knows (its own embedded position, its one-hop neighbors as pair
     candidates, and its full collection as the emptiness-check set), so the
-    call is localized by construction.  ``kernel`` selects the naive oracle
-    or the vectorized implementation; both yield identical results.
+    call is localized by construction.  ``kernel`` selects the batched
+    production kernel (default) or the ``"naive"`` oracle; both yield
+    identical results.
     """
     return empty_ball_exists(
         frame.origin_coordinates,
@@ -90,7 +83,6 @@ def ubf_classify_frame(
         check_points=frame.collection_coordinates,
         find_first=find_first,
         kernel=kernel,
-        chunk_size=chunk_size,
     )
 
 
@@ -155,10 +147,7 @@ def run_ubf(
         raise ValueError(f"localization={localization!r} requires measured distances")
 
     tracer = ensure_tracer(tracer)
-    graph = network.graph
-    radius = config.radius
-    hops = config.collection_hops
-    node_ids = range(graph.n_nodes) if nodes is None else [int(n) for n in nodes]
+    node_ids = range(network.graph.n_nodes) if nodes is None else [int(n) for n in nodes]
     with tracer.span(
         "ubf.run", n_nodes=len(node_ids), localization=localization
     ) as span:
@@ -182,9 +171,16 @@ def _run_ubf_nodes(
     find_first: bool,
     frames: Optional[Dict[int, LocalFrame]] = None,
 ) -> List[UBFNodeOutcome]:
-    """The untraced per-node classification loop behind :func:`run_ubf`."""
+    """The untraced classification behind :func:`run_ubf`.
+
+    Frames are built (or looked up) one node at a time and classified in
+    slabs through :func:`repro.geometry.ballfit.empty_ball_exists_batch`;
+    a slab closes once its :func:`~repro.geometry.ballfit.search_bytes`
+    reach :data:`~repro.geometry.ballfit.UBF_WORKING_SET_BYTES`, so the
+    frames and flattened arrays held at once stay flat in the network
+    size.  Outcomes are per node and independent of the slicing.
+    """
     graph = network.graph
-    radius = config.radius
     hops = config.collection_hops
 
     def frame_of(node: int) -> LocalFrame:
@@ -198,75 +194,44 @@ def _run_ubf_nodes(
             return trilateration_local_frame(graph, measured, node, hops=hops)
         return true_local_frame(graph, node, hops=hops)
 
-    node_list = list(node_ids)
-    if config.kernel in ("batched", "native"):
-        return _run_ubf_nodes_batched(
-            node_list, frame_of, radius, config, find_first
-        )
     outcomes: List[UBFNodeOutcome] = []
-    for node in node_list:
+    slab: List[Tuple[int, LocalFrame]] = []
+    slab_bytes = 0
+    for node in node_ids:
         frame = frame_of(node)
-        fit = ubf_classify_frame(
-            frame,
-            radius,
-            find_first=find_first,
-            kernel=config.kernel,
-            chunk_size=config.chunk_size,
-        )
-        outcomes.append(
-            UBFNodeOutcome(
-                node=node,
-                is_candidate=fit.is_boundary,
-                balls_tested=fit.balls_tested,
-                neighborhood_size=len(frame.members) - 1,
-                points_checked=fit.points_checked,
-            )
-        )
+        slab.append((node, frame))
+        slab_bytes += search_bytes(frame.n_one_hop, len(frame.members))
+        if slab_bytes >= ballfit.UBF_WORKING_SET_BYTES:
+            outcomes.extend(_classify_slab(slab, config.radius, find_first))
+            slab, slab_bytes = [], 0
+    outcomes.extend(_classify_slab(slab, config.radius, find_first))
     return outcomes
 
 
-def _run_ubf_nodes_batched(
-    node_list: List[int],
-    frame_of,
-    radius: float,
-    config: UBFConfig,
-    find_first: bool,
+def _classify_slab(
+    slab: List[Tuple[int, LocalFrame]], radius: float, find_first: bool
 ) -> List[UBFNodeOutcome]:
-    """Batched/native classification: whole node slices per kernel call.
-
-    Frames are still built one node at a time (that is the localization
-    stage's job), but the emptiness search runs network-wide through
-    :func:`repro.geometry.ballfit.empty_ball_exists_batch` in slices of
-    :data:`UBF_BATCH_NODES`, eliminating the per-node dispatch of the
-    vectorized kernel.  Outcome order and observables are identical to the
-    per-node loop.
-    """
-    outcomes: List[UBFNodeOutcome] = []
-    for s in range(0, len(node_list), UBF_BATCH_NODES):
-        chunk = node_list[s : s + UBF_BATCH_NODES]
-        batch_frames = [frame_of(node) for node in chunk]
-        fits = empty_ball_exists_batch(
-            np.stack([f.origin_coordinates for f in batch_frames])
-            if batch_frames
-            else np.empty((0, 3)),
-            [f.neighbor_coordinates for f in batch_frames],
-            radius,
-            check_sets=[f.collection_coordinates for f in batch_frames],
-            find_first=find_first,
-            kernel=config.kernel,
-            chunk_size=config.chunk_size,
+    """One batched kernel call over a slab of ``(node, frame)`` pairs."""
+    if not slab:
+        return []
+    frames = [frame for _, frame in slab]
+    fits = empty_ball_exists_batch(
+        np.stack([f.origin_coordinates for f in frames]),
+        [f.neighbor_coordinates for f in frames],
+        radius,
+        check_sets=[f.collection_coordinates for f in frames],
+        find_first=find_first,
+    )
+    return [
+        UBFNodeOutcome(
+            node=node,
+            is_candidate=fit.is_boundary,
+            balls_tested=fit.balls_tested,
+            neighborhood_size=len(frame.members) - 1,
+            points_checked=fit.points_checked,
         )
-        for node, frame, fit in zip(chunk, batch_frames, fits):
-            outcomes.append(
-                UBFNodeOutcome(
-                    node=node,
-                    is_candidate=fit.is_boundary,
-                    balls_tested=fit.balls_tested,
-                    neighborhood_size=len(frame.members) - 1,
-                    points_checked=fit.points_checked,
-                )
-            )
-    return outcomes
+        for (node, frame), fit in zip(slab, fits)
+    ]
 
 
 def candidates_from_outcomes(outcomes: List[UBFNodeOutcome]) -> set:

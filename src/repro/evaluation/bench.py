@@ -17,8 +17,8 @@ Two kinds of observables with two kinds of tolerance:
   node, lost early exits) on any hardware, with no timing flakiness.
 * **Wall times** vary across machines, so the absolute check uses a wide
   multiplicative band; the portable speed gates are *relative* speedups
-  measured locally in one process -- the vectorized UBF kernel over the
-  in-repo naive oracle, and the batched localization engine over the
+  measured locally in one process -- the batched UBF kernel over the
+  in-repo naive oracle, and the sparse localization engine over the
   per-node oracle.
 
 Artifacts are plain JSON (schema below) so trend tooling can diff them
@@ -58,6 +58,7 @@ from repro.geometry.mds import SMACOF_BATCH_COORD_TOL
 from repro.geometry.native import load_kernels
 from repro.network.generator import DeploymentConfig, generate_network
 from repro.network.localization import (
+    DEFAULT_ENGINE,
     _collect_frame_metas,
     build_frames,
     true_local_frame,
@@ -78,15 +79,9 @@ STAGES = ("localization", "ubf", "iff", "grouping", "mesh")
 #: Every stage name `repro-bench` accepts, renderable order.
 ALL_STAGES = STAGES + ("e2e",)
 
-#: UBF kernel the bench times by default: the network-batched kernel is
-#: the production hot path.  The numpy waves (not the native C scan) keep
-#: the committed wall-time baselines meaningful on runners without a C
-#: compiler; ``--ubf-kernel native`` opts in to the C path.
-DEFAULT_BENCH_KERNEL = "batched"
-
-#: Node-slice size of the e2e stage's UBF pass; memory bound only (the
-#: flattened candidate arrays of a slice stay a few hundred MB at the
-#: pinned degree), never observable in results.
+#: Node-slice size of the e2e stage's frame collection; memory bound only
+#: (the flat frame arrays of one slice -- the UBF kernel bounds its own
+#: working set), never observable in results.
 E2E_UBF_SLICE = 25_000
 
 #: Default multiplicative slack for absolute wall-time comparisons; wide on
@@ -98,7 +93,7 @@ DEFAULT_TIME_FACTOR = 3.0
 #: float-ordering differences across numpy builds.
 DEFAULT_COUNTER_RTOL = 0.02
 
-#: Required vectorized-over-naive UBF kernel speedup (the PR acceptance
+#: Required batched-over-naive UBF kernel speedup (the acceptance
 #: criterion is 2x; the committed baseline is far above it).
 DEFAULT_MIN_SPEEDUP = 2.0
 
@@ -111,10 +106,6 @@ DEFAULT_MIN_ENGINE_SPEEDUP = 3.0
 #: wall-time band: allocator and platform noise land here, while a stage
 #: that starts materializing quadratically more memory still trips it.
 DEFAULT_RSS_FACTOR = 2.0
-
-#: Engine the localization bench times by default.  The pernode oracle
-#: side of the gate is engine-independent.
-DEFAULT_LOCALIZATION_ENGINE = "sparse"
 
 #: Target size of the pinned pernode-oracle node sample.  The full oracle
 #: re-run used to dominate the bench (~4x the timed engine at 2k); the
@@ -260,50 +251,32 @@ def build_context(
     )
 
 
-def _classify_all(ctx: BenchContext, kernel: str) -> List[object]:
-    cfg = ctx.ubf_config
-    if kernel in ("batched", "native"):
-        frames = ctx.frames
-        return empty_ball_exists_batch(
-            np.stack([f.origin_coordinates for f in frames])
-            if frames
-            else np.empty((0, 3)),
-            [f.neighbor_coordinates for f in frames],
-            cfg.radius,
-            check_sets=[f.collection_coordinates for f in frames],
-            find_first=True,
-            kernel=kernel,
-            chunk_size=cfg.chunk_size,
-        )
-    return [
-        ubf_classify_frame(
-            frame,
-            cfg.radius,
-            find_first=True,
-            kernel=kernel,
-            chunk_size=cfg.chunk_size,
-        )
-        for frame in ctx.frames
-    ]
+def _classify_all(ctx: BenchContext, *, naive: bool = False) -> List[object]:
+    """Every context frame through the batched kernel (or the naive oracle)."""
+    radius = ctx.ubf_config.radius
+    frames = ctx.frames
+    if naive:
+        return [ubf_classify_frame(f, radius, kernel="naive") for f in frames]
+    return empty_ball_exists_batch(
+        np.stack([f.origin_coordinates for f in frames])
+        if frames
+        else np.empty((0, 3)),
+        [f.neighbor_coordinates for f in frames],
+        radius,
+        check_sets=[f.collection_coordinates for f in frames],
+    )
 
 
-def bench_ubf(
-    ctx: BenchContext,
-    repeat: int,
-    *,
-    time_naive: bool = True,
-    kernel: str = DEFAULT_BENCH_KERNEL,
-) -> dict:
+def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dict:
     """Time the UBF emptiness kernel over all node frames.
 
     Frame construction is excluded -- it is shared by every kernel and by
     every localization mode; what is timed is exactly the per-node
-    candidate-enumeration + emptiness-check work Theorem 1 bounds.
-    ``kernel`` selects the timed implementation (the batched network-wide
-    kernel by default); the naive oracle side of the ``speedup_vs_naive``
-    gate is kernel-independent.
+    candidate-enumeration + emptiness-check work Theorem 1 bounds, on the
+    batched production kernel (its C scan when it loads).  The naive
+    oracle is the other side of the ``speedup_vs_naive`` gate.
     """
-    median, timings, fits = _median_time(lambda: _classify_all(ctx, kernel), repeat)
+    median, timings, fits = _median_time(lambda: _classify_all(ctx), repeat)
     balls = np.array([f.balls_tested for f in fits], dtype=float)
     checks = np.array([f.points_checked for f in fits], dtype=float)
     degrees = ctx.network.graph.degrees()
@@ -320,12 +293,10 @@ def bench_ubf(
         "checks_per_degree_cubed": float(checks.mean() / mean_degree**3),
     }
     doc = _artifact("ubf", ctx, repeat, median, timings, counters)
-    doc["kernel"] = kernel
     doc["native_available"] = load_kernels() is not None
-    doc["chunk_size"] = ctx.ubf_config.chunk_size
     if time_naive:
         naive_seconds, _, naive_fits = _median_time(
-            lambda: _classify_all(ctx, "naive"), 1, warmup=False
+            lambda: _classify_all(ctx, naive=True), 1, warmup=False
         )
         doc["naive_seconds"] = naive_seconds
         doc["speedup_vs_naive"] = naive_seconds / median if median > 0 else float("inf")
@@ -370,16 +341,15 @@ def bench_localization(
     repeat: int,
     *,
     time_pernode: bool = True,
-    engine: str = DEFAULT_LOCALIZATION_ENGINE,
     full_oracle: bool = False,
 ) -> dict:
     """Time measured-mode MDS frame construction (step I) over all nodes.
 
     Measurements use the paper's measured-mode setting (uniform absolute
     error of :data:`BENCH_MEASUREMENT_ERROR`) seeded by the pinned
-    scenario, so counters are deterministic.  The timed path is ``engine``
-    (default :data:`DEFAULT_LOCALIZATION_ENGINE`); the ``pernode`` oracle
-    side of the gate runs once over the pinned
+    scenario, so counters are deterministic.  The timed path is the
+    production (``sparse``) engine; the ``pernode`` oracle side of the
+    gate runs once over the pinned
     :func:`oracle_sample_nodes` subset (every frame is per-node
     independent, so the sampled frames are bit-identical to a full
     sweep's).  ``speedup_vs_pernode`` compares the oracle against the
@@ -397,7 +367,7 @@ def bench_localization(
     )
     hops = ctx.ubf_config.collection_hops
     median, timings, frames = _median_time(
-        lambda: build_frames(graph, measured, hops=hops, engine=engine), repeat
+        lambda: build_frames(graph, measured, hops=hops), repeat
     )
     sizes = np.array([len(f.members) for f in frames], dtype=float)
     counters = {
@@ -410,7 +380,7 @@ def bench_localization(
         ),
     }
     doc = _artifact("localization", ctx, repeat, median, timings, counters)
-    doc["engine"] = engine
+    doc["engine"] = DEFAULT_ENGINE
     doc["measurement_error"] = BENCH_MEASUREMENT_ERROR
     if time_pernode:
         if full_oracle:
@@ -420,9 +390,7 @@ def bench_localization(
         else:
             nodes = oracle_sample_nodes(graph.n_nodes)
             engine_sample_seconds, _, engine_sample = _median_time(
-                lambda: build_frames(
-                    graph, measured, hops=hops, engine=engine, nodes=nodes
-                ),
+                lambda: build_frames(graph, measured, hops=hops, nodes=nodes),
                 1,
                 warmup=False,
             )
@@ -447,7 +415,7 @@ def bench_localization(
 
 def bench_iff(ctx: BenchContext, repeat: int) -> dict:
     """Time Isolated Fragment Filtering on the UBF candidate set."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     median, timings, boundary = _median_time(
@@ -463,7 +431,7 @@ def bench_iff(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
     """Time boundary grouping on the IFF-filtered boundary set."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
@@ -480,7 +448,7 @@ def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_mesh(ctx: BenchContext, repeat: int) -> dict:
     """Time triangular boundary-surface construction on the groups."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
@@ -502,7 +470,6 @@ def _ubf_candidates_scale(
     network,
     ubf_config: UBFConfig,
     *,
-    kernel: str = DEFAULT_BENCH_KERNEL,
     slice_size: int = E2E_UBF_SLICE,
 ) -> Tuple[set, int, int]:
     """UBF candidacy for every node via the array-native batch path.
@@ -550,9 +517,6 @@ def _ubf_candidates_scale(
             probe_flat,
             probe_ptr,
             ubf_config.radius,
-            find_first=True,
-            kernel=kernel,
-            chunk_size=ubf_config.chunk_size,
         )
         for i, fit in enumerate(fits):
             total_balls += fit.balls_tested
@@ -562,9 +526,7 @@ def _ubf_candidates_scale(
     return candidates, total_balls, total_checked
 
 
-def bench_e2e(
-    ctx: BenchContext, repeat: int, *, kernel: str = DEFAULT_BENCH_KERNEL
-) -> dict:
+def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     """Time one full generate -> UBF -> IFF -> grouping pass.
 
     The 100k-scale check behind ROADMAP item 3: everything -- deployment
@@ -584,7 +546,7 @@ def bench_e2e(
         )
         graph = network.graph
         candidates, total_balls, total_checked = _ubf_candidates_scale(
-            network, cfg, kernel=kernel
+            network, cfg
         )
         boundary = run_iff(graph, candidates, ctx.iff_config)
         groups = group_boundary_nodes(graph, boundary)
@@ -599,9 +561,7 @@ def bench_e2e(
 
     median, timings, counters = _median_time(run, repeat, warmup=False)
     doc = _artifact("e2e", ctx, repeat, median, timings, counters)
-    doc["kernel"] = kernel
     doc["native_available"] = load_kernels() is not None
-    doc["chunk_size"] = cfg.chunk_size
     return doc
 
 
@@ -643,9 +603,7 @@ def run_bench(
     scenario_id: str = DEFAULT_SCENARIO,
     repeat: int = 5,
     time_naive: bool = True,
-    engine: str = DEFAULT_LOCALIZATION_ENGINE,
     full_oracle: bool = False,
-    ubf_kernel: str = DEFAULT_BENCH_KERNEL,
     tracer=None,
     registry=None,
 ) -> Dict[str, dict]:
@@ -657,7 +615,7 @@ def run_bench(
     -- the traced twin of the ``BENCH_<stage>.json`` artifacts.
     ``time_naive`` toggles the slow oracle sides of the relative speed
     gates (the naive UBF kernel and the pernode localization engine);
-    ``engine``/``full_oracle`` parameterize the localization stage.
+    ``full_oracle`` parameterizes the localization stage.
 
     Each stage also records the process peak RSS after it finishes into
     ``registry`` (a :class:`repro.observability.metrics.MetricsRegistry`,
@@ -697,17 +655,12 @@ def run_bench(
         for stage in stages:
             with tracer.span(f"bench.{stage}") as stage_span:
                 if stage == "ubf":
-                    doc = bench_ubf(
-                        ctx, repeat, time_naive=time_naive, kernel=ubf_kernel
-                    )
-                elif stage == "e2e":
-                    doc = bench_e2e(ctx, repeat, kernel=ubf_kernel)
+                    doc = bench_ubf(ctx, repeat, time_naive=time_naive)
                 elif stage == "localization":
                     doc = bench_localization(
                         ctx,
                         repeat,
                         time_pernode=time_naive,
-                        engine=engine,
                         full_oracle=full_oracle,
                     )
                 else:
@@ -813,7 +766,7 @@ def compare_artifact(
         cur_speedup = float(current.get("speedup_vs_naive", 0.0))
         if cur_speedup < min_speedup:
             issues.append(
-                f"{stage}: vectorized kernel speedup over naive oracle is "
+                f"{stage}: batched kernel speedup over naive oracle is "
                 f"{cur_speedup:.2f}x, below the required {min_speedup}x"
             )
         if current.get("kernels_agree") is False:

@@ -19,41 +19,29 @@ boundary node.
 
 Kernels
 -------
-The emptiness search ships in four interchangeable implementations selected
-by the ``kernel`` argument of :func:`empty_ball_exists` (and batch-wide by
-:func:`empty_ball_exists_batch`):
+The emptiness search has one production path and one oracle, selected by
+the ``kernel`` argument of :func:`empty_ball_exists`:
 
 ``"naive"``
     The literal per-pair reading of Algorithm 1: a Python loop over neighbor
     pairs, the scalar Eq.-1 solver per pair, and a point-by-point probe loop
     per candidate ball.  Slow by design -- it is the differential-test
-    oracle the other kernels are checked against, and the baseline the
+    oracle the batched kernel is checked against, and the baseline the
     ``repro-bench`` speedup criterion is measured from.
 
-``"vectorized"``
-    All candidate centers for the node are produced in one batched Eq.-1
-    evaluation (:func:`balls_through_point_pairs`) and emptiness is decided
-    from broadcasted distance matrices, processed in chunks of
-    ``chunk_size`` candidates so the common "an empty ball appears early"
-    case exits before touching the remaining candidates.
-
-``"batched"``
-    The network-batched kernel: candidate balls of *all* nodes in a batch
+``"batched"`` (default)
+    The network-batched kernel: candidate balls of *all* nodes in a slab
     are flattened into one node-major, pair-major workset (one Eq.-1
-    evaluation over every neighbor pair of every node), and emptiness runs
-    in synchronized waves -- each wave advances every still-active node by
-    ``chunk_size`` candidates with one broadcast distance computation for
-    the whole batch, so the per-node Python dispatch of the vectorized
-    kernel disappears while the chunk-granular early exit is preserved.
+    evaluation over every neighbor pair of every node), then scanned for
+    emptiness.  The scan runs in the ``ubf_empty_check`` C kernel
+    (:mod:`repro.geometry.native`) whenever it loads -- a true per-point
+    early-exit loop per candidate, one call per slab -- and in synchronized
+    numpy waves otherwise (no C compiler, or ``REPRO_NATIVE=0``): each wave
+    advances every still-active node by :data:`DEFAULT_CHUNK_SIZE`
+    candidates with one broadcast for the whole slab.  The two scans are
+    bit-identical; which one runs is a platform check, not an option.
 
-``"native"``
-    The batched enumeration above, with the emptiness scan handed to the
-    ``ubf_empty_check`` C kernel (:mod:`repro.geometry.native`): a true
-    per-point early-exit loop per candidate, one call per batch.  Falls
-    back to ``"batched"`` -- same results by construction -- when no C
-    compiler is available or ``REPRO_NATIVE=0`` disables native kernels.
-
-All kernels enumerate candidates in the same canonical order (node-major,
+Both kernels enumerate candidates in the same canonical order (node-major,
 lexicographic neighbor pairs, the ``+offset`` center before the ``-offset``
 center) and report identical observables: the same boundary verdict, the
 same witness ball, and the same ``balls_tested`` / ``points_checked``
@@ -62,6 +50,15 @@ candidate balls and point probes the sequential algorithm performs, with
 per-ball early exit at the first strictly-inside point -- so they are
 hardware- and implementation-independent observables of Theorem 1's
 ``Theta(rho^2)`` candidate bound and ``Theta(rho^3)`` total probe bound.
+
+Working set
+-----------
+Every temporary of the batched search is sized from one byte budget,
+:data:`UBF_WORKING_SET_BYTES`: the node slab (pair index arrays and
+candidate centers), the Eq.-1 enumeration blocks, and the probe waves.
+All steps are row-wise, so slab and block sizes never change a result --
+only how much memory one call holds, which stays flat in the network
+size.
 """
 
 from __future__ import annotations
@@ -86,30 +83,55 @@ INSIDE_TOL = 1e-7
 COINCIDENT_TOL = 1e-7
 
 #: Kernel names accepted by :func:`empty_ball_exists`.
-KERNELS = ("naive", "vectorized", "batched", "native")
+KERNELS = ("naive", "batched")
 
-#: Candidate balls processed per distance-matrix batch in the vectorized
-#: kernel.  Small enough that a boundary node whose first empty ball sits
-#: among the early pairs never materializes the full candidate family,
-#: large enough that interior nodes amortize the numpy dispatch overhead.
+#: Candidate balls each still-active node advances per numpy wave.  Small
+#: enough that a boundary node whose first empty ball sits among the early
+#: pairs never probes its full candidate family, large enough that
+#: interior nodes amortize the numpy dispatch overhead.  A work knob only
+#: -- counters and verdicts are independent of it.
 DEFAULT_CHUNK_SIZE = 64
 
-#: Neighbor pairs evaluated per Eq.-1 block in the batched enumeration.
-#: Purely a memory bound (each block materializes a handful of ``(B, 3)``
-#: temporaries); results never depend on it because every step is
-#: row-wise.
-BATCH_PAIR_BLOCK = 1 << 20
+#: Working-set budget of one batched search, in bytes.  Sizes the node
+#: slab (:func:`search_bytes`), the Eq.-1 enumeration blocks
+#: (:data:`BLOCK_BYTES_PER_PAIR`) and the probe waves
+#: (:data:`PROBE_ENTRY_BYTES`); see "Working set" in the module docstring.
+UBF_WORKING_SET_BYTES = 32 << 20
 
-#: Ball-point distance entries per broadcast in the batched emptiness
-#: waves; bounds the ``(balls, probes, 3)`` temporaries to a few dozen MB.
-#: A memory knob only -- counters and verdicts are independent of it.
-BATCH_PROBE_BUDGET = 1 << 21
+#: Bytes a slab holds per neighbor pair for its whole life: the pair index
+#: arrays (32 B) plus up to two candidates (center, pair, owner: 48 B
+#: each), doubled while the per-block candidates are concatenated.
+SLAB_BYTES_PER_PAIR = 224
+
+#: Bytes a slab holds per probe row (the node itself and its collection):
+#: the flattened neighbor and probe copies of its local frame.
+SLAB_BYTES_PER_PROBE = 96
+
+#: Peak bytes of Eq.-1 temporaries per neighbor pair of an enumeration
+#: block (a dozen ``(B, 3)`` and ``(B,)`` float intermediates).
+BLOCK_BYTES_PER_PAIR = 512
+
+#: Bytes per (ball, probe column) entry of a numpy probe wave: gather
+#: index, gathered point, difference, distance and masks.
+PROBE_ENTRY_BYTES = 96
 
 #: Probe columns scanned per early-exit round of :func:`_batch_probe`.
 #: Most candidate balls contain a neighborhood point within the first few
 #: probes, so narrow rounds retire them without touching the rest of the
 #: collection.  A work/overhead knob only -- results are independent.
 PROBE_COL_WAVE = 16
+
+
+def search_bytes(n_neighbors, n_probes):
+    """Slab bytes the batched search holds for one node (or an array of them).
+
+    ``n_neighbors`` one-hop neighbors give ``n (n - 1) / 2`` Eq.-1 pairs;
+    ``n_probes`` counts the node's probe rows (itself plus its collection).
+    Callers sum this over nodes to cut slabs of at most
+    :data:`UBF_WORKING_SET_BYTES`.
+    """
+    pairs = n_neighbors * (n_neighbors - 1) // 2
+    return pairs * SLAB_BYTES_PER_PAIR + n_probes * SLAB_BYTES_PER_PROBE
 
 
 def balls_through_three_points(p1, p2, p3, radius: float) -> List[np.ndarray]:
@@ -169,7 +191,9 @@ def balls_through_point_pairs(
 
     Computes, for every unordered pair ``(j, k)`` of points in ``others``,
     the centers of the balls of radius ``radius`` through
-    ``(origin, others[j], others[k])`` in one batched evaluation of Eq. (1).
+    ``(origin, others[j], others[k])`` in one batched evaluation of Eq. (1)
+    -- the one-node case of the batched kernel's enumeration, so its
+    centers are bit-identical to what the kernel tests.
 
     Parameters
     ----------
@@ -197,57 +221,8 @@ def balls_through_point_pairs(
     """
     origin = as_point(origin)
     pts = as_points(others) if len(others) else np.empty((0, 3))
-    m = pts.shape[0]
-    if m < 2:
-        return np.empty((0, 3)), np.empty((0, 2), dtype=int)
-
-    j_idx, k_idx = np.triu_indices(m, k=1)
-    a = pts[j_idx] - origin  # (P, 3)
-    b = pts[k_idx] - origin  # (P, 3)
-    n = np.cross(a, b)
-    n2 = np.einsum("ij,ij->i", n, n)
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    # Same scale-invariant degeneracy tests as balls_through_three_points
-    # (coincidence floor + sin^2(theta) > tol), keeping the two kernels
-    # verdict-identical.
-    coincident_sq = (COINCIDENT_TOL * radius) ** 2
-    valid = (
-        (aa > coincident_sq) & (bb > coincident_sq) & (n2 > DEGENERACY_TOL * aa * bb)
-    )
-    if not np.any(valid):
-        return np.empty((0, 3)), np.empty((0, 2), dtype=int)
-
-    a, b, n, n2 = a[valid], b[valid], n[valid], n2[valid]
-    aa, bb = aa[valid][:, None], bb[valid][:, None]
-    j_idx, k_idx = j_idx[valid], k_idx[valid]
-
-    center0 = origin + (aa * np.cross(b, n) + bb * np.cross(n, a)) / (2.0 * n2[:, None])
-
-    circum_sq = np.einsum("ij,ij->i", center0 - origin, center0 - origin)
-    h_sq = radius * radius - circum_sq
-    fits = h_sq > -INSIDE_TOL * radius * radius
-    if not np.any(fits):
-        return np.empty((0, 3)), np.empty((0, 2), dtype=int)
-
-    center0, n, n2, h_sq = center0[fits], n[fits], n2[fits], h_sq[fits]
-    j_idx, k_idx = j_idx[fits], k_idx[fits]
-
-    tangent = h_sq <= (INSIDE_TOL * radius) ** 2
-    h = np.sqrt(np.clip(h_sq, 0.0, None))
-    unit_n = n / np.sqrt(n2)[:, None]
-    offset = h[:, None] * unit_n
-
-    # Interleave pair-major: each pair contributes [center+, center-] (or
-    # just the circumcenter when tangent), preserving the naive loop order.
-    counts = np.where(tangent, 1, 2)
-    starts = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    centers = np.empty((total, 3))
-    centers[starts] = np.where(tangent[:, None], center0, center0 + offset)
-    minus_rows = starts[~tangent] + 1
-    centers[minus_rows] = (center0 - offset)[~tangent]
-    pairs = np.repeat(np.column_stack([j_idx, k_idx]), counts, axis=0)
+    nbr_ptr = np.array([0, pts.shape[0]], dtype=np.int64)
+    centers, pairs, _, _ = _batch_enumerate(origin[None, :], pts, nbr_ptr, radius)
     return centers, pairs
 
 
@@ -347,68 +322,6 @@ def _naive_search(
     )
 
 
-def _vectorized_search(
-    origin: np.ndarray,
-    pts: np.ndarray,
-    check: np.ndarray,
-    radius: float,
-    find_first: bool,
-    chunk_size: int,
-) -> BallFitResult:
-    """Batched kernel: one Eq.-1 evaluation, chunked distance matrices."""
-    centers, pairs = balls_through_point_pairs(origin, pts, radius)
-    n_candidates = centers.shape[0]
-    if n_candidates == 0:
-        return BallFitResult(is_boundary=True, balls_tested=0, points_checked=0)
-
-    all_points = np.vstack([origin[None, :], check])
-    n_points = all_points.shape[0]
-    threshold = _inside_threshold(radius)
-
-    tested = 0
-    checked = 0
-    witness_idx = -1
-    for start in range(0, n_candidates, chunk_size):
-        chunk = centers[start : start + chunk_size]
-        diff = chunk[:, None, :] - all_points[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        inside = dist_sq < threshold
-        inside_any = inside.any(axis=1)
-        # Semantic probe count per ball: index of the first inside point
-        # plus one, or the full point set when the ball is empty -- exactly
-        # what the naive per-point loop performs.
-        probes = np.where(inside_any, inside.argmax(axis=1) + 1, n_points)
-        empty_local = np.flatnonzero(~inside_any)
-        if find_first and empty_local.size:
-            first = int(empty_local[0])
-            tested += first + 1
-            checked += int(probes[: first + 1].sum())
-            hit = start + first
-            return BallFitResult(
-                is_boundary=True,
-                empty_center=centers[hit].copy(),
-                witness_pair=(int(pairs[hit, 0]), int(pairs[hit, 1])),
-                balls_tested=tested,
-                points_checked=checked,
-            )
-        tested += chunk.shape[0]
-        checked += int(probes.sum())
-        if witness_idx < 0 and empty_local.size:
-            witness_idx = start + int(empty_local[0])
-
-    if witness_idx < 0:
-        return BallFitResult(
-            is_boundary=False, balls_tested=tested, points_checked=checked
-        )
-    return BallFitResult(
-        is_boundary=True,
-        empty_center=centers[witness_idx].copy(),
-        witness_pair=(int(pairs[witness_idx, 0]), int(pairs[witness_idx, 1])),
-        balls_tested=tested,
-        points_checked=checked,
-    )
-
-
 def empty_ball_exists(
     origin,
     neighbors,
@@ -416,8 +329,7 @@ def empty_ball_exists(
     *,
     check_points=None,
     find_first: bool = True,
-    kernel: str = "vectorized",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    kernel: str = "batched",
 ) -> BallFitResult:
     """Search the candidate balls at ``origin`` for an empty one.
 
@@ -446,15 +358,10 @@ def empty_ball_exists(
         candidate and report the total count tested, which benches use to
         measure Theorem 1's complexity.
     kernel:
-        One of :data:`KERNELS`: ``"vectorized"`` (default) for the per-node
-        chunked-early-exit implementation, ``"naive"`` for the per-pair
-        Python oracle, ``"batched"``/``"native"`` for the network-batched
-        implementations (single-node facade over
-        :func:`empty_ball_exists_batch`).  All return identical results
-        and counters (see the module docstring).
-    chunk_size:
-        Candidates per distance-matrix batch in the vectorized and batched
-        kernels; ignored by the naive kernel.
+        One of :data:`KERNELS`: ``"batched"`` (default), a one-node call
+        into :func:`empty_ball_exists_batch`, or ``"naive"``, the per-pair
+        Python oracle.  Both return identical results and counters (see
+        the module docstring).
 
     Returns
     -------
@@ -469,8 +376,6 @@ def empty_ball_exists(
     """
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     origin = as_point(origin)
     pts = as_points(neighbors) if len(neighbors) else np.empty((0, 3))
     if pts.shape[0] < 2:
@@ -482,17 +387,9 @@ def empty_ball_exists(
 
     if kernel == "naive":
         return _naive_search(origin, pts, check, radius, find_first)
-    if kernel in ("batched", "native"):
-        return empty_ball_exists_batch(
-            origin[None, :],
-            [pts],
-            radius,
-            check_sets=[check],
-            find_first=find_first,
-            kernel=kernel,
-            chunk_size=chunk_size,
-        )[0]
-    return _vectorized_search(origin, pts, check, radius, find_first, chunk_size)
+    return empty_ball_exists_batch(
+        origin[None, :], [pts], radius, check_sets=[check], find_first=find_first
+    )[0]
 
 
 def _batch_enumerate(
@@ -504,11 +401,11 @@ def _batch_enumerate(
     """Eq.-1 candidate centers for a whole batch of nodes at once.
 
     Flattens every node's neighbor pairs into one node-major, pair-major
-    workset and evaluates :func:`balls_through_point_pairs`'s arithmetic on
-    it block by block.  The per-row operations are exactly the per-node
-    ones (the origin is broadcast per row instead of per call), so the
-    centers are bit-identical to what ``balls_through_point_pairs`` returns
-    node by node, concatenated in node order.
+    workset and evaluates Eq. (1) on it in blocks of
+    ``UBF_WORKING_SET_BYTES // BLOCK_BYTES_PER_PAIR`` pairs.  Every
+    operation is row-wise (the origin is broadcast per row), so a node's
+    centers do not depend on which other nodes share its slab or block --
+    :func:`balls_through_point_pairs` is the one-node case.
 
     Returns ``(centers, pairs, cand_node, cand_ptr)``: candidate centers
     ``(K, 3)``, their local neighbor-pair indices ``(K, 2)``, the owning
@@ -548,11 +445,12 @@ def _batch_enumerate(
     pair_node = np.repeat(np.arange(n_nodes, dtype=np.int64), pair_counts)
 
     coincident_sq = (COINCIDENT_TOL * radius) ** 2
+    block = max(1, UBF_WORKING_SET_BYTES // BLOCK_BYTES_PER_PAIR)
     centers_blocks: List[np.ndarray] = []
     pairs_blocks: List[np.ndarray] = []
     node_blocks: List[np.ndarray] = []
-    for s in range(0, total_pairs, BATCH_PAIR_BLOCK):
-        e = min(s + BATCH_PAIR_BLOCK, total_pairs)
+    for s in range(0, total_pairs, block):
+        e = min(s + block, total_pairs)
         origin_rows = origins[pair_node[s:e]]
         a = nbr_flat[gj[s:e]] - origin_rows
         b = nbr_flat[gk[s:e]] - origin_rows
@@ -625,14 +523,15 @@ def _batch_probe(
 
     For each ball: the index of the first strictly-inside probe point plus
     one (the work the sequential scan performs), or the full probe count
-    when the ball is empty.  Memory-bounded by :data:`BATCH_PROBE_BUDGET`.
+    when the ball is empty.  Each round holds at most
+    ``UBF_WORKING_SET_BYTES // PROBE_ENTRY_BYTES`` (ball, probe) entries.
     """
     count = centers_sel.shape[0]
     mpts = probe_len[ball_node]
     base = probe_base[ball_node]
     probes = np.empty(count, dtype=np.int64)
     empty = np.empty(count, dtype=bool)
-    row_step = max(1, BATCH_PROBE_BUDGET // PROBE_COL_WAVE)
+    row_step = max(1, UBF_WORKING_SET_BYTES // (PROBE_ENTRY_BYTES * PROBE_COL_WAVE))
     for s in range(0, count, row_step):
         e = min(s + row_step, count)
         # Probe-level early exit: scan PROBE_COL_WAVE probe columns at a
@@ -678,20 +577,18 @@ def _batched_search(
     probe_len: np.ndarray,
     radius: float,
     find_first: bool,
-    chunk_size: int,
-    use_native: bool,
 ) -> List[BallFitResult]:
-    """Network-batched emptiness search over a batch of nodes.
+    """Network-batched emptiness search over one slab of nodes.
 
-    Candidates are enumerated once for the whole batch
-    (:func:`_batch_enumerate`), then scanned either by the native
-    ``ubf_empty_check`` kernel (one C call) or in numpy waves: every wave
-    advances each still-active node by ``chunk_size`` candidates with one
-    broadcast for the entire batch, so a boundary node stops contributing
-    work at the wave after its witness -- the same chunk-granular early
-    exit the vectorized kernel performs per node, without its per-node
-    Python dispatch.  Counters are the semantic sequential work counts, so
-    they match the naive oracle exactly.
+    Candidates are enumerated once for the whole slab
+    (:func:`_batch_enumerate`), then scanned by the native
+    ``ubf_empty_check`` kernel (one C call) when it loads, or in numpy
+    waves otherwise: every wave advances each still-active node by
+    :data:`DEFAULT_CHUNK_SIZE` candidates with one broadcast for the whole
+    slab, so a boundary node stops contributing work at the wave after its
+    witness.  ``probe_base`` indexes ``probe_flat`` directly, so slabs of
+    one network share its probe array.  Counters are the semantic
+    sequential work counts, so they match the naive oracle exactly.
     """
     n_nodes = origins.shape[0]
     centers, pairs, _, cand_ptr = _batch_enumerate(
@@ -704,7 +601,7 @@ def _batched_search(
     checked = np.zeros(n_nodes, dtype=np.int64)
     witness = np.full(n_nodes, -1, dtype=np.int64)
 
-    native = _native_ubf_kernels() if use_native and centers.shape[0] else None
+    native = _native_ubf_kernels() if centers.shape[0] else None
     if native is not None:
         native.ubf_empty_check(
             centers,
@@ -725,7 +622,7 @@ def _batched_search(
             cur = np.flatnonzero(active & (pos < cand_ptr[1:]))
             if cur.size == 0:
                 break
-            take = np.minimum(cand_ptr[1:][cur] - pos[cur], chunk_size)
+            take = np.minimum(cand_ptr[1:][cur] - pos[cur], DEFAULT_CHUNK_SIZE)
             total = int(take.sum())
             seg_base = np.cumsum(take) - take
             ball_idx = (
@@ -822,8 +719,6 @@ def empty_ball_exists_batch_arrays(
     radius: float,
     *,
     find_first: bool = True,
-    kernel: str = "batched",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> List[BallFitResult]:
     """Batch emptiness search over pre-flattened per-node arrays.
 
@@ -833,29 +728,40 @@ def empty_ball_exists_batch_arrays(
     probe sets with **each node's own position as the first probe row** --
     the probe order the sequential scan uses.  Callers that already hold
     flattened collections (the 100k-scale pipeline) avoid any per-node
-    Python assembly.
+    Python assembly.  Nodes are searched in consecutive slabs of at most
+    :data:`UBF_WORKING_SET_BYTES` (:func:`search_bytes`; a single node
+    over the budget forms its own slab).
     """
-    if kernel not in ("batched", "native"):
-        raise ValueError(f"kernel must be 'batched' or 'native', got {kernel!r}")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     origins = as_points(origins)
     nbr_ptr = np.asarray(nbr_ptr, dtype=np.int64)
     probe_ptr = np.asarray(probe_ptr, dtype=np.int64)
     nbr_flat = as_points(nbr_flat) if len(nbr_flat) else np.empty((0, 3))
     probe_flat = as_points(probe_flat) if len(probe_flat) else np.empty((0, 3))
-    return _batched_search(
-        origins,
-        nbr_flat,
-        nbr_ptr,
-        probe_flat,
-        probe_ptr[:-1],
-        np.diff(probe_ptr),
-        radius,
-        find_first,
-        chunk_size,
-        kernel == "native",
-    )
+    probe_len = np.diff(probe_ptr)
+    spent = np.cumsum(search_bytes(np.diff(nbr_ptr), probe_len))
+    results: List[BallFitResult] = []
+    start = 0
+    while start < origins.shape[0]:
+        before = int(spent[start - 1]) if start else 0
+        end = int(
+            np.searchsorted(spent, before + UBF_WORKING_SET_BYTES, side="right")
+        )
+        end = max(end, start + 1)
+        lo = nbr_ptr[start]
+        results.extend(
+            _batched_search(
+                origins[start:end],
+                nbr_flat[lo : nbr_ptr[end]],
+                nbr_ptr[start : end + 1] - lo,
+                probe_flat,
+                probe_ptr[start:end],
+                probe_len[start:end],
+                radius,
+                find_first,
+            )
+        )
+        start = end
+    return results
 
 
 def empty_ball_exists_batch(
@@ -865,8 +771,6 @@ def empty_ball_exists_batch(
     *,
     check_sets: Optional[Sequence] = None,
     find_first: bool = True,
-    kernel: str = "batched",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> List[BallFitResult]:
     """Run the UBF emptiness search for a whole batch of nodes at once.
 
@@ -874,8 +778,8 @@ def empty_ball_exists_batch(
     ``neighbor_sets[i]`` the ``(m_i, 3)`` one-hop neighbors of node ``i``
     and ``check_sets[i]`` its emptiness-check set (defaults to the
     neighbors, as in the single-node API).  Results are identical, node by
-    node, to calling :func:`empty_ball_exists` per node with any kernel --
-    the flattening changes only how the work is dispatched.
+    node, to calling :func:`empty_ball_exists` per node with either kernel
+    -- the flattening changes only how the work is dispatched.
     """
     origins = as_points(origins)
     n_nodes = origins.shape[0]
@@ -916,6 +820,4 @@ def empty_ball_exists_batch(
         probe_ptr,
         radius,
         find_first=find_first,
-        kernel=kernel,
-        chunk_size=chunk_size,
     )

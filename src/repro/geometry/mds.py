@@ -16,16 +16,16 @@ which UBF is invariant to.
 
 Batched twins
 -------------
-Every step also has a batched twin operating on an ``(B, m, m)`` stack of
+The sparse localization engine runs these steps on ``(B, m, m)`` stacks of
 same-size neighborhoods (:func:`complete_distance_matrix_batch`,
-:func:`classical_mds_batch`, :func:`smacof_refine_batch`, composed by
-:func:`local_mds_embedding_batch`).  Stacking ``B`` same-size problems
-amortizes numpy call overhead ``B``-fold and lets the LAPACK stages
-(``eigh``, ``pinv``) run as gufunc loops instead of one call per node.
+:func:`torgerson_gram_batch` with :func:`classical_mds_from_gram_stack`,
+and :func:`smacof_refine_batch`).  Stacking ``B`` same-size problems
+amortizes numpy call overhead ``B``-fold and lets the LAPACK stages run
+as tight loops instead of one wrapped call per node.
 
-Two accuracy contracts apply.  :func:`complete_distance_matrix_batch` and
-:func:`classical_mds_batch` mirror the scalar implementations expression
-for expression, so their slices are *bit-identical* to the scalar results.
+Two accuracy contracts apply.  The batched completion and classical MDS
+mirror the scalar implementations expression for expression, so their
+slices are *bit-identical* to the scalar results.
 :func:`smacof_refine_batch` additionally restructures the iteration
 arithmetic for memory locality (Gram-identity distances, algebraically
 expanded stress); its slices match the scalar oracle within
@@ -262,7 +262,7 @@ def classical_mds_from_gram(gram: np.ndarray, n_components: int = 3) -> np.ndarr
     Eigenvector signs are canonicalized and near-null eigenvalues zeroed
     identically everywhere, and :func:`classical_mds` routes through this
     same solve, so the classical-MDS seed is bit-identical across the
-    pernode, batch, and sparse engines -- a hard requirement, since the
+    pernode and sparse engines -- a hard requirement, since the
     SMACOF refinement that follows can amplify a last-ulp seed difference
     past the 1e-9 engine contract on ill-conditioned frames.  ``gram`` is
     overwritten.
@@ -396,25 +396,6 @@ def classical_mds(distances: np.ndarray, n_components: int = 3) -> np.ndarray:
     return classical_mds_from_gram(torgerson_gram_batch(dist), n_components)
 
 
-def classical_mds_batch(distances: np.ndarray, n_components: int = 3) -> np.ndarray:
-    """Batched :func:`classical_mds` over an ``(B, m, m)`` stack.
-
-    Same centering identity and per-slice ``syevr`` solve as the scalar
-    path, so slice ``b`` equals ``classical_mds(distances[b],
-    n_components)`` bit for bit.
-    """
-    dist = np.asarray(distances, dtype=float)
-    if dist.ndim != 3 or dist.shape[1] != dist.shape[2]:
-        raise ValueError("distance stack must be (B, m, m)")
-    n_batch, m, _ = dist.shape
-    if m == 0:
-        return np.empty((n_batch, 0, n_components))
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("distance stack must be finite; complete it first")
-
-    return classical_mds_from_gram_stack(torgerson_gram_batch(dist), n_components)
-
-
 def smacof_refine(
     coords: np.ndarray,
     distances: np.ndarray,
@@ -466,7 +447,7 @@ def smacof_refine_counted(
     """:func:`smacof_refine` that also reports the majorization steps taken.
 
     The step count is a deterministic observable of the refinement (it
-    depends only on the inputs), so the batched engine is required to
+    depends only on the inputs), so the sparse engine is required to
     reproduce it exactly -- it is one of the counters the localization
     bench compares between engines.
     """
@@ -737,47 +718,3 @@ def local_mds_embedding(
     if info is not None:
         info["smacof_iterations"] = n_steps
     return coords
-
-
-def local_mds_embedding_batch(
-    partial_distances: np.ndarray,
-    *,
-    n_components: int = 3,
-    missing_value: float = np.inf,
-    refine: bool = True,
-    refine_iterations: int = 30,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`local_mds_embedding` over an ``(B, m, m)`` stack.
-
-    The batched-engine hot path: completes, embeds, and refines ``B``
-    same-size neighborhoods at once.  Slice ``b`` of the returned
-    coordinate stack matches the scalar composition on
-    ``partial_distances[b]`` within :data:`SMACOF_BATCH_COORD_TOL` (the
-    completion and classical-MDS stages are bit-identical; the refinement
-    reorders float reductions, see :func:`smacof_refine_batch`), and the
-    step counts match exactly.
-
-    Returns
-    -------
-    (coords, steps):
-        ``(B, m, n_components)`` embedded stack and the ``(B,)`` SMACOF
-        step counts (zeros when ``refine`` is off).
-    """
-    partial = np.asarray(partial_distances, dtype=float)
-    if partial.ndim != 3 or partial.shape[1] != partial.shape[2]:
-        raise ValueError("partial distance stack must be (B, m, m)")
-    completed = complete_distance_matrix_batch(partial, missing_value=missing_value)
-    coords = classical_mds_batch(completed, n_components=n_components)
-    steps = np.zeros(partial.shape[0], dtype=int)
-    if refine:
-        measured_mask = np.isfinite(partial) if np.isinf(missing_value) else (
-            partial != missing_value
-        )
-        weights = measured_mask.astype(float)
-        diag = np.arange(partial.shape[1])
-        weights[:, diag, diag] = 0.0
-        coords, steps = smacof_refine_batch(
-            coords, np.where(measured_mask, partial, 0.0), weights,
-            iterations=refine_iterations,
-        )
-    return coords, steps

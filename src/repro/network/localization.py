@@ -21,49 +21,45 @@ because each ball's far side is invisible to the check.
 
 Engines
 -------
-:func:`build_frames` constructs every node's frame through one of three
+:func:`build_frames` constructs every node's frame through one of two
 engines with *observably identical* results:
 
 ``pernode``
     The oracle: one BFS, one O(m^2) Python-loop matrix assembly, and one
     scalar MDS chain per node (:func:`establish_local_frame` in a loop).
-``batch`` (default)
-    One :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep
-    for every node's collection, partial matrices assembled by fancy
-    indexing the CSR edge arrays, and frames of equal size stacked into
-    ``(B, m, m)`` batches for the batched MDS chain in
-    :mod:`repro.geometry.mds`.
-``sparse``
-    The performance engine: same collection sweep and same-size grouping
-    as ``batch``, but the MDS chain exploits sparsity end to end --
-    shortest-path completion runs ``scipy.sparse.csgraph.dijkstra`` over
-    per-frame CSR blocks for large frames (and a cache-blocked dense
+``sparse`` (default)
+    The production engine: one
+    :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep for
+    every node's collection, frames of equal size grouped into
+    ``(B, m, m)`` stacks, and an MDS chain that exploits sparsity end to
+    end -- shortest-path completion runs ``scipy.sparse.csgraph.dijkstra``
+    over per-frame CSR blocks for large frames (and a cache-blocked dense
     relaxation below :data:`SPARSE_DIJKSTRA_MIN_MEMBERS`, where dense
     arithmetic is empirically faster), classical MDS solves only the top
     three eigenpairs (MRRR subset driver) instead of the full spectrum,
     and SMACOF iterates over the measured *edge list* rather than dense
     ``(m, m)`` weight matrices.  Assembly, completion, centering, and
-    refinement use the optional native kernels from
-    :mod:`repro.geometry.native` when a C compiler is available, with
-    numpy fallbacks (:func:`~repro.geometry.mds.torgerson_gram_batch`,
+    refinement use the native kernels from :mod:`repro.geometry.native`
+    whenever they load, with numpy fallbacks
+    (:func:`~repro.geometry.mds.complete_distance_matrix_batch`,
+    :func:`~repro.geometry.mds.torgerson_gram_batch`,
     :func:`~repro.geometry.mds.smacof_refine_batch`) behind the same
     contract otherwise.
 
 The engine contract (enforced by the differential tests): member lists,
 one-hop counts, and SMACOF iteration counts agree *exactly*; coordinates
-agree within :data:`repro.geometry.mds.SMACOF_BATCH_COORD_TOL` (the batch
-and sparse chains restructure SMACOF's float arithmetic -- Gram-identity
+agree within :data:`repro.geometry.mds.SMACOF_BATCH_COORD_TOL` (the
+sparse chain restructures SMACOF's float arithmetic -- Gram-identity
 distances, algebraic stress expansion, edge-list updates -- which
 perturbs results at the ~1e-14..1e-10 level while taking the identical
 number of majorization steps).  The classical-MDS seed handed to SMACOF
-is *bit-identical* across engines -- every engine centers through
-``torgerson_gram_batch`` (or its native twin) and eigensolves through
+is *bit-identical* across engines -- both center through
+``torgerson_gram_batch`` (or its native twin) and eigensolve through
 the ``syevr`` subset driver -- because on frames with near-noise-floor
 measured distances the majorization amplifies a last-ulp seed difference
 by several orders of magnitude, past the contract tolerance.  Frames
-smaller than
-:data:`SCALAR_FALLBACK_MEMBERS` are delegated to the scalar MDS kernel
-*inside* the batch and sparse engines: near-isolated collections produce
+smaller than :data:`SCALAR_FALLBACK_MEMBERS` are delegated to the scalar
+MDS kernel *inside* the sparse engine: near-isolated collections produce
 rank-deficient systems whose majorization trajectory is sensitive at the
 last-ulp level, batching amortizes nothing over their O(1) work, and the
 delegation makes them bit-identical to the oracle by construction.
@@ -82,7 +78,6 @@ from repro.geometry.mds import (
     complete_distance_matrix_batch,
     complete_distance_matrix_sparse,
     local_mds_embedding,
-    local_mds_embedding_batch,
     smacof_refine_batch,
     torgerson_gram_batch,
 )
@@ -94,10 +89,10 @@ from repro.network.measurement import MeasuredDistances
 DEFAULT_COLLECTION_HOPS = 2
 
 #: Frame-construction engines :func:`build_frames` accepts.
-ENGINES = ("batch", "pernode", "sparse")
+ENGINES = ("sparse", "pernode")
 
 #: Default engine (see the module docstring's "Engines" section).
-DEFAULT_ENGINE = "batch"
+DEFAULT_ENGINE = "sparse"
 
 #: Upper bound on frames per MDS batch -- beyond this the per-call numpy
 #: overhead is already amortized and larger stacks only cost memory.
@@ -109,7 +104,7 @@ MAX_BATCH_FRAMES = 64
 MAX_BATCH_ELEMENTS = 1 << 22
 
 #: Collections with fewer members than this are embedded with the scalar
-#: MDS kernel even under the ``batch`` engine.  Such near-isolated frames
+#: MDS kernel even under the ``sparse`` engine.  Such near-isolated frames
 #: yield rank-deficient stress systems whose majorization step count flips
 #: under last-ulp arithmetic differences, so the only way to honor the
 #: exact-iteration-count contract on them is to run the oracle's kernel --
@@ -238,14 +233,13 @@ def build_frames(
 ) -> List[LocalFrame]:
     """MDS local frames for ``nodes`` (all nodes by default), in order.
 
-    ``engine`` selects ``"batch"`` (default), ``"sparse"``, or the
-    ``"pernode"`` oracle; all produce observably identical frames -- exact
-    members and SMACOF step counts, coordinates within a documented float
-    tolerance (see the module docstring).  Every node's frame still reads
-    only its own ``hops``-hop collection -- the batch and sparse engines
-    change how the per-node computations are *scheduled*, never what
-    information they consume, so the paper's locality argument is
-    untouched.
+    ``engine`` selects ``"sparse"`` (default) or the ``"pernode"`` oracle;
+    both produce observably identical frames -- exact members and SMACOF
+    step counts, coordinates within a documented float tolerance (see the
+    module docstring).  Every node's frame still reads only its own
+    ``hops``-hop collection -- the sparse engine changes how the per-node
+    computations are *scheduled*, never what information they consume, so
+    the paper's locality argument is untouched.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -257,9 +251,7 @@ def build_frames(
             establish_local_frame(graph, measured, node, hops=hops)
             for node in node_ids
         ]
-    if engine == "sparse":
-        return _build_frames_sparse(graph, measured, node_ids, hops)
-    return _build_frames_batch(graph, measured, node_ids, hops)
+    return _build_frames_sparse(graph, measured, node_ids, hops)
 
 
 def _measured_edge_values(
@@ -374,52 +366,6 @@ def _assemble_partial_stack(
     return partial
 
 
-def _build_frames_batch(
-    graph: NetworkGraph,
-    measured: MeasuredDistances,
-    node_ids: List[int],
-    hops: int,
-) -> List[LocalFrame]:
-    """The ``batch`` engine behind :func:`build_frames`.
-
-    One multi-source BFS sweep yields every collection; frames are grouped
-    by member count ``m`` and embedded as ``(B, m, m)`` stacks so the MDS
-    chain's numpy call overhead is amortized ``B``-fold.  Partial matrices
-    come from fancy-indexing the CSR edge arrays -- no per-pair
-    ``has_edge``/``measured.get`` calls.
-    """
-    if not node_ids:
-        return []
-    indptr, indices = graph.csr()
-    edge_vals = _measured_edge_values(graph, measured, indptr, indices)
-    metas = _collect_frame_metas(graph, node_ids, hops)
-    by_size = _group_by_size(metas)
-
-    frames: List[Optional[LocalFrame]] = [None] * len(metas)
-    # Scratch global->local index map, reset after each frame's gather.
-    local_index = np.full(graph.n_nodes, -1, dtype=np.int64)
-    for m, group in sorted(by_size.items()):
-        cap = max(1, min(MAX_BATCH_FRAMES, MAX_BATCH_ELEMENTS // max(1, m * m)))
-        for start in range(0, len(group), cap):
-            chunk = group[start : start + cap]
-            partial = _assemble_partial_stack(
-                metas, chunk, m, indptr, indices, edge_vals, local_index
-            )
-            if m < SCALAR_FALLBACK_MEMBERS:
-                # Rank-deficient tiny frames: run the oracle's kernel
-                # per slice (see SCALAR_FALLBACK_MEMBERS).
-                coords = np.empty((len(chunk), m, 3))
-                iters = np.zeros(len(chunk), dtype=int)
-                for b in range(len(chunk)):
-                    info: Dict[str, int] = {}
-                    coords[b] = local_mds_embedding(partial[b], info=info)
-                    iters[b] = info["smacof_iterations"]
-            else:
-                coords, iters = local_mds_embedding_batch(partial)
-            _emit_frames(frames, metas, chunk, coords, iters)
-    return frames  # type: ignore[return-value]
-
-
 def _build_frames_sparse(
     graph: NetworkGraph,
     measured: MeasuredDistances,
@@ -428,10 +374,11 @@ def _build_frames_sparse(
 ) -> List[LocalFrame]:
     """The ``sparse`` engine behind :func:`build_frames`.
 
-    Same sweep/grouping as the batch engine, different MDS chain (see the
-    module docstring): sparsity-aware completion, top-3 subset
+    One multi-source BFS sweep yields every collection; frames are grouped
+    by member count ``m`` into ``(B, m, m)`` stacks and run through the MDS
+    chain of the module docstring: sparsity-aware completion, top-3 subset
     eigensolves, and edge-list SMACOF, with the hot loops running in the
-    optional native kernels when available.  Per-frame computations stay
+    native kernels when they load.  Per-frame computations stay
     independent -- grouping, chunk caps, and kernel availability cannot
     change any frame's result beyond the documented engine tolerance, so
     sharded runs remain partition-invariant.
@@ -459,8 +406,8 @@ def _build_frames_sparse(
             nb = len(chunk)
 
             if m < SCALAR_FALLBACK_MEMBERS:
-                # Tiny rank-deficient frames: the oracle's scalar kernel,
-                # exactly as in the batch engine.
+                # Tiny rank-deficient frames: run the oracle's scalar
+                # kernel per slice (see SCALAR_FALLBACK_MEMBERS).
                 partial = _assemble_partial_stack(
                     metas, chunk, m, indptr, indices, edge_vals, local_index64
                 )

@@ -24,6 +24,8 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.config import LOCALIZATION_MODES
+from repro.network.localization import DEFAULT_ENGINE, ENGINES
 from repro.service.budgets import JobBudget
 from repro.service.jobstore import JobSpec, JobStore, RetryBackoff
 from repro.service.worker import Worker
@@ -41,9 +43,8 @@ def _add_submit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=int, default=20)
     parser.add_argument("--ttl", type=int, default=3)
     parser.add_argument("--localization", default="auto",
-                        choices=["auto", "mds", "trilateration", "true"])
-    parser.add_argument("--engine", default="batch",
-                        choices=["batch", "sparse", "pernode"])
+                        choices=LOCALIZATION_MODES)
+    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
     parser.add_argument("--workers", type=int, default=1,
                         help="pipeline worker processes inside the job")
     parser.add_argument("--no-surface", action="store_true",

@@ -61,6 +61,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.config import LOCALIZATION_MODES
+from repro.network.localization import DEFAULT_ENGINE, ENGINES
 from repro.observability.export import write_atomic, write_trace
 from repro.observability.metrics import MetricsRegistry
 
@@ -111,6 +113,10 @@ class JobSpec:
     :mod:`repro.evaluation.campaign`) carry their whole payload in
     ``cell`` and ignore the detect fields.  Both participate in the cache
     key, so a cell job's identity is exactly its ``(kind, cell)`` content.
+
+    ``engine`` and ``localization`` are checked when the spec is built, so
+    a spec no attempt could run is refused at submit time instead of
+    burning its retries and ending ``dead``.
     """
 
     kind: str = "detect"
@@ -125,7 +131,7 @@ class JobSpec:
     theta: int = 20
     ttl: int = 3
     localization: str = "auto"
-    engine: str = "batch"
+    engine: str = DEFAULT_ENGINE
     workers: int = 1
     surface: bool = True
     surface_k: int = 4
@@ -133,6 +139,15 @@ class JobSpec:
 
     #: Fields excluded from the cache key (operational, not semantic).
     OPERATIONAL_FIELDS = ("test_delay_seconds",)
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        if self.localization not in LOCALIZATION_MODES:
+            raise ValueError(
+                f"localization must be one of {LOCALIZATION_MODES}, "
+                f"got {self.localization!r}"
+            )
 
     def semantic_dict(self) -> Dict[str, Any]:
         """The cache-key payload: every field that changes the result."""

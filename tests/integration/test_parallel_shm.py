@@ -66,7 +66,7 @@ def measured(sphere_network):
 
 class TestSpawnByteIdentity:
     @spawn_available
-    @pytest.mark.parametrize("engine", ["batch", "sparse"])
+    @pytest.mark.parametrize("engine", ["sparse", "pernode"])
     def test_frames_byte_identical_across_worker_counts(
         self, sphere_network, measured, engine
     ):

@@ -69,11 +69,6 @@ class TestBenchLocalizationStage:
         assert doc["oracle_nodes"] == TINY.n_surface + TINY.n_interior
         assert doc["engines_agree"] is True
 
-    def test_batch_engine_still_benchable(self):
-        doc = bench_localization(build_context(TINY), repeat=1, engine="batch")
-        assert doc["engine"] == "batch"
-        assert doc["engines_agree"] is True
-
     def test_skip_pernode_omits_gate_fields(self):
         doc = bench_localization(build_context(TINY), repeat=1, time_pernode=False)
         assert "pernode_seconds" not in doc

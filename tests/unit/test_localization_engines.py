@@ -1,7 +1,7 @@
-"""Differential tests for the batched and sparse localization engines.
+"""Differential tests: the sparse localization engine against the oracle.
 
 The engine contract (see :mod:`repro.network.localization`): for every
-node, ``batch``, ``sparse``, and ``pernode`` produce the same member
+node, ``sparse`` and the ``pernode`` oracle produce the same member
 list, the same one-hop count, and *exactly* the same SMACOF iteration
 count, with coordinates within
 :data:`repro.geometry.mds.SMACOF_BATCH_COORD_TOL`.  The contract is
@@ -49,7 +49,8 @@ NOISE_MODELS = {
     "measured_30pct": UniformAbsoluteError(0.3),
 }
 
-ENGINES_UNDER_TEST = ("batch", "sparse")
+#: Engines checked against the ``pernode`` oracle.
+ENGINES_UNDER_TEST = ("sparse",)
 
 
 def _small_network(scenario: str):
@@ -62,9 +63,9 @@ def _small_network(scenario: str):
     )
 
 
-def _assert_frames_observably_identical(batch, pernode):
-    assert len(batch) == len(pernode)
-    for a, b in zip(batch, pernode):
+def _assert_frames_observably_identical(frames, pernode):
+    assert len(frames) == len(pernode)
+    for a, b in zip(frames, pernode):
         assert a.node == b.node
         assert a.members == b.members
         assert a.n_one_hop == b.n_one_hop
@@ -172,7 +173,7 @@ class TestExactMemberCounts:
     """The scalar-fallback boundary: frames of exactly 7, 8, and 9 members.
 
     :data:`SCALAR_FALLBACK_MEMBERS` (= 8) routes sub-threshold frames to
-    the scalar MDS kernel inside the batched engines; 7/8/9 pin the
+    the scalar MDS kernel inside the sparse engine; 7/8/9 pin the
     below/at/above cases so a routing bug on either side of the boundary
     cannot hide in mixed-size networks.
     """
@@ -323,13 +324,14 @@ class TestResidualVectorization:
 
 
 class TestLocalizationConfig:
-    def test_defaults_to_batch(self):
-        assert LocalizationConfig().engine == "batch"
-        assert DetectorConfig().localization_config.engine == "batch"
+    def test_defaults_to_sparse(self):
+        assert LocalizationConfig().engine == "sparse"
+        assert DetectorConfig().localization_config.engine == "sparse"
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            LocalizationConfig(engine="fast")
+        for engine in ("fast", "batch"):
+            with pytest.raises(ValueError, match="engine"):
+                LocalizationConfig(engine=engine)
 
     def test_engine_key_registered_with_cfg006(self):
         """repro-lint's config-key registry must know the new key."""

@@ -3,7 +3,9 @@
 Contract (see the :mod:`repro.geometry.mds` docstring): completion and
 classical MDS are *bit-identical* per slice; batched SMACOF matches the
 scalar refinement within :data:`SMACOF_BATCH_COORD_TOL` while taking
-exactly the same number of majorization steps.
+exactly the same number of majorization steps.  These are the numpy
+kernels the sparse localization engine runs when native kernels are
+unavailable.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from repro.geometry.mds import (
     FW_CHUNK_SLICES,
     SMACOF_BATCH_COORD_TOL,
     classical_mds,
-    classical_mds_batch,
+    classical_mds_from_gram_stack,
     complete_distance_matrix,
     complete_distance_matrix_batch,
     local_mds_embedding,
-    local_mds_embedding_batch,
     smacof_refine,
+    smacof_refine_batch,
     smacof_refine_counted,
+    torgerson_gram_batch,
 )
 
 
@@ -39,6 +42,18 @@ def _random_partial_stack(rng, b, m, missing_fraction=0.4):
         np.fill_diagonal(dist, 0.0)
         stack.append(dist)
     return np.stack(stack)
+
+
+def _smacof_inputs(partial):
+    """Classical-MDS seeds, targets and weights of a partial-distance stack."""
+    seeds = classical_mds_from_gram_stack(
+        torgerson_gram_batch(complete_distance_matrix_batch(partial))
+    )
+    measured = np.isfinite(partial)
+    weights = measured.astype(float)
+    diag = np.arange(partial.shape[1])
+    weights[:, diag, diag] = 0.0
+    return seeds, np.where(measured, partial, 0.0), weights
 
 
 class TestInPlaceFloydWarshall:
@@ -77,7 +92,7 @@ class TestBatchedCompletion:
 class TestBatchedClassicalMDS:
     def test_bit_identical_per_slice(self, rng):
         stack = complete_distance_matrix_batch(_random_partial_stack(rng, 9, 14))
-        batch = classical_mds_batch(stack)
+        batch = classical_mds_from_gram_stack(torgerson_gram_batch(stack))
         for i in range(stack.shape[0]):
             assert np.array_equal(batch[i], classical_mds(stack[i]))
 
@@ -85,7 +100,7 @@ class TestBatchedClassicalMDS:
 class TestBatchedSmacof:
     def test_matches_scalar_within_tol_with_exact_steps(self, rng):
         stack = _random_partial_stack(rng, 13, 16)
-        coords, steps = local_mds_embedding_batch(stack)
+        coords, steps = smacof_refine_batch(*_smacof_inputs(stack))
         for i in range(stack.shape[0]):
             info = {}
             scalar = local_mds_embedding(stack[i], info=info)
@@ -105,9 +120,10 @@ class TestBatchedSmacof:
         assert n_steps > 0
 
     def test_refine_off_reports_zero_steps(self, rng):
-        stack = _random_partial_stack(rng, 4, 10)
-        coords, steps = local_mds_embedding_batch(stack, refine=False)
+        seeds, target, weights = _smacof_inputs(_random_partial_stack(rng, 4, 10))
+        coords, steps = smacof_refine_batch(seeds, target, weights, iterations=0)
         assert coords.shape == (4, 10, 3)
+        assert np.array_equal(coords, seeds)
         assert np.array_equal(steps, np.zeros(4, dtype=int))
 
     def test_early_convergers_freeze_while_others_refine(self, rng):
@@ -117,7 +133,7 @@ class TestBatchedSmacof:
         exact = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         noisy = _random_partial_stack(rng, 1, 12)[0]
         stack = np.stack([exact, noisy])
-        _, steps = local_mds_embedding_batch(stack)
+        _, steps = smacof_refine_batch(*_smacof_inputs(stack))
         info = {}
         local_mds_embedding(noisy, info=info)
         assert steps[1] == info["smacof_iterations"]

@@ -165,37 +165,25 @@ def test_collect_artifacts_orders_meshes_and_normalizes_trace(tmp_path):
     assert b"workers" not in artifacts["trace.jsonl"]
 
 
-def test_kernel_cells_share_one_group(tmp_path):
-    """Kernels must NOT form their own byte-diff groups: a kernel-dependent
-    artifact is a divergence, not a tolerated difference."""
-    cells = build_cells(["0"], [1], ["batch"], ["vectorized", "batched"])
-    assert [c.kernel for c in cells] == ["vectorized", "batched"]
-    assert len({c.dirname for c in cells}) == 2
+def test_engine_cells_form_their_own_groups(tmp_path):
+    """Engines agree only to a float tolerance, so each engine's cells are
+    byte-diffed against that engine's first cell, never across engines."""
+    cells = build_cells(["0"], [1, 2], ["sparse", "pernode"])
+    assert [c.engine for c in cells] == ["sparse", "sparse", "pernode", "pernode"]
+    assert len({c.dirname for c in cells}) == 4
 
-    def leaky(spec, cell, cell_dir):
-        write_artifacts(cell_dir, {"boundary": [1, 2]}, {"kernel": cell.kernel})
-        # kernel attr is run identity: stripped, so this alone must pass
+    def per_engine(spec, cell, cell_dir):
+        write_artifacts(cell_dir, {"boundary": [cell.engine]}, {})
 
-    ok, report = run_matrix(SPEC, cells, tmp_path / "clean", runner=leaky)
+    ok, report = run_matrix(SPEC, cells, tmp_path / "clean", runner=per_engine)
     assert ok and report == []
 
-    def divergent(spec, cell, cell_dir):
-        write_artifacts(cell_dir, {"boundary": [cell.kernel]}, {})
+    def leaky(spec, cell, cell_dir):
+        write_artifacts(cell_dir, {"boundary": [cell.engine, cell.workers]}, {})
 
-    ok, report = run_matrix(SPEC, cells, tmp_path / "leak", runner=divergent)
+    ok, report = run_matrix(SPEC, cells, tmp_path / "leak", runner=leaky)
     assert not ok
-    assert any("result.json" in line for line in report)
-
-
-def test_normalize_trace_strips_kernel_attrs():
-    lines = [
-        {"name": "cli.detect", "attrs": {"kernel": "batched", "seed": 0}},
-        {"name": "detect", "attrs": {"config": {"ubf": {"kernel": "batched"}}}},
-    ]
-    raw = ("\n".join(json.dumps(doc) for doc in lines) + "\n").encode()
-    out = normalize_trace(raw).decode().splitlines()
-    assert json.loads(out[0])["attrs"] == {"seed": 0}
-    assert json.loads(out[1])["attrs"] == {"config": {"ubf": {}}}
+    assert len(report) == 2  # one divergence per engine group
 
 
 # ----------------------------------------------------------------- main
@@ -211,7 +199,7 @@ def test_main_self_test_detects_injected_divergence(tmp_path, capsys):
 def test_main_usage_errors_exit_2(tmp_path, capsys):
     assert main(["--hash-seeds", "banana", "--workdir", str(tmp_path)]) == 2
     assert main(["--workers", "x", "--workdir", str(tmp_path)]) == 2
-    assert main(["--ubf-kernels", "turbo", "--workdir", str(tmp_path)]) == 2
+    assert main(["--engines", "batch", "--workdir", str(tmp_path)]) == 2
     # a single-cell matrix has nothing to compare against
     assert (
         main(

@@ -60,6 +60,17 @@ class TestJobSpec:
         spec = JobSpec(scenario="cube", seed=9, error=0.1, surface=False)
         assert JobSpec.from_dict(spec.as_dict()) == spec
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("engine", "fast"), ("engine", "batch"), ("localization", "gps")],
+    )
+    def test_unrunnable_spec_rejected_when_built(self, field, value):
+        """Every attempt of such a spec would fail; refuse it up front."""
+        with pytest.raises(ValueError, match=field):
+            JobSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict(dict(JobSpec().as_dict(), **{field: value}))
+
 
 class TestSubmitAndClaim:
     def test_submit_creates_queued_record(self, store):

@@ -39,12 +39,12 @@ class TestDetectorConfigMapping:
         assert type(noisy.error_model).__name__ == "UniformAbsoluteError"
 
     def test_degraded_overrides(self):
-        spec = JobSpec(engine="batch", workers=4)
+        spec = JobSpec(engine="sparse", workers=4)
         config = detector_config_for(spec, degraded=True)
         assert config.localization_config.engine == "pernode"
         assert config.workers == 1
         full = detector_config_for(spec, degraded=False)
-        assert full.localization_config.engine == "batch"
+        assert full.localization_config.engine == "sparse"
         assert full.workers == 4
 
 

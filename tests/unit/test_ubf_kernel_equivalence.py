@@ -1,24 +1,25 @@
-"""Differential tests: every UBF kernel against the naive oracle.
+"""Differential tests: the batched UBF kernel against the naive oracle.
 
-The kernels of :mod:`repro.geometry.ballfit` promise *identical*
+The two kernels of :mod:`repro.geometry.ballfit` promise *identical*
 observables -- same boundary verdict, same witness ball, same
 ``balls_tested`` / ``points_checked`` counters -- on every input.  The
-vectorized, batched, and native kernels additionally promise bit-equal
-witness centers among themselves (they share the Eq.-1 arithmetic); the
-naive scalar solver is compared with a tight tolerance.  These tests
-enforce the contract on:
+batched kernel's two scans (the native C scan and the numpy waves) and
+its slab, block and wave sizes additionally promise bit-equal witness
+centers; the naive scalar solver is compared with a tight tolerance.
+These tests enforce the contract on:
 
 * deployed networks across the paper's shape library and both ``eps``
   regimes, in both ``find_first`` modes;
 * randomized synthetic neighborhoods sweeping neighbor counts, radii and
-  chunk sizes;
+  wave widths;
 * degenerate geometry: exactly collinear and near-collinear neighbor
-  pairs, tangent (circumradius == radius) balls, and under-connected nodes;
+  pairs, tangent (circumradius == radius) balls, and under-connected
+  nodes, through both scans;
 * the candidate enumeration order itself, which the counter equality
   silently depends on;
-* the network-batched entry point against the per-node kernels, and the
-  native C scan (when a compiler is available) against the numpy waves,
-  including the compiler-less fallback path.
+* slab, Eq.-1 block and wave sizes (monkeypatched module constants), and
+  the native C scan (when a compiler is available) against the numpy
+  waves, including the compiler-less fallback path.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pytest
 
 from repro import DeploymentConfig, generate_network, scenario_by_name
 from repro.core.ubf import ubf_classify_frame
+from repro.geometry import ballfit
 from repro.geometry.ballfit import (
     BallFitResult,
     balls_through_point_pairs,
@@ -51,6 +53,29 @@ DEPLOYS = {
 
 EPS_VALUES = (1e-3, 0.2)
 
+#: The batched kernel's two emptiness scans: the numpy waves and the C scan.
+SCANS = ("batched", "native")
+
+
+def force_numpy_waves(monkeypatch) -> None:
+    """Make the batched kernel scan in numpy waves even when C loads."""
+    monkeypatch.setattr(ballfit, "_native_ubf_kernels", lambda: None)
+
+
+@pytest.fixture
+def scan(request, monkeypatch):
+    """Route the batched kernel through one scan (indirect parametrization).
+
+    ``"batched"`` forces the numpy waves; ``"native"`` needs the C scan and
+    skips when no compiler is available or ``REPRO_NATIVE=0``.
+    """
+    if request.param == "native":
+        if load_kernels() is None:
+            pytest.skip("no C compiler / native kernels disabled")
+    else:
+        force_numpy_waves(monkeypatch)
+    return request.param
+
 
 def assert_results_equal(
     vec: BallFitResult, naive: BallFitResult, *, bit_equal_centers: bool = False
@@ -58,9 +83,10 @@ def assert_results_equal(
     """Full observable equality between two kernels' results.
 
     ``bit_equal_centers`` asserts the witness centers byte for byte --
-    valid between the vectorized / batched / native kernels, which share
-    the Eq.-1 arithmetic operation for operation.  The naive scalar solver
-    differs from them by ~1 ulp, hence the default tolerance comparison.
+    valid between runs of the batched kernel, whose scans and slab sizes
+    share the Eq.-1 arithmetic operation for operation.  The naive scalar
+    solver differs from it by ~1 ulp, hence the default tolerance
+    comparison.
     """
     assert vec.is_boundary == naive.is_boundary
     assert vec.balls_tested == naive.balls_tested
@@ -81,7 +107,7 @@ def scenario_network(request):
 
 
 class TestNetworkDifferential:
-    """Kernel equality over real deployed local frames."""
+    """Batched-vs-naive equality over real deployed local frames."""
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
     @pytest.mark.parametrize("find_first", [True, False])
@@ -92,31 +118,30 @@ class TestNetworkDifferential:
         nodes = range(0, graph.n_nodes, 3)
         for node in nodes:
             frame = true_local_frame(graph, node)
-            vec = ubf_classify_frame(
-                frame, radius, find_first=find_first, kernel="vectorized"
-            )
+            fast = ubf_classify_frame(frame, radius, find_first=find_first)
             naive = ubf_classify_frame(
                 frame, radius, find_first=find_first, kernel="naive"
             )
-            assert_results_equal(vec, naive)
+            assert_results_equal(fast, naive)
 
-    def test_chunk_size_is_observably_invisible(self, scenario_network):
-        """Any chunking must yield the same observables (incl. early exit)."""
+    def test_chunk_size_is_observably_invisible(
+        self, scenario_network, monkeypatch
+    ):
+        """Any wave width must yield the same observables (incl. early exit)."""
         graph = scenario_network.graph
         radius = 1.0 + 0.2
         frame = true_local_frame(graph, 0)
         reference = ubf_classify_frame(frame, radius, kernel="naive")
+        force_numpy_waves(monkeypatch)
         for chunk_size in (1, 2, 7, 64, 4096):
-            vec = ubf_classify_frame(
-                frame, radius, kernel="vectorized", chunk_size=chunk_size
-            )
-            assert_results_equal(vec, reference)
+            monkeypatch.setattr(ballfit, "DEFAULT_CHUNK_SIZE", chunk_size)
+            assert_results_equal(ubf_classify_frame(frame, radius), reference)
 
 
 class TestRandomizedDifferential:
     """Property-style sweep over synthetic neighborhoods."""
 
-    def test_random_configurations(self):
+    def test_random_configurations(self, monkeypatch):
         rng = np.random.default_rng(1234)
         for trial in range(150):
             m = int(rng.integers(2, 22))
@@ -127,16 +152,16 @@ class TestRandomizedDifferential:
                 [neighbors, origin + rng.normal(scale=1.2, size=(extra, 3))]
             )
             radius = float(rng.uniform(0.8, 1.6))
-            chunk_size = int(rng.integers(1, 40))
+            monkeypatch.setattr(
+                ballfit, "DEFAULT_CHUNK_SIZE", int(rng.integers(1, 40))
+            )
             find_first = bool(rng.integers(0, 2))
-            vec = empty_ball_exists(
+            fast = empty_ball_exists(
                 origin,
                 neighbors,
                 radius,
                 check_points=check,
                 find_first=find_first,
-                kernel="vectorized",
-                chunk_size=chunk_size,
             )
             naive = empty_ball_exists(
                 origin,
@@ -146,13 +171,13 @@ class TestRandomizedDifferential:
                 find_first=find_first,
                 kernel="naive",
             )
-            assert_results_equal(vec, naive)
+            assert_results_equal(fast, naive)
 
 
 class TestDegenerateGeometry:
     """Edge cases where Eq. 1 has 0 or 1 solutions, or no pairs at all."""
 
-    @pytest.mark.parametrize("kernel", ["naive", "vectorized", "batched"])
+    @pytest.mark.parametrize("kernel", ["naive", "batched"])
     def test_fewer_than_two_neighbors_is_conservative_boundary(self, kernel):
         out = empty_ball_exists(
             [0.0, 0.0, 0.0], [[0.5, 0.0, 0.0]], 1.0, kernel=kernel
@@ -161,20 +186,20 @@ class TestDegenerateGeometry:
         assert out.balls_tested == 0
         assert out.points_checked == 0
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_exactly_collinear_neighbors_yield_no_candidates(self, kernel):
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
+    def test_exactly_collinear_neighbors_yield_no_candidates(self, scan):
         origin = np.zeros(3)
         neighbors = np.array([[0.3, 0.0, 0.0], [0.6, 0.0, 0.0], [0.9, 0.0, 0.0]])
-        fast = empty_ball_exists(origin, neighbors, 1.0, kernel=kernel)
+        fast = empty_ball_exists(origin, neighbors, 1.0)
         naive = empty_ball_exists(origin, neighbors, 1.0, kernel="naive")
         assert_results_equal(fast, naive)
         # All triples are collinear: zero candidate balls, conservative True.
         assert fast.is_boundary and fast.balls_tested == 0
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
     @pytest.mark.parametrize("jitter", [1e-12, 1e-9, 1e-6, 1e-4])
-    def test_near_collinear_pairs(self, jitter, kernel):
-        """Every kernel must cross the degeneracy threshold identically."""
+    def test_near_collinear_pairs(self, jitter, scan):
+        """Both scans must cross the degeneracy threshold like the oracle."""
         origin = np.zeros(3)
         neighbors = np.array(
             [
@@ -185,15 +210,15 @@ class TestDegenerateGeometry:
         )
         for find_first in (True, False):
             fast = empty_ball_exists(
-                origin, neighbors, 1.05, find_first=find_first, kernel=kernel
+                origin, neighbors, 1.05, find_first=find_first
             )
             naive = empty_ball_exists(
                 origin, neighbors, 1.05, find_first=find_first, kernel="naive"
             )
             assert_results_equal(fast, naive)
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_tangent_pair_counts_single_candidate(self, kernel):
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
+    def test_tangent_pair_counts_single_candidate(self, scan):
         """Circumradius == radius: one center, counted once by every kernel."""
         radius = 1.0
         # Equilateral-ish triangle inscribed so its circumradius equals r.
@@ -204,20 +229,18 @@ class TestDegenerateGeometry:
         origin, neighbors = ring[0], ring[1:]
         centers = balls_through_three_points(origin, neighbors[0], neighbors[1], radius)
         assert len(centers) == 1  # tangent: the circumcenter only
-        fast = empty_ball_exists(
-            origin, neighbors, radius, find_first=False, kernel=kernel
-        )
+        fast = empty_ball_exists(origin, neighbors, radius, find_first=False)
         naive = empty_ball_exists(
             origin, neighbors, radius, find_first=False, kernel="naive"
         )
         assert_results_equal(fast, naive)
         assert fast.balls_tested == 1
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_circumradius_exceeding_radius_yields_no_ball(self, kernel):
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
+    def test_circumradius_exceeding_radius_yields_no_ball(self, scan):
         origin = np.array([0.0, 0.0, 0.0])
         neighbors = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        fast = empty_ball_exists(origin, neighbors, 1.0, kernel=kernel)
+        fast = empty_ball_exists(origin, neighbors, 1.0)
         naive = empty_ball_exists(origin, neighbors, 1.0, kernel="naive")
         assert_results_equal(fast, naive)
         assert fast.balls_tested == 0 and fast.is_boundary
@@ -242,43 +265,48 @@ def _random_batch(rng, n_nodes):
     return np.array(origins).reshape(n_nodes, 3), nbrs, checks
 
 
+def _batch_of(frames, radius, find_first=True):
+    """One batched call over ``frames`` (their slabs share one kernel call)."""
+    return empty_ball_exists_batch(
+        np.stack([f.origin_coordinates for f in frames]),
+        [f.neighbor_coordinates for f in frames],
+        radius,
+        check_sets=[f.collection_coordinates for f in frames],
+        find_first=find_first,
+    )
+
+
 class TestBatchedKernel:
-    """The network-batched kernel against the per-node kernels."""
+    """Slab, block and wave sizes never change the batched kernel's output."""
 
     @pytest.mark.parametrize("find_first", [True, False])
     def test_batched_agrees_on_network(self, scenario_network, find_first):
+        """A node's result is the same in a network-wide slab and alone."""
         graph = scenario_network.graph
         radius = 1.0 + 0.2
         frames = [
             true_local_frame(graph, node) for node in range(0, graph.n_nodes, 3)
         ]
-        batch = empty_ball_exists_batch(
-            np.stack([f.origin_coordinates for f in frames]),
-            [f.neighbor_coordinates for f in frames],
-            radius,
-            check_sets=[f.collection_coordinates for f in frames],
-            find_first=find_first,
-        )
+        batch = _batch_of(frames, radius, find_first)
         for frame, got in zip(frames, batch):
-            vec = ubf_classify_frame(
-                frame, radius, find_first=find_first, kernel="vectorized"
-            )
-            assert_results_equal(got, vec, bit_equal_centers=True)
+            alone = ubf_classify_frame(frame, radius, find_first=find_first)
+            assert_results_equal(got, alone, bit_equal_centers=True)
 
     @pytest.mark.parametrize("find_first", [True, False])
-    def test_randomized_batches(self, find_first):
+    def test_randomized_batches(self, find_first, monkeypatch):
         rng = np.random.default_rng(4321)
         for trial in range(30):
             origins, nbrs, checks = _random_batch(rng, int(rng.integers(1, 12)))
             radius = float(rng.uniform(0.8, 1.6))
-            chunk_size = int(rng.integers(1, 40))
+            monkeypatch.setattr(
+                ballfit, "DEFAULT_CHUNK_SIZE", int(rng.integers(1, 40))
+            )
             batch = empty_ball_exists_batch(
                 origins,
                 nbrs,
                 radius,
                 check_sets=checks,
                 find_first=find_first,
-                chunk_size=chunk_size,
             )
             for i, got in enumerate(batch):
                 naive = empty_ball_exists(
@@ -294,39 +322,49 @@ class TestBatchedKernel:
     def test_pair_block_boundaries(self, monkeypatch):
         """Forcing tiny Eq.-1 blocks must not change any observable.
 
-        Regression guard for the multi-block path: the 100k-node bench is
-        the only in-repo workload crossing ``BATCH_PAIR_BLOCK`` naturally,
-        so this pins the block bookkeeping at toy scale instead.
+        Regression guard for the multi-block path: a 17-pair block puts
+        many block boundaries inside every node's pair range, pinning the
+        block bookkeeping at toy scale.
         """
-        import repro.geometry.ballfit as ballfit
-
         rng = np.random.default_rng(5)
         origins, nbrs, checks = _random_batch(rng, 8)
         reference = empty_ball_exists_batch(
             origins, nbrs, 1.1, check_sets=checks, find_first=False
         )
-        monkeypatch.setattr(ballfit, "BATCH_PAIR_BLOCK", 17)
+        monkeypatch.setattr(
+            ballfit, "BLOCK_BYTES_PER_PAIR", ballfit.UBF_WORKING_SET_BYTES // 17
+        )
         small = empty_ball_exists_batch(
             origins, nbrs, 1.1, check_sets=checks, find_first=False
         )
         for got, ref in zip(small, reference):
             assert_results_equal(got, ref, bit_equal_centers=True)
 
-    def test_batch_chunk_size_is_observably_invisible(self, scenario_network):
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
+    def test_one_node_slabs(self, scenario_network, scan, monkeypatch):
+        """A one-byte budget (one node per slab, one pair per block, one
+        probe row per wave) must not change any observable."""
+        graph = scenario_network.graph
+        frames = [true_local_frame(graph, node) for node in range(0, 60, 3)]
+        for find_first in (True, False):
+            reference = _batch_of(frames, 1.2, find_first)
+            with monkeypatch.context() as patch:
+                patch.setattr(ballfit, "UBF_WORKING_SET_BYTES", 1)
+                tiny = _batch_of(frames, 1.2, find_first)
+            for got, ref in zip(tiny, reference):
+                assert_results_equal(got, ref, bit_equal_centers=True)
+
+    def test_batch_chunk_size_is_observably_invisible(
+        self, scenario_network, monkeypatch
+    ):
         graph = scenario_network.graph
         radius = 1.0 + 0.2
         frames = [true_local_frame(graph, node) for node in range(0, 40, 4)]
-        origins = np.stack([f.origin_coordinates for f in frames])
-        nbrs = [f.neighbor_coordinates for f in frames]
-        checks = [f.collection_coordinates for f in frames]
-        reference = empty_ball_exists_batch(
-            origins, nbrs, radius, check_sets=checks, chunk_size=64
-        )
+        force_numpy_waves(monkeypatch)
+        reference = _batch_of(frames, radius)
         for chunk_size in (1, 2, 7, 4096):
-            got = empty_ball_exists_batch(
-                origins, nbrs, radius, check_sets=checks, chunk_size=chunk_size
-            )
-            for a, b in zip(got, reference):
+            monkeypatch.setattr(ballfit, "DEFAULT_CHUNK_SIZE", chunk_size)
+            for a, b in zip(_batch_of(frames, radius), reference):
                 assert_results_equal(a, b, bit_equal_centers=True)
 
 
@@ -337,28 +375,22 @@ class TestNativeKernel:
         load_kernels() is None, reason="no C compiler / native kernels disabled"
     )
     @pytest.mark.parametrize("find_first", [True, False])
-    def test_native_bit_identical_to_batched(self, scenario_network, find_first):
+    def test_native_bit_identical_to_batched(
+        self, scenario_network, find_first, monkeypatch
+    ):
         graph = scenario_network.graph
         radius = 1.0 + 0.2
         frames = [
             true_local_frame(graph, node) for node in range(0, graph.n_nodes, 5)
         ]
-        origins = np.stack([f.origin_coordinates for f in frames])
-        nbrs = [f.neighbor_coordinates for f in frames]
-        checks = [f.collection_coordinates for f in frames]
-        batched = empty_ball_exists_batch(
-            origins, nbrs, radius, check_sets=checks,
-            find_first=find_first, kernel="batched",
-        )
-        native = empty_ball_exists_batch(
-            origins, nbrs, radius, check_sets=checks,
-            find_first=find_first, kernel="native",
-        )
-        for a, b in zip(native, batched):
+        native = _batch_of(frames, radius, find_first)
+        force_numpy_waves(monkeypatch)
+        waves = _batch_of(frames, radius, find_first)
+        for a, b in zip(native, waves):
             assert_results_equal(a, b, bit_equal_centers=True)
 
     def test_native_falls_back_without_compiler(self, monkeypatch):
-        """kernel='native' must stay correct when the C path is unavailable."""
+        """The batched kernel must stay correct when the C scan is unavailable."""
         monkeypatch.setenv(NATIVE_ENV_VAR, "0")
         reset_kernel_cache()
         try:
@@ -366,7 +398,7 @@ class TestNativeKernel:
             rng = np.random.default_rng(6)
             origins, nbrs, checks = _random_batch(rng, 6)
             fallback = empty_ball_exists_batch(
-                origins, nbrs, 1.1, check_sets=checks, kernel="native"
+                origins, nbrs, 1.1, check_sets=checks
             )
             for i, got in enumerate(fallback):
                 naive = empty_ball_exists(

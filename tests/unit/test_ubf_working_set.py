@@ -1,0 +1,66 @@
+"""The batched UBF search holds a bounded working set.
+
+:data:`repro.geometry.ballfit.UBF_WORKING_SET_BYTES` sizes the node slabs,
+Eq.-1 blocks and probe waves of one :func:`repro.core.ubf.run_ubf` call,
+so once a network spans more than one slab its peak traced allocation
+stays flat as the network grows.  Fixed node/pair counts (a whole
+network in one slab) would make it grow linearly instead.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from repro import DeploymentConfig, generate_network, scenario_by_name
+from repro.core.config import UBFConfig
+from repro.core.ubf import run_ubf
+from repro.geometry import ballfit
+from repro.network.localization import true_local_frame
+
+
+def _sphere(n_surface: int, n_interior: int):
+    network = generate_network(
+        scenario_by_name("sphere"),
+        DeploymentConfig(
+            n_surface=n_surface, n_interior=n_interior, target_degree=18, seed=3
+        ),
+        scenario="sphere",
+    )
+    frames = {v: true_local_frame(network.graph, v) for v in range(network.graph.n_nodes)}
+    return network, frames
+
+
+def _peak_traced_bytes(network, frames) -> int:
+    tracemalloc.start()
+    try:
+        run_ubf(network, UBFConfig(), frames=frames)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def two_spheres():
+    """Two sphere deployments, the second at twice the node count."""
+    return _sphere(1000, 2000), _sphere(2000, 4000)
+
+
+def test_networks_span_several_slabs(two_spheres):
+    (small, frames), _ = two_spheres
+    slab_bytes = sum(
+        ballfit.search_bytes(f.n_one_hop, len(f.members)) for f in frames.values()
+    )
+    assert slab_bytes > 2 * ballfit.UBF_WORKING_SET_BYTES
+
+
+def test_peak_does_not_grow_with_network_size(two_spheres):
+    (small, small_frames), (large, large_frames) = two_spheres
+    assert large.graph.n_nodes == 2 * small.graph.n_nodes
+    small_peak = _peak_traced_bytes(small, small_frames)
+    large_peak = _peak_traced_bytes(large, large_frames)
+    # Only the per-node outcome list grows with n (a few hundred bytes a
+    # node); the search itself stays within a small multiple of the budget.
+    assert large_peak < 1.25 * small_peak
+    assert large_peak < 2 * ballfit.UBF_WORKING_SET_BYTES
