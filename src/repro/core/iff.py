@@ -21,14 +21,8 @@ from typing import Dict, Iterable, Set
 import numpy as np
 
 from repro.core.config import IFFConfig
-from repro.network.graph import NetworkGraph
+from repro.network.graph import NetworkGraph, hop_bounded_sweep
 from repro.observability.tracer import ensure_tracer
-
-#: Hop-table cells (sources x candidates) per block of the vectorized
-#: flood sweep.  Purely a memory bound (~256 MB of int32 per block);
-#: flood counts never depend on the blocking.
-IFF_BLOCK_CELLS = 1 << 26
-
 
 def iff_fragment_sizes(
     graph: NetworkGraph,
@@ -41,60 +35,18 @@ def iff_fragment_sizes(
     packets "will be forwarded by other boundary nodes but not non-boundary
     nodes".
 
-    All candidates flood together: the candidate-induced adjacency is
-    extracted once as its own CSR, then every source advances frontier by
-    frontier through blockwise hop tables, mirroring
-    :meth:`repro.network.graph.NetworkGraph.k_hop_collections`.  The
-    per-candidate dict BFS (:func:`iff_fragment_sizes_bfs`) is kept as the
-    differential oracle.
+    All candidates flood together: the counts are the row lengths of one
+    :func:`repro.network.graph.hop_bounded_sweep` at ``ttl`` over the
+    candidate-induced block of the graph's ``(A + I)`` operator, so the
+    work is O(k * rho^ttl) for k candidates.  The per-candidate dict BFS
+    (:func:`iff_fragment_sizes_bfs`) is kept as the differential oracle.
     """
     cand = np.asarray(sorted(int(c) for c in candidates), dtype=np.int64)
-    k = cand.size
-    if k == 0:
+    if cand.size == 0:
         return {}
-    indptr, indices = graph.csr()
-    label = np.full(graph.n_nodes, -1, dtype=np.int64)
-    label[cand] = np.arange(k)
-    # Gather the candidates' CSR rows in one shot, keep only edges whose
-    # far end is also a candidate, and relabel into [0, k).
-    counts = np.diff(indptr)[cand]
-    total = int(counts.sum())
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbrs = indices[np.repeat(indptr[cand], counts) + offsets]
-    keep = label[nbrs] >= 0
-    sub_indices = label[nbrs[keep]]
-    sub_counts = np.bincount(
-        np.repeat(np.arange(k), counts)[keep], minlength=k
-    )
-    sub_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(sub_counts, out=sub_indptr[1:])
-
-    sizes = np.empty(k, dtype=np.int64)
-    block = max(1, IFF_BLOCK_CELLS // k)
-    for start in range(0, k, block):
-        srcs = np.arange(start, min(start + block, k), dtype=np.int64)
-        b = srcs.size
-        hop_of = np.full((b, k), -1, dtype=np.int32)
-        hop_of[np.arange(b), srcs] = 0
-        frontier_row = np.arange(b)
-        frontier_node = srcs
-        for h in range(1, ttl + 1):
-            fcounts = sub_counts[frontier_node]
-            ftotal = int(fcounts.sum())
-            if ftotal == 0:
-                break
-            starts = sub_indptr[frontier_node]
-            ends = np.cumsum(fcounts)
-            foffsets = np.arange(ftotal) - np.repeat(ends - fcounts, fcounts)
-            expanded_dst = sub_indices[np.repeat(starts, fcounts) + foffsets]
-            expanded_row = np.repeat(frontier_row, fcounts)
-            fresh = hop_of[expanded_row, expanded_dst] < 0
-            hop_of[expanded_row[fresh], expanded_dst[fresh]] = h
-            frontier_row, frontier_node = np.nonzero(hop_of == h)
-            if frontier_row.size == 0:
-                break
-        sizes[srcs] = (hop_of >= 0).sum(axis=1)
-    return {int(cand[i]): int(sizes[i]) for i in range(k)}
+    induced = graph.reach_operator()[cand][:, cand]
+    ptr, _, _ = hop_bounded_sweep(induced, ttl, np.arange(cand.size))
+    return dict(zip(cand.tolist(), np.diff(ptr).tolist()))
 
 
 def iff_fragment_sizes_bfs(
@@ -106,7 +58,7 @@ def iff_fragment_sizes_bfs(
 
     One ``bfs_hops`` call per candidate on the induced subgraph -- the
     straightforward transcription of the flooding protocol, kept as the
-    differential oracle for the vectorized sweep.
+    differential oracle for the sparse sweep.
     """
     sizes: Dict[int, int] = {}
     for node in candidates:

@@ -75,7 +75,7 @@ from repro.network.localization import (
     DEFAULT_ENGINE,
     LocalFrame,
     build_frames,
-    true_local_frame,
+    true_frames,
 )
 from repro.network.measurement import MeasuredDistances
 from repro.observability.tracer import ensure_tracer
@@ -478,7 +478,7 @@ class _FrameShardTask:
                 trilateration_local_frame(graph, self.measured, n, hops=self.hops)
                 for n in node_ids
             ]
-        return [true_local_frame(graph, n, hops=self.hops) for n in node_ids]
+        return true_frames(graph, node_ids, hops=self.hops)
 
     def counters(self, results: List[LocalFrame]) -> Dict[str, Any]:
         return frame_span_counters(results)

@@ -46,43 +46,38 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import IFFConfig, UBFConfig
+from repro.core.config import DetectorConfig, IFFConfig, UBFConfig
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import run_iff
-from repro.core.ubf import candidates_from_outcomes, ubf_classify_frame
-from repro.geometry.ballfit import (
-    empty_ball_exists_batch,
-    empty_ball_exists_batch_arrays,
+from repro.core.pipeline import BoundaryDetector
+from repro.core.ubf import (
+    candidates_from_outcomes,
+    ubf_classify_frame,
+    ubf_span_counters,
 )
+from repro.geometry.ballfit import empty_ball_exists_batch
 from repro.geometry.mds import SMACOF_BATCH_COORD_TOL
 from repro.geometry.native import load_kernels
 from repro.network.generator import DeploymentConfig, generate_network
-from repro.network.localization import (
-    DEFAULT_ENGINE,
-    _collect_frame_metas,
-    build_frames,
-    true_local_frame,
-)
+from repro.network.localization import DEFAULT_ENGINE, build_frames, true_frames
 from repro.network.measurement import UniformAbsoluteError, measure_distances
 from repro.observability.export import write_atomic
-from repro.observability.tracer import ensure_tracer
+from repro.observability.tracer import Tracer, ensure_tracer
 from repro.shapes.library import scenario_by_name
 from repro.surface.pipeline import SurfaceBuilder, SurfaceConfig
 
 FORMAT_VERSION = 1
 
 #: Stages `repro-bench` times by default, in pipeline order.  The ``e2e``
-#: stage (one full generate -> UBF -> IFF -> grouping pass, built for the
+#: stage (``generate_network`` plus one traced ``detect()``, built for the
 #: 100k-node scale check) is opt-in via ``--stages e2e``.
 STAGES = ("localization", "ubf", "iff", "grouping", "mesh")
 
 #: Every stage name `repro-bench` accepts, renderable order.
 ALL_STAGES = STAGES + ("e2e",)
 
-#: Node-slice size of the e2e stage's frame collection; memory bound only
-#: (the flat frame arrays of one slice -- the UBF kernel bounds its own
-#: working set), never observable in results.
-E2E_UBF_SLICE = 25_000
+#: ``detect`` stage spans whose median seconds the e2e artifact records.
+E2E_STAGE_SPANS = ("localization", "ubf", "iff", "grouping")
 
 #: Default multiplicative slack for absolute wall-time comparisons; wide on
 #: purpose -- cross-machine variance is absorbed here, while counters and
@@ -223,8 +218,8 @@ def build_context(
 ) -> BenchContext:
     """Generate the pinned network and per-node frames for a bench run.
 
-    ``with_frames=False`` skips the per-node ground-truth frames (a Python
-    loop over every node) -- the localization bench never reads them, and
+    ``with_frames=False`` skips the per-node ground-truth frames (one
+    ``LocalFrame`` per node) -- the localization bench never reads them, and
     at ``loc_20k`` scale building them would dwarf the stage being timed.
     """
     cfg = ubf_config if ubf_config is not None else UBFConfig()
@@ -235,10 +230,7 @@ def build_context(
     )
     graph = network.graph
     frames = (
-        [
-            true_local_frame(graph, node, hops=cfg.collection_hops)
-            for node in range(graph.n_nodes)
-        ]
+        true_frames(graph, list(range(graph.n_nodes)), hops=cfg.collection_hops)
         if with_frames
         else []
     )
@@ -466,102 +458,52 @@ def bench_mesh(ctx: BenchContext, repeat: int) -> dict:
     return _artifact("mesh", ctx, repeat, median, timings, counters)
 
 
-def _ubf_candidates_scale(
-    network,
-    ubf_config: UBFConfig,
-    *,
-    slice_size: int = E2E_UBF_SLICE,
-) -> Tuple[set, int, int]:
-    """UBF candidacy for every node via the array-native batch path.
-
-    Builds each slice's true-coordinate frames as flat arrays straight
-    from the batch BFS sweep (no per-node ``LocalFrame`` objects -- at
-    100k nodes the Python assembly would dwarf the kernel) and feeds them
-    to :func:`repro.geometry.ballfit.empty_ball_exists_batch_arrays`.
-    Verdicts and counters are identical to :func:`repro.core.ubf.run_ubf`
-    with true localization -- the member order of the flat frames is
-    exactly ``_frame_members``'s.
-
-    Returns ``(candidates, total_balls_tested, total_points_checked)``.
-    """
-    graph = network.graph
-    positions = graph.positions
-    n = graph.n_nodes
-    hops = ubf_config.collection_hops
-    candidates: set = set()
-    total_balls = 0
-    total_checked = 0
-    for s0 in range(0, n, slice_size):
-        ids = list(range(s0, min(s0 + slice_size, n)))
-        metas = _collect_frame_metas(graph, ids, hops)
-        k = len(ids)
-        sizes = np.fromiter((m[1].size for m in metas), dtype=np.int64, count=k)
-        probe_ptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(sizes, out=probe_ptr[1:])
-        members_flat = np.concatenate([m[1] for m in metas])
-        probe_flat = positions[members_flat]
-        n_one = np.fromiter((m[2] for m in metas), dtype=np.int64, count=k)
-        # Neighbor rows are each probe segment's rows 1 .. n_one (the node
-        # itself occupies row 0, the farther collection follows).
-        seg = np.repeat(np.arange(k, dtype=np.int64), sizes)
-        off = np.arange(members_flat.size, dtype=np.int64) - np.repeat(
-            probe_ptr[:-1], sizes
-        )
-        nbr_mask = (off >= 1) & (off <= n_one[seg])
-        nbr_ptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(n_one, out=nbr_ptr[1:])
-        fits = empty_ball_exists_batch_arrays(
-            positions[np.asarray(ids, dtype=np.int64)],
-            probe_flat[nbr_mask],
-            nbr_ptr,
-            probe_flat,
-            probe_ptr,
-            ubf_config.radius,
-        )
-        for i, fit in enumerate(fits):
-            total_balls += fit.balls_tested
-            total_checked += fit.points_checked
-            if fit.is_boundary:
-                candidates.add(s0 + i)
-    return candidates, total_balls, total_checked
-
-
 def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
-    """Time one full generate -> UBF -> IFF -> grouping pass.
+    """Time ``generate_network`` + ``BoundaryDetector(...).detect()``.
 
-    The 100k-scale check behind ROADMAP item 3: everything -- deployment
-    generation included -- runs inside the timed function, so the artifact
-    pins the wall time and peak RSS of the whole pipeline at scale, not of
-    one stage.  No warm-up run (the stage is minutes-scale at 100k; the
-    native-kernel load is already warmed by :func:`run_bench`).
+    The 100k-scale check: deployment generation and the full pipeline
+    users run (true-coordinate frames, UBF, IFF, grouping) sit inside the
+    timed function, so the artifact pins the wall time and peak RSS of the
+    whole pipeline at scale.  Each run carries a
+    :class:`~repro.observability.tracer.Tracer`; the artifact's ``stages``
+    map holds the median seconds of each ``detect`` stage span across the
+    repeats (recorded, not gated).  No warm-up run (the stage is
+    minutes-scale at 100k; the native-kernel load is already warmed by
+    :func:`run_bench`).
     """
     scenario = ctx.scenario
-    cfg = ctx.ubf_config
+    detector = BoundaryDetector(
+        DetectorConfig(ubf=ctx.ubf_config, iff=ctx.iff_config)
+    )
+    stage_seconds: Dict[str, List[float]] = {name: [] for name in E2E_STAGE_SPANS}
 
     def run() -> dict:
+        tracer = Tracer()
         network = generate_network(
             scenario_by_name(scenario.shape),
             scenario.deployment(),
             scenario=scenario.shape,
         )
-        graph = network.graph
-        candidates, total_balls, total_checked = _ubf_candidates_scale(
-            network, cfg
-        )
-        boundary = run_iff(graph, candidates, ctx.iff_config)
-        groups = group_boundary_nodes(graph, boundary)
+        result = detector.detect(network, tracer=tracer)
+        for span in tracer.roots[0].children:
+            if span.name in stage_seconds:
+                stage_seconds[span.name].append(span.duration)
+        ubf = ubf_span_counters(result.ubf_outcomes)
         return {
-            "n_candidates": len(candidates),
-            "total_balls_tested": float(total_balls),
-            "total_points_checked": float(total_checked),
-            "n_boundary": len(boundary),
-            "n_groups": len(groups),
-            "largest_group": max((len(g) for g in groups), default=0),
+            "n_candidates": len(result.candidates),
+            "total_balls_tested": float(ubf["balls_tested"]),
+            "total_points_checked": float(ubf["points_checked"]),
+            "n_boundary": len(result.boundary),
+            "n_groups": len(result.groups),
+            "largest_group": max((len(g) for g in result.groups), default=0),
         }
 
     median, timings, counters = _median_time(run, repeat, warmup=False)
     doc = _artifact("e2e", ctx, repeat, median, timings, counters)
     doc["native_available"] = load_kernels() is not None
+    doc["stages"] = {
+        name: float(np.median(seconds)) for name, seconds in stage_seconds.items()
+    }
     return doc
 
 
@@ -636,9 +578,9 @@ def run_bench(
     if registry is None:
         registry = MetricsRegistry()
     # The localization bench never reads the ground-truth context frames,
-    # and the e2e stage builds its own flat-array frames inside the timed
-    # run; skip the per-node loop that builds them when no other stage
-    # runs (at e2e_100k scale it would dwarf everything).
+    # and the e2e stage builds its own inside the timed detect(); skip
+    # them when no other stage runs (at e2e_100k scale they would hold
+    # every node's frame for nothing).
     with_frames = any(stage not in ("localization", "e2e") for stage in stages)
     # Warm the native-kernel cache before any timing: the first load pays
     # a one-time compile (or a failed compiler probe), which must never

@@ -14,8 +14,11 @@ Two equivalent adjacency representations coexist:
   sorted per row), which backs the vectorized bulk queries -- ``degrees``,
   ``edges``, :meth:`edge_values` (edge-aligned per-edge data, e.g. measured
   distances) and :meth:`k_hop_collections` (every node's k-hop collection
-  in one multi-source sweep).  The scalar BFS entry points are kept as the
-  differential oracle the vectorized sweep is property-tested against.
+  as one CSR triple, from :func:`hop_bounded_sweep`: boolean sparse
+  products of ``(A + I)`` restricted to the source rows, so the work
+  follows the collections, not the network size).  The scalar BFS entry
+  points are kept as the differential oracle the sweep is property-tested
+  against.
 """
 
 from __future__ import annotations
@@ -28,10 +31,46 @@ import numpy as np
 from repro.geometry.primitives import as_points
 from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
-#: Sources swept per block in :meth:`NetworkGraph.k_hop_collections`; bounds
-#: the ``block x n`` hop table to a few MB regardless of network size.  The
-#: per-source results are independent, so the block size never changes them.
-KHOP_BLOCK_SIZE = 1024
+
+def hop_bounded_sweep(
+    operator, hops: int, sources: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hop-bounded reachability from each source, as one CSR triple.
+
+    ``operator`` is a boolean ``(A + I)`` CSR matrix (see
+    :meth:`NetworkGraph.reach_operator`; a submatrix of it sweeps an
+    induced subgraph).  Level ``h`` is the boolean product of the source
+    rows with ``operator`` taken ``h`` times -- the set within ``h`` hops
+    -- and an entry's hop count follows from how many of the levels
+    ``0..hops`` contain it.  Work is proportional to the collections
+    produced, O(sources * rho^hops), never to the graph.
+
+    Returns ``(ptr, nodes, hop_counts)`` (all int64): source ``i``'s
+    collection is ``nodes[ptr[i]:ptr[i+1]]``, ascending and including the
+    source itself at hop 0, with ``hop_counts`` aligned to ``nodes``.
+    """
+    from scipy import sparse
+
+    n_src = sources.size
+    reach = sparse.csr_matrix(
+        (np.ones(n_src, dtype=bool), sources, np.arange(n_src + 1)),
+        shape=(n_src, operator.shape[0]),
+    )
+    levels = reach.astype(np.int32)
+    depth = 0
+    while depth < hops:
+        grown = reach @ operator
+        if grown.nnz == reach.nnz:
+            break  # every row stopped growing: later levels repeat this one
+        reach = grown
+        levels = levels + reach.astype(np.int32)
+        depth += 1
+    levels.sort_indices()
+    return (
+        levels.indptr.astype(np.int64),
+        levels.indices.astype(np.int64),
+        (depth + 1 - levels.data).astype(np.int64),
+    )
 
 
 class NetworkGraph:
@@ -96,6 +135,7 @@ class NetworkGraph:
             )
         self._neighbor_sets_cache: Optional[List[Set[int]]] = None
         self._edge_array: Optional[np.ndarray] = None
+        self._reach_operator = None
 
     @classmethod
     def from_csr(
@@ -131,6 +171,7 @@ class NetworkGraph:
         )
         self._neighbor_sets_cache = None
         self._edge_array = None
+        self._reach_operator = None
         return self
 
     # ------------------------------------------------------------------
@@ -300,81 +341,51 @@ class NetworkGraph:
                 queue.append(v)
         return hops
 
+    def reach_operator(self):
+        """``(A + I)`` as a boolean ``scipy.sparse`` CSR matrix, built once.
+
+        Row ``u`` holds ``u`` and its neighbors (columns sorted), so one
+        boolean product with it grows every row's reached set by one hop --
+        the operator :func:`hop_bounded_sweep` multiplies by.  Cached next
+        to :meth:`csr` so per-shard sweeps cost their own output, not
+        O(edges) each.
+        """
+        if self._reach_operator is None:
+            from scipy import sparse
+
+            n = self.n_nodes
+            adjacency = sparse.csr_matrix(
+                (np.ones(self._indices.size, dtype=bool), self._indices, self._indptr),
+                shape=(n, n),
+            )
+            self._reach_operator = (
+                adjacency + sparse.identity(n, dtype=bool, format="csr")
+            ).tocsr()
+        return self._reach_operator
+
     def k_hop_collections(
-        self,
-        hops: int,
-        *,
-        sources: Optional[Sequence[int]] = None,
-        block_size: int = KHOP_BLOCK_SIZE,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Every source's ``hops``-hop collection in one vectorized sweep.
+        self, hops: int, *, sources: Optional[Sequence[int]] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every source's ``hops``-hop collection in one sparse sweep.
 
         Semantically equivalent to ``bfs_hops([s], max_hops=hops)`` run for
         each source independently (the dict/deque implementation above is
-        kept as the differential oracle), but all sources advance frontier
-        by frontier together: each hop expands every frontier entry through
-        the CSR adjacency with one gather instead of per-node Python loops.
-
-        Parameters
-        ----------
-        hops:
-            Collection radius; ``0`` yields just the sources themselves.
-        sources:
-            Source node IDs (all nodes when None).  Results are per-source
-            independent, so any subset returns exactly what the full sweep
-            would -- the shard driver relies on this.
-        block_size:
-            Sources processed per internal block (memory bound only; the
-            results never depend on it).
-
-        Returns
-        -------
-        list of ``(nodes, hop_counts)`` pairs, one per source in input
-        order: ``nodes`` is ascending and includes the source itself (hop
-        0); ``hop_counts[k]`` is the hop distance of ``nodes[k]``.
+        kept as the differential oracle); see :func:`hop_bounded_sweep` for
+        the returned CSR triple.  ``sources`` defaults to every node; rows
+        are per-source independent, so any subset (unsorted, duplicated)
+        returns exactly the rows of the full sweep -- the shard driver
+        relies on this.
         """
         if hops < 0:
             raise ValueError("hops must be non-negative")
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
-        n = self.n_nodes
-        src_all = (
-            np.arange(n, dtype=np.int64)
+        src = (
+            np.arange(self.n_nodes, dtype=np.int64)
             if sources is None
             else np.asarray([int(s) for s in sources], dtype=np.int64)
         )
-        if src_all.size and (src_all.min() < 0 or src_all.max() >= n):
+        if src.size and (src.min() < 0 or src.max() >= self.n_nodes):
             raise ValueError("source ids must lie in [0, n_nodes)")
-        degrees = np.diff(self._indptr)
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        for start in range(0, src_all.size, block_size):
-            srcs = src_all[start : start + block_size]
-            b = srcs.size
-            hop_of = np.full((b, n), -1, dtype=np.int32)
-            hop_of[np.arange(b), srcs] = 0
-            frontier_row = np.arange(b)
-            frontier_node = srcs
-            for h in range(1, hops + 1):
-                counts = degrees[frontier_node]
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                # Gather the CSR rows of every frontier node in one shot.
-                starts = self._indptr[frontier_node]
-                ends = np.cumsum(counts)
-                offsets = np.arange(total) - np.repeat(ends - counts, counts)
-                expanded_dst = self._indices[np.repeat(starts, counts) + offsets]
-                expanded_row = np.repeat(frontier_row, counts)
-                fresh = hop_of[expanded_row, expanded_dst] < 0
-                # In-batch duplicates both write the same h: harmless.
-                hop_of[expanded_row[fresh], expanded_dst[fresh]] = h
-                frontier_row, frontier_node = np.nonzero(hop_of == h)
-                if frontier_row.size == 0:
-                    break
-            for r in range(b):
-                nodes = np.nonzero(hop_of[r] >= 0)[0]
-                results.append((nodes, hop_of[r, nodes].astype(int)))
-        return results
+        return hop_bounded_sweep(self.reach_operator(), hops, src)
 
     def shortest_path(
         self,

@@ -270,43 +270,27 @@ def _measured_edge_values(
 def _collect_frame_metas(
     graph: NetworkGraph, node_ids: List[int], hops: int
 ) -> List[tuple]:
-    """Per-node ``(node, members, n_one_hop)`` tuples from one BFS sweep.
+    """Per-node ``(node, members, n_one_hop)`` tuples from one k-hop sweep.
 
     Ordered member arrays mirror :func:`_frame_members`: the node itself,
     then its one-hop neighbors ascending, then the farther collection
     ascending (``k_hop_collections`` returns nodes sorted ascending).
     """
-    collections = graph.k_hop_collections(hops, sources=node_ids)
+    ptr, nodes, hop_counts = graph.k_hop_collections(hops, sources=node_ids)
     n_sources = len(node_ids)
-    counts = np.fromiter(
-        (c[0].size for c in collections), dtype=np.int64, count=n_sources
-    )
-    # One flat pass over every collection: a stable per-segment sort moving
-    # hop >= 2 members behind the one-hop ones (each segment arrives
+    # One flat pass over the sweep's CSR triple: a stable per-segment sort
+    # moving hop >= 2 members behind the one-hop ones (each segment arrives
     # node-sorted, so stability preserves the ascending order within both
     # halves), then the owning node is spliced in at each segment start.
-    all_nodes = (
-        np.concatenate([c[0] for c in collections]).astype(np.int64, copy=False)
-        if n_sources
-        else np.empty(0, dtype=np.int64)
-    )
-    all_hops = (
-        np.concatenate([c[1] for c in collections])
-        if n_sources
-        else np.empty(0, dtype=np.int64)
-    )
-    segment = np.repeat(np.arange(n_sources, dtype=np.int64), counts)
-    keep = all_hops >= 1  # collections may include the hop-0 source itself
-    all_nodes = all_nodes[keep]
-    all_hops = all_hops[keep]
+    segment = np.repeat(np.arange(n_sources, dtype=np.int64), np.diff(ptr))
+    keep = hop_counts >= 1  # drop the hop-0 source itself
+    nodes = nodes[keep]
+    hop_counts = hop_counts[keep]
     segment = segment[keep]
-    farther_flag = all_hops >= 2
-    ordered = all_nodes[np.lexsort((farther_flag, segment))]
-    n_one_hop = np.bincount(
-        segment, weights=all_hops == 1, minlength=n_sources
-    ).astype(np.int64)
+    ordered = nodes[np.lexsort((hop_counts >= 2, segment))]
+    n_one_hop = np.bincount(segment, weights=hop_counts == 1, minlength=n_sources)
 
-    sizes = np.bincount(segment, minlength=n_sources).astype(np.int64) + 1
+    sizes = np.bincount(segment, minlength=n_sources) + 1
     frame_ptr = np.zeros(n_sources + 1, dtype=np.int64)
     np.cumsum(sizes, out=frame_ptr[1:])
     members_flat = np.empty(int(frame_ptr[-1]), dtype=np.int64)
@@ -315,12 +299,31 @@ def _collect_frame_metas(
     fill = np.ones(members_flat.size, dtype=bool)
     fill[starts] = False
     members_flat[fill] = ordered
+    return [
+        (node, members_flat[frame_ptr[i] : frame_ptr[i + 1]], int(n_one_hop[i]))
+        for i, node in enumerate(node_ids)
+    ]
 
-    metas: List[tuple] = []
-    for i, node in enumerate(node_ids):
-        members = members_flat[frame_ptr[i] : frame_ptr[i + 1]]
-        metas.append((node, members, int(n_one_hop[i])))
-    return metas
+
+def true_frames(
+    graph: NetworkGraph, node_ids: List[int], *, hops: int = DEFAULT_COLLECTION_HOPS
+) -> List[LocalFrame]:
+    """Ground-truth frames for ``node_ids`` from one collection sweep.
+
+    Frame for frame identical to :func:`true_local_frame` (its per-node
+    BFS twin and oracle): same member order, coordinates ``positions[
+    members]`` bit for bit.
+    """
+    positions = graph.positions
+    return [
+        LocalFrame(
+            node=node,
+            members=members.tolist(),
+            coordinates=positions[members],
+            n_one_hop=n_one_hop,
+        )
+        for node, members, n_one_hop in _collect_frame_metas(graph, node_ids, hops)
+    ]
 
 
 def _group_by_size(metas: List[tuple]) -> Dict[int, List[int]]:

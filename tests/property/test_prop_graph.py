@@ -101,27 +101,50 @@ class TestCSRDerivedViews:
             assert np.array_equal(row, g.neighbors(u))
 
 
-class TestKHopCollections:
-    """The multi-source sweep versus the dict/deque BFS oracle."""
+def _rows(triple):
+    """Split the sweep's CSR triple into per-source ``(nodes, hops)``."""
+    ptr, nodes, hops = triple
+    return [
+        (nodes[ptr[i] : ptr[i + 1]], hops[ptr[i] : ptr[i + 1]])
+        for i in range(ptr.size - 1)
+    ]
 
-    @given(positions, st.integers(1, 4))
+
+def _assert_rows_match_oracle(g, sources, triple, hops):
+    ptr, nodes, hop_counts = triple
+    assert ptr.size == len(sources) + 1 and ptr[0] == 0
+    assert nodes.size == hop_counts.size == ptr[-1]
+    for source, (row_nodes, row_hops) in zip(sources, _rows(triple)):
+        assert np.all(np.diff(row_nodes) > 0)
+        oracle = g.bfs_hops([source], max_hops=hops)
+        assert {int(n): int(h) for n, h in zip(row_nodes, row_hops)} == oracle
+
+
+class TestKHopCollections:
+    """The sparse multi-source sweep versus the dict/deque BFS oracle."""
+
+    @given(positions, st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_bfs_oracle_all_sources(self, pts, hops):
         g = NetworkGraph(pts, radio_range=1.0)
-        collections = g.k_hop_collections(hops)
-        assert len(collections) == g.n_nodes
-        for source, (nodes, hop_counts) in enumerate(collections):
-            oracle = g.bfs_hops([source], max_hops=hops)
-            assert np.array_equal(nodes, np.sort(nodes))
-            assert {int(n): int(h) for n, h in zip(nodes, hop_counts)} == oracle
+        triple = g.k_hop_collections(hops)
+        assert all(a.dtype == np.int64 for a in triple)
+        _assert_rows_match_oracle(g, range(g.n_nodes), triple, hops)
 
-    @given(positions, st.lists(st.integers(0, 19), min_size=1, max_size=6))
+    @given(
+        positions,
+        st.lists(st.integers(0, 19), min_size=0, max_size=8),
+        st.integers(0, 4),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_source_subset_matches_full_sweep(self, pts, sources):
+    def test_source_subset_matches_full_sweep(self, pts, sources, hops):
+        # Sources come back in input order, repeats included, each row
+        # exactly the full sweep's row for that source.
         g = NetworkGraph(pts, radio_range=1.0)
-        full = g.k_hop_collections(2)
-        subset = g.k_hop_collections(2, sources=sources)
-        for s, (nodes, hop_counts) in zip(sources, subset):
+        subset = g.k_hop_collections(hops, sources=sources)
+        _assert_rows_match_oracle(g, sources, subset, hops)
+        full = _rows(g.k_hop_collections(hops))
+        for s, (nodes, hop_counts) in zip(sources, _rows(subset)):
             assert np.array_equal(nodes, full[s][0])
             assert np.array_equal(hop_counts, full[s][1])
 
@@ -129,7 +152,7 @@ class TestKHopCollections:
     @settings(max_examples=40, deadline=None)
     def test_hops_one_is_closed_neighborhood(self, pts):
         g = NetworkGraph(pts, radio_range=1.0)
-        for source, (nodes, hop_counts) in enumerate(g.k_hop_collections(1)):
+        for source, (nodes, hop_counts) in enumerate(_rows(g.k_hop_collections(1))):
             expected = sorted([source] + [int(v) for v in g.neighbors(source)])
             assert nodes.tolist() == expected
             assert all(
@@ -138,29 +161,32 @@ class TestKHopCollections:
             )
 
     def test_disconnected_components_stay_separate(self):
-        # Two far-apart cliques: collections never cross the gap.
+        # Two far-apart cliques, a path and an isolated node: collections
+        # never cross a gap, and the isolated node's row is itself alone.
         pts = np.array(
             [[0, 0, 0], [0.5, 0, 0], [0, 0.5, 0],
-             [10, 0, 0], [10.5, 0, 0], [10, 0.5, 0]],
+             [10, 0, 0], [10.5, 0, 0], [10, 0.5, 0],
+             [20, 0, 0], [20.9, 0, 0], [21.8, 0, 0], [22.7, 0, 0],
+             [40, 40, 40]],
             dtype=float,
         )
         g = NetworkGraph(pts, radio_range=1.0)
-        for source, (nodes, hop_counts) in enumerate(g.k_hop_collections(3)):
-            same_side = {n for n in range(6) if (n < 3) == (source < 3)}
-            assert set(nodes.tolist()) == same_side
-            assert g.bfs_hops([source], max_hops=3) == {
-                int(n): int(h) for n, h in zip(nodes, hop_counts)
-            }
+        sources = [10, 6, 3, 10, 0, 9]
+        for hops in range(5):
+            subset = g.k_hop_collections(hops, sources=sources)
+            _assert_rows_match_oracle(g, sources, subset, hops)
+            triple = g.k_hop_collections(hops)
+            _assert_rows_match_oracle(g, range(g.n_nodes), triple, hops)
+            nodes, hop_counts = _rows(triple)[10]
+            assert nodes.tolist() == [10] and hop_counts.tolist() == [0]
 
-    def test_block_size_does_not_change_results(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0.0, 3.0, size=(30, 3))
-        g = NetworkGraph(pts, radio_range=1.0)
-        reference = g.k_hop_collections(2)
-        for block in (1, 7, 64):
-            blocked = g.k_hop_collections(2, block_size=block)
-            for (n1, h1), (n2, h2) in zip(reference, blocked):
-                assert np.array_equal(n1, n2) and np.array_equal(h1, h2)
+    def test_empty_graph_and_empty_sources(self):
+        empty = NetworkGraph(np.zeros((0, 3)), radio_range=1.0)
+        for triple in (
+            empty.k_hop_collections(2),
+            NetworkGraph(np.zeros((3, 3))).k_hop_collections(2, sources=[]),
+        ):
+            assert [a.tolist() for a in triple] == [[0], [], []]
 
     def test_invalid_arguments_rejected(self):
         g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
@@ -168,5 +194,3 @@ class TestKHopCollections:
             g.k_hop_collections(-1)
         with pytest.raises(ValueError):
             g.k_hop_collections(2, sources=[5])
-        with pytest.raises(ValueError):
-            g.k_hop_collections(2, block_size=0)

@@ -1,11 +1,14 @@
 """``detect()`` on degenerate deployments, against the per-stage oracles.
 
-The production paths (the ``sparse`` localization engine and the batched
-UBF kernel) must be at least as robust as the oracles (``pernode`` frames
+The production paths (sweep-built true frames, the ``sparse``
+localization engine and the batched UBF kernel) must be at least as
+robust as the oracles (per-node ``true_local_frame``/``pernode`` frames
 and the ``naive`` kernel) where the geometry degenerates: an isolated
-node (a one-member frame, no ball pairs) and coincident nodes (zero
-distances, zero-length triangle sides).  Every node's UBF verdict and
-Theorem-1 counters must match the oracle chain exactly.
+node (a one-member frame, no ball pairs), coincident nodes (zero
+distances, zero-length triangle sides) and a fully collinear
+neighborhood (rank-one frames, every ball pair on one line).  Every
+node's UBF verdict and Theorem-1 counters must match the oracle chain
+exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro import DeploymentConfig, generate_network, scenario_by_name
+from repro.core import parallel
 from repro.core.config import DetectorConfig, LocalizationConfig
+from repro.core.parallel import run_frames_parallel
 from repro.core.pipeline import BoundaryDetector
 from repro.core.ubf import ubf_classify_frame
 from repro.network.generator import Network
@@ -26,19 +31,48 @@ SEED = 5
 
 
 @pytest.fixture(scope="module")
-def degenerate_network():
-    """A small sphere plus one isolated node and two coincident twins."""
-    base = generate_network(
+def sphere():
+    return generate_network(
         scenario_by_name("sphere"),
         DeploymentConfig(n_surface=60, n_interior=90, target_degree=12.0, seed=17),
         scenario="sphere",
     )
-    positions = base.graph.positions
+
+
+def _append(base, extra_positions, extra_truth):
+    """``base`` with extra nodes appended after its own."""
+    positions = np.vstack([base.graph.positions, extra_positions])
+    truth = np.concatenate([base.truth_boundary, extra_truth])
+    return Network(
+        graph=NetworkGraph(positions, radio_range=1.0),
+        truth_boundary=truth,
+        scenario="degenerate",
+    )
+
+
+@pytest.fixture(scope="module")
+def degenerate_network(sphere):
+    """A small sphere plus one isolated node and two coincident twins."""
+    positions = sphere.graph.positions
     far = positions.max(axis=0) + 10.0
-    extra = np.vstack([far, positions[0], positions[40]])
-    graph = NetworkGraph(np.vstack([positions, extra]), radio_range=1.0)
-    truth = np.concatenate([base.truth_boundary, [True, False, False]])
-    return Network(graph=graph, truth_boundary=truth, scenario="degenerate")
+    return _append(
+        sphere, np.vstack([far, positions[0], positions[40]]), [True, False, False]
+    )
+
+
+#: Nodes of the collinear chain appended to the sphere, their spacing and
+#: direction: every chain node's collection lies on one line, and the
+#: middle node's 2-hop collection is the whole chain.
+CHAIN_NODES, CHAIN_SPACING = 9, 0.3
+CHAIN_DIRECTION = np.array([1.0, 0.5, 0.25]) / np.linalg.norm([1.0, 0.5, 0.25])
+
+
+@pytest.fixture(scope="module")
+def collinear_network(sphere):
+    """A small sphere plus a far-away chain of collinear nodes."""
+    far = sphere.graph.positions.max(axis=0) + 10.0
+    chain = far + np.outer(np.arange(CHAIN_NODES) * CHAIN_SPACING, CHAIN_DIRECTION)
+    return _append(sphere, chain, [True] * CHAIN_NODES)
 
 
 def _oracle_outcomes(frames, radius):
@@ -63,27 +97,26 @@ def test_deployment_is_degenerate(degenerate_network):
     assert np.array_equal(graph.positions[0], graph.positions[-2])
 
 
-def test_true_localization_matches_naive_oracle(degenerate_network):
+def _check_true_mode(network):
     config = DetectorConfig()
-    result = BoundaryDetector(config).detect(degenerate_network)
+    result = BoundaryDetector(config).detect(network)
     assert result.localization_used == "true"
-    graph = degenerate_network.graph
+    graph = network.graph
     frames = [true_local_frame(graph, v) for v in range(graph.n_nodes)]
     _assert_outcomes_match(
         result.ubf_outcomes, _oracle_outcomes(frames, config.ubf.radius)
     )
-    isolated = result.ubf_outcomes[graph.n_nodes - 3]
-    assert isolated.is_candidate and isolated.balls_tested == 0
+    return result
 
 
-def test_measured_mode_matches_pernode_and_naive_oracles(degenerate_network):
+def _check_measured_mode(network):
     error = UniformAbsoluteError(0.3)
     config = DetectorConfig(error_model=error)
     result = BoundaryDetector(config).detect(
-        degenerate_network, rng=np.random.default_rng(SEED)
+        network, rng=np.random.default_rng(SEED)
     )
     assert result.localization_used == "mds"
-    graph = degenerate_network.graph
+    graph = network.graph
     measured = measure_distances(graph, error, np.random.default_rng(SEED))
     frames = build_frames(graph, measured, engine="pernode")
     _assert_outcomes_match(
@@ -94,6 +127,58 @@ def test_measured_mode_matches_pernode_and_naive_oracles(degenerate_network):
             error_model=error,
             localization_config=LocalizationConfig(engine="pernode"),
         )
-    ).detect(degenerate_network, rng=np.random.default_rng(SEED))
+    ).detect(network, rng=np.random.default_rng(SEED))
     assert result.boundary == oracle_run.boundary
     assert result.groups == oracle_run.groups
+    return result
+
+
+def test_true_localization_matches_naive_oracle(degenerate_network):
+    result = _check_true_mode(degenerate_network)
+    isolated = result.ubf_outcomes[degenerate_network.graph.n_nodes - 3]
+    assert isolated.is_candidate and isolated.balls_tested == 0
+
+
+def test_measured_mode_matches_pernode_and_naive_oracles(degenerate_network):
+    _check_measured_mode(degenerate_network)
+
+
+def test_collinear_chain_is_one_line(collinear_network):
+    graph = collinear_network.graph
+    chain = np.arange(graph.n_nodes - CHAIN_NODES, graph.n_nodes)
+    frame = true_local_frame(graph, int(chain[CHAIN_NODES // 2]))
+    assert sorted(frame.members) == chain.tolist()
+    centered = frame.coordinates - frame.coordinates.mean(axis=0)
+    assert np.linalg.matrix_rank(centered, tol=1e-9) == 1
+
+
+def test_collinear_true_localization_matches_naive_oracle(collinear_network):
+    _check_true_mode(collinear_network)
+
+
+def test_collinear_measured_mode_matches_pernode_and_naive_oracles(
+    collinear_network,
+):
+    _check_measured_mode(collinear_network)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_true_frames_match_per_node_oracle(
+    degenerate_network, monkeypatch, hops, workers
+):
+    # Small shards so two workers really split the network.
+    monkeypatch.setattr(parallel._FrameShardTask, "shard_size", 40)
+    graph = degenerate_network.graph
+    frames = run_frames_parallel(
+        degenerate_network, mode="true", hops=hops, workers=workers
+    )
+    assert [f.node for f in frames] == list(range(graph.n_nodes))
+    for frame in frames:
+        oracle = true_local_frame(graph, frame.node, hops=hops)
+        assert frame.members == oracle.members
+        assert all(type(m) is int for m in frame.members)
+        assert frame.n_one_hop == oracle.n_one_hop
+        assert frame.coordinates.dtype == oracle.coordinates.dtype
+        assert frame.coordinates.tobytes() == oracle.coordinates.tobytes()
+        assert frame.smacof_iterations == oracle.smacof_iterations == 0
