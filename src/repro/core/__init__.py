@@ -26,10 +26,9 @@ from repro.core.parallel import (
     run_frames_parallel,
     run_sharded,
     run_ubf_parallel,
-    shard_nodes,
 )
 from repro.core.pipeline import BoundaryDetectionResult, BoundaryDetector, detect_boundary
-from repro.core.ubf import UBFNodeOutcome, run_ubf, ubf_classify_frame
+from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, run_ubf, ubf_classify_frame
 
 __all__ = [
     "UBFConfig",
@@ -37,11 +36,11 @@ __all__ = [
     "LocalizationConfig",
     "DetectorConfig",
     "UBFNodeOutcome",
+    "UBFOutcomes",
     "run_ubf",
     "run_ubf_parallel",
     "run_frames_parallel",
     "run_sharded",
-    "shard_nodes",
     "ubf_classify_frame",
     "run_iff",
     "iff_fragment_sizes",

@@ -7,23 +7,29 @@ frame, and step (I)'s frame construction reads nothing but the node's own
 set can therefore be partitioned arbitrarily across workers without any
 coordination.  This module provides one generic driver, :func:`run_sharded`,
 that shards node IDs into contiguous fixed-size slices, runs a picklable
-*shard task* on each slice in a worker process, and concatenates the
-per-shard result lists back into node order.  Two tasks use it:
+*shard task* on each slice in a worker process, and merges the per-shard
+results back into node order through the result type's ``concat``.  Two
+tasks use it:
 
-* :func:`run_ubf_parallel` -- the UBF candidacy stage (PR 3);
-* :func:`run_frames_parallel` -- batched local-frame construction, so the
-  pipeline computes every frame once and the UBF stage reuses them.
+* :func:`run_ubf_parallel` -- the UBF candidacy stage, returning one
+  :class:`~repro.core.ubf.UBFOutcomes`;
+* :func:`run_frames_parallel` -- local-frame construction, returning one
+  :class:`~repro.network.localization.FrameBatch`, so the pipeline
+  computes every frame once and the UBF stage classifies that batch.
+  True-coordinate frames always build in-process (see the function).
 
 Payload transport
 -----------------
 Task payloads are dominated by big numpy arrays (positions, CSR adjacency,
-measured distances, precomputed frames).  They are **not pickled** to
-workers: the parent publishes them once into a single
-``multiprocessing.shared_memory`` segment and each worker's initializer
-rehydrates the task -- exactly once per worker -- around zero-copy
-read-only views of that segment (see ``_SharedArrays`` /
-``export_payload``/``import_payload``).  Only a small array-free task
-shell and the segment descriptor travel through the pool's ``initargs``.
+measured distances, a precomputed frame batch's own arrays).  They are
+**not pickled** to workers -- that costs a serialize/deserialize round
+per worker and, under spawn, a second copy per worker: the parent
+publishes them once into a single ``multiprocessing.shared_memory``
+segment and each worker's initializer rehydrates the task -- exactly
+once per worker -- around zero-copy read-only views of that segment (see
+``_SharedArrays`` / ``export_payload``/``import_payload``).  Only a small
+array-free task shell and the segment descriptor travel through the
+pool's ``initargs``.
 This holds under both ``fork`` and ``spawn``; the spawn path is pinned by
 an explicit regression test via the ``start_method`` override.
 
@@ -62,20 +68,25 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import UBFConfig
-from repro.core.ubf import UBFNodeOutcome, run_ubf, ubf_span_counters
+from repro.core.ubf import (
+    FRAME_MODES,
+    UBFOutcomes,
+    localize_frames,
+    run_ubf,
+    ubf_span_counters,
+)
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
     DEFAULT_COLLECTION_HOPS,
     DEFAULT_ENGINE,
+    FrameBatch,
     LocalFrame,
-    build_frames,
-    true_frames,
 )
 from repro.network.measurement import MeasuredDistances
 from repro.observability.tracer import ensure_tracer
@@ -106,26 +117,6 @@ _WORKER_STATE: dict = {}
 #: context test asserts every shard saw exactly one install, i.e. shards
 #: never re-pickle or re-hydrate the payload.
 _MATERIALIZED = 0
-
-
-# ----------------------------------------------------------------------
-# Shared-memory payload transport
-# ----------------------------------------------------------------------
-#
-# A shard task's payload is dominated by a handful of large numpy arrays
-# (node positions, CSR adjacency, measured edge values, frame stacks).
-# Pickling them through the pool's initargs costs a serialize/deserialize
-# round per worker and transiently doubles memory per worker under spawn.
-# Instead, the parent copies every payload array into ONE shared-memory
-# segment and ships only a small descriptor (segment name + per-array
-# dtype/shape/offset) plus the array-free task shell.  Workers map the
-# segment and rebuild the task around zero-copy read-only views.
-#
-# Determinism: the views hold the exact bytes the parent's arrays held,
-# and rehydration (``import_payload``) rebuilds objects whose observable
-# state is identical to the originals, so shard results -- and therefore
-# the merged output -- stay byte-identical for any worker count and any
-# start method (``tests`` pin spawn explicitly).
 
 
 @dataclass(frozen=True)
@@ -267,94 +258,6 @@ def _import_measured(
     )
 
 
-@dataclass(frozen=True)
-class _FramesHandle:
-    """Array-free stand-in for a task's ``frames`` dict in transit."""
-
-    count: int
-
-
-def _export_frames(
-    frames: Optional[Dict[int, LocalFrame]],
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-) -> Optional[_FramesHandle]:
-    if frames is None:
-        return None
-    ordered = list(frames.values())
-    sizes = np.array([len(f.members) for f in ordered], dtype=np.int64)
-    ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    arrays[prefix + "nodes"] = np.array([f.node for f in ordered], dtype=np.int64)
-    arrays[prefix + "ptr"] = ptr
-    arrays[prefix + "members"] = (
-        np.concatenate([np.asarray(f.members, dtype=np.int64) for f in ordered])
-        if ordered
-        else np.empty(0, dtype=np.int64)
-    )
-    arrays[prefix + "coords"] = (
-        np.concatenate([f.coordinates for f in ordered])
-        if ordered
-        else np.empty((0, 3), dtype=float)
-    )
-    arrays[prefix + "n_one_hop"] = np.array(
-        [f.n_one_hop for f in ordered], dtype=np.int64
-    )
-    arrays[prefix + "iterations"] = np.array(
-        [f.smacof_iterations for f in ordered], dtype=np.int64
-    )
-    return _FramesHandle(count=len(ordered))
-
-
-def _import_frames(
-    handle: Optional[_FramesHandle],
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-) -> Optional[Dict[int, LocalFrame]]:
-    if handle is None:
-        return None
-    nodes = arrays[prefix + "nodes"]
-    ptr = arrays[prefix + "ptr"]
-    members = arrays[prefix + "members"]
-    coords = arrays[prefix + "coords"]
-    n_one_hop = arrays[prefix + "n_one_hop"]
-    iterations = arrays[prefix + "iterations"]
-    frames: Dict[int, LocalFrame] = {}
-    for k in range(handle.count):
-        lo, hi = int(ptr[k]), int(ptr[k + 1])
-        frame = LocalFrame(
-            node=int(nodes[k]),
-            members=members[lo:hi].tolist(),
-            coordinates=coords[lo:hi],
-            n_one_hop=int(n_one_hop[k]),
-            smacof_iterations=int(iterations[k]),
-        )
-        frames[frame.node] = frame
-    return frames
-
-
-def shard_nodes(node_ids: Sequence[int], workers: int) -> List[List[int]]:
-    """Partition ``node_ids`` into up to ``workers`` contiguous slices.
-
-    Slices differ in length by at most one and concatenate back to the
-    input order; empty slices are dropped (fewer nodes than workers).
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    ids = [int(n) for n in node_ids]
-    n = len(ids)
-    base, extra = divmod(n, workers)
-    shards: List[List[int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size == 0:
-            continue
-        shards.append(ids[start : start + size])
-        start += size
-    return shards
-
-
 def shard_nodes_by_size(
     node_ids: Sequence[int], shard_size: int = SHARD_SIZE
 ) -> List[List[int]]:
@@ -378,11 +281,12 @@ class _UBFShardTask:
     measured: Optional[MeasuredDistances]
     localization: str
     find_first: bool
-    frames: Optional[Dict[int, LocalFrame]] = None
+    frames: Optional[FrameBatch] = None
 
     span_name = "ubf"
     shard_span_name = "ubf.shard"
     shard_size = SHARD_SIZE
+    merge = staticmethod(UBFOutcomes.concat)
 
     def span_attrs(self, node_ids: List[int]) -> Dict[str, Any]:
         return {
@@ -390,7 +294,7 @@ class _UBFShardTask:
             "localization": self.localization,
         }
 
-    def run(self, node_ids: List[int]) -> List[UBFNodeOutcome]:
+    def run(self, node_ids: List[int]) -> UBFOutcomes:
         return run_ubf(
             self.network,
             self.config,
@@ -401,31 +305,41 @@ class _UBFShardTask:
             frames=self.frames,
         )
 
-    def counters(self, results: List[UBFNodeOutcome]) -> Dict[str, Any]:
+    def counters(self, results: UBFOutcomes) -> Dict[str, Any]:
         return ubf_span_counters(results)
 
     def export_payload(self) -> Tuple["_UBFShardTask", Dict[str, np.ndarray]]:
-        """Split into an array-free shell plus the payload arrays."""
+        """Split into an array-free shell plus the payload arrays (the
+        frame batch's own arrays go into the segment as they are)."""
         arrays: Dict[str, np.ndarray] = {}
         shell = replace(
             self,
             network=_export_network(self.network, arrays, "net."),
             measured=_export_measured(self.measured, arrays, "meas."),
-            frames=_export_frames(self.frames, arrays, "frames."),
+            frames=None,
         )
+        if self.frames is not None:
+            arrays.update(
+                {"frames." + name: value for name, value in vars(self.frames).items()}
+            )
         return shell, arrays
 
     def import_payload(self, arrays: Dict[str, np.ndarray]) -> "_UBFShardTask":
         """Rebuild the full task around shared-memory array views."""
+        frames = {
+            key[len("frames.") :]: value
+            for key, value in arrays.items()
+            if key.startswith("frames.")
+        }
         return replace(
             self,
             network=_import_network(self.network, arrays, "net."),
             measured=_import_measured(self.measured, arrays, "meas."),
-            frames=_import_frames(self.frames, arrays, "frames."),
+            frames=FrameBatch(**frames) if frames else None,
         )
 
 
-def frame_span_counters(frames: List[LocalFrame]) -> Dict[str, int]:
+def frame_span_counters(frames: FrameBatch) -> Dict[str, int]:
     """Deterministic span counters summarizing a batch of local frames.
 
     Shared by the ``localization.frames`` parent span and the per-shard
@@ -434,8 +348,8 @@ def frame_span_counters(frames: List[LocalFrame]) -> Dict[str, int]:
     """
     return {
         "n_frames": len(frames),
-        "total_members": sum(len(f.members) for f in frames),
-        "total_smacof_iterations": sum(f.smacof_iterations for f in frames),
+        "total_members": int(frames.ptr[-1]),
+        "total_smacof_iterations": int(frames.smacof_iterations.sum()),
     }
 
 
@@ -452,6 +366,7 @@ class _FrameShardTask:
     span_name = "localization.frames"
     shard_span_name = "localization.shard"
     shard_size = FRAME_SHARD_SIZE
+    merge = staticmethod(FrameBatch.concat)
 
     def span_attrs(self, node_ids: List[int]) -> Dict[str, Any]:
         return {
@@ -461,26 +376,17 @@ class _FrameShardTask:
             "hops": self.hops,
         }
 
-    def run(self, node_ids: List[int]) -> List[LocalFrame]:
-        graph = self.network.graph
-        if self.mode == "mds":
-            return build_frames(
-                graph,
-                self.measured,
-                hops=self.hops,
-                engine=self.engine,
-                nodes=node_ids,
-            )
-        if self.mode == "trilateration":
-            from repro.network.trilateration import trilateration_local_frame
+    def run(self, node_ids: List[int]) -> FrameBatch:
+        return localize_frames(
+            self.network.graph,
+            self.measured,
+            node_ids,
+            mode=self.mode,
+            hops=self.hops,
+            engine=self.engine,
+        )
 
-            return [
-                trilateration_local_frame(graph, self.measured, n, hops=self.hops)
-                for n in node_ids
-            ]
-        return true_frames(graph, node_ids, hops=self.hops)
-
-    def counters(self, results: List[LocalFrame]) -> Dict[str, Any]:
+    def counters(self, results: FrameBatch) -> Dict[str, Any]:
         return frame_span_counters(results)
 
     def export_payload(self) -> Tuple["_FrameShardTask", Dict[str, np.ndarray]]:
@@ -517,6 +423,10 @@ class _PayloadProbeTask:
     span_name = "payload.probe"
     shard_span_name = "payload.probe.shard"
     shard_size = 16
+
+    @staticmethod
+    def merge(parts: List[list]) -> list:
+        return [item for part in parts for item in part]
 
     def span_attrs(self, node_ids: List[int]) -> Dict[str, Any]:
         return {"n_nodes": len(node_ids)}
@@ -601,31 +511,29 @@ def _init_worker(task, shm_spec, trace, clock_factory) -> None:
     )
 
 
-def _run_shard(
-    shard: Tuple[int, List[int]]
-) -> Tuple[list, Optional[Dict[str, Any]]]:
+def _run_timed_shard(
+    task, index: int, node_ids: List[int], trace: bool, clock_factory
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """One shard's results, plus its span dict when tracing (workers and
+    the in-process path alike, so both time a shard the same way)."""
+    if not trace:
+        return task.run(node_ids), None
+    clock = _shard_clock(clock_factory)
+    start = clock()
+    results = task.run(node_ids)
+    end = clock()
+    return results, _shard_span_dict(task, index, node_ids, results, start, end)
+
+
+def _run_shard(shard: Tuple[int, List[int]]) -> Tuple[Any, Optional[Dict[str, Any]]]:
     index, node_ids = shard
-    task = _WORKER_STATE["task"]
-    if not _WORKER_STATE["trace"]:
-        return task.run(node_ids), None
-    clock = _shard_clock(_WORKER_STATE["clock_factory"])
-    start = clock()
-    results = task.run(node_ids)
-    end = clock()
-    return results, _shard_span_dict(task, index, node_ids, results, start, end)
-
-
-def _run_shard_in_process(
-    task, index: int, node_ids: List[int], tracer
-) -> Tuple[list, Optional[Dict[str, Any]]]:
-    """One shard on the calling process, timed exactly like a worker would."""
-    if not tracer.enabled:
-        return task.run(node_ids), None
-    clock = _shard_clock(tracer.shard_clock)
-    start = clock()
-    results = task.run(node_ids)
-    end = clock()
-    return results, _shard_span_dict(task, index, node_ids, results, start, end)
+    return _run_timed_shard(
+        _WORKER_STATE["task"],
+        index,
+        node_ids,
+        _WORKER_STATE["trace"],
+        _WORKER_STATE["clock_factory"],
+    )
 
 
 def run_sharded(
@@ -635,14 +543,15 @@ def run_sharded(
     workers: int = 1,
     tracer=None,
     start_method: Optional[str] = None,
-) -> list:
+) -> Any:
     """Run a per-node shard task over ``node_ids``, optionally in parallel.
 
-    ``task`` is a picklable object providing ``run(node_ids) -> list``,
-    ``counters(results) -> dict``, ``span_attrs(node_ids) -> dict``, and
-    the class attributes ``span_name``, ``shard_span_name``, and
+    ``task`` is a picklable object providing ``run(node_ids)``,
+    ``counters(results) -> dict``, ``span_attrs(node_ids) -> dict``,
+    ``merge(per_shard_results)`` (the result type's ``concat``), and the
+    class attributes ``span_name``, ``shard_span_name``, and
     ``shard_size`` (see :class:`_UBFShardTask` / :class:`_FrameShardTask`).
-    Results concatenate in ``node_ids`` order; see the module docstring for
+    Results merge in ``node_ids`` order; see the module docstring for
     the determinism and tracing contracts.  ``workers=1`` (and small
     inputs, see :data:`MIN_PARALLEL_NODES`) run in-process; the untraced
     sequential case short-circuits to a single ``task.run`` call with zero
@@ -662,7 +571,9 @@ def run_sharded(
     ) as span:
         if in_process:
             results = [
-                _run_shard_in_process(task, index, shard, tracer)
+                _run_timed_shard(
+                    task, index, shard, tracer.enabled, tracer.shard_clock
+                )
                 for index, shard in enumerate(shards)
             ]
         else:
@@ -689,7 +600,7 @@ def run_sharded(
             finally:
                 if shared is not None:
                     shared.dispose()
-        merged = [item for shard_results, _ in results for item in shard_results]
+        merged = task.merge([shard_results for shard_results, _ in results])
         if tracer.enabled:
             tracer.attach([doc for _, doc in results if doc is not None])
             span.set_many(task.counters(merged))
@@ -705,17 +616,21 @@ def run_ubf_parallel(
     find_first: bool = True,
     workers: int = 1,
     nodes: Optional[Sequence[int]] = None,
-    frames: Optional[Dict[int, LocalFrame]] = None,
+    frames: Optional[Union[FrameBatch, Mapping[int, LocalFrame]]] = None,
     tracer=None,
     start_method: Optional[str] = None,
-) -> List[UBFNodeOutcome]:
+) -> UBFOutcomes:
     """Phase 1 over the whole network, sharded across worker processes.
 
     Drop-in replacement for :func:`repro.core.ubf.run_ubf` with a
     ``workers`` knob; see the module docstring for the determinism and
-    tracing contracts.  ``frames`` passes precomputed local frames through
-    to :func:`run_ubf` so the stage classifies instead of re-localizing.
+    tracing contracts.  ``frames`` (a :class:`FrameBatch`, or a mapping of
+    node ID to :class:`LocalFrame`, packed once here) passes precomputed
+    local frames through to :func:`run_ubf` so the stage classifies
+    instead of re-localizing.
     """
+    if frames is not None and not isinstance(frames, FrameBatch):
+        frames = FrameBatch.from_frames(frames.values())
     node_ids = (
         list(range(network.graph.n_nodes)) if nodes is None else [int(n) for n in nodes]
     )
@@ -743,21 +658,25 @@ def run_frames_parallel(
     nodes: Optional[Sequence[int]] = None,
     tracer=None,
     start_method: Optional[str] = None,
-) -> List[LocalFrame]:
+) -> FrameBatch:
     """Step (I) over the whole network, sharded across worker processes.
 
     Builds every node's local frame once -- through the sparse
     localization engine by default -- so downstream stages (UBF, quality
     diagnostics) reuse them instead of re-localizing per node.  Output is
-    ordered as ``nodes`` (node-ID order by default) and byte-identical for
-    any worker count (see the module docstring).  ``mode`` mirrors the
-    pipeline's resolved localization: ``"mds"`` (honors ``engine``),
-    ``"trilateration"``, or ``"true"``.
+    one :class:`FrameBatch` ordered as ``nodes`` (node-ID order by
+    default) and byte-identical for any worker count (see the module
+    docstring).  ``mode`` mirrors the pipeline's resolved localization:
+    ``"mds"`` (honors ``engine``), ``"trilateration"``, or ``"true"``.
+    True-coordinate frames always build in-process (one sweep and a
+    gather cost less than the pool round trip; docs/PERFORMANCE.md).
     """
-    if mode not in ("mds", "trilateration", "true"):
+    if mode not in FRAME_MODES:
         raise ValueError("mode must be 'mds', 'trilateration', or 'true'")
     if mode in ("mds", "trilateration") and measured is None:
         raise ValueError(f"mode={mode!r} requires measured distances")
+    if mode == "true":
+        workers = 1
     node_ids = (
         list(range(network.graph.n_nodes)) if nodes is None else [int(n) for n in nodes]
     )

@@ -16,7 +16,7 @@ from repro.core.parallel import (
     run_frames_parallel,
     run_ubf_parallel,
 )
-from repro.core.ubf import UBFNodeOutcome, candidates_from_outcomes
+from repro.core.ubf import UBFOutcomes, candidates_from_outcomes
 from repro.network.generator import Network
 from repro.network.measurement import (
     MeasuredDistances,
@@ -41,7 +41,8 @@ class BoundaryDetectionResult:
     groups:
         Boundary nodes partitioned per boundary surface, largest first.
     ubf_outcomes:
-        Per-node UBF observables (ball counts etc.), indexed by node ID.
+        Per-node UBF observables (ball counts etc.) as one
+        :class:`~repro.core.ubf.UBFOutcomes`, indexed by node ID.
     localization_used:
         ``"true"``, ``"mds"``, or ``"trilateration"`` -- which coordinate
         source UBF consumed (every concrete mode
@@ -52,7 +53,9 @@ class BoundaryDetectionResult:
     candidates: Set[int]
     boundary: Set[int]
     groups: List[List[int]]
-    ubf_outcomes: List[UBFNodeOutcome] = field(repr=False, default_factory=list)
+    ubf_outcomes: UBFOutcomes = field(
+        repr=False, default_factory=lambda: UBFOutcomes.from_outcomes([])
+    )
     localization_used: str = "true"
 
     @property
@@ -161,9 +164,9 @@ class BoundaryDetector:
                     )
                     generated = True
                 loc_span.set("measurements_generated", generated)
-                # Step (I) once for every node; the UBF stage below reuses
-                # these frames instead of re-localizing per node.
-                frame_list = run_frames_parallel(
+                # Step (I) once for every node, as one frame batch the UBF
+                # stage below classifies instead of re-localizing per node.
+                frames = run_frames_parallel(
                     network,
                     measured,
                     mode=mode,
@@ -172,9 +175,8 @@ class BoundaryDetector:
                     workers=self.config.workers,
                     tracer=tracer,
                 )
-                frames = {f.node: f for f in frame_list}
                 if tracer.enabled:
-                    loc_span.set_many(frame_span_counters(frame_list))
+                    loc_span.set_many(frame_span_counters(frames))
 
             outcomes = run_ubf_parallel(
                 network,

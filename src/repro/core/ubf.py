@@ -11,27 +11,35 @@ pair enumeration is exhaustive; Theorem 1 bounds the per-node work at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import UBFConfig
-from repro.geometry import ballfit
 from repro.geometry.ballfit import (
+    BallFitArrays,
     BallFitResult,
     empty_ball_exists,
-    empty_ball_exists_batch,
-    search_bytes,
+    empty_ball_exists_batch_arrays,
 )
 from repro.network.generator import Network
+from repro.network.graph import NetworkGraph
 from repro.network.localization import (
+    DEFAULT_COLLECTION_HOPS,
+    DEFAULT_ENGINE,
+    FrameBatch,
     LocalFrame,
-    establish_local_frame,
-    true_local_frame,
+    build_frames,
+    true_frames,
 )
 from repro.network.measurement import MeasuredDistances
+from repro.network.trilateration import trilateration_local_frame
 from repro.observability.tracer import ensure_tracer
+
+#: Where a frame's coordinates come from: the concrete localization modes
+#: :meth:`repro.core.config.DetectorConfig.resolved_localization` returns.
+FRAME_MODES = ("true", "mds", "trilateration")
 
 
 @dataclass
@@ -60,6 +68,66 @@ class UBFNodeOutcome:
     points_checked: int = 0
 
 
+@dataclass(eq=False)
+class UBFOutcomes:
+    """The UBF outcomes of ``k`` nodes as arrays, one per
+    :class:`UBFNodeOutcome` field (``is_candidate`` bool, the rest int64).
+
+    ``len``, integer indexing and iteration yield :class:`UBFNodeOutcome`
+    views; two batches are equal when every array is.
+    """
+
+    node: np.ndarray
+    is_candidate: np.ndarray
+    balls_tested: np.ndarray
+    neighborhood_size: np.ndarray
+    points_checked: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __getitem__(self, i: int) -> UBFNodeOutcome:
+        return UBFNodeOutcome(*(column[i].item() for column in vars(self).values()))
+
+    def __iter__(self) -> Iterator[UBFNodeOutcome]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UBFOutcomes) and all(
+            np.array_equal(a, b)
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Iterable[UBFNodeOutcome]) -> "UBFOutcomes":
+        """Pack per-node outcomes in order."""
+        outcomes = list(outcomes)
+        return cls(
+            **{
+                f.name: np.array(
+                    [getattr(o, f.name) for o in outcomes],
+                    dtype=bool if f.name == "is_candidate" else np.int64,
+                )
+                for f in fields(cls)
+            }
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["UBFOutcomes"]) -> "UBFOutcomes":
+        """One batch holding ``parts``' outcomes in order."""
+        if not parts:
+            return cls.from_outcomes([])
+        columns = zip(*(vars(p).values() for p in parts))
+        return cls(*(np.concatenate(column) for column in columns))
+
+
+def _as_outcomes(outcomes: Iterable[UBFNodeOutcome]) -> UBFOutcomes:
+    """``outcomes`` as a :class:`UBFOutcomes` (packing a per-node list)."""
+    if isinstance(outcomes, UBFOutcomes):
+        return outcomes
+    return UBFOutcomes.from_outcomes(outcomes)
+
+
 def ubf_classify_frame(
     frame: LocalFrame,
     radius: float,
@@ -86,6 +154,69 @@ def ubf_classify_frame(
     )
 
 
+def localize_frames(
+    graph: NetworkGraph,
+    measured: Optional[MeasuredDistances],
+    node_ids: Sequence[int],
+    *,
+    mode: str,
+    hops: int = DEFAULT_COLLECTION_HOPS,
+    engine: str = DEFAULT_ENGINE,
+) -> FrameBatch:
+    """Step (I) for ``node_ids`` as one batch, by ``mode`` (one of
+    :data:`FRAME_MODES`; ``engine`` applies to ``"mds"``)."""
+    if mode == "true":
+        return true_frames(graph, node_ids, hops=hops)
+    if mode == "mds":
+        return build_frames(graph, measured, hops=hops, engine=engine, nodes=node_ids)
+    if mode == "trilateration":
+        return FrameBatch.from_frames(
+            trilateration_local_frame(graph, measured, n, hops=hops)
+            for n in node_ids
+        )
+    raise ValueError(f"mode must be one of {FRAME_MODES}, got {mode!r}")
+
+
+def search_frames(
+    frames: FrameBatch, radius: float, *, find_first: bool = True
+) -> BallFitArrays:
+    """The UBF emptiness search over a whole frame batch, in one call.
+
+    Reads each frame as :func:`ubf_classify_frame` does (origin row,
+    one-hop rows as pair candidates when there are at least two, every
+    row as a probe); the arrays entry bounds the working set itself.
+    """
+    starts = frames.ptr[:-1]
+    pair_counts = np.where(frames.n_one_hop >= 2, frames.n_one_hop, 0)
+    nbr_ptr = np.zeros(len(frames) + 1, dtype=np.int64)
+    np.cumsum(pair_counts, out=nbr_ptr[1:])
+    nbr_rows = np.arange(int(nbr_ptr[-1]), dtype=np.int64) + np.repeat(
+        starts + 1 - nbr_ptr[:-1], pair_counts
+    )
+    return empty_ball_exists_batch_arrays(
+        frames.coords[starts],
+        frames.coords[nbr_rows],
+        nbr_ptr,
+        frames.coords,
+        frames.ptr,
+        radius,
+        find_first=find_first,
+    )
+
+
+def _frames_of(frames: FrameBatch, node_ids: Sequence[int], n_nodes: int) -> FrameBatch:
+    """The rows of ``frames`` for ``node_ids``, in that order."""
+    ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    if np.array_equal(frames.nodes, ids):
+        return frames
+    row_of = np.full(n_nodes, -1, dtype=np.int64)
+    row_of[frames.nodes] = np.arange(len(frames), dtype=np.int64)
+    rows = row_of[ids]
+    if (rows < 0).any():
+        raise KeyError(int(ids[np.argmax(rows < 0)]))
+    return frames.select(rows)
+
+
 def run_ubf(
     network: Network,
     config: UBFConfig = UBFConfig(),
@@ -94,9 +225,9 @@ def run_ubf(
     localization: str = "true",
     find_first: bool = True,
     nodes: Optional[Sequence[int]] = None,
-    frames: Optional[Dict[int, LocalFrame]] = None,
+    frames: Optional[FrameBatch] = None,
     tracer=None,
-) -> List[UBFNodeOutcome]:
+) -> UBFOutcomes:
     """Phase 1 over the whole network.
 
     Parameters
@@ -122,12 +253,11 @@ def run_ubf(
         :mod:`repro.core.parallel` passes each worker's slice here, which
         is sound because every node's test reads only its own local frame.
     frames:
-        Precomputed local frames keyed by node ID (e.g. from
-        :func:`repro.core.parallel.run_frames_parallel`).  When given,
-        the per-node frame construction is skipped entirely and
-        ``measured``/``localization`` only label the run -- the pipeline
-        computes frames once in its localization stage and reuses them
-        here instead of rebuilding one per node.
+        Precomputed local frames holding every node of ``nodes`` (e.g.
+        from :func:`repro.core.parallel.run_frames_parallel`).  When
+        given, frame construction is skipped and ``measured``/
+        ``localization`` only label the run -- the pipeline computes
+        frames once in its localization stage and classifies them here.
     tracer:
         Optional :class:`repro.observability.Tracer`; when given, the run
         is wrapped in a ``ubf.run`` span carrying the Theorem-1 work
@@ -135,9 +265,9 @@ def run_ubf(
 
     Returns
     -------
-    list of UBFNodeOutcome, ordered as ``nodes`` (node-ID order by default).
+    UBFOutcomes, ordered as ``nodes`` (node-ID order by default).
     """
-    if localization not in ("true", "mds", "trilateration"):
+    if localization not in FRAME_MODES:
         raise ValueError("localization must be 'true', 'mds', or 'trilateration'")
     if (
         localization in ("mds", "trilateration")
@@ -147,117 +277,58 @@ def run_ubf(
         raise ValueError(f"localization={localization!r} requires measured distances")
 
     tracer = ensure_tracer(tracer)
-    node_ids = range(network.graph.n_nodes) if nodes is None else [int(n) for n in nodes]
+    graph = network.graph
+    node_ids = range(graph.n_nodes) if nodes is None else [int(n) for n in nodes]
     with tracer.span(
         "ubf.run", n_nodes=len(node_ids), localization=localization
     ) as span:
-        outcomes = _run_ubf_nodes(
-            network, config, node_ids,
-            measured=measured, localization=localization, find_first=find_first,
-            frames=frames,
+        if frames is None:
+            batch = localize_frames(
+                graph, measured, node_ids,
+                mode=localization, hops=config.collection_hops,
+            )
+        else:
+            batch = _frames_of(frames, node_ids, graph.n_nodes)
+        search = search_frames(batch, config.radius, find_first=find_first)
+        outcomes = UBFOutcomes(
+            node=batch.nodes.copy(),
+            is_candidate=search.is_boundary,
+            balls_tested=search.balls_tested,
+            neighborhood_size=np.diff(batch.ptr) - 1,
+            points_checked=search.points_checked,
         )
         if tracer.enabled:
             span.set_many(ubf_span_counters(outcomes))
     return outcomes
 
 
-def _run_ubf_nodes(
-    network: Network,
-    config: UBFConfig,
-    node_ids,
-    *,
-    measured: Optional[MeasuredDistances],
-    localization: str,
-    find_first: bool,
-    frames: Optional[Dict[int, LocalFrame]] = None,
-) -> List[UBFNodeOutcome]:
-    """The untraced classification behind :func:`run_ubf`.
-
-    Frames are built (or looked up) one node at a time and classified in
-    slabs through :func:`repro.geometry.ballfit.empty_ball_exists_batch`;
-    a slab closes once its :func:`~repro.geometry.ballfit.search_bytes`
-    reach :data:`~repro.geometry.ballfit.UBF_WORKING_SET_BYTES`, so the
-    frames and flattened arrays held at once stay flat in the network
-    size.  Outcomes are per node and independent of the slicing.
-    """
-    graph = network.graph
-    hops = config.collection_hops
-
-    def frame_of(node: int) -> LocalFrame:
-        if frames is not None:
-            return frames[node]
-        if localization == "mds":
-            return establish_local_frame(graph, measured, node, hops=hops)
-        if localization == "trilateration":
-            from repro.network.trilateration import trilateration_local_frame
-
-            return trilateration_local_frame(graph, measured, node, hops=hops)
-        return true_local_frame(graph, node, hops=hops)
-
-    outcomes: List[UBFNodeOutcome] = []
-    slab: List[Tuple[int, LocalFrame]] = []
-    slab_bytes = 0
-    for node in node_ids:
-        frame = frame_of(node)
-        slab.append((node, frame))
-        slab_bytes += search_bytes(frame.n_one_hop, len(frame.members))
-        if slab_bytes >= ballfit.UBF_WORKING_SET_BYTES:
-            outcomes.extend(_classify_slab(slab, config.radius, find_first))
-            slab, slab_bytes = [], 0
-    outcomes.extend(_classify_slab(slab, config.radius, find_first))
-    return outcomes
-
-
-def _classify_slab(
-    slab: List[Tuple[int, LocalFrame]], radius: float, find_first: bool
-) -> List[UBFNodeOutcome]:
-    """One batched kernel call over a slab of ``(node, frame)`` pairs."""
-    if not slab:
-        return []
-    frames = [frame for _, frame in slab]
-    fits = empty_ball_exists_batch(
-        np.stack([f.origin_coordinates for f in frames]),
-        [f.neighbor_coordinates for f in frames],
-        radius,
-        check_sets=[f.collection_coordinates for f in frames],
-        find_first=find_first,
-    )
-    return [
-        UBFNodeOutcome(
-            node=node,
-            is_candidate=fit.is_boundary,
-            balls_tested=fit.balls_tested,
-            neighborhood_size=len(frame.members) - 1,
-            points_checked=fit.points_checked,
-        )
-        for (node, frame), fit in zip(slab, fits)
-    ]
-
-
-def candidates_from_outcomes(outcomes: List[UBFNodeOutcome]) -> set:
+def candidates_from_outcomes(outcomes: Iterable[UBFNodeOutcome]) -> set:
     """Set of UBF-positive node IDs."""
-    return {o.node for o in outcomes if o.is_candidate}
+    outcomes = _as_outcomes(outcomes)
+    return set(outcomes.node[outcomes.is_candidate].tolist())
 
 
-def ubf_span_counters(outcomes: List[UBFNodeOutcome]) -> Dict[str, int]:
+def ubf_span_counters(outcomes: Iterable[UBFNodeOutcome]) -> Dict[str, int]:
     """Deterministic span counters summarizing a batch of UBF outcomes.
 
     Shared by :func:`run_ubf`'s ``ubf.run`` span and the per-shard spans of
     :mod:`repro.core.parallel` -- the values depend only on the outcomes,
     never on sharding or timing.
     """
+    outcomes = _as_outcomes(outcomes)
     return {
-        "n_candidates": sum(1 for o in outcomes if o.is_candidate),
-        "balls_tested": sum(o.balls_tested for o in outcomes),
-        "points_checked": sum(o.points_checked for o in outcomes),
+        "n_candidates": int(outcomes.is_candidate.sum()),
+        "balls_tested": int(outcomes.balls_tested.sum()),
+        "points_checked": int(outcomes.points_checked.sum()),
     }
 
 
-def balls_tested_profile(outcomes: List[UBFNodeOutcome]) -> Dict[str, float]:
+def balls_tested_profile(outcomes: Iterable[UBFNodeOutcome]) -> Dict[str, float]:
     """Aggregate ball-testing statistics (Theorem 1 observables)."""
-    tested = np.array([o.balls_tested for o in outcomes], dtype=float)
-    checked = np.array([o.points_checked for o in outcomes], dtype=float)
-    degrees = np.array([o.neighborhood_size for o in outcomes], dtype=float)
+    outcomes = _as_outcomes(outcomes)
+    tested = outcomes.balls_tested.astype(float)
+    checked = outcomes.points_checked.astype(float)
+    degrees = outcomes.neighborhood_size.astype(float)
     return {
         "mean_balls_tested": float(tested.mean()) if tested.size else 0.0,
         "max_balls_tested": float(tested.max()) if tested.size else 0.0,

@@ -50,16 +50,17 @@ from repro.core.config import DetectorConfig, IFFConfig, UBFConfig
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import run_iff
 from repro.core.pipeline import BoundaryDetector
-from repro.core.ubf import (
-    candidates_from_outcomes,
-    ubf_classify_frame,
-    ubf_span_counters,
-)
-from repro.geometry.ballfit import empty_ball_exists_batch
+from repro.core.ubf import search_frames, ubf_classify_frame, ubf_span_counters
+from repro.geometry.ballfit import BallFitArrays
 from repro.geometry.mds import SMACOF_BATCH_COORD_TOL
 from repro.geometry.native import load_kernels
 from repro.network.generator import DeploymentConfig, generate_network
-from repro.network.localization import DEFAULT_ENGINE, build_frames, true_frames
+from repro.network.localization import (
+    DEFAULT_ENGINE,
+    FrameBatch,
+    build_frames,
+    true_frames,
+)
 from repro.network.measurement import UniformAbsoluteError, measure_distances
 from repro.observability.export import write_atomic
 from repro.observability.tracer import Tracer, ensure_tracer
@@ -205,7 +206,7 @@ class BenchContext:
 
     scenario: BenchScenario
     network: object
-    frames: List[object]
+    frames: FrameBatch
     ubf_config: UBFConfig
     iff_config: IFFConfig
 
@@ -218,9 +219,9 @@ def build_context(
 ) -> BenchContext:
     """Generate the pinned network and per-node frames for a bench run.
 
-    ``with_frames=False`` skips the per-node ground-truth frames (one
-    ``LocalFrame`` per node) -- the localization bench never reads them, and
-    at ``loc_20k`` scale building them would dwarf the stage being timed.
+    ``with_frames=False`` leaves the ground-truth frame batch empty -- the
+    localization bench never reads it, and at ``loc_20k`` scale building
+    it would dwarf the stage being timed.
     """
     cfg = ubf_config if ubf_config is not None else UBFConfig()
     network = generate_network(
@@ -230,9 +231,9 @@ def build_context(
     )
     graph = network.graph
     frames = (
-        true_frames(graph, list(range(graph.n_nodes)), hops=cfg.collection_hops)
+        true_frames(graph, range(graph.n_nodes), hops=cfg.collection_hops)
         if with_frames
-        else []
+        else FrameBatch.from_frames([])
     )
     return BenchContext(
         scenario=scenario,
@@ -243,20 +244,14 @@ def build_context(
     )
 
 
-def _classify_all(ctx: BenchContext, *, naive: bool = False) -> List[object]:
-    """Every context frame through the batched kernel (or the naive oracle)."""
-    radius = ctx.ubf_config.radius
-    frames = ctx.frames
-    if naive:
-        return [ubf_classify_frame(f, radius, kernel="naive") for f in frames]
-    return empty_ball_exists_batch(
-        np.stack([f.origin_coordinates for f in frames])
-        if frames
-        else np.empty((0, 3)),
-        [f.neighbor_coordinates for f in frames],
-        radius,
-        check_sets=[f.collection_coordinates for f in frames],
-    )
+def _classify_all(ctx: BenchContext) -> BallFitArrays:
+    """Every context frame through :func:`run_ubf`'s batched search."""
+    return search_frames(ctx.frames, ctx.ubf_config.radius)
+
+
+def _candidates(ctx: BenchContext) -> set:
+    """UBF-positive node IDs of the context frames."""
+    return set(ctx.frames.nodes[_classify_all(ctx).is_boundary].tolist())
 
 
 def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dict:
@@ -269,12 +264,12 @@ def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dic
     oracle is the other side of the ``speedup_vs_naive`` gate.
     """
     median, timings, fits = _median_time(lambda: _classify_all(ctx), repeat)
-    balls = np.array([f.balls_tested for f in fits], dtype=float)
-    checks = np.array([f.points_checked for f in fits], dtype=float)
+    balls = fits.balls_tested.astype(float)
+    checks = fits.points_checked.astype(float)
     degrees = ctx.network.graph.degrees()
     mean_degree = float(degrees.mean())
     counters = {
-        "n_candidates": int(sum(1 for f in fits if f.is_boundary)),
+        "n_candidates": int(fits.is_boundary.sum()),
         "total_balls_tested": float(balls.sum()),
         "mean_balls_tested": float(balls.mean()),
         "max_balls_tested": float(balls.max()),
@@ -287,8 +282,11 @@ def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dic
     doc = _artifact("ubf", ctx, repeat, median, timings, counters)
     doc["native_available"] = load_kernels() is not None
     if time_naive:
+        radius = ctx.ubf_config.radius
         naive_seconds, _, naive_fits = _median_time(
-            lambda: _classify_all(ctx, naive=True), 1, warmup=False
+            lambda: [ubf_classify_frame(f, radius, kernel="naive") for f in ctx.frames],
+            1,
+            warmup=False,
         )
         doc["naive_seconds"] = naive_seconds
         doc["speedup_vs_naive"] = naive_seconds / median if median > 0 else float("inf")
@@ -297,7 +295,7 @@ def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dic
             and a.balls_tested == b.balls_tested
             and a.points_checked == b.points_checked
             and a.witness_pair == b.witness_pair
-            for a, b in zip(fits, naive_fits)
+            for a, b in zip(fits.results(), naive_fits)
         )
     return doc
 
@@ -361,15 +359,13 @@ def bench_localization(
     median, timings, frames = _median_time(
         lambda: build_frames(graph, measured, hops=hops), repeat
     )
-    sizes = np.array([len(f.members) for f in frames], dtype=float)
+    sizes = np.diff(frames.ptr).astype(float)
     counters = {
         "n_frames": len(frames),
         "total_members": float(sizes.sum()),
         "mean_frame_size": float(sizes.mean()),
         "max_frame_size": float(sizes.max()),
-        "total_smacof_iterations": float(
-            sum(f.smacof_iterations for f in frames)
-        ),
+        "total_smacof_iterations": float(frames.smacof_iterations.sum()),
     }
     doc = _artifact("localization", ctx, repeat, median, timings, counters)
     doc["engine"] = DEFAULT_ENGINE
@@ -407,8 +403,7 @@ def bench_localization(
 
 def bench_iff(ctx: BenchContext, repeat: int) -> dict:
     """Time Isolated Fragment Filtering on the UBF candidate set."""
-    fits = _classify_all(ctx)
-    candidates = {i for i, f in enumerate(fits) if f.is_boundary}
+    candidates = _candidates(ctx)
     graph = ctx.network.graph
     median, timings, boundary = _median_time(
         lambda: run_iff(graph, candidates, ctx.iff_config), repeat
@@ -423,8 +418,7 @@ def bench_iff(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
     """Time boundary grouping on the IFF-filtered boundary set."""
-    fits = _classify_all(ctx)
-    candidates = {i for i, f in enumerate(fits) if f.is_boundary}
+    candidates = _candidates(ctx)
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
     median, timings, groups = _median_time(
@@ -440,8 +434,7 @@ def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_mesh(ctx: BenchContext, repeat: int) -> dict:
     """Time triangular boundary-surface construction on the groups."""
-    fits = _classify_all(ctx)
-    candidates = {i for i, f in enumerate(fits) if f.is_boundary}
+    candidates = _candidates(ctx)
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
     groups = group_boundary_nodes(graph, boundary)

@@ -29,7 +29,7 @@ from repro.network.measurement import (
     UniformAbsoluteError,
     measure_distances,
 )
-from repro.network.localization import true_local_frame
+from repro.network.localization import true_frames
 from repro.network.stats import NetworkStats, compute_network_stats
 from repro.evaluation.seeding import cell_rng, error_cell_identity
 from repro.shapes.library import scenario_by_name
@@ -281,17 +281,12 @@ def run_ubf_complexity(
             scenario=shape_name,
         )
         outcomes = run_ubf(network, UBFConfig(), find_first=False)
-        tested = np.array([o.balls_tested for o in outcomes], dtype=float)
-        checked = np.array([o.points_checked for o in outcomes], dtype=float)
+        tested = outcomes.balls_tested.astype(float)
+        checked = outcomes.points_checked.astype(float)
         # Probes per candidate ball without early exit: the node's own
-        # position plus its full 2-hop collection.
-        collection = np.array(
-            [
-                len(true_local_frame(network.graph, n).collection_coordinates) + 1
-                for n in range(network.graph.n_nodes)
-            ],
-            dtype=float,
-        )
+        # position plus its full 2-hop collection, i.e. the frame size.
+        frames = true_frames(network.graph, range(network.graph.n_nodes))
+        collection = np.diff(frames.ptr).astype(float)
         degrees = network.graph.degrees()
         points.append(
             ComplexityPoint(

@@ -89,11 +89,10 @@ def point_triangle_distance(point, a, b, c) -> float:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         return float(np.linalg.norm(p - (b + t * (c - b))))
 
-    denom = 1.0 / (va + vb + vc)
-    v = vb * denom
-    w = vc * denom
-    projection = a + ab * v + ac * w
-    return float(np.linalg.norm(p - projection))
+    # Inside the face region the distance is the distance to the plane.
+    # Measuring it along the normal avoids rebuilding the projection from
+    # barycentrics, which lose precision on sliver triangles.
+    return float(abs(np.dot(ap, normal)) / np.sqrt(np.dot(normal, normal)))
 
 
 def mesh_surface_area(network: Network, mesh: TriangularMesh) -> float:

@@ -64,7 +64,7 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,6 +254,34 @@ class BallFitResult:
     witness_pair: Optional[Tuple[int, int]] = None
     balls_tested: int = 0
     points_checked: int = 0
+
+
+class BallFitArrays(NamedTuple):
+    """Per-node outcomes of one batched emptiness search, as arrays.
+
+    Row ``u`` holds what :class:`BallFitResult` holds for node ``u``; the
+    witness rows are NaN (center) and -1 (pair) where no empty ball was
+    found.
+    """
+
+    is_boundary: np.ndarray  # (N,) bool
+    balls_tested: np.ndarray  # (N,) int64
+    points_checked: np.ndarray  # (N,) int64
+    witness_center: np.ndarray  # (N, 3) float64
+    witness_pair: np.ndarray  # (N, 2) int64
+
+    def results(self) -> List[BallFitResult]:
+        """One :class:`BallFitResult` per node (the list API's form)."""
+        return [
+            BallFitResult(
+                is_boundary=bool(boundary),
+                empty_center=center.copy() if pair[0] >= 0 else None,
+                witness_pair=(int(pair[0]), int(pair[1])) if pair[0] >= 0 else None,
+                balls_tested=int(tested),
+                points_checked=int(checked),
+            )
+            for boundary, tested, checked, center, pair in zip(*self)
+        ]
 
 
 def _inside_threshold(radius: float) -> float:
@@ -577,7 +605,7 @@ def _batched_search(
     probe_len: np.ndarray,
     radius: float,
     find_first: bool,
-) -> List[BallFitResult]:
+) -> BallFitArrays:
     """Network-batched emptiness search over one slab of nodes.
 
     Candidates are enumerated once for the whole slab
@@ -673,34 +701,20 @@ def _batched_search(
                     witness[first_nodes[fresh]] = ball_idx[first_rows[fresh]]
             pos[cur] += take
 
-    results: List[BallFitResult] = []
-    for u in range(n_nodes):
-        if cand_counts[u] == 0:
-            # No candidate ball fits (or fewer than two neighbors): the
-            # node sits against empty space -- conservative boundary.
-            results.append(
-                BallFitResult(is_boundary=True, balls_tested=0, points_checked=0)
-            )
-        elif witness[u] >= 0:
-            w = int(witness[u])
-            results.append(
-                BallFitResult(
-                    is_boundary=True,
-                    empty_center=centers[w].copy(),
-                    witness_pair=(int(pairs[w, 0]), int(pairs[w, 1])),
-                    balls_tested=int(tested[u]),
-                    points_checked=int(checked[u]),
-                )
-            )
-        else:
-            results.append(
-                BallFitResult(
-                    is_boundary=False,
-                    balls_tested=int(tested[u]),
-                    points_checked=int(checked[u]),
-                )
-            )
-    return results
+    # Nodes without a candidate ball (or fewer than two neighbors) sit
+    # against empty space: conservative boundary, zero counters.
+    found = witness >= 0
+    witness_center = np.full((n_nodes, 3), np.nan)
+    witness_center[found] = centers[witness[found]]
+    witness_pair = np.full((n_nodes, 2), -1, dtype=np.int64)
+    witness_pair[found] = pairs[witness[found]]
+    return BallFitArrays(
+        is_boundary=(cand_counts == 0) | found,
+        balls_tested=tested,
+        points_checked=checked,
+        witness_center=witness_center,
+        witness_pair=witness_pair,
+    )
 
 
 def _native_ubf_kernels():
@@ -719,7 +733,7 @@ def empty_ball_exists_batch_arrays(
     radius: float,
     *,
     find_first: bool = True,
-) -> List[BallFitResult]:
+) -> BallFitArrays:
     """Batch emptiness search over pre-flattened per-node arrays.
 
     The array-native entry point behind :func:`empty_ball_exists_batch`:
@@ -730,7 +744,8 @@ def empty_ball_exists_batch_arrays(
     flattened collections (the 100k-scale pipeline) avoid any per-node
     Python assembly.  Nodes are searched in consecutive slabs of at most
     :data:`UBF_WORKING_SET_BYTES` (:func:`search_bytes`; a single node
-    over the budget forms its own slab).
+    over the budget forms its own slab), and the per-node outcomes come
+    back as one :class:`BallFitArrays` -- no per-node objects.
     """
     origins = as_points(origins)
     nbr_ptr = np.asarray(nbr_ptr, dtype=np.int64)
@@ -739,16 +754,17 @@ def empty_ball_exists_batch_arrays(
     probe_flat = as_points(probe_flat) if len(probe_flat) else np.empty((0, 3))
     probe_len = np.diff(probe_ptr)
     spent = np.cumsum(search_bytes(np.diff(nbr_ptr), probe_len))
-    results: List[BallFitResult] = []
+    n_nodes = origins.shape[0]
+    slabs: List[BallFitArrays] = []
     start = 0
-    while start < origins.shape[0]:
+    while start < n_nodes or not slabs:  # no nodes: one empty, typed slab
         before = int(spent[start - 1]) if start else 0
         end = int(
             np.searchsorted(spent, before + UBF_WORKING_SET_BYTES, side="right")
         )
-        end = max(end, start + 1)
+        end = min(max(end, start + 1), n_nodes)
         lo = nbr_ptr[start]
-        results.extend(
+        slabs.append(
             _batched_search(
                 origins[start:end],
                 nbr_flat[lo : nbr_ptr[end]],
@@ -761,7 +777,7 @@ def empty_ball_exists_batch_arrays(
             )
         )
         start = end
-    return results
+    return BallFitArrays(*(np.concatenate(column) for column in zip(*slabs)))
 
 
 def empty_ball_exists_batch(
@@ -820,4 +836,4 @@ def empty_ball_exists_batch(
         probe_ptr,
         radius,
         find_first=find_first,
-    )
+    ).results()

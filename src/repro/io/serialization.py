@@ -20,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.pipeline import BoundaryDetectionResult
+from repro.core.ubf import UBFOutcomes
 from repro.network.generator import DeploymentConfig, Network
 from repro.network.graph import NetworkGraph
 from repro.observability.export import write_atomic
@@ -125,6 +126,6 @@ def load_detection_result(path: PathLike) -> BoundaryDetectionResult:
         candidates=set(doc["candidates"]),
         boundary=set(doc["boundary"]),
         groups=[list(g) for g in doc["groups"]],
-        ubf_outcomes=[],
+        ubf_outcomes=UBFOutcomes.from_outcomes([]),
         localization_used=doc.get("localization_used", "unknown"),
     )

@@ -17,6 +17,7 @@ simulation input the paper describes (Sec. IV-A):
 from repro.network.generator import DeploymentConfig, Network, generate_network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
+    FrameBatch,
     LocalFrame,
     build_frames,
     establish_local_frame,
@@ -38,6 +39,7 @@ __all__ = [
     "Network",
     "generate_network",
     "NetworkGraph",
+    "FrameBatch",
     "LocalFrame",
     "build_frames",
     "establish_local_frame",

@@ -68,7 +68,7 @@ delegation makes them bit-identical to the oracle by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -171,6 +171,98 @@ class LocalFrame:
         return self.coordinates[1:]
 
 
+@dataclass(eq=False)
+class FrameBatch:
+    """The local frames of ``k`` nodes as one CSR batch.
+
+    Frame ``i`` is rows ``ptr[i]:ptr[i + 1]`` of ``members`` (int64 node
+    IDs) and ``coords`` (float64 ``(M, 3)``) in :class:`LocalFrame`'s row
+    layout -- the owner ``nodes[i]`` first, then its one-hop neighbors
+    ascending, then the farther members ascending -- with
+    ``n_one_hop[i]`` and ``smacof_iterations[i]`` alongside (all int64).
+    Localization produces it and UBF consumes it; :class:`LocalFrame`
+    objects exist only as views (:meth:`frame`, iteration) and as
+    per-node oracle outputs, which :meth:`from_frames` packs.
+    """
+
+    nodes: np.ndarray
+    ptr: np.ndarray
+    members: np.ndarray
+    coords: np.ndarray
+    n_one_hop: np.ndarray
+    smacof_iterations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def frame(self, i: int) -> LocalFrame:
+        """Frame ``i`` as a :class:`LocalFrame` (coordinates are a view)."""
+        lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
+        return LocalFrame(
+            node=int(self.nodes[i]),
+            members=self.members[lo:hi].tolist(),
+            coordinates=self.coords[lo:hi],
+            n_one_hop=int(self.n_one_hop[i]),
+            smacof_iterations=int(self.smacof_iterations[i]),
+        )
+
+    def __iter__(self) -> Iterator[LocalFrame]:
+        return map(self.frame, range(len(self)))
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[LocalFrame]) -> "FrameBatch":
+        """Pack per-node frames (oracle outputs, mapping values) in order."""
+        frames = list(frames)
+        ptr = np.zeros(len(frames) + 1, dtype=np.int64)
+        np.cumsum([len(f.members) for f in frames], out=ptr[1:])
+        return cls(
+            nodes=np.array([f.node for f in frames], dtype=np.int64),
+            ptr=ptr,
+            # The trailing empty pieces cover ``frames == []``.
+            members=np.concatenate(
+                [np.asarray(f.members, dtype=np.int64) for f in frames]
+                + [np.empty(0, dtype=np.int64)]
+            ),
+            coords=np.concatenate(
+                [np.asarray(f.coordinates, dtype=float) for f in frames]
+                + [np.empty((0, 3))]
+            ),
+            n_one_hop=np.array([f.n_one_hop for f in frames], dtype=np.int64),
+            smacof_iterations=np.array(
+                [f.smacof_iterations for f in frames], dtype=np.int64
+            ),
+        )
+
+    def select(self, rows) -> "FrameBatch":
+        """The frames at batch rows ``rows``, in that order (a copy)."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        sizes = self.ptr[rows + 1] - self.ptr[rows]
+        ptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ptr[1:])
+        gather = np.arange(ptr[-1]) + np.repeat(self.ptr[rows] - ptr[:-1], sizes)
+        return FrameBatch(
+            nodes=self.nodes[rows],
+            ptr=ptr,
+            members=self.members[gather],
+            coords=self.coords[gather],
+            n_one_hop=self.n_one_hop[rows],
+            smacof_iterations=self.smacof_iterations[rows],
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
+        """One batch holding ``batches``' frames in order."""
+        if not batches:
+            return cls.from_frames([])
+        joined = {
+            name: np.concatenate([getattr(b, name) for b in batches])
+            for name in ("nodes", "members", "coords", "n_one_hop", "smacof_iterations")
+        }
+        ptr = np.zeros(len(joined["nodes"]) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(b.ptr) for b in batches]), out=ptr[1:])
+        return cls(ptr=ptr, **joined)
+
+
 def _frame_members(graph: NetworkGraph, node: int, hops: int) -> (List[int], int):
     """Ordered member list: node, 1-hop neighbors, then farther collection."""
     one_hop = [int(v) for v in graph.neighbors(node)]
@@ -230,7 +322,7 @@ def build_frames(
     hops: int = DEFAULT_COLLECTION_HOPS,
     engine: str = DEFAULT_ENGINE,
     nodes: Optional[Sequence[int]] = None,
-) -> List[LocalFrame]:
+) -> FrameBatch:
     """MDS local frames for ``nodes`` (all nodes by default), in order.
 
     ``engine`` selects ``"sparse"`` (default) or the ``"pernode"`` oracle;
@@ -247,10 +339,10 @@ def build_frames(
         list(range(graph.n_nodes)) if nodes is None else [int(n) for n in nodes]
     )
     if engine == "pernode":
-        return [
+        return FrameBatch.from_frames(
             establish_local_frame(graph, measured, node, hops=hops)
             for node in node_ids
-        ]
+        )
     return _build_frames_sparse(graph, measured, node_ids, hops)
 
 
@@ -268,13 +360,15 @@ def _measured_edge_values(
 
 
 def _collect_frame_metas(
-    graph: NetworkGraph, node_ids: List[int], hops: int
-) -> List[tuple]:
-    """Per-node ``(node, members, n_one_hop)`` tuples from one k-hop sweep.
+    graph: NetworkGraph, node_ids: Sequence[int], hops: int
+) -> FrameBatch:
+    """The frames of ``node_ids`` from one k-hop sweep, coordinates unset.
 
-    Ordered member arrays mirror :func:`_frame_members`: the node itself,
-    then its one-hop neighbors ascending, then the farther collection
-    ascending (``k_hop_collections`` returns nodes sorted ascending).
+    Frame ``i``'s members mirror :func:`_frame_members` for
+    ``node_ids[i]``: the node itself, then its one-hop neighbors
+    ascending, then the farther collection ascending
+    (``k_hop_collections`` returns nodes sorted ascending).  ``coords``
+    is allocated but left for the caller to fill.
     """
     ptr, nodes, hop_counts = graph.k_hop_collections(hops, sources=node_ids)
     n_sources = len(node_ids)
@@ -299,60 +393,49 @@ def _collect_frame_metas(
     fill = np.ones(members_flat.size, dtype=bool)
     fill[starts] = False
     members_flat[fill] = ordered
-    return [
-        (node, members_flat[frame_ptr[i] : frame_ptr[i + 1]], int(n_one_hop[i]))
-        for i, node in enumerate(node_ids)
-    ]
+    return FrameBatch(
+        nodes=np.asarray(node_ids, dtype=np.int64).reshape(-1),
+        ptr=frame_ptr,
+        members=members_flat,
+        coords=np.empty((members_flat.size, 3)),
+        n_one_hop=n_one_hop.astype(np.int64),
+        smacof_iterations=np.zeros(n_sources, dtype=np.int64),
+    )
 
 
 def true_frames(
-    graph: NetworkGraph, node_ids: List[int], *, hops: int = DEFAULT_COLLECTION_HOPS
-) -> List[LocalFrame]:
+    graph: NetworkGraph, node_ids: Sequence[int], *, hops: int = DEFAULT_COLLECTION_HOPS
+) -> FrameBatch:
     """Ground-truth frames for ``node_ids`` from one collection sweep.
 
     Frame for frame identical to :func:`true_local_frame` (its per-node
     BFS twin and oracle): same member order, coordinates ``positions[
     members]`` bit for bit.
     """
-    positions = graph.positions
-    return [
-        LocalFrame(
-            node=node,
-            members=members.tolist(),
-            coordinates=positions[members],
-            n_one_hop=n_one_hop,
-        )
-        for node, members, n_one_hop in _collect_frame_metas(graph, node_ids, hops)
-    ]
-
-
-def _group_by_size(metas: List[tuple]) -> Dict[int, List[int]]:
-    """Frame indices grouped by member count for same-size stacking."""
-    by_size: Dict[int, List[int]] = {}
-    for i, (_, members, _) in enumerate(metas):
-        by_size.setdefault(int(members.size), []).append(i)
-    return by_size
+    batch = _collect_frame_metas(graph, node_ids, hops)
+    batch.coords = graph.positions[batch.members]
+    return batch
 
 
 def _assemble_partial_stack(
-    metas: List[tuple],
-    chunk: List[int],
+    member_ids: np.ndarray,
     m: int,
     indptr: np.ndarray,
     indices: np.ndarray,
     edge_vals: np.ndarray,
     local_index: np.ndarray,
 ) -> np.ndarray:
-    """Measured partial-distance ``(len(chunk), m, m)`` stack via CSR gather.
+    """Measured partial-distance ``(B, m, m)`` stack via CSR gather.
+
+    ``member_ids`` is ``(B, m)``: one row of member node IDs per frame.
 
     ``local_index`` is a caller-owned ``(n_nodes,)`` int64 scratch filled
     with -1; it is restored to -1 before returning.
     """
     local_rows = np.arange(m, dtype=np.int64)
-    partial = np.full((len(chunk), m, m), np.inf)
+    partial = np.full((member_ids.shape[0], m, m), np.inf)
     partial[:, local_rows, local_rows] = 0.0
-    for b, i in enumerate(chunk):
-        members = metas[i][1]
+    for b, members in enumerate(member_ids):
         local_index[members] = local_rows
         row_starts = indptr[members]
         counts = indptr[members + 1] - row_starts
@@ -374,7 +457,7 @@ def _build_frames_sparse(
     measured: MeasuredDistances,
     node_ids: List[int],
     hops: int,
-) -> List[LocalFrame]:
+) -> FrameBatch:
     """The ``sparse`` engine behind :func:`build_frames`.
 
     One multi-source BFS sweep yields every collection; frames are grouped
@@ -384,35 +467,38 @@ def _build_frames_sparse(
     native kernels when they load.  Per-frame computations stay
     independent -- grouping, chunk caps, and kernel availability cannot
     change any frame's result beyond the documented engine tolerance, so
-    sharded runs remain partition-invariant.
+    sharded runs remain partition-invariant.  Each chunk's coordinates
+    and step counts land in the batch's rows directly.
     """
+    batch = _collect_frame_metas(graph, node_ids, hops)
+    ptr, members = batch.ptr, batch.members
     if not node_ids:
-        return []
+        return batch
     kernels = load_kernels()
     indptr, indices = graph.csr()
     edge_vals = _measured_edge_values(graph, measured, indptr, indices)
-    metas = _collect_frame_metas(graph, node_ids, hops)
-    by_size = _group_by_size(metas)
-
-    frames: List[Optional[LocalFrame]] = [None] * len(metas)
+    sizes = np.diff(ptr)
     # Scratch global->local maps (int32 for the C kernel, int64 for the
     # numpy gather), reset to -1 after each frame's assembly.
     local_index64 = np.full(graph.n_nodes, -1, dtype=np.int64)
     local_index32 = (
         np.full(graph.n_nodes, -1, dtype=np.int32) if kernels is not None else None
     )
-    for m, group in sorted(by_size.items()):
+    for m in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == m)
         cap = max(1, min(MAX_BATCH_FRAMES, MAX_BATCH_ELEMENTS // max(1, m * m)))
         diag = np.arange(m)
         for start in range(0, len(group), cap):
             chunk = group[start : start + cap]
             nb = len(chunk)
+            rows = (ptr[chunk][:, None] + diag[None, :]).ravel()
+            member_ids = members[rows].reshape(nb, m)
 
             if m < SCALAR_FALLBACK_MEMBERS:
                 # Tiny rank-deficient frames: run the oracle's scalar
                 # kernel per slice (see SCALAR_FALLBACK_MEMBERS).
                 partial = _assemble_partial_stack(
-                    metas, chunk, m, indptr, indices, edge_vals, local_index64
+                    member_ids, m, indptr, indices, edge_vals, local_index64
                 )
                 coords = np.empty((nb, m, 3))
                 iters: np.ndarray = np.zeros(nb, dtype=int)
@@ -420,14 +506,15 @@ def _build_frames_sparse(
                     info: Dict[str, int] = {}
                     coords[b] = local_mds_embedding(partial[b], info=info)
                     iters[b] = info["smacof_iterations"]
-                _emit_frames(frames, metas, chunk, coords, iters)
+                batch.coords[rows] = coords.reshape(-1, 3)
+                batch.smacof_iterations[chunk] = iters
                 continue
 
             frame_ptr = np.arange(nb + 1, dtype=np.int64) * m
             edge_src = edge_dst = edge_delta = edge_ptr = None
             partial = None
             if kernels is not None:
-                members_cat = np.concatenate([metas[i][1] for i in chunk])
+                members_cat = member_ids.ravel()
                 stack = np.empty((nb, m, m))
                 partial_ptr = np.arange(nb + 1, dtype=np.int64) * (m * m)
                 degree_sum = int(
@@ -445,7 +532,7 @@ def _build_frames_sparse(
                 )
             else:
                 stack = _assemble_partial_stack(
-                    metas, chunk, m, indptr, indices, edge_vals, local_index64
+                    member_ids, m, indptr, indices, edge_vals, local_index64
                 )
                 partial = stack
 
@@ -497,27 +584,9 @@ def _build_frames_sparse(
                 coords, steps = smacof_refine_batch(
                     coords, np.where(mask, partial, 0.0), weights, iterations=30
                 )
-            _emit_frames(frames, metas, chunk, coords, steps)
-    return frames  # type: ignore[return-value]
-
-
-def _emit_frames(
-    frames: List[Optional[LocalFrame]],
-    metas: List[tuple],
-    chunk: List[int],
-    coords: np.ndarray,
-    iters: np.ndarray,
-) -> None:
-    """Materialize one chunk's ``LocalFrame`` objects into ``frames``."""
-    for b, i in enumerate(chunk):
-        node, members, n_one_hop = metas[i]
-        frames[i] = LocalFrame(
-            node=node,
-            members=members.tolist(),
-            coordinates=coords[b].copy(),
-            n_one_hop=n_one_hop,
-            smacof_iterations=int(iters[b]),
-        )
+            batch.coords[rows] = coords.reshape(-1, 3)
+            batch.smacof_iterations[chunk] = steps
+    return batch
 
 
 def local_frames(

@@ -20,11 +20,7 @@ import numpy as np
 import pytest
 
 from repro import BoundaryDetector, DetectorConfig
-from repro.core.parallel import (
-    run_frames_parallel,
-    run_ubf_parallel,
-    shard_nodes,
-)
+from repro.core.parallel import run_frames_parallel, run_ubf_parallel
 from repro.core.ubf import run_ubf
 from repro.io.serialization import save_detection_result
 from repro.network.generator import DeploymentConfig, Network, generate_network
@@ -55,14 +51,6 @@ class TestWorkerCountInvariance:
         for workers in WORKER_COUNTS[1:]:
             parallel = run_ubf_parallel(sphere_network, workers=workers)
             assert parallel == sequential
-
-    def test_shards_partition_nodes_in_order(self):
-        nodes = list(range(103))
-        for workers in (1, 2, 4, 7):
-            shards = shard_nodes(nodes, workers)
-            assert [n for shard in shards for n in shard] == nodes
-            sizes = [len(s) for s in shards]
-            assert max(sizes) - min(sizes) <= 1
 
 
 class TestNodeRelabelingInvariance:

@@ -32,6 +32,7 @@ from repro.network.generator import DeploymentConfig, generate_network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
     SCALAR_FALLBACK_MEMBERS,
+    FrameBatch,
     LocalFrame,
     build_frames,
     establish_local_frame,
@@ -112,11 +113,12 @@ class TestEngineDifferential:
             graph, UniformAbsoluteError(0.3), np.random.default_rng(3)
         )
         whole = build_frames(graph, measured)
-        split = build_frames(
-            graph, measured, nodes=range(graph.n_nodes // 2)
-        ) + build_frames(
-            graph, measured, nodes=range(graph.n_nodes // 2, graph.n_nodes)
-        )
+        split = FrameBatch.concat([
+            build_frames(graph, measured, nodes=range(graph.n_nodes // 2)),
+            build_frames(
+                graph, measured, nodes=range(graph.n_nodes // 2, graph.n_nodes)
+            ),
+        ])
         for a, b in zip(whole, split):
             assert a.members == b.members
             assert a.smacof_iterations == b.smacof_iterations
@@ -129,8 +131,8 @@ class TestEngineDifferential:
         )
         frames = build_frames(network.graph, measured, engine="pernode")
         direct = establish_local_frame(network.graph, measured, 7)
-        assert frames[7].members == direct.members
-        assert np.array_equal(frames[7].coordinates, direct.coordinates)
+        assert frames.frame(7).members == direct.members
+        assert np.array_equal(frames.frame(7).coordinates, direct.coordinates)
 
     def test_unknown_engine_rejected(self):
         network = _small_network("sphere")

@@ -33,6 +33,15 @@ class TestPointTriangleDistance:
         d = point_triangle_distance([1.0, 1.0, 0.0], *self.TRI)
         assert d == pytest.approx(np.sqrt(2) / 2)
 
+    def test_point_on_edge_of_sliver(self):
+        """A nearly collinear triangle still puts its own edge at distance 0."""
+        a = np.array([0.828652442, 1.1920929e-07, 1.1920929e-07], dtype=np.float32)
+        b = np.zeros(3)
+        c = np.array([0.85231334, 0.0, 0.0], dtype=np.float32)
+        a, c = a.astype(float), c.astype(float)
+        on_edge = 0.3828125 * b + 0.6171875 * c
+        assert point_triangle_distance(on_edge, a, b, c) < 1e-9
+
 
 class TestEvaluateMesh:
     def _tetra_network(self):

@@ -5,19 +5,25 @@ Eq.-1 blocks and probe waves of one :func:`repro.core.ubf.run_ubf` call,
 so once a network spans more than one slab its peak traced allocation
 stays flat as the network grows.  Fixed node/pair counts (a whole
 network in one slab) would make it grow linearly instead.
+
+The frames are one :class:`~repro.network.localization.FrameBatch` built
+before tracing starts, as ``detect()`` hands them over: a
+``{node: LocalFrame}`` mapping would be packed inside the traced call,
+an O(n) copy that is not part of the search.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import DeploymentConfig, generate_network, scenario_by_name
 from repro.core.config import UBFConfig
 from repro.core.ubf import run_ubf
 from repro.geometry import ballfit
-from repro.network.localization import true_local_frame
+from repro.network.localization import true_frames
 
 
 def _sphere(n_surface: int, n_interior: int):
@@ -28,7 +34,7 @@ def _sphere(n_surface: int, n_interior: int):
         ),
         scenario="sphere",
     )
-    frames = {v: true_local_frame(network.graph, v) for v in range(network.graph.n_nodes)}
+    frames = true_frames(network.graph, range(network.graph.n_nodes))
     return network, frames
 
 
@@ -49,8 +55,8 @@ def two_spheres():
 
 def test_networks_span_several_slabs(two_spheres):
     (small, frames), _ = two_spheres
-    slab_bytes = sum(
-        ballfit.search_bytes(f.n_one_hop, len(f.members)) for f in frames.values()
+    slab_bytes = int(
+        ballfit.search_bytes(frames.n_one_hop, np.diff(frames.ptr)).sum()
     )
     assert slab_bytes > 2 * ballfit.UBF_WORKING_SET_BYTES
 
@@ -60,7 +66,8 @@ def test_peak_does_not_grow_with_network_size(two_spheres):
     assert large.graph.n_nodes == 2 * small.graph.n_nodes
     small_peak = _peak_traced_bytes(small, small_frames)
     large_peak = _peak_traced_bytes(large, large_frames)
-    # Only the per-node outcome list grows with n (a few hundred bytes a
-    # node); the search itself stays within a small multiple of the budget.
+    # Only per-node arrays grow with n (the outcome arrays and the gathered
+    # one-hop rows, a few hundred bytes a node); the search itself stays
+    # within a small multiple of the budget.
     assert large_peak < 1.25 * small_peak
     assert large_peak < 2 * ballfit.UBF_WORKING_SET_BYTES
