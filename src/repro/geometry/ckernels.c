@@ -12,10 +12,18 @@
  * - fw_complete_batch mirrors the numpy Floyd-Warshall relaxation
  *   bit-for-bit: identical pivot order (k outer), identical elementwise
  *   min/add, no FMA contraction (-ffp-contract=off in the build flags).
+ *   Rows whose pivot entry d[i][k] is +inf are skipped, which changes no
+ *   bit (inf + x never wins the min).
  * - smacof_refine_frames reproduces smacof_refine_counted's majorization
  *   (including the d > 1e-12 ratio guard and the relative stress stopping
- *   rule) with reassociated reductions; coordinates agree within
- *   SMACOF_BATCH_COORD_TOL and step counts agree exactly.
+ *   rule); coordinates agree with it within SMACOF_BATCH_COORD_TOL and
+ *   step counts agree exactly.  Its output is bit-identical to the plain
+ *   formulation (row dot products for the apply, a left-looking Cholesky,
+ *   separate stress and right-hand-side passes): the blocked apply and
+ *   inverse, the right-looking Cholesky and the fused edge pass keep
+ *   every output element's floating-point operation order and only run
+ *   independent elements side by side.  Frames with a disconnected
+ *   measured-pair graph are declined, untouched, for the scalar oracle.
  * - ubf_empty_check mirrors the batched numpy emptiness waves exactly:
  *   same strictly-inside comparison against the same squared threshold,
  *   sequential dx*dx + dy*dy + dz*dz accumulation with no FMA
@@ -65,7 +73,7 @@ int64_t assemble_frames(
                     continue;
                 double val = edge_vals[p];
                 partial[li * m + lj] = val;
-                if (lj > li) {
+                if (lj > li && isfinite(val)) {
                     edge_src[ne_total] = (int32_t)li;
                     edge_dst[ne_total] = lj;
                     edge_delta[ne_total] = val;
@@ -86,7 +94,9 @@ int64_t assemble_frames(
 
 /* In-place Floyd-Warshall over a (b, m, m) stack; identical relaxation
  * order to complete_distance_matrix_batch.  `rowk` buffers pivot row k
- * so the inner loop carries no aliasing (i == k) and vectorizes. */
+ * so the inner loop carries no aliasing (i == k) and vectorizes.  Rows
+ * with d[i][k] = +inf are skipped: inf + x never wins the min, so the
+ * skip changes no bit. */
 void fw_complete_batch(double *d, int64_t b, int64_t m,
                        double unreachable, double *rowk)
 {
@@ -96,6 +106,8 @@ void fw_complete_batch(double *d, int64_t b, int64_t m,
             memcpy(rowk, ds + k * m, (size_t)m * sizeof(double));
             for (int64_t i = 0; i < m; ++i) {
                 double dik = ds[i * m + k];
+                if (dik == INFINITY)
+                    continue;
                 double *restrict rowi = ds + i * m;
                 for (int64_t j = 0; j < m; ++j) {
                     double via = dik + rowk[j];
@@ -186,62 +198,211 @@ void center_gram_batch(double *d, int64_t b, int64_t m, double *rowmean)
 /* SMACOF majorization over concatenated frames                     */
 /* ---------------------------------------------------------------- */
 
-/* Unblocked Cholesky (lower) of an SPD matrix, in place.  Returns 0 on
- * success, -1 if a pivot is non-positive (rank-deficient input). */
-static int cholesky(double *a, int64_t m)
+/* Four doubles as one GCC/Clang vector value: lane-wise arithmetic that
+ * the compiler maps onto whatever SIMD width the target has. */
+typedef double vec4 __attribute__((vector_size(32)));
+
+static inline vec4 load4(const double *p)
 {
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j <= i; ++j) {
-            double s = a[i * m + j];
-            for (int64_t k = 0; k < j; ++k)
-                s -= a[i * m + k] * a[j * m + k];
-            if (i == j) {
-                if (s <= 0.0)
-                    return -1;
-                a[i * m + i] = sqrt(s);
-            } else {
-                a[i * m + j] = s / a[j * m + j];
-            }
+    vec4 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store4(double *p, vec4 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+static inline vec4 splat4(double x)
+{
+    vec4 v = {x, x, x, x};
+    return v;
+}
+
+/* Lanes (matrix columns, or rows of the transposed inverse) per register
+ * block of the inverse and its apply, as BLOCK_VECS vec4 values.  Both
+ * matrices are stored with rows padded to a multiple of APPLY_LANES, so
+ * every block is full; padding lanes hold zeros and are never read out. */
+#define BLOCK_VECS 4
+#define APPLY_LANES (4 * BLOCK_VECS)
+
+/* 1 if the measured-pair graph of an m-member frame is connected
+ * (union-find with path halving over its edge list; `parent` is an
+ * m-sized scratch). */
+static int frame_connected(const int32_t *es, const int32_t *ed, int64_t ne,
+                           int64_t m, int32_t *parent)
+{
+    for (int64_t i = 0; i < m; ++i)
+        parent[i] = (int32_t)i;
+    int64_t components = m;
+    for (int64_t e = 0; e < ne; ++e) {
+        int32_t u = es[e], v = ed[e];
+        while (parent[u] != u)
+            u = parent[u] = parent[parent[u]];
+        while (parent[v] != v)
+            v = parent[v] = parent[parent[v]];
+        if (u != v) {
+            parent[u] = v;
+            --components;
+        }
+    }
+    return components == 1;
+}
+
+/* Right-looking Cholesky (lower) of an SPD matrix, in place; `col` is an
+ * m-sized scratch holding the current column of L contiguously.  Every
+ * element receives its k-updates a_ij -= l_ik * l_jk in ascending k and
+ * is then divided by (or, on the diagonal, square-rooted into) its pivot
+ * -- the operation sequence of the left-looking dot-product form, so the
+ * factor is the same bit for bit, but the trailing update runs over
+ * independent lanes.  Returns 0 on success, -1 if a pivot is
+ * non-positive. */
+static int cholesky(double *a, int64_t m, double *col)
+{
+    for (int64_t k = 0; k < m; ++k) {
+        double pivot = a[k * m + k];
+        if (pivot <= 0.0)
+            return -1;
+        double lkk = sqrt(pivot);
+        a[k * m + k] = lkk;
+        for (int64_t i = k + 1; i < m; ++i) {
+            double lik = a[i * m + k] / lkk;
+            a[i * m + k] = lik;
+            col[i] = lik;
+        }
+        for (int64_t i = k + 1; i < m; ++i) {
+            double lik = col[i];
+            double *restrict ai = a + i * m;
+            for (int64_t j = k + 1; j <= i; ++j)
+                ai[j] -= lik * col[j];
         }
     }
     return 0;
 }
 
-/* Invert an SPD matrix given its in-place Cholesky factor L (lower):
- * writes A^{-1} into `ainv` (row-major, full symmetric).  Computed as a
- * matrix-wide forward substitution (L Y = I, exploiting Y's lower
- * triangularity) followed by a matrix-wide backward substitution
- * (L^T Z = Y); the inner loops run over contiguous rows, so they
- * vectorize -- the whole inverse costs about ten majorization steps'
- * worth of triangular solves and is amortized over every iteration. */
-static void cholesky_inverse(const double *L, double *ainv, int64_t m)
+/* Invert an SPD matrix given its in-place Cholesky factor L (lower, row
+ * stride m): writes A^{-1} into `ainv` (row-major, row stride `stride`, a
+ * multiple of APPLY_LANES, padding lanes zero).  Computed as a forward
+ * substitution (L Y = I; Y is lower triangular) followed by a backward
+ * substitution (L^T Z = Y), each finishing one row at a time in vector
+ * registers: row i of Y takes y_i -= l_ik y_k for k ascending and then
+ * the scale by 1/l_ii; row k of Z takes z_k -= l_ik z_i for i descending
+ * and then the scale by 1/l_kk.  That is the per-element order of the
+ * row-sweep formulation (scale row k, update every later row), so the
+ * inverse is the same bit for bit.  A block may span lanes j > k that
+ * the sweep never updates at pivot k; there y_k[j] is +0.0, so the
+ * update y_i[j] - l_ik * 0 leaves y_i[j] (+0.0, or 1.0 on the diagonal)
+ * unchanged, and the positive scale keeps +0.0 as it is. */
+static void cholesky_inverse(const double *L, double *ainv, int64_t m,
+                             int64_t stride)
 {
-    for (int64_t i = 0; i < m * m; ++i)
-        ainv[i] = 0.0;
+    memset(ainv, 0, (size_t)(m * stride) * sizeof(double));
     for (int64_t i = 0; i < m; ++i)
-        ainv[i * m + i] = 1.0;
-    for (int64_t k = 0; k < m; ++k) {
-        double *restrict yk = ainv + k * m;
-        double inv = 1.0 / L[k * m + k];
-        for (int64_t j = 0; j <= k; ++j)
-            yk[j] *= inv;
-        for (int64_t i = k + 1; i < m; ++i) {
-            double lik = L[i * m + k];
-            double *restrict yi = ainv + i * m;
-            for (int64_t j = 0; j <= k; ++j)
-                yi[j] -= lik * yk[j];
+        ainv[i * stride + i] = 1.0;
+    for (int64_t i = 0; i < m; ++i) {
+        double *yi = ainv + i * stride;
+        double inv = 1.0 / L[i * m + i];
+        vec4 vinv = splat4(inv);
+        for (int64_t j0 = 0; j0 <= i; j0 += APPLY_LANES) {
+            vec4 acc[BLOCK_VECS];
+            for (int q = 0; q < BLOCK_VECS; ++q)
+                acc[q] = load4(yi + j0 + 4 * q);
+            for (int64_t k = j0; k < i; ++k) {
+                vec4 lik = splat4(L[i * m + k]);
+                const double *yk = ainv + k * stride + j0;
+                for (int q = 0; q < BLOCK_VECS; ++q)
+                    acc[q] -= lik * load4(yk + 4 * q);
+            }
+            for (int q = 0; q < BLOCK_VECS; ++q)
+                store4(yi + j0 + 4 * q, acc[q] * vinv);
         }
     }
-    for (int64_t i = m - 1; i >= 0; --i) {
-        double *restrict zi = ainv + i * m;
-        double inv = 1.0 / L[i * m + i];
-        for (int64_t j = 0; j < m; ++j)
-            zi[j] *= inv;
-        for (int64_t k = 0; k < i; ++k) {
-            double lik = L[i * m + k];
-            double *restrict zk = ainv + k * m;
-            for (int64_t j = 0; j < m; ++j)
-                zk[j] -= lik * zi[j];
+    for (int64_t k = m - 1; k >= 0; --k) {
+        double *zk = ainv + k * stride;
+        double inv = 1.0 / L[k * m + k];
+        vec4 vinv = splat4(inv);
+        for (int64_t j0 = 0; j0 < m; j0 += APPLY_LANES) {
+            vec4 acc[BLOCK_VECS];
+            for (int q = 0; q < BLOCK_VECS; ++q)
+                acc[q] = load4(zk + j0 + 4 * q);
+            for (int64_t i = m - 1; i > k; --i) {
+                vec4 lik = splat4(L[i * m + k]);
+                const double *zi = ainv + i * stride + j0;
+                for (int q = 0; q < BLOCK_VECS; ++q)
+                    acc[q] -= lik * load4(zi + 4 * q);
+            }
+            for (int q = 0; q < BLOCK_VECS; ++q)
+                store4(zk + j0 + 4 * q, acc[q] * vinv);
+        }
+    }
+}
+
+/* Half-stress of the frame's embedding x, and the majorization
+ * right-hand side B X for the next step, in one pass over the edges.
+ * bxt holds B X transposed (three contiguous m-streams). */
+static double stress_and_rhs(const double *x, const int32_t *es,
+                             const int32_t *ed, const double *et, int64_t ne,
+                             double *bxt, int64_t m)
+{
+    double *bxx = bxt, *bxy = bxt + m, *bxz = bxt + 2 * m;
+    memset(bxt, 0, (size_t)(m * 3) * sizeof(double));
+    double stress = 0.0;
+    for (int64_t e = 0; e < ne; ++e) {
+        int64_t i = es[e], j = ed[e];
+        double dx = x[i * 3] - x[j * 3];
+        double dy = x[i * 3 + 1] - x[j * 3 + 1];
+        double dz = x[i * 3 + 2] - x[j * 3 + 2];
+        double dd = sqrt(dx * dx + dy * dy + dz * dz);
+        double r = dd - et[e];
+        stress += r * r;
+        double ratio = dd > 1e-12 ? et[e] / dd : 0.0;
+        double cx = ratio * dx, cy = ratio * dy, cz = ratio * dz;
+        bxx[i] += cx; bxy[i] += cy; bxz[i] += cz;
+        bxx[j] -= cx; bxy[j] -= cy; bxz[j] -= cz;
+    }
+    return stress;
+}
+
+/* x <- A^{-1} (B X) - mean(B X), with A^{-1} given transposed (`at`, row
+ * stride `stride`, a multiple of APPLY_LANES).  Each output is the sum
+ * over j ascending of at[j][i] * b[j], accumulated from 0.0 -- the row
+ * dot product's operation order -- but computed for APPLY_LANES rows at
+ * once in 3 * BLOCK_VECS vector accumulators, so the reduction chains
+ * run side by side instead of one after another. */
+static void apply_inverse(const double *at, int64_t stride, const double *bxt,
+                          int64_t m, double *x)
+{
+    const double *bxx = bxt, *bxy = bxt + m, *bxz = bxt + 2 * m;
+    double invm = 1.0 / (double)m;
+    double mx = 0.0, my = 0.0, mz = 0.0;
+    for (int64_t i = 0; i < m; ++i) {
+        mx += bxx[i]; my += bxy[i]; mz += bxz[i];
+    }
+    mx *= invm; my *= invm; mz *= invm;
+    for (int64_t i0 = 0; i0 < m; i0 += APPLY_LANES) {
+        vec4 sx[BLOCK_VECS], sy[BLOCK_VECS], sz[BLOCK_VECS];
+        for (int q = 0; q < BLOCK_VECS; ++q)
+            sx[q] = sy[q] = sz[q] = splat4(0.0);
+        for (int64_t j = 0; j < m; ++j) {
+            const double *aj = at + j * stride + i0;
+            vec4 bx = splat4(bxx[j]), by = splat4(bxy[j]), bz = splat4(bxz[j]);
+            for (int q = 0; q < BLOCK_VECS; ++q) {
+                vec4 col = load4(aj + 4 * q);
+                sx[q] += col * bx;
+                sy[q] += col * by;
+                sz[q] += col * bz;
+            }
+        }
+        double ox[APPLY_LANES], oy[APPLY_LANES], oz[APPLY_LANES];
+        memcpy(ox, sx, sizeof ox);
+        memcpy(oy, sy, sizeof oy);
+        memcpy(oz, sz, sizeof oz);
+        int64_t rows = m - i0 < APPLY_LANES ? m - i0 : APPLY_LANES;
+        for (int64_t r = 0; r < rows; ++r) {
+            x[(i0 + r) * 3] = ox[r] - mx;
+            x[(i0 + r) * 3 + 1] = oy[r] - my;
+            x[(i0 + r) * 3 + 2] = oz[r] - mz;
         }
     }
 }
@@ -253,30 +414,39 @@ static void cholesky_inverse(const double *L, double *ainv, int64_t m)
  * edge_src/dst (total_edges) local member indices, src < dst, per frame
  * edge_delta   (total_edges) measured distances
  * edge_ptr     (n_frames + 1) edge offsets
- * steps_out    (n_frames) majorization step counts (output)
- * a            max_m * max_m scratch (Laplacian + Cholesky factor)
- * ainv         max_m * max_m scratch (explicit (V + 11^T/m)^{-1})
+ * steps_out    (n_frames) majorization step counts (output; -1 marks a
+ *              declined frame)
+ * a            max_m * round_up(max_m, APPLY_LANES) scratch (Laplacian,
+ *              then Cholesky factor, then the inverse transposed with
+ *              rows zero-padded to the APPLY_LANES multiple)
+ * ainv         max_m * round_up(max_m, APPLY_LANES) scratch (explicit
+ *              (V + 11^T/m)^{-1}, rows zero-padded)
  * bxt          3 * max_m scratch (majorization right-hand side, B X
- *              stored transposed so the per-iteration apply reads three
- *              contiguous streams)
- * dcache       max_edges scratch (embedded distances per edge)
- * diffcache    max_edges * 3 scratch (embedded differences per edge)
+ *              stored transposed so the apply reads three contiguous
+ *              streams; doubles as the Cholesky column buffer)
+ * parent       max_m scratch (union-find)
  *
  * Per frame this mirrors smacof_refine_counted: the update is
  * X <- (V + 11^T/m)^{-1} (B X) - (11^T/m)(B X), equal to pinv(V) B X for
- * the connected weight graphs the engines build; like the numpy batch
- * twin (smacof_refine_batch) the inverse is formed once per frame and
- * applied as a dense product each step.  The stopping rule is
+ * connected weight graphs; like the numpy batch twin
+ * (smacof_refine_batch) the inverse is formed once per frame and applied
+ * as a dense product each step.  The stopping rule is
  * last - current <= tol * max(last, 1e-12) on the half-stress.
- * Returns 0, or -1 if any frame's Cholesky failed (caller falls back). */
-int smacof_refine_frames(
+ *
+ * A frame whose measured-pair graph is disconnected (V + 11^T/m is then
+ * singular) or whose Cholesky meets a non-positive pivot is declined
+ * before any of its coordinates is written: steps_out is -1 and x is
+ * left as given, for the caller to refine with the scalar oracle.
+ * Returns the number of declined frames. */
+int64_t smacof_refine_frames(
     double *x, const int64_t *frame_ptr,
     const int32_t *edge_src, const int32_t *edge_dst,
     const double *edge_delta, const int64_t *edge_ptr,
     int64_t n_frames, int64_t iterations, double tol,
-    double *a, double *ainv, double *bxt, double *dcache, double *diffcache,
+    double *a, double *ainv, double *bxt, int32_t *parent,
     int64_t *steps_out)
 {
+    int64_t declined = 0;
     for (int64_t f = 0; f < n_frames; ++f) {
         int64_t m = frame_ptr[f + 1] - frame_ptr[f];
         int64_t ne = edge_ptr[f + 1] - edge_ptr[f];
@@ -287,6 +457,11 @@ int smacof_refine_frames(
         const int32_t *es = edge_src + edge_ptr[f];
         const int32_t *ed = edge_dst + edge_ptr[f];
         const double *et = edge_delta + edge_ptr[f];
+        if (!frame_connected(es, ed, ne, m, parent)) {
+            steps_out[f] = -1;
+            ++declined;
+            continue;
+        }
         double invm = 1.0 / (double)m;
 
         /* A = V + 11^T/m with V the unit-weight Laplacian of the
@@ -300,76 +475,36 @@ int smacof_refine_frames(
             a[i * m + i] += 1.0;
             a[j * m + j] += 1.0;
         }
-        if (cholesky(a, m) != 0)
-            return -1;
-        cholesky_inverse(a, ainv, m);
-
-        double last = 0.0;
-        for (int64_t e = 0; e < ne; ++e) {
-            int64_t i = es[e], j = ed[e];
-            double dx = xf[i * 3] - xf[j * 3];
-            double dy = xf[i * 3 + 1] - xf[j * 3 + 1];
-            double dz = xf[i * 3 + 2] - xf[j * 3 + 2];
-            double dd = sqrt(dx * dx + dy * dy + dz * dz);
-            diffcache[e * 3] = dx;
-            diffcache[e * 3 + 1] = dy;
-            diffcache[e * 3 + 2] = dz;
-            dcache[e] = dd;
-            double r = dd - et[e];
-            last += r * r;
+        if (cholesky(a, m, bxt) != 0) {
+            steps_out[f] = -1;
+            ++declined;
+            continue;
         }
-        double *bxx = bxt, *bxy = bxt + m, *bxz = bxt + 2 * m;
+        int64_t stride = (m + APPLY_LANES - 1) / APPLY_LANES * APPLY_LANES;
+        cholesky_inverse(a, ainv, m, stride);
+        /* The factor is spent: a now takes the inverse transposed -- a
+         * transpose, not a mirrored triangle, as the computed inverse is
+         * not bitwise symmetric. */
+        for (int64_t j = 0; j < m; ++j) {
+            double *restrict atj = a + j * stride;
+            for (int64_t i = 0; i < m; ++i)
+                atj[i] = ainv[i * stride + j];
+            for (int64_t i = m; i < stride; ++i)
+                atj[i] = 0.0;
+        }
+
+        double last = stress_and_rhs(xf, es, ed, et, ne, bxt, m);
         for (int64_t it = 0; it < iterations; ++it) {
-            memset(bxt, 0, (size_t)(m * 3) * sizeof(double));
-            for (int64_t e = 0; e < ne; ++e) {
-                double dd = dcache[e];
-                double r = dd > 1e-12 ? et[e] / dd : 0.0;
-                int64_t i = es[e], j = ed[e];
-                double cx = r * diffcache[e * 3];
-                double cy = r * diffcache[e * 3 + 1];
-                double cz = r * diffcache[e * 3 + 2];
-                bxx[i] += cx; bxy[i] += cy; bxz[i] += cz;
-                bxx[j] -= cx; bxy[j] -= cy; bxz[j] -= cz;
-            }
-            double mx = 0.0, my = 0.0, mz = 0.0;
-            for (int64_t i = 0; i < m; ++i) {
-                mx += bxx[i]; my += bxy[i]; mz += bxz[i];
-            }
-            mx *= invm; my *= invm; mz *= invm;
-            for (int64_t i = 0; i < m; ++i) {
-                const double *restrict ai = ainv + i * m;
-                double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-                for (int64_t j = 0; j < m; ++j) {
-                    s0 += ai[j] * bxx[j];
-                    s1 += ai[j] * bxy[j];
-                    s2 += ai[j] * bxz[j];
-                }
-                xf[i * 3] = s0 - mx;
-                xf[i * 3 + 1] = s1 - my;
-                xf[i * 3 + 2] = s2 - mz;
-            }
+            apply_inverse(a, stride, bxt, m, xf);
             steps_out[f] += 1;
-            double cur = 0.0;
-            for (int64_t e = 0; e < ne; ++e) {
-                int64_t i = es[e], j = ed[e];
-                double dx = xf[i * 3] - xf[j * 3];
-                double dy = xf[i * 3 + 1] - xf[j * 3 + 1];
-                double dz = xf[i * 3 + 2] - xf[j * 3 + 2];
-                double dd = sqrt(dx * dx + dy * dy + dz * dz);
-                diffcache[e * 3] = dx;
-                diffcache[e * 3 + 1] = dy;
-                diffcache[e * 3 + 2] = dz;
-                dcache[e] = dd;
-                double r = dd - et[e];
-                cur += r * r;
-            }
+            double cur = stress_and_rhs(xf, es, ed, et, ne, bxt, m);
             double floor_ = last > 1e-12 ? last : 1e-12;
             if (last - cur <= tol * floor_)
                 break;
             last = cur;
         }
     }
-    return 0;
+    return declined;
 }
 
 /* ---------------------------------------------------------------- */

@@ -489,6 +489,29 @@ def smacof_refine_counted(
     return x, n_steps
 
 
+def _weight_graphs_connected(weights: np.ndarray) -> np.ndarray:
+    """Per slice of a ``(B, m, m)`` weight stack: is ``weights > 0`` connected?
+
+    One ``connected_components`` call over the block-diagonal graph of
+    the whole stack (``O(B m^2)`` to gather the edges, ``O(edges)`` to
+    label them); a slice is connected when all its members share a label.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_batch, m, _ = weights.shape
+    if n_batch == 0:
+        return np.zeros(0, dtype=bool)
+    sb, si, sj = np.nonzero(weights > 0)
+    graph = csr_matrix(
+        (np.ones(sb.size), (sb * m + si, sb * m + sj)),
+        shape=(n_batch * m, n_batch * m),
+    )
+    _, labels = connected_components(graph, directed=False)
+    labels = labels.reshape(n_batch, m)
+    return (labels == labels[:, :1]).all(axis=1)
+
+
 def smacof_refine_batch(
     coords: np.ndarray,
     distances: np.ndarray,
@@ -524,7 +547,9 @@ def smacof_refine_batch(
     reordered reductions differ from the scalar chain only at the
     last-ulp level per operation, and the majorization update is a
     contraction near the fixed point, so the engines' iterates never
-    drift beyond that tolerance.
+    drift beyond that tolerance.  Slices whose weight graph is
+    disconnected (a singular majorization system) are refined by
+    :func:`smacof_refine_counted` itself, so they equal it bit for bit.
 
     Returns
     -------
@@ -542,6 +567,22 @@ def smacof_refine_batch(
     if n_batch == 0 or m <= 1:
         return x, steps
     live = np.nonzero(np.any(w_all > 0, axis=(1, 2)))[0]
+    # The weight Laplacian V is PSD with nullspace span(1) exactly when
+    # the weight graph is connected -- true by construction for BFS-built
+    # collections (every hop-k member has a measured edge to a
+    # hop-(k-1) parent) -- and then V + 11^T/m is symmetric positive
+    # definite with plain inverse pinv(V) + 11^T/m, which a batched LU
+    # computes several times cheaper than a pseudo-inverse.  A
+    # disconnected weight graph makes V + 11^T/m singular, yet LU does
+    # not reliably raise on it (rounding leaves a tiny nonzero pivot and
+    # a garbage inverse), so such slices are found up front and handed
+    # to the scalar oracle, whose pseudo-inverse handles them.
+    split = ~_weight_graphs_connected(w_all[live])
+    for b in live[split].tolist():
+        x[b], steps[b] = smacof_refine_counted(
+            x[b], t_all[b], w_all[b], iterations=iterations, tol=tol
+        )
+    live = live[~split]
     if live.size == 0:
         return x, steps
 
@@ -551,24 +592,7 @@ def smacof_refine_batch(
     v = -w.copy()
     v[:, diag, diag] = w.sum(axis=2)
     correction = np.full((m, m), 1.0 / m)
-    # The weight Laplacian V is PSD with nullspace span(1) whenever the
-    # weight graph is connected -- true by construction for BFS-built
-    # collections (every hop-k member has a measured edge to a
-    # hop-(k-1) parent) -- making V + 11^T/m symmetric positive definite
-    # with plain inverse equal to pinv(V) + 11^T/m.  A batched LU inverse
-    # is several times cheaper than an SVD- or eigh-based pseudo-inverse;
-    # for rank-deficient stacks (disconnected weight graphs, only seen on
-    # arbitrary caller-supplied matrices) LU fails loudly and we fall back
-    # to the spectral-cutoff pseudo-inverse.
-    a = v + correction
-    try:
-        v_pinv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(a)
-        cutoff = 1e-15 * m * np.abs(evals).max(axis=1, keepdims=True)
-        keep = np.abs(evals) > cutoff
-        inv_vals = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-        v_pinv = (evecs * inv_vals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
+    v_pinv = np.linalg.inv(v + correction)
     v_pinv -= correction
     xa = x[live]
 

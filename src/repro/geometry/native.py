@@ -31,6 +31,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.mds import smacof_refine_counted
+
 #: Environment variable gating native kernels; set to ``0`` to force the
 #: pure-numpy fallback path (used by the differential tests).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -41,6 +43,10 @@ NATIVE_CACHE_ENV_VAR = "REPRO_NATIVE_CACHE"
 _C_SOURCE = os.path.join(os.path.dirname(__file__), "ckernels.c")
 
 _CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"]
+
+#: Rows per register block of the native SMACOF apply (``APPLY_LANES`` in
+#: ckernels.c); its transposed-inverse scratch rows are padded to it.
+_APPLY_LANES = 16
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
@@ -72,11 +78,11 @@ class NativeKernels:
         library.center_gram_batch.argtypes = [
             _DOUBLE_P, ctypes.c_int64, ctypes.c_int64, _DOUBLE_P,
         ]
-        library.smacof_refine_frames.restype = ctypes.c_int
+        library.smacof_refine_frames.restype = ctypes.c_int64
         library.smacof_refine_frames.argtypes = [
             _DOUBLE_P, _INT64_P, _INT32_P, _INT32_P, _DOUBLE_P, _INT64_P,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-            _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT64_P,
+            _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT32_P, _INT64_P,
         ]
         library.ubf_empty_check.restype = None
         library.ubf_empty_check.argtypes = [
@@ -143,33 +149,45 @@ class NativeKernels:
         iterations: int,
         tol: float,
         max_members: int,
-        max_edges: int,
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """Refine concatenated frame coordinates in place.
 
-        Returns the per-frame step counts, or ``None`` when a frame's
-        weight Laplacian was rank-deficient (disconnected measured-pair
-        graph) and the caller must fall back to the numpy path.
+        ``coords`` is the C-contiguous ``(total_members, 3)`` array the
+        frames' rows live in.  Returns the per-frame step counts.  Frames
+        the kernel declines -- a disconnected measured-pair graph makes
+        the majorization system singular -- are refined by the scalar
+        oracle :func:`~repro.geometry.mds.smacof_refine_counted`, which
+        handles them through its pseudo-inverse.
         """
         n_frames = frame_ptr.shape[0] - 1
         steps = np.zeros(n_frames, dtype=np.int64)
-        scratch_a = np.empty(max(max_members * max_members, 1), dtype=np.float64)
+        stride = -(-max_members // _APPLY_LANES) * _APPLY_LANES
+        scratch_a = np.empty(max(max_members * stride, 1), dtype=np.float64)
         scratch_ainv = np.empty_like(scratch_a)
         scratch_bxt = np.empty(max(max_members * 3, 1), dtype=np.float64)
-        scratch_d = np.empty(max(max_edges, 1), dtype=np.float64)
-        scratch_diff = np.empty(max(max_edges * 3, 1), dtype=np.float64)
-        rc = self._lib.smacof_refine_frames(
+        scratch_parent = np.empty(max(max_members, 1), dtype=np.int32)
+        declined = self._lib.smacof_refine_frames(
             _ptr(coords, ctypes.c_double), _ptr(frame_ptr, ctypes.c_int64),
             _ptr(edge_src, ctypes.c_int32), _ptr(edge_dst, ctypes.c_int32),
             _ptr(edge_delta, ctypes.c_double), _ptr(edge_ptr, ctypes.c_int64),
             n_frames, iterations, tol,
             _ptr(scratch_a, ctypes.c_double), _ptr(scratch_ainv, ctypes.c_double),
             _ptr(scratch_bxt, ctypes.c_double),
-            _ptr(scratch_d, ctypes.c_double), _ptr(scratch_diff, ctypes.c_double),
+            _ptr(scratch_parent, ctypes.c_int32),
             _ptr(steps, ctypes.c_int64),
         )
-        if rc != 0:
-            return None
+        if declined:
+            for f in np.flatnonzero(steps < 0).tolist():
+                lo, hi = int(frame_ptr[f]), int(frame_ptr[f + 1])
+                edges = slice(int(edge_ptr[f]), int(edge_ptr[f + 1]))
+                src, dst = edge_src[edges], edge_dst[edges]
+                target = np.zeros((hi - lo, hi - lo))
+                weights = np.zeros((hi - lo, hi - lo))
+                target[src, dst] = target[dst, src] = edge_delta[edges]
+                weights[src, dst] = weights[dst, src] = 1.0
+                coords[lo:hi], steps[f] = smacof_refine_counted(
+                    coords[lo:hi], target, weights, iterations=iterations, tol=tol
+                )
         return steps
 
     def ubf_empty_check(

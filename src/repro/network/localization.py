@@ -62,7 +62,11 @@ smaller than :data:`SCALAR_FALLBACK_MEMBERS` are delegated to the scalar
 MDS kernel *inside* the sparse engine: near-isolated collections produce
 rank-deficient systems whose majorization trajectory is sensitive at the
 last-ulp level, batching amortizes nothing over their O(1) work, and the
-delegation makes them bit-identical to the oracle by construction.
+delegation makes them bit-identical to the oracle by construction.  For
+the same reason both SMACOF paths hand a frame whose measured-pair graph
+is disconnected (possible only when a ranging value is missing) to the
+oracle's scalar refinement, whose pseudo-inverse handles the singular
+system.
 """
 
 from __future__ import annotations
@@ -511,8 +515,6 @@ def _build_frames_sparse(
                 continue
 
             frame_ptr = np.arange(nb + 1, dtype=np.int64) * m
-            edge_src = edge_dst = edge_delta = edge_ptr = None
-            partial = None
             if kernels is not None:
                 members_cat = member_ids.ravel()
                 stack = np.empty((nb, m, m))
@@ -534,7 +536,6 @@ def _build_frames_sparse(
                 stack = _assemble_partial_stack(
                     member_ids, m, indptr, indices, edge_vals, local_index64
                 )
-                partial = stack
 
             # Shortest-path completion: Dijkstra over per-frame CSR blocks
             # for large frames, the dense relaxation below the crossover.
@@ -554,35 +555,22 @@ def _build_frames_sparse(
                 gram = torgerson_gram_batch(completed)
             coords = classical_mds_from_gram_stack(gram)
 
-            # Edge-list SMACOF against the measured distances only.
-            steps = None
+            # Edge-list SMACOF against the measured distances only (the
+            # native kernel refines coords in place through the view).
             if kernels is not None:
                 steps = kernels.smacof_refine(
                     coords.reshape(-1, 3), frame_ptr,
                     edge_src, edge_dst, edge_delta, edge_ptr,
-                    iterations=30, tol=1e-6,
-                    max_members=m, max_edges=int(np.diff(edge_ptr).max()),
+                    iterations=30, tol=1e-6, max_members=m,
                 )
-            if steps is None:
-                if partial is None:
-                    # Native refinement declined (rank-deficient weight
-                    # Laplacian) or kernels are absent: rebuild the dense
-                    # measured matrices from the edge lists for the numpy
-                    # batch refinement.
-                    n_edges = int(edge_ptr[-1])
-                    partial = np.full((nb, m, m), np.inf)
-                    partial[:, diag, diag] = 0.0
-                    frame_of = np.repeat(np.arange(nb), np.diff(edge_ptr))
-                    src = edge_src[:n_edges]
-                    dst = edge_dst[:n_edges]
-                    val = edge_delta[:n_edges]
-                    partial[frame_of, src, dst] = val
-                    partial[frame_of, dst, src] = val
-                mask = np.isfinite(partial)
+            else:
+                # The completions above return new arrays here, so stack
+                # still holds the measured distances.
+                mask = np.isfinite(stack)
                 weights = mask.astype(float)
                 weights[:, diag, diag] = 0.0
                 coords, steps = smacof_refine_batch(
-                    coords, np.where(mask, partial, 0.0), weights, iterations=30
+                    coords, np.where(mask, stack, 0.0), weights, iterations=30
                 )
             batch.coords[rows] = coords.reshape(-1, 3)
             batch.smacof_iterations[chunk] = steps
