@@ -9,7 +9,7 @@ from repro.network.localization import DEFAULT_ENGINE, ENGINES
 from repro.network.measurement import DistanceErrorModel, NoError
 
 #: Values ``DetectorConfig.localization`` accepts (see its docstring).
-LOCALIZATION_MODES = ("auto", "mds", "trilateration", "true")
+LOCALIZATION_MODES = ("auto", "mds", "true")
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,6 @@ class DetectorConfig:
     localization:
         ``"mds"`` -- establish local MDS frames from measured distances
         (the paper's default path);
-        ``"trilateration"`` -- incremental multilateration frames (the
-        alternative localization family, see
-        :mod:`repro.network.trilateration`);
         ``"true"`` -- nodes know their coordinates, step (I) skipped;
         ``"auto"`` -- ``"true"`` under :class:`NoError`, else ``"mds"``.
     workers:
@@ -154,9 +151,9 @@ class DetectorConfig:
     def resolved_localization(self) -> str:
         """The concrete localization mode UBF will run with.
 
-        Returns ``"mds"``, ``"trilateration"``, or ``"true"`` -- i.e. any
-        accepted ``localization`` value except ``"auto"``, which resolves
-        to ``"true"`` under :class:`NoError` and ``"mds"`` otherwise.
+        Returns ``"mds"`` or ``"true"`` -- i.e. any accepted
+        ``localization`` value except ``"auto"``, which resolves to
+        ``"true"`` under :class:`NoError` and ``"mds"`` otherwise.
         """
         if self.localization != "auto":
             return self.localization

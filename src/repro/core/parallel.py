@@ -637,7 +637,8 @@ def run_ubf_parallel(
     task = _UBFShardTask(
         network=network,
         config=config,
-        measured=measured,
+        # Precomputed frames skip localization, the only reader of measured.
+        measured=measured if frames is None else None,
         localization=localization,
         find_first=find_first,
         frames=frames,
@@ -667,13 +668,13 @@ def run_frames_parallel(
     one :class:`FrameBatch` ordered as ``nodes`` (node-ID order by
     default) and byte-identical for any worker count (see the module
     docstring).  ``mode`` mirrors the pipeline's resolved localization:
-    ``"mds"`` (honors ``engine``), ``"trilateration"``, or ``"true"``.
+    ``"mds"`` (honors ``engine``) or ``"true"``.
     True-coordinate frames always build in-process (one sweep and a
     gather cost less than the pool round trip; docs/PERFORMANCE.md).
     """
     if mode not in FRAME_MODES:
-        raise ValueError("mode must be 'mds', 'trilateration', or 'true'")
-    if mode in ("mds", "trilateration") and measured is None:
+        raise ValueError("mode must be 'mds' or 'true'")
+    if mode == "mds" and measured is None:
         raise ValueError(f"mode={mode!r} requires measured distances")
     if mode == "true":
         workers = 1

@@ -44,8 +44,8 @@ class BoundaryDetectionResult:
         Per-node UBF observables (ball counts etc.) as one
         :class:`~repro.core.ubf.UBFOutcomes`, indexed by node ID.
     localization_used:
-        ``"true"``, ``"mds"``, or ``"trilateration"`` -- which coordinate
-        source UBF consumed (every concrete mode
+        ``"true"`` or ``"mds"`` -- which coordinate source UBF consumed
+        (every concrete mode
         :meth:`repro.core.config.DetectorConfig.resolved_localization`
         can return).
     """
@@ -119,13 +119,12 @@ class BoundaryDetector:
             The deployed network.
         measured:
             Pre-computed one-hop distance measurements.  When omitted and
-            the config's localization resolves to ``"mds"`` or
-            ``"trilateration"``, measurements are generated with the
-            config's error model and ``rng``.  When supplied but the mode
-            resolves to ``"true"``, the measurements are *ignored* (UBF
-            runs on ground-truth coordinates); a warning is logged and a
-            ``measured_ignored`` trace event recorded so the mismatched
-            configuration is visible.
+            the config's localization resolves to ``"mds"``, measurements
+            are generated with the config's error model and ``rng``.  When
+            supplied but the mode resolves to ``"true"``, the measurements
+            are *ignored* (UBF runs on ground-truth coordinates); a
+            warning is logged and a ``measured_ignored`` trace event
+            recorded so the mismatched configuration is visible.
         rng:
             Randomness source for measurement generation (defaults to a
             fresh seed-0 generator for reproducibility).
@@ -148,15 +147,14 @@ class BoundaryDetector:
                 message = (
                     "detect() received measured distances but localization "
                     "resolved to 'true'; the measurements are ignored -- "
-                    "set DetectorConfig(localization='mds') (or "
-                    "'trilateration') to consume them"
+                    "set DetectorConfig(localization='mds') to consume them"
                 )
                 logger.warning(message)
                 tracer.event("measured_ignored", reason=message)
             engine = self.config.localization_config.engine
             with tracer.span("localization", mode=mode, engine=engine) as loc_span:
                 generated = False
-                if mode in ("mds", "trilateration") and measured is None:
+                if mode == "mds" and measured is None:
                     if rng is None:
                         rng = np.random.default_rng(0)
                     measured = measure_distances(

@@ -34,12 +34,11 @@ from repro.network.localization import (
     true_frames,
 )
 from repro.network.measurement import MeasuredDistances
-from repro.network.trilateration import trilateration_local_frame
 from repro.observability.tracer import ensure_tracer
 
 #: Where a frame's coordinates come from: the concrete localization modes
 #: :meth:`repro.core.config.DetectorConfig.resolved_localization` returns.
-FRAME_MODES = ("true", "mds", "trilateration")
+FRAME_MODES = ("true", "mds")
 
 
 @dataclass
@@ -169,11 +168,6 @@ def localize_frames(
         return true_frames(graph, node_ids, hops=hops)
     if mode == "mds":
         return build_frames(graph, measured, hops=hops, engine=engine, nodes=node_ids)
-    if mode == "trilateration":
-        return FrameBatch.from_frames(
-            trilateration_local_frame(graph, measured, n, hops=hops)
-            for n in node_ids
-        )
     raise ValueError(f"mode must be one of {FRAME_MODES}, got {mode!r}")
 
 
@@ -238,13 +232,11 @@ def run_ubf(
         Ball radius parameters.
     measured:
         One-hop distance measurements; required when ``localization`` is
-        ``"mds"`` or ``"trilateration"``.
+        ``"mds"``.
     localization:
         ``"true"`` evaluates UBF on ground-truth coordinates (nodes know
         their positions); ``"mds"`` builds each node's frame from the
-        measured distances first -- the paper's full pipeline;
-        ``"trilateration"`` uses incremental multilateration instead of
-        MDS (the alternative localization family the paper cites).
+        measured distances first -- the paper's full pipeline.
     find_first:
         Stop each node's search at its first empty ball (Algorithm 1's
         break).  Benches pass False to count the full candidate set.
@@ -268,12 +260,8 @@ def run_ubf(
     UBFOutcomes, ordered as ``nodes`` (node-ID order by default).
     """
     if localization not in FRAME_MODES:
-        raise ValueError("localization must be 'true', 'mds', or 'trilateration'")
-    if (
-        localization in ("mds", "trilateration")
-        and measured is None
-        and frames is None
-    ):
+        raise ValueError("localization must be 'true' or 'mds'")
+    if localization == "mds" and measured is None and frames is None:
         raise ValueError(f"localization={localization!r} requires measured distances")
 
     tracer = ensure_tracer(tracer)

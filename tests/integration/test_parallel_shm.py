@@ -127,6 +127,38 @@ class TestSpawnByteIdentity:
         )
         assert parallel == reference
 
+    def test_ubf_with_frames_ships_no_measurements(
+        self, sphere_network, measured, monkeypatch
+    ):
+        from repro.core import parallel
+
+        frames = run_frames_parallel(
+            sphere_network, measured, engine="sparse", workers=1
+        )
+        exported = []
+        export = parallel._UBFShardTask.export_payload
+
+        def recording_export(task):
+            shell, arrays = export(task)
+            exported.append(sorted(arrays))
+            return shell, arrays
+
+        monkeypatch.setattr(parallel._UBFShardTask, "export_payload", recording_export)
+        runs = {
+            workers: run_ubf_parallel(
+                sphere_network,
+                measured=measured,
+                localization="mds",
+                frames=frames,
+                workers=workers,
+            )
+            for workers in (1, 2)
+        }
+        assert len(exported) == 1
+        assert not [key for key in exported[0] if key.startswith("meas.")]
+        assert any(key.startswith("frames.") for key in exported[0])
+        assert runs[2] == runs[1]
+
 
 class TestSingleMaterialization:
     @spawn_available

@@ -1,9 +1,9 @@
 """End-to-end tracing: one traced detection covers every pipeline stage.
 
 Also pins the detection-contract fixes that ride along with the
-observability layer: the trilateration localization mode flows through the
-pipeline, and supplying measurements that the resolved mode will ignore is
-loudly reported instead of silently discarded.
+observability layer: an explicit (non-``auto``) localization mode flows
+through the pipeline, and supplying measurements that the resolved mode will
+ignore is loudly reported instead of silently discarded.
 """
 
 from __future__ import annotations
@@ -75,26 +75,26 @@ class TestTracedDetection:
         assert NULL_TRACER.roots == []
 
 
-class TestTrilaterationMode:
-    def test_trilateration_flows_through_pipeline(self, sphere_network):
-        config = DetectorConfig(localization="trilateration")
-        assert config.resolved_localization() == "trilateration"
+class TestExplicitMdsMode:
+    def test_mds_flows_through_pipeline(self, sphere_network):
+        config = DetectorConfig(localization="mds")
+        assert config.resolved_localization() == "mds"
         result = BoundaryDetector(config).detect(
             sphere_network, rng=np.random.default_rng(3)
         )
-        assert result.localization_used == "trilateration"
+        assert result.localization_used == "mds"
         assert result.boundary  # the mode actually detects something
 
-    def test_trilateration_mode_recorded_in_trace(self, sphere_network):
+    def test_mds_mode_recorded_in_trace(self, sphere_network):
         tracer = Tracer(clock=TickClock(), shard_clock=TickClock)
-        BoundaryDetector(DetectorConfig(localization="trilateration")).detect(
+        BoundaryDetector(DetectorConfig(localization="mds")).detect(
             sphere_network, tracer=tracer
         )
         detect_span = tracer.roots[0]
-        assert detect_span.attrs["localization"] == "trilateration"
+        assert detect_span.attrs["localization"] == "mds"
         (loc_span,) = [c for c in detect_span.children
                        if c.name == "localization"]
-        assert loc_span.attrs["mode"] == "trilateration"
+        assert loc_span.attrs["mode"] == "mds"
         assert loc_span.attrs["measurements_generated"] is True
 
 

@@ -62,7 +62,12 @@ class TestJobSpec:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("engine", "fast"), ("engine", "batch"), ("localization", "gps")],
+        [
+            ("engine", "fast"),
+            ("engine", "batch"),
+            ("localization", "gps"),
+            ("localization", "trilateration"),
+        ],
     )
     def test_unrunnable_spec_rejected_when_built(self, field, value):
         """Every attempt of such a spec would fail; refuse it up front."""
@@ -417,6 +422,23 @@ class TestRecordRoundtrip:
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="unsupported job format"):
             JobRecord.from_dict(doc)
+
+    def test_stored_spec_with_removed_localization_is_skipped(self, store):
+        """A queued record naming a mode this build no longer runs fails
+        to load and is passed over by claims, untouched."""
+        rec = store.submit(JobSpec(seed=1))
+        path = store.job_dir(rec.job_id) / "job.json"
+        doc = json.loads(path.read_text())
+        doc["spec"]["localization"] = "trilateration"
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        before = path.read_bytes()
+        entries = sorted(p.name for p in store.job_dir(rec.job_id).iterdir())
+        with pytest.raises(ValueError, match="localization"):
+            store.load(rec.job_id)
+        assert store.claim_next("w0", lease_ttl=10.0) is None
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in store.job_dir(rec.job_id).iterdir()) == entries
+        assert not (store.job_dir(rec.job_id) / "lease.json").exists()
 
     def test_transition_log_is_append_only_jsonl(self, store, clock):
         rec = store.submit(JobSpec(seed=1))
