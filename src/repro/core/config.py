@@ -35,8 +35,8 @@ class UBFConfig:
         interior with false positives at realistic densities).
 
     The emptiness search itself has no knobs: it always runs the batched
-    kernel of :mod:`repro.geometry.ballfit` (with the native C scan when
-    it loads), under a fixed working-set budget.
+    kernel of :mod:`repro.geometry.ballfit` (the fused native kernel when
+    it loads, the budgeted numpy fallback otherwise).
     """
 
     epsilon: float = 1e-3

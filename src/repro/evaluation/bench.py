@@ -260,7 +260,7 @@ def bench_ubf(ctx: BenchContext, repeat: int, *, time_naive: bool = True) -> dic
     Frame construction is excluded -- it is shared by every kernel and by
     every localization mode; what is timed is exactly the per-node
     candidate-enumeration + emptiness-check work Theorem 1 bounds, on the
-    batched production kernel (its C scan when it loads).  The naive
+    batched production kernel (its fused C kernel when it loads).  The naive
     oracle is the other side of the ``speedup_vs_naive`` gate.
     """
     median, timings, fits = _median_time(lambda: _classify_all(ctx), repeat)

@@ -30,16 +30,18 @@ the ``kernel`` argument of :func:`empty_ball_exists`:
     ``repro-bench`` speedup criterion is measured from.
 
 ``"batched"`` (default)
-    The network-batched kernel: candidate balls of *all* nodes in a slab
-    are flattened into one node-major, pair-major workset (one Eq.-1
-    evaluation over every neighbor pair of every node), then scanned for
-    emptiness.  The scan runs in the ``ubf_empty_check`` C kernel
-    (:mod:`repro.geometry.native`) whenever it loads -- a true per-point
-    early-exit loop per candidate, one call per slab -- and in synchronized
-    numpy waves otherwise (no C compiler, or ``REPRO_NATIVE=0``): each wave
-    advances every still-active node by :data:`DEFAULT_CHUNK_SIZE`
-    candidates with one broadcast for the whole slab.  The two scans are
-    bit-identical; which one runs is a platform check, not an option.
+    The network-batched kernel over a slab of nodes.  Whenever the native
+    kernels load (:mod:`repro.geometry.native`) it is one call into the
+    fused ``ubf_enumerate_scan`` C kernel per slab: each node walks its
+    neighbor pairs, solves Eq. 1 and probes every candidate at once,
+    stopping at its witness -- no candidate array is built.  Otherwise (no
+    C compiler, or ``REPRO_NATIVE=0``) the numpy fallback flattens the
+    candidates of all nodes in the slab into one node-major, pair-major
+    workset (one Eq.-1 evaluation over every neighbor pair of every node),
+    then scans it in synchronized waves: each wave advances every
+    still-active node by :data:`DEFAULT_CHUNK_SIZE` candidates with one
+    broadcast for the whole slab.  Which one runs is a platform check, not
+    an option.
 
 Both kernels enumerate candidates in the same canonical order (node-major,
 lexicographic neighbor pairs, the ``+offset`` center before the ``-offset``
@@ -51,9 +53,18 @@ per-ball early exit at the first strictly-inside point -- so they are
 hardware- and implementation-independent observables of Theorem 1's
 ``Theta(rho^2)`` candidate bound and ``Theta(rho^3)`` total probe bound.
 
+All three paths -- the C kernel, the numpy fallback and the naive oracle
+-- share one Eq.-1 and probe arithmetic, so even the witness centers are
+bit-identical.  Squared norms in Eq. 1 sum as ``(x^2 + z^2) + y^2``
+(:func:`_sq_norm`), probe distances left to right, and the filter
+constants come from one :func:`_eq1_bounds` call.  The sums are spelled
+out rather than left to ``einsum``/``np.dot``, whose reduction order
+follows numpy's SIMD dispatch and so differs between hosts.
+
 Working set
 -----------
-Every temporary of the batched search is sized from one byte budget,
+The native kernel holds nothing beyond its per-node outputs.  The numpy
+fallback sizes every temporary from one byte budget,
 :data:`UBF_WORKING_SET_BYTES`: the node slab (pair index arrays and
 candidate centers), the Eq.-1 enumeration blocks, and the probe waves.
 All steps are row-wise, so slab and block sizes never change a result --
@@ -93,8 +104,8 @@ KERNELS = ("naive", "batched")
 DEFAULT_CHUNK_SIZE = 64
 
 #: Working-set budget of one batched search, in bytes.  Sizes the node
-#: slab (:func:`search_bytes`), the Eq.-1 enumeration blocks
-#: (:data:`BLOCK_BYTES_PER_PAIR`) and the probe waves
+#: slab (:func:`search_bytes`) and, on the numpy fallback, the Eq.-1
+#: enumeration blocks (:data:`BLOCK_BYTES_PER_PAIR`) and the probe waves
 #: (:data:`PROBE_ENTRY_BYTES`); see "Working set" in the module docstring.
 UBF_WORKING_SET_BYTES = 32 << 20
 
@@ -134,6 +145,44 @@ def search_bytes(n_neighbors, n_probes):
     return pairs * SLAB_BYTES_PER_PAIR + n_probes * SLAB_BYTES_PER_PROBE
 
 
+class Eq1Bounds(NamedTuple):
+    """The scalar constants of one radius's Eq.-1 filters and probes.
+
+    Computed once per search by :func:`_eq1_bounds` and shared by every
+    path (the native kernel receives them in this field order), so no path
+    re-derives them with a different rounding.
+    """
+
+    coincident_sq: float  # sides at or under this are coincident points
+    degeneracy_tol: float  # n2 <= tol * aa * bb marks a collinear triple
+    r_sq: float  # radius * radius
+    fit_floor: float  # h_sq at or under this: circumradius exceeds r
+    tangent_sq: float  # h_sq at or under this: one (tangent) center
+    threshold_sq: float  # squared strictly-inside probe radius
+
+
+def _eq1_bounds(radius: float) -> Eq1Bounds:
+    return Eq1Bounds(
+        coincident_sq=(COINCIDENT_TOL * radius) ** 2,
+        degeneracy_tol=DEGENERACY_TOL,
+        r_sq=radius * radius,
+        fit_floor=-INSIDE_TOL * radius * radius,
+        tangent_sq=(INSIDE_TOL * radius) ** 2,
+        threshold_sq=(radius * (1.0 - INSIDE_TOL)) ** 2,
+    )
+
+
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis, summed as ``(x^2 + z^2) + y^2``.
+
+    The order every Eq.-1 path uses (see "Kernels" in the module
+    docstring); it reproduces what ``einsum`` computes on AVX-512 hosts,
+    where the committed outputs were produced.
+    """
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return (x * x + z * z) + y * y
+
+
 def balls_through_three_points(p1, p2, p3, radius: float) -> List[np.ndarray]:
     """Centers of all balls of ``radius`` whose surface contains three points.
 
@@ -160,25 +209,24 @@ def balls_through_three_points(p1, p2, p3, radius: float) -> List[np.ndarray]:
     a = as_point(p2) - p1
     b = as_point(p3) - p1
     n = np.cross(a, b)
-    n2 = float(np.dot(n, n))
-    aa = float(np.dot(a, a))
-    bb = float(np.dot(b, b))
+    n2 = float(_sq_norm(n))
+    aa = float(_sq_norm(a))
+    bb = float(_sq_norm(b))
+    bounds = _eq1_bounds(radius)
     # Relative degeneracy tests: sides below the radius-relative
     # coincidence floor, then |a x b|^2 = |a|^2 |b|^2 sin^2(theta), so
     # n2 <= tol * aa * bb means sin^2(theta) <= tol regardless of scale.
     # An absolute cutoff on n2 (which grows as scale^4) would flip
     # near-degenerate verdicts under uniform scaling of the network.
-    coincident_sq = (COINCIDENT_TOL * radius) ** 2
-    if aa <= coincident_sq or bb <= coincident_sq:
+    if aa <= bounds.coincident_sq or bb <= bounds.coincident_sq:
         return []
-    if n2 <= DEGENERACY_TOL * aa * bb:
+    if n2 <= bounds.degeneracy_tol * aa * bb:
         return []
     center0 = p1 + (aa * np.cross(b, n) + bb * np.cross(n, a)) / (2.0 * n2)
-    circum_sq = float(np.dot(center0 - p1, center0 - p1))
-    h_sq = radius * radius - circum_sq
-    if h_sq < -INSIDE_TOL * radius * radius:
+    h_sq = bounds.r_sq - float(_sq_norm(center0 - p1))
+    if not h_sq > bounds.fit_floor:
         return []
-    if h_sq <= (INSIDE_TOL * radius) ** 2:
+    if h_sq <= bounds.tangent_sq:
         return [center0]
     offset = np.sqrt(h_sq) * (n / np.sqrt(n2))
     return [center0 + offset, center0 - offset]
@@ -284,11 +332,6 @@ class BallFitArrays(NamedTuple):
         ]
 
 
-def _inside_threshold(radius: float) -> float:
-    """Squared strict-inside threshold shared by both kernels."""
-    return (radius * (1.0 - INSIDE_TOL)) ** 2
-
-
 def _naive_search(
     origin: np.ndarray,
     pts: np.ndarray,
@@ -297,7 +340,7 @@ def _naive_search(
     find_first: bool,
 ) -> BallFitResult:
     """Per-pair Python oracle: scalar Eq.-1 solver, point-by-point probes."""
-    threshold = _inside_threshold(radius)
+    threshold = _eq1_bounds(radius).threshold_sq
     probe_rows: List[Tuple[float, float, float]] = [
         (float(origin[0]), float(origin[1]), float(origin[2]))
     ]
@@ -472,7 +515,7 @@ def _batch_enumerate(
         loc_k[dest] = tk[None, :]
     pair_node = np.repeat(np.arange(n_nodes, dtype=np.int64), pair_counts)
 
-    coincident_sq = (COINCIDENT_TOL * radius) ** 2
+    bounds = _eq1_bounds(radius)
     block = max(1, UBF_WORKING_SET_BYTES // BLOCK_BYTES_PER_PAIR)
     centers_blocks: List[np.ndarray] = []
     pairs_blocks: List[np.ndarray] = []
@@ -483,13 +526,13 @@ def _batch_enumerate(
         a = nbr_flat[gj[s:e]] - origin_rows
         b = nbr_flat[gk[s:e]] - origin_rows
         n = np.cross(a, b)
-        n2 = np.einsum("ij,ij->i", n, n)
-        aa = np.einsum("ij,ij->i", a, a)
-        bb = np.einsum("ij,ij->i", b, b)
+        n2 = _sq_norm(n)
+        aa = _sq_norm(a)
+        bb = _sq_norm(b)
         valid = (
-            (aa > coincident_sq)
-            & (bb > coincident_sq)
-            & (n2 > DEGENERACY_TOL * aa * bb)
+            (aa > bounds.coincident_sq)
+            & (bb > bounds.coincident_sq)
+            & (n2 > bounds.degeneracy_tol * aa * bb)
         )
         if not np.any(valid):
             continue
@@ -500,16 +543,14 @@ def _batch_enumerate(
         center0 = origin_rows + (
             aa * np.cross(b, n) + bb * np.cross(n, a)
         ) / (2.0 * n2[:, None])
-        delta = center0 - origin_rows
-        circum_sq = np.einsum("ij,ij->i", delta, delta)
-        h_sq = radius * radius - circum_sq
-        fits = h_sq > -INSIDE_TOL * radius * radius
+        h_sq = bounds.r_sq - _sq_norm(center0 - origin_rows)
+        fits = h_sq > bounds.fit_floor
         if not np.any(fits):
             continue
         keep = rows[fits] + s  # global pair rows surviving both filters
         center0, n, n2, h_sq = center0[fits], n[fits], n2[fits], h_sq[fits]
 
-        tangent = h_sq <= (INSIDE_TOL * radius) ** 2
+        tangent = h_sq <= bounds.tangent_sq
         h = np.sqrt(np.clip(h_sq, 0.0, None))
         unit_n = n / np.sqrt(n2)[:, None]
         offset = h[:, None] * unit_n
@@ -578,7 +619,8 @@ def _batch_probe(
                 mask, base[alive, None] + posa[:, None] + col[None, :], 0
             )
             diff = centers_sel[alive, None, :] - probe_flat[idx]
-            dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+            dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+            dist_sq = dx * dx + dy * dy + dz * dz  # left to right, as the C probe
             inside = (dist_sq < threshold) & mask
             any_inside = inside.any(axis=1)
             hit = alive[any_inside]
@@ -608,42 +650,63 @@ def _batched_search(
 ) -> BallFitArrays:
     """Network-batched emptiness search over one slab of nodes.
 
-    Candidates are enumerated once for the whole slab
-    (:func:`_batch_enumerate`), then scanned by the native
-    ``ubf_empty_check`` kernel (one C call) when it loads, or in numpy
-    waves otherwise: every wave advances each still-active node by
-    :data:`DEFAULT_CHUNK_SIZE` candidates with one broadcast for the whole
-    slab, so a boundary node stops contributing work at the wave after its
-    witness.  ``probe_base`` indexes ``probe_flat`` directly, so slabs of
-    one network share its probe array.  Counters are the semantic
+    One call into the fused ``ubf_enumerate_scan`` C kernel when the
+    native kernels load, the numpy fallback :func:`_numpy_search`
+    otherwise.  ``probe_base`` indexes ``probe_flat`` directly, so slabs
+    of one network share its probe array.  Counters are the semantic
     sequential work counts, so they match the naive oracle exactly.
+    """
+    native = _native_ubf_kernels()
+    if native is None:
+        return _numpy_search(
+            origins, nbr_flat, nbr_ptr, probe_flat, probe_base, probe_len,
+            radius, find_first,
+        )
+    tested, checked, witness_center, witness_pair = native.ubf_enumerate_scan(
+        origins, nbr_flat, nbr_ptr, probe_flat, probe_base, probe_len,
+        _eq1_bounds(radius), find_first,
+    )
+    # Nodes without a candidate ball (or fewer than two neighbors) sit
+    # against empty space: conservative boundary, zero counters.
+    return BallFitArrays(
+        is_boundary=(tested == 0) | (witness_pair[:, 0] >= 0),
+        balls_tested=tested,
+        points_checked=checked,
+        witness_center=witness_center,
+        witness_pair=witness_pair,
+    )
+
+
+def _numpy_search(
+    origins: np.ndarray,
+    nbr_flat: np.ndarray,
+    nbr_ptr: np.ndarray,
+    probe_flat: np.ndarray,
+    probe_base: np.ndarray,
+    probe_len: np.ndarray,
+    radius: float,
+    find_first: bool,
+) -> BallFitArrays:
+    """The compiler-less twin of ``ubf_enumerate_scan``.
+
+    Candidates are enumerated once for the whole slab
+    (:func:`_batch_enumerate`), then scanned in numpy waves: every wave
+    advances each still-active node by :data:`DEFAULT_CHUNK_SIZE`
+    candidates with one broadcast for the whole slab, so a boundary node
+    stops contributing work at the wave after its witness.
     """
     n_nodes = origins.shape[0]
     centers, pairs, _, cand_ptr = _batch_enumerate(
         origins, nbr_flat, nbr_ptr, radius
     )
-    threshold = _inside_threshold(radius)
+    threshold = _eq1_bounds(radius).threshold_sq
     cand_counts = np.diff(cand_ptr)
 
     tested = np.zeros(n_nodes, dtype=np.int64)
     checked = np.zeros(n_nodes, dtype=np.int64)
     witness = np.full(n_nodes, -1, dtype=np.int64)
 
-    native = _native_ubf_kernels() if centers.shape[0] else None
-    if native is not None:
-        native.ubf_empty_check(
-            centers,
-            cand_ptr,
-            probe_flat,
-            probe_base,
-            probe_len,
-            threshold,
-            find_first,
-            tested,
-            checked,
-            witness,
-        )
-    elif centers.shape[0]:
+    if centers.shape[0]:
         pos = cand_ptr[:-1].copy()
         active = cand_counts > 0
         while True:

@@ -1,5 +1,5 @@
 /* Native hot-path kernels: the "sparse" localization engine and the UBF
- * emptiness scan.
+ * candidate search.
  *
  * Compiled on demand by repro.geometry.native with the system C compiler
  * (see native.py for the cache/fallback protocol); every routine has a
@@ -24,10 +24,24 @@
  *   every output element's floating-point operation order and only run
  *   independent elements side by side.  Frames with a disconnected
  *   measured-pair graph are declined, untouched, for the scalar oracle.
- * - ubf_empty_check mirrors the batched numpy emptiness waves exactly:
- *   same strictly-inside comparison against the same squared threshold,
- *   sequential dx*dx + dy*dy + dz*dz accumulation with no FMA
- *   contraction, per-ball early exit at the first inside probe.
+ * - ubf_enumerate_scan mirrors ballfit's numpy Eq.-1 chain and probe
+ *   waves operation for operation, so verdicts, counters and witness
+ *   centers are byte-identical to the numpy fallback:
+ *   a = nbr_j - o and b = nbr_k - o; n = a x b term by term as np.cross
+ *   computes it, (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0); the
+ *   validity test n2 > (DEGENERACY_TOL * aa) * bb; the center
+ *   o + (aa (b x n) + bb (n x a)) / (2 n2); h = sqrt(max(h_sq, 0)) and
+ *   the offset h * (n / sqrt(n2)).  The filter constants (coincidence
+ *   floor, r^2, the fit floor -INSIDE_TOL r r, the tangent bound
+ *   (INSIDE_TOL r)^2, the strict-inside threshold) arrive precomputed
+ *   from Python, so C never re-derives them.
+ *   The squared norms n2, aa, bb and circum_sq sum as (x^2 + z^2) + y^2.
+ *   That is the order numpy's einsum("ij,ij->i") uses for three terms on
+ *   AVX-512 hosts, which produced the committed outputs; ballfit spells
+ *   it out explicitly so its numpy path no longer depends on numpy's
+ *   SIMD dispatch.  Probe distances stay left to right,
+ *   dx*dx + dy*dy + dz*dz, with per-ball early exit at the first
+ *   strictly-inside probe.  No FMA contraction anywhere.
  * - No routine reads clocks, RNGs, or global state: outputs depend only
  *   on inputs, so results are byte-stable across processes and batch
  *   compositions (the repro-san property).
@@ -508,62 +522,169 @@ int64_t smacof_refine_frames(
 }
 
 /* ---------------------------------------------------------------- */
-/* UBF emptiness scan                                               */
+/* UBF: fused Eq.-1 enumeration and emptiness scan                  */
 /* ---------------------------------------------------------------- */
 
-/* Sequential emptiness scan over batched UBF candidate balls.
- *
- * centers       (total_candidates, 3) candidate ball centers, node-major
- *               in the canonical enumeration order
- * cand_ptr      (n_nodes + 1) candidate offsets per node
- * probe_flat    (total_probes, 3) emptiness probe points, node-major,
- *               each node's own position first
- * probe_base    (n_nodes) offset of each node's probe segment
- * probe_len     (n_nodes) probe count per node
- * threshold_sq  squared strictly-inside radius ((r * (1 - tol))^2)
- * find_first    nonzero to stop each node at its first empty ball
- * balls_tested / points_checked / witness
- *               (n_nodes) outputs; witness holds the global row of each
- *               node's first empty ball, or -1
- *
- * The distance accumulation is dx*dx + dy*dy + dz*dz left-to-right with
- * no FMA contraction, matching the numpy einsum of the batched kernel
- * elementwise, so verdicts, witnesses and the semantic counters are
- * identical to the numpy waves (and to the per-node kernels). */
-void ubf_empty_check(
-    const double *centers, const int64_t *cand_ptr,
-    const double *probe_flat, const int64_t *probe_base,
-    const int64_t *probe_len,
-    int64_t n_nodes, double threshold_sq, int find_first,
-    int64_t *balls_tested, int64_t *points_checked, int64_t *witness)
+/* The Eq.-1 filter constants and the squared strict-inside radius, as
+ * ballfit._eq1_bounds computes them. */
+struct eq1_bounds {
+    double coincident_sq, degeneracy_tol, r_sq, fit_floor, tangent_sq,
+        threshold_sq;
+};
+
+/* Squared norm in the order numpy's einsum("ij,ij->i") sums three terms
+ * on AVX-512 hosts, (x^2 + z^2) + y^2 -- the order the committed UBF
+ * outputs were produced with, and the one ballfit._sq_norm spells out. */
+static inline double sq_norm_xzy(const double *v)
 {
-    for (int64_t u = 0; u < n_nodes; ++u) {
-        const double *probes = probe_flat + probe_base[u] * 3;
-        int64_t n_probes = probe_len[u];
-        int64_t tested = 0, checked = 0, wit = -1;
-        for (int64_t c = cand_ptr[u]; c < cand_ptr[u + 1]; ++c) {
-            const double *ctr = centers + c * 3;
-            int inside = 0;
-            int64_t p = 0;
-            for (; p < n_probes; ++p) {
-                double dx = ctr[0] - probes[p * 3];
-                double dy = ctr[1] - probes[p * 3 + 1];
-                double dz = ctr[2] - probes[p * 3 + 2];
-                if (dx * dx + dy * dy + dz * dz < threshold_sq) {
-                    inside = 1;
-                    break;
+    return (v[0] * v[0] + v[2] * v[2]) + v[1] * v[1];
+}
+
+/* u x v, term for term as np.cross computes it. */
+static inline void cross3(const double *u, const double *v, double *out)
+{
+    out[0] = u[1] * v[2] - u[2] * v[1];
+    out[1] = u[2] * v[0] - u[0] * v[2];
+    out[2] = u[0] * v[1] - u[1] * v[0];
+}
+
+/* Probe one candidate center against a node's probe rows: returns the
+ * semantic probe count (index of the first strictly-inside row plus one,
+ * or n_probes when the ball is empty) and sets *empty.  Distances sum
+ * left to right. */
+static inline int64_t probe_ball(const double *c, const double *probes,
+                                 int64_t n_probes, double threshold_sq,
+                                 int *empty)
+{
+    for (int64_t p = 0; p < n_probes; ++p) {
+        double dx = c[0] - probes[p * 3];
+        double dy = c[1] - probes[p * 3 + 1];
+        double dz = c[2] - probes[p * 3 + 2];
+        if (dx * dx + dy * dy + dz * dz < threshold_sq) {
+            *empty = 0;
+            return p + 1;
+        }
+    }
+    *empty = 1;
+    return n_probes;
+}
+
+/* Steps (II)-(III) of Algorithm 1 at one node (origin o, m neighbors nb):
+ * walk the neighbor pairs in canonical order (lexicographic (j, k), the
+ * +offset center before the -offset one, one center for tangent pairs),
+ * solve Eq. 1 for each and probe every candidate as soon as it exists.
+ * Writes the counters to out_counts[0..1] and, for the first empty ball,
+ * its center to wc and pair to wp; with find_first it stops there. */
+static void scan_node(const struct eq1_bounds *bd, const double *o,
+                      const double *nb, int64_t m, const double *probes,
+                      int64_t n_probes, int find_first,
+                      int64_t *out_counts, double *wc, int64_t *wp)
+{
+    int64_t tested = 0, checked = 0;
+    int found = 0;
+    for (int64_t j = 0; j + 1 < m; ++j) {
+        double a[3];
+        for (int d = 0; d < 3; ++d)
+            a[d] = nb[j * 3 + d] - o[d];
+        double aa = sq_norm_xzy(a);
+        for (int64_t k = j + 1; k < m; ++k) {
+            double b[3], n[3];
+            for (int d = 0; d < 3; ++d)
+                b[d] = nb[k * 3 + d] - o[d];
+            cross3(a, b, n);
+            double nn = sq_norm_xzy(n);
+            double bb = sq_norm_xzy(b);
+            if (!(aa > bd->coincident_sq && bb > bd->coincident_sq
+                  && nn > bd->degeneracy_tol * aa * bb))
+                continue;
+            /* center0 = o + (aa (b x n) + bb (n x a)) / (2 n2) */
+            double bxn[3], nxa[3], c[2][3], delta[3];
+            cross3(b, n, bxn);
+            cross3(n, a, nxa);
+            double den = 2.0 * nn;
+            for (int d = 0; d < 3; ++d) {
+                c[0][d] = o[d] + (aa * bxn[d] + bb * nxa[d]) / den;
+                delta[d] = c[0][d] - o[d];
+            }
+            double h_sq = bd->r_sq - sq_norm_xzy(delta);
+            if (!(h_sq > bd->fit_floor))
+                continue;
+            int n_centers = 1;
+            if (!(h_sq <= bd->tangent_sq)) {
+                double h = sqrt(h_sq > 0.0 ? h_sq : 0.0);
+                double norm = sqrt(nn);
+                for (int d = 0; d < 3; ++d) {
+                    double off = h * (n[d] / norm);
+                    c[1][d] = c[0][d] - off;
+                    c[0][d] = c[0][d] + off;
+                }
+                n_centers = 2;
+            }
+            for (int q = 0; q < n_centers; ++q) {
+                int empty;
+                checked += probe_ball(c[q], probes, n_probes,
+                                      bd->threshold_sq, &empty);
+                ++tested;
+                if (empty && !found) {
+                    found = 1;
+                    memcpy(wc, c[q], sizeof c[q]);
+                    wp[0] = j;
+                    wp[1] = k;
+                    if (find_first)
+                        goto done;
                 }
             }
-            checked += inside ? p + 1 : n_probes;
-            ++tested;
-            if (!inside && wit < 0) {
-                wit = c;
-                if (find_first)
-                    break;
-            }
         }
-        balls_tested[u] = tested;
-        points_checked[u] = checked;
-        witness[u] = wit;
+    }
+done:
+    out_counts[0] = tested;
+    out_counts[1] = checked;
+}
+
+/* Steps (II)-(III) of Algorithm 1 for a slab of nodes, one scan_node
+ * call each.  No candidate array is built, and with find_first a node
+ * stops at its witness.
+ *
+ * origins       (n_nodes, 3) node positions
+ * nbr_flat      (total_neighbors, 3) one-hop neighbor positions, node-major
+ * nbr_ptr       (n_nodes + 1) neighbor offsets per node
+ * probe_flat    (total_probes, 3) emptiness probe points, each node's own
+ *               position first
+ * probe_base    (n_nodes) offset of each node's probe segment
+ * probe_len     (n_nodes) probe count per node
+ * coincident_sq, degeneracy_tol, r_sq, fit_floor, tangent_sq,
+ * threshold_sq  the fields of struct eq1_bounds, computed once by the
+ *               caller (ballfit._eq1_bounds)
+ * find_first    nonzero to stop each node at its first empty ball
+ * balls_tested / points_checked
+ *               (n_nodes) outputs, the semantic work counters
+ * witness_center / witness_pair
+ *               (n_nodes, 3) / (n_nodes, 2) outputs, written only for
+ *               nodes that find an empty ball (the caller pre-fills NaN
+ *               and -1)
+ *
+ * Every expression mirrors ballfit._batch_enumerate / _batch_probe
+ * operation for operation (see the header), so the outputs are those of
+ * the numpy fallback byte for byte. */
+void ubf_enumerate_scan(
+    const double *origins, const double *nbr_flat, const int64_t *nbr_ptr,
+    const double *probe_flat, const int64_t *probe_base,
+    const int64_t *probe_len, int64_t n_nodes,
+    double coincident_sq, double degeneracy_tol, double r_sq,
+    double fit_floor, double tangent_sq, double threshold_sq,
+    int find_first,
+    int64_t *balls_tested, int64_t *points_checked,
+    double *witness_center, int64_t *witness_pair)
+{
+    struct eq1_bounds bd = {coincident_sq, degeneracy_tol, r_sq,
+                            fit_floor, tangent_sq, threshold_sq};
+    for (int64_t u = 0; u < n_nodes; ++u) {
+        int64_t counts[2];
+        scan_node(&bd, origins + u * 3, nbr_flat + nbr_ptr[u] * 3,
+                  nbr_ptr[u + 1] - nbr_ptr[u],
+                  probe_flat + probe_base[u] * 3, probe_len[u], find_first,
+                  counts, witness_center + u * 3, witness_pair + u * 2);
+        balls_tested[u] = counts[0];
+        points_checked[u] = counts[1];
     }
 }

@@ -1,12 +1,12 @@
 """On-demand native kernels for the sparse localization engine and UBF.
 
 The hot loops (frame assembly, Floyd-Warshall completion, double
-centering, SMACOF majorization, and the UBF emptiness scan) are written
-once in portable C (``ckernels.c``) and compiled lazily with the system C
-compiler the first time they are requested.  The resulting shared object is cached on disk
-keyed by the source hash, so every later process (including pool workers)
-dlopens the same binary -- a precondition for the byte-identical sharded
-outputs repro-san checks.
+centering, SMACOF majorization, and the fused UBF candidate search) are
+written once in portable C (``ckernels.c``) and compiled lazily with the
+system C compiler the first time they are requested.  The resulting
+shared object is cached on disk keyed by the source hash, so every later
+process (including pool workers) dlopens the same binary -- a
+precondition for the byte-identical sharded outputs repro-san checks.
 
 No new dependency is introduced: the build shells out to ``cc`` (or
 ``$CC``) with ``ctypes`` doing the loading.  When no compiler is
@@ -84,11 +84,11 @@ class NativeKernels:
             ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
             _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT32_P, _INT64_P,
         ]
-        library.ubf_empty_check.restype = None
-        library.ubf_empty_check.argtypes = [
-            _DOUBLE_P, _INT64_P, _DOUBLE_P, _INT64_P, _INT64_P,
-            ctypes.c_int64, ctypes.c_double, ctypes.c_int,
-            _INT64_P, _INT64_P, _INT64_P,
+        library.ubf_enumerate_scan.restype = None
+        library.ubf_enumerate_scan.argtypes = [
+            _DOUBLE_P, _DOUBLE_P, _INT64_P, _DOUBLE_P, _INT64_P, _INT64_P,
+            ctypes.c_int64, *[ctypes.c_double] * 6, ctypes.c_int,
+            _INT64_P, _INT64_P, _DOUBLE_P, _INT64_P,
         ]
 
     def assemble_frames(
@@ -190,41 +190,57 @@ class NativeKernels:
                 )
         return steps
 
-    def ubf_empty_check(
+    def ubf_enumerate_scan(
         self,
-        centers: np.ndarray,
-        cand_ptr: np.ndarray,
+        origins: np.ndarray,
+        nbr_flat: np.ndarray,
+        nbr_ptr: np.ndarray,
         probe_flat: np.ndarray,
         probe_base: np.ndarray,
         probe_len: np.ndarray,
-        threshold_sq: float,
+        bounds: Tuple[float, ...],
         find_first: bool,
-        balls_tested: np.ndarray,
-        points_checked: np.ndarray,
-        witness: np.ndarray,
-    ) -> None:
-        """Sequential UBF emptiness scan over batched candidate balls.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fused Eq.-1 enumeration and emptiness scan over a node slab.
 
-        Fills the per-node ``balls_tested`` / ``points_checked`` /
-        ``witness`` output arrays in place; results are identical to the
-        numpy waves of the batched kernel (see ckernels.c for the
-        floating-point contract).
+        ``bounds`` holds the Eq.-1 filter constants and the strict-inside
+        threshold, in ``ubf_enumerate_scan``'s parameter order.  Returns
+        the per-node ``(balls_tested, points_checked, witness_center,
+        witness_pair)``; witness rows are NaN / -1 where no empty ball was
+        found.  Outputs equal the numpy fallback's byte for byte (see
+        ckernels.c for the floating-point contract).
         """
-        n_nodes = cand_ptr.shape[0] - 1
-        centers = np.ascontiguousarray(centers, dtype=np.float64)
+        n_nodes = nbr_ptr.shape[0] - 1
+        origins = np.ascontiguousarray(origins, dtype=np.float64)
+        nbr_flat = np.ascontiguousarray(nbr_flat, dtype=np.float64)
         probe_flat = np.ascontiguousarray(probe_flat, dtype=np.float64)
-        cand_ptr = np.ascontiguousarray(cand_ptr, dtype=np.int64)
+        nbr_ptr = np.ascontiguousarray(nbr_ptr, dtype=np.int64)
         probe_base = np.ascontiguousarray(probe_base, dtype=np.int64)
         probe_len = np.ascontiguousarray(probe_len, dtype=np.int64)
-        self._lib.ubf_empty_check(
-            _ptr(centers, ctypes.c_double), _ptr(cand_ptr, ctypes.c_int64),
-            _ptr(probe_flat, ctypes.c_double),
+        if (
+            origins.shape != (n_nodes, 3)
+            or probe_base.shape != (n_nodes,)
+            or probe_len.shape != (n_nodes,)
+            or nbr_flat.shape[1:] != (3,)
+            or probe_flat.shape[1:] != (3,)
+            or (n_nodes and nbr_ptr[-1] > nbr_flat.shape[0])
+            or (n_nodes and (probe_base + probe_len).max() > probe_flat.shape[0])
+        ):
+            raise ValueError("ubf_enumerate_scan: inconsistent CSR array shapes")
+        tested = np.zeros(n_nodes, dtype=np.int64)
+        checked = np.zeros(n_nodes, dtype=np.int64)
+        witness_center = np.full((n_nodes, 3), np.nan)
+        witness_pair = np.full((n_nodes, 2), -1, dtype=np.int64)
+        self._lib.ubf_enumerate_scan(
+            _ptr(origins, ctypes.c_double), _ptr(nbr_flat, ctypes.c_double),
+            _ptr(nbr_ptr, ctypes.c_int64), _ptr(probe_flat, ctypes.c_double),
             _ptr(probe_base, ctypes.c_int64), _ptr(probe_len, ctypes.c_int64),
-            n_nodes, threshold_sq, 1 if find_first else 0,
-            _ptr(balls_tested, ctypes.c_int64),
-            _ptr(points_checked, ctypes.c_int64),
-            _ptr(witness, ctypes.c_int64),
+            n_nodes, *bounds, 1 if find_first else 0,
+            _ptr(tested, ctypes.c_int64), _ptr(checked, ctypes.c_int64),
+            _ptr(witness_center, ctypes.c_double),
+            _ptr(witness_pair, ctypes.c_int64),
         )
+        return tested, checked, witness_center, witness_pair
 
 
 def _cache_dir() -> str:

@@ -2,11 +2,10 @@
 
 The two kernels of :mod:`repro.geometry.ballfit` promise *identical*
 observables -- same boundary verdict, same witness ball, same
-``balls_tested`` / ``points_checked`` counters -- on every input.  The
-batched kernel's two scans (the native C scan and the numpy waves) and
-its slab, block and wave sizes additionally promise bit-equal witness
-centers; the naive scalar solver is compared with a tight tolerance.
-These tests enforce the contract on:
+``balls_tested`` / ``points_checked`` counters -- on every input.  All
+three paths (the fused native C kernel, the numpy fallback and the naive
+scalar oracle) share one Eq.-1 and probe arithmetic, so witness centers
+are compared byte for byte too.  These tests enforce the contract on:
 
 * deployed networks across the paper's shape library and both ``eps``
   regimes, in both ``find_first`` modes;
@@ -18,8 +17,10 @@ These tests enforce the contract on:
 * the candidate enumeration order itself, which the counter equality
   silently depends on;
 * slab, Eq.-1 block and wave sizes (monkeypatched module constants), and
-  the native C scan (when a compiler is available) against the numpy
-  waves, including the compiler-less fallback path.
+  the native C kernel (when a compiler is available) against the numpy
+  waves, including the compiler-less fallback path;
+* a neighborhood whose verdict hinges on the summation order of squared
+  norms, where the paths once disagreed.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ DEPLOYS = {
 
 EPS_VALUES = (1e-3, 0.2)
 
-#: The batched kernel's two emptiness scans: the numpy waves and the C scan.
+#: The batched kernel's two paths: the numpy waves and the fused C kernel.
 SCANS = ("batched", "native")
 
 
 def force_numpy_waves(monkeypatch) -> None:
-    """Make the batched kernel scan in numpy waves even when C loads."""
+    """Make the batched kernel take its numpy fallback even when C loads."""
     monkeypatch.setattr(ballfit, "_native_ubf_kernels", lambda: None)
 
 
@@ -66,8 +67,8 @@ def force_numpy_waves(monkeypatch) -> None:
 def scan(request, monkeypatch):
     """Route the batched kernel through one scan (indirect parametrization).
 
-    ``"batched"`` forces the numpy waves; ``"native"`` needs the C scan and
-    skips when no compiler is available or ``REPRO_NATIVE=0``.
+    ``"batched"`` forces the numpy waves; ``"native"`` needs the C kernel
+    and skips when no compiler is available or ``REPRO_NATIVE=0``.
     """
     if request.param == "native":
         if load_kernels() is None:
@@ -77,27 +78,18 @@ def scan(request, monkeypatch):
     return request.param
 
 
-def assert_results_equal(
-    vec: BallFitResult, naive: BallFitResult, *, bit_equal_centers: bool = False
-) -> None:
-    """Full observable equality between two kernels' results.
-
-    ``bit_equal_centers`` asserts the witness centers byte for byte --
-    valid between runs of the batched kernel, whose scans and slab sizes
-    share the Eq.-1 arithmetic operation for operation.  The naive scalar
-    solver differs from it by ~1 ulp, hence the default tolerance
-    comparison.
-    """
+def assert_results_equal(vec: BallFitResult, naive: BallFitResult) -> None:
+    """Full observable equality between two kernels' results, witness
+    centers bit for bit (every path shares the Eq.-1 arithmetic operation
+    for operation)."""
     assert vec.is_boundary == naive.is_boundary
     assert vec.balls_tested == naive.balls_tested
     assert vec.points_checked == naive.points_checked
     assert vec.witness_pair == naive.witness_pair
     if naive.empty_center is None:
         assert vec.empty_center is None
-    elif bit_equal_centers:
-        assert np.array_equal(vec.empty_center, naive.empty_center)
     else:
-        np.testing.assert_allclose(vec.empty_center, naive.empty_center, atol=1e-9)
+        assert np.array_equal(vec.empty_center, naive.empty_center)
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -237,6 +229,29 @@ class TestDegenerateGeometry:
         assert fast.balls_tested == 1
 
     @pytest.mark.parametrize("scan", SCANS, indirect=True)
+    def test_summation_order_shared_by_every_path(self, scan):
+        """A verdict that hinges on how squared norms are summed.
+
+        The first candidate ball's last probe lands exactly on the
+        strict-inside threshold when its distance sums left to right, so
+        the ball is empty after 4 probes.  Summed as ``(x^2 + z^2) + y^2``
+        it is one ulp inside; that sum in the numpy waves, and ``np.dot``
+        norms in the naive oracle's center, once made those two paths test
+        a second ball (2 balls, 8 probes).
+        """
+        origin = np.zeros(3)
+        neighbors = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.05]])
+        check = np.vstack(
+            [neighbors, [[1.129621478668743, -0.2984323513198192, 0.6102197359843873]]]
+        )
+        fast = empty_ball_exists(origin, neighbors, 1.0, check_points=check)
+        naive = empty_ball_exists(
+            origin, neighbors, 1.0, check_points=check, kernel="naive"
+        )
+        assert_results_equal(fast, naive)
+        assert (fast.balls_tested, fast.points_checked) == (1, 4)
+
+    @pytest.mark.parametrize("scan", SCANS, indirect=True)
     def test_circumradius_exceeding_radius_yields_no_ball(self, scan):
         origin = np.array([0.0, 0.0, 0.0])
         neighbors = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
@@ -290,7 +305,7 @@ class TestBatchedKernel:
         batch = _batch_of(frames, radius, find_first)
         for frame, got in zip(frames, batch):
             alone = ubf_classify_frame(frame, radius, find_first=find_first)
-            assert_results_equal(got, alone, bit_equal_centers=True)
+            assert_results_equal(got, alone)
 
     @pytest.mark.parametrize("find_first", [True, False])
     def test_randomized_batches(self, find_first, monkeypatch):
@@ -326,6 +341,7 @@ class TestBatchedKernel:
         many block boundaries inside every node's pair range, pinning the
         block bookkeeping at toy scale.
         """
+        force_numpy_waves(monkeypatch)
         rng = np.random.default_rng(5)
         origins, nbrs, checks = _random_batch(rng, 8)
         reference = empty_ball_exists_batch(
@@ -338,7 +354,7 @@ class TestBatchedKernel:
             origins, nbrs, 1.1, check_sets=checks, find_first=False
         )
         for got, ref in zip(small, reference):
-            assert_results_equal(got, ref, bit_equal_centers=True)
+            assert_results_equal(got, ref)
 
     @pytest.mark.parametrize("scan", SCANS, indirect=True)
     def test_one_node_slabs(self, scenario_network, scan, monkeypatch):
@@ -352,7 +368,7 @@ class TestBatchedKernel:
                 patch.setattr(ballfit, "UBF_WORKING_SET_BYTES", 1)
                 tiny = _batch_of(frames, 1.2, find_first)
             for got, ref in zip(tiny, reference):
-                assert_results_equal(got, ref, bit_equal_centers=True)
+                assert_results_equal(got, ref)
 
     def test_batch_chunk_size_is_observably_invisible(
         self, scenario_network, monkeypatch
@@ -365,11 +381,11 @@ class TestBatchedKernel:
         for chunk_size in (1, 2, 7, 4096):
             monkeypatch.setattr(ballfit, "DEFAULT_CHUNK_SIZE", chunk_size)
             for a, b in zip(_batch_of(frames, radius), reference):
-                assert_results_equal(a, b, bit_equal_centers=True)
+                assert_results_equal(a, b)
 
 
 class TestNativeKernel:
-    """The C emptiness scan against the numpy waves, plus its fallback."""
+    """The fused C kernel against the numpy waves, plus its fallback."""
 
     @pytest.mark.skipif(
         load_kernels() is None, reason="no C compiler / native kernels disabled"
@@ -387,10 +403,10 @@ class TestNativeKernel:
         force_numpy_waves(monkeypatch)
         waves = _batch_of(frames, radius, find_first)
         for a, b in zip(native, waves):
-            assert_results_equal(a, b, bit_equal_centers=True)
+            assert_results_equal(a, b)
 
     def test_native_falls_back_without_compiler(self, monkeypatch):
-        """The batched kernel must stay correct when the C scan is unavailable."""
+        """The batched kernel must stay correct when the C kernel is unavailable."""
         monkeypatch.setenv(NATIVE_ENV_VAR, "0")
         reset_kernel_cache()
         try:
@@ -432,6 +448,4 @@ class TestEnumerationOrder:
             assert centers.shape[0] == len(expected_centers)
             assert [tuple(p) for p in pairs] == expected_pairs
             if expected_centers:
-                np.testing.assert_allclose(
-                    centers, np.asarray(expected_centers), atol=1e-12
-                )
+                assert np.array_equal(centers, np.asarray(expected_centers))
