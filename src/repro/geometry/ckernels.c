@@ -14,7 +14,7 @@
  *   min/add, no FMA contraction (-ffp-contract=off in the build flags).
  *   Rows whose pivot entry d[i][k] is +inf are skipped, which changes no
  *   bit (inf + x never wins the min).
- * - smacof_refine_frames reproduces smacof_refine_counted's majorization
+ * - smacof_refine_frames reproduces smacof_refine's majorization
  *   (including the d > 1e-12 ratio guard and the relative stress stopping
  *   rule); coordinates agree with it within SMACOF_BATCH_COORD_TOL and
  *   step counts agree exactly.  Its output is bit-identical to the plain
@@ -107,7 +107,7 @@ int64_t assemble_frames(
 /* ---------------------------------------------------------------- */
 
 /* In-place Floyd-Warshall over a (b, m, m) stack; identical relaxation
- * order to complete_distance_matrix_batch.  `rowk` buffers pivot row k
+ * order to complete_distance_matrix.  `rowk` buffers pivot row k
  * so the inner loop carries no aliasing (i == k) and vectorizes.  Rows
  * with d[i][k] = +inf are skipped: inf + x never wins the min, so the
  * skip changes no bit. */
@@ -440,7 +440,7 @@ static void apply_inverse(const double *at, int64_t stride, const double *bxt,
  *              streams; doubles as the Cholesky column buffer)
  * parent       max_m scratch (union-find)
  *
- * Per frame this mirrors smacof_refine_counted: the update is
+ * Per frame this mirrors smacof_refine: the update is
  * X <- (V + 11^T/m)^{-1} (B X) - (11^T/m)(B X), equal to pinv(V) B X for
  * connected weight graphs; like the numpy batch twin
  * (smacof_refine_batch) the inverse is formed once per frame and applied

@@ -14,30 +14,34 @@ same family is implemented here:
 The resulting frame is arbitrary up to rotation/translation/reflection,
 which UBF is invariant to.
 
-Batched twins
+Batched forms
 -------------
-The sparse localization engine runs these steps on ``(B, m, m)`` stacks of
-same-size neighborhoods (:func:`complete_distance_matrix_batch`,
-:func:`torgerson_gram_batch` with :func:`classical_mds_from_gram_stack`,
-and :func:`smacof_refine_batch`).  Stacking ``B`` same-size problems
+Every step takes a ``(B, m, m)`` stack of same-size neighborhoods, so the
+sparse localization engine runs it once per stack while the ``pernode``
+oracle passes 1-stacks: :func:`complete_distance_matrix` (also accepts
+one ``(m, m)`` matrix), :func:`torgerson_gram_batch` with
+:func:`classical_mds_from_gram_stack` (which :func:`classical_mds` wraps),
+and :func:`smacof_refine_batch`.  Stacking ``B`` same-size problems
 amortizes numpy call overhead ``B``-fold and lets the LAPACK stages run
-as tight loops instead of one wrapped call per node.
+as tight loops instead of one wrapped call per node.  The native kernels
+of :mod:`repro.geometry.native` (``fw_complete``, ``center_gram``,
+``smacof_refine``) are the compiled twins of these steps.
 
-Two accuracy contracts apply.  The batched completion and classical MDS
-mirror the scalar implementations expression for expression, so their
-slices are *bit-identical* to the scalar results.
-:func:`smacof_refine_batch` additionally restructures the iteration
-arithmetic for memory locality (Gram-identity distances, algebraically
-expanded stress); its slices match the scalar oracle within
-:data:`SMACOF_BATCH_COORD_TOL` with *exactly* equal iteration counts --
-the engine contract the differential tests in
+Completion and classical MDS are one function each, so every engine gets
+*bit-identical* results from them.  SMACOF keeps two forms: the scalar
+oracle :func:`smacof_refine` and :func:`smacof_refine_batch`, which
+restructures the iteration arithmetic for memory locality (Gram-identity
+distances, algebraically expanded stress).  Its slices match the oracle
+within :data:`SMACOF_BATCH_COORD_TOL` with *exactly* equal iteration
+counts -- the engine contract the differential tests in
 ``tests/unit/test_localization_engines.py`` pin down (see
 docs/PERFORMANCE.md, "Localization engine").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Tuple
 
 import numpy as np
 
@@ -69,93 +73,56 @@ FW_CHUNK_SLICES = 8
 #: every engine emit the same (zero) coordinate for a degenerate axis.
 DEGENERATE_EIGENVALUE_RATIO = 1e-12
 
-#: Max rows per block-diagonal Dijkstra call in
-#: :func:`complete_distance_matrix_sparse`: bounds the dense
-#: ``(rows, rows)`` distance output of one scipy call to a few megabytes.
-SPARSE_COMPLETION_BLOCK_ROWS = 1024
 
-
-def complete_distance_matrix(
-    partial: np.ndarray,
-    *,
-    missing_value: float = np.inf,
-    unreachable: float = UNREACHABLE_LOCAL_DISTANCE,
-) -> np.ndarray:
-    """Fill unknown entries of a partial distance matrix via shortest paths.
+def complete_distance_matrix(partial: np.ndarray) -> np.ndarray:
+    """Fill unknown entries of partial distance matrices via shortest paths.
 
     Parameters
     ----------
     partial:
-        Square symmetric matrix; ``partial[i, j]`` is the measured distance
-        between local nodes ``i`` and ``j``, or ``missing_value`` when the
-        pair is out of range of each other.  The diagonal must be zero.
-    missing_value:
-        Sentinel marking unmeasured pairs (default ``inf``).
-    unreachable:
-        Distance substituted for pairs still unreachable after shortest-path
-        completion (disconnected local subgraphs).
+        One ``(m, m)`` matrix or a ``(B, m, m)`` stack of them (a matrix is
+        completed as a 1-stack).  Each is symmetric; ``partial[..., i, j]``
+        is the measured distance between local nodes ``i`` and ``j``, or
+        ``inf`` when the pair is out of range of each other.  The diagonal
+        is taken as zero.
 
     Returns
     -------
     numpy.ndarray
-        Completed symmetric matrix with no infinities.
+        Completed matrices of the input's shape with no infinities: pairs
+        still unreachable after completion (disconnected local subgraphs)
+        get :data:`UNREACHABLE_LOCAL_DISTANCE`.
 
     Notes
     -----
-    The completion is plain Floyd-Warshall over numpy broadcasting.  The
-    relaxation runs fully in place: one scratch buffer holds the ``via k``
-    sums and ``np.minimum(..., out=dist)`` folds them back, so no per-``k``
-    arrays are allocated.  (In-place per-``k`` relaxation is sound because
-    iteration ``k`` never changes row or column ``k``: the candidate for
-    ``dist[i, k]`` is ``dist[i, k] + dist[k, k] = dist[i, k]``.)
+    The completion is plain Floyd-Warshall over numpy broadcasting, the
+    arithmetic the native ``fw_complete`` kernel mirrors byte for byte.
+    The relaxation runs fully in place: one scratch buffer holds the
+    ``via k`` sums and ``np.minimum(..., out=...)`` folds them back, so no
+    per-``k`` arrays are allocated.  (In-place per-``k`` relaxation is
+    sound because iteration ``k`` never changes row or column ``k``: the
+    candidate for ``dist[i, k]`` is ``dist[i, k] + dist[k, k] =
+    dist[i, k]``.)  Slices are relaxed in sub-chunks of
+    :data:`FW_CHUNK_SLICES` so the pair of ``(chunk, m, m)`` working
+    arrays stays cache-resident; each slice's relaxation is independent,
+    so chunking cannot change the result.
     """
     dist = np.array(partial, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError("partial distance matrix must be square")
-    if np.isfinite(missing_value):
-        dist[dist == missing_value] = np.inf
-    np.fill_diagonal(dist, 0.0)
-    m = dist.shape[0]
-    via_k = np.empty_like(dist)
-    for k in range(m):
-        np.add(dist[:, k, None], dist[None, k, :], out=via_k)
-        np.minimum(dist, via_k, out=dist)
-    dist[~np.isfinite(dist)] = unreachable
-    return dist
-
-
-def complete_distance_matrix_batch(
-    partial: np.ndarray,
-    *,
-    missing_value: float = np.inf,
-    unreachable: float = UNREACHABLE_LOCAL_DISTANCE,
-) -> np.ndarray:
-    """Batched :func:`complete_distance_matrix` over an ``(B, m, m)`` stack.
-
-    Runs the same in-place Floyd-Warshall relaxation on every slice at
-    once; slice ``b`` of the result is bit-identical to
-    ``complete_distance_matrix(partial[b], ...)``.  Slices are relaxed in
-    sub-chunks of :data:`FW_CHUNK_SLICES` so the pair of ``(chunk, m, m)``
-    working arrays stays cache-resident (each slice's relaxation is
-    independent, so chunking cannot change the result).
-    """
-    dist = np.array(partial, dtype=float)
-    if dist.ndim != 3 or dist.shape[1] != dist.shape[2]:
-        raise ValueError("partial distance stack must be (B, m, m)")
-    if np.isfinite(missing_value):
-        dist[dist == missing_value] = np.inf
-    m = dist.shape[1]
+    if dist.ndim not in (2, 3) or dist.shape[-1] != dist.shape[-2]:
+        raise ValueError("partial distances must be (m, m) or (B, m, m)")
+    stack = dist.reshape((-1,) + dist.shape[-2:])
+    m = stack.shape[1]
     diag = np.arange(m)
-    dist[:, diag, diag] = 0.0
-    n_chunk = min(FW_CHUNK_SLICES, dist.shape[0])
+    stack[:, diag, diag] = 0.0
+    n_chunk = max(1, min(FW_CHUNK_SLICES, stack.shape[0]))
     via_k = np.empty((n_chunk, m, m))
-    for c in range(0, dist.shape[0], n_chunk):
-        block = dist[c : c + n_chunk]
+    for c in range(0, stack.shape[0], n_chunk):
+        block = stack[c : c + n_chunk]
         via = via_k[: block.shape[0]]
         for k in range(m):
             np.add(block[:, :, k, None], block[:, None, k, :], out=via)
             np.minimum(block, via, out=block)
-    dist[~np.isfinite(dist)] = unreachable
+    dist[~np.isfinite(dist)] = UNREACHABLE_LOCAL_DISTANCE
     return dist
 
 
@@ -163,10 +130,9 @@ def _canonicalize_axis_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns to a driver-independent sign convention.
 
     An eigenvector's sign is arbitrary, and different LAPACK drivers
-    (``syevd`` behind ``np.linalg.eigh``, MRRR ``syevr`` behind the sparse
-    engine's subset solve) make different choices.  Each column is flipped
-    so that its largest-magnitude component is positive, which every engine
-    applies identically; negation is exact in IEEE arithmetic, so the
+    (``syevd`` behind ``np.linalg.eigh``, MRRR ``syevr``) make different
+    choices.  Each column is flipped so that its largest-magnitude
+    component is positive; negation is exact in IEEE arithmetic, so the
     convention costs no precision.  Operates on the trailing two axes of a
     ``(..., m, k)`` stack and returns a new array.
     """
@@ -175,63 +141,6 @@ def _canonicalize_axis_signs(vecs: np.ndarray) -> np.ndarray:
     amax = np.argmax(np.abs(vecs), axis=-2)
     picked = np.take_along_axis(vecs, amax[..., None, :], axis=-2)
     return vecs * np.where(picked < 0.0, -1.0, 1.0)
-
-
-def complete_distance_matrix_sparse(
-    partial: np.ndarray,
-    *,
-    missing_value: float = np.inf,
-    unreachable: float = UNREACHABLE_LOCAL_DISTANCE,
-) -> np.ndarray:
-    """Sparse-graph shortest-path completion of an ``(B, m, m)`` stack.
-
-    Same contract as :func:`complete_distance_matrix_batch`, computed with
-    ``scipy.sparse.csgraph.dijkstra`` instead of the dense Floyd-Warshall
-    relaxation: the measured entries of every slice become one
-    block-diagonal CSR graph (blocks are independent, so batching cannot
-    couple frames) and a single multi-source Dijkstra call completes up to
-    :data:`SPARSE_COMPLETION_BLOCK_ROWS` rows at a time.
-
-    Dijkstra accumulates each path sum left-to-right along the shortest
-    path whereas Floyd-Warshall folds sub-path sums, so the two are not
-    bit-identical -- they agree to well within the 1e-9 engine contract
-    (property-tested in the engine-equivalence suite).  Cost is
-    ``O(m^2 log m)`` per frame versus ``O(m^3)`` dense, which wins for
-    large frames; below :data:`~repro.network.localization.SPARSE_DIJKSTRA_MIN_MEMBERS`
-    the dense relaxation's contiguous arithmetic is faster in practice.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    dist = np.array(partial, dtype=float)
-    if dist.ndim != 3 or dist.shape[1] != dist.shape[2]:
-        raise ValueError("partial distance stack must be (B, m, m)")
-    if np.isfinite(missing_value):
-        dist[dist == missing_value] = np.inf
-    n_batch, m, _ = dist.shape
-    if n_batch == 0 or m == 0:
-        return dist
-    diag = np.arange(m)
-    dist[:, diag, diag] = 0.0
-    frames_per_call = max(1, SPARSE_COMPLETION_BLOCK_ROWS // m)
-    out = np.empty_like(dist)
-    for start in range(0, n_batch, frames_per_call):
-        block = dist[start : start + frames_per_call]
-        nb = block.shape[0]
-        mask = np.isfinite(block)
-        mask[:, diag, diag] = False
-        counts = mask.sum(axis=2)
-        indptr = np.zeros(nb * m + 1, dtype=np.int64)
-        np.cumsum(counts.reshape(-1), out=indptr[1:])
-        rows_b, _, cols = np.nonzero(mask)
-        graph = csr_matrix(
-            (block[mask], rows_b * m + cols, indptr), shape=(nb * m, nb * m)
-        )
-        full = dijkstra(graph, directed=True)
-        picked = np.arange(nb)
-        out[start : start + nb] = full.reshape(nb, m, nb, m)[picked, :, picked, :]
-    out[~np.isfinite(out)] = unreachable
-    return out
 
 
 def torgerson_gram_batch(distances: np.ndarray) -> np.ndarray:
@@ -253,77 +162,31 @@ def torgerson_gram_batch(distances: np.ndarray) -> np.ndarray:
     return -0.5 * (sq - row - np.swapaxes(row, -1, -2) + total)
 
 
-def classical_mds_from_gram(gram: np.ndarray, n_components: int = 3) -> np.ndarray:
-    """Embed one pre-centered Gram matrix via a top-``n_components`` solve.
-
-    The per-frame MDS eigensolve shared by every engine: it asks LAPACK's
-    MRRR driver (``syevr``) for just the top eigenpairs, which is ~5x
-    cheaper than a full ``syevd`` factorization at typical frame sizes.
-    Eigenvector signs are canonicalized and near-null eigenvalues zeroed
-    identically everywhere, and :func:`classical_mds` routes through this
-    same solve, so the classical-MDS seed is bit-identical across the
-    pernode and sparse engines -- a hard requirement, since the
-    SMACOF refinement that follows can amplify a last-ulp seed difference
-    past the 1e-9 engine contract on ill-conditioned frames.  ``gram`` is
-    overwritten.
-    """
-    m = gram.shape[0]
-    if m == 0:
-        return np.empty((0, n_components))
-    k = min(n_components, m)
-    try:
-        from scipy.linalg import eigh as scipy_eigh
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        vals = eigvals[::-1][:k]
-        vecs = eigvecs[:, ::-1][:, :k]
-    else:
-        vals, vecs = scipy_eigh(
-            gram,
-            subset_by_index=[m - k, m - 1],
-            driver="evr",
-            lower=False,
-            check_finite=False,
-            overwrite_a=True,
-        )
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
-    top_vals = np.clip(vals, 0.0, None)
-    top_vals = np.where(
-        top_vals < DEGENERATE_EIGENVALUE_RATIO * top_vals[..., :1], 0.0, top_vals
-    )
-    coords = _canonicalize_axis_signs(vecs) * np.sqrt(top_vals)[None, :]
-    if coords.shape[1] < n_components:
-        pad = np.zeros((m, n_components - coords.shape[1]))
-        coords = np.hstack([coords, pad])
-    return coords
-
-
-_SYEVR_CACHE = None
-
-
+@functools.lru_cache(maxsize=None)
 def _syevr():
-    """The raw LAPACK ``dsyevr`` handle (or ``None`` without scipy)."""
-    global _SYEVR_CACHE
-    if _SYEVR_CACHE is None:
-        try:
-            from scipy.linalg import get_lapack_funcs
-        except ImportError:  # pragma: no cover - scipy is a hard dependency
-            _SYEVR_CACHE = (None,)
-        else:
-            _SYEVR_CACHE = get_lapack_funcs(("syevr",), (np.empty((1, 1)),))
-    return _SYEVR_CACHE[0]
+    """The raw LAPACK ``dsyevr`` handle."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("syevr",), (np.empty((1, 1)),))[0]
 
 
 def classical_mds_from_gram_stack(
     gram: np.ndarray, n_components: int = 3
 ) -> np.ndarray:
-    """Batched :func:`classical_mds_from_gram` over a ``(B, m, m)`` stack.
+    """Embed a ``(B, m, m)`` stack of pre-centered Gram matrices.
 
-    The sparse engine's MDS hot loop: one raw LAPACK ``dsyevr`` call per
-    slice (skipping the scipy wrapper's per-call validation), with the
-    clip / degenerate-cutoff / sign-canonicalization / scaling epilogue
-    vectorized across the whole stack.
+    The one classical-MDS eigensolve every engine runs: one raw LAPACK
+    ``dsyevr`` call per slice (MRRR, top ``n_components`` eigenpairs only,
+    ~5x cheaper than a full ``syevd`` factorization at typical frame
+    sizes, and no scipy-wrapper validation per call), with the clip /
+    degenerate-cutoff / sign-canonicalization / scaling epilogue
+    vectorized across the whole stack.  A slice on which ``dsyevr``
+    reports an error falls back to the full ``np.linalg.eigh`` spectrum.
+    Because the ``pernode`` oracle (through :func:`classical_mds`) and the
+    sparse engine share this solve, the classical-MDS seed is
+    bit-identical across engines -- a hard requirement, since the SMACOF
+    refinement that follows can amplify a last-ulp seed difference past
+    the 1e-9 engine contract on ill-conditioned frames.
     """
     n_batch, m, _ = gram.shape
     if m == 0:
@@ -333,19 +196,14 @@ def classical_mds_from_gram_stack(
     vecs = np.empty((n_batch, m, k))
     syevr = _syevr()
     for b in range(n_batch):
-        if syevr is not None:
-            w, z, _, _, info = syevr(
-                gram[b], compute_v=1, range="I", il=m - k + 1, iu=m, lower=0
-            )
-        else:  # pragma: no cover - scipy is a hard dependency
-            info = 1
-        if syevr is None or info != 0:
-            ew, ev = np.linalg.eigh(gram[b])
-            vals[b] = ew[::-1][:k]
-            vecs[b] = ev[:, ::-1][:, :k]
-        else:
-            vals[b] = w[k - 1 :: -1]
-            vecs[b] = z[:, ::-1]
+        w, z, _, _, info = syevr(
+            gram[b], compute_v=1, range="I", il=m - k + 1, iu=m, lower=0
+        )
+        if info != 0:
+            w, z = np.linalg.eigh(gram[b])
+            w, z = w[m - k :], z[:, m - k :]
+        vals[b] = w[k - 1 :: -1]
+        vecs[b] = z[:, ::-1]
     top_vals = np.clip(vals, 0.0, None)
     top_vals = np.where(
         top_vals < DEGENERATE_EIGENVALUE_RATIO * top_vals[..., :1], 0.0, top_vals
@@ -362,15 +220,16 @@ def classical_mds(distances: np.ndarray, n_components: int = 3) -> np.ndarray:
 
     Double-centers the squared distance matrix via
     :func:`torgerson_gram_batch` and takes the top ``n_components``
-    eigenpairs via :func:`classical_mds_from_gram` -- the exact chain the
-    sparse engine runs per frame, so the seed every engine hands to SMACOF
-    is bit-identical.  Negative eigenvalues (which arise when the input is
-    not exactly Euclidean, e.g. after shortest-path completion or under
-    measurement noise) are clipped to zero; eigenvalues below
-    :data:`DEGENERATE_EIGENVALUE_RATIO` of the leading one are zeroed (their
-    eigenvectors are numerically arbitrary), and eigenvector signs follow
-    the canonical convention of :func:`_canonicalize_axis_signs` so every
-    engine produces the same embedding.
+    eigenpairs via :func:`classical_mds_from_gram_stack` on a 1-stack --
+    the exact chain the sparse engine runs per frame, so the seed every
+    engine hands to SMACOF is bit-identical.  Negative eigenvalues (which
+    arise when the input is not exactly Euclidean, e.g. after
+    shortest-path completion or under measurement noise) are clipped to
+    zero; eigenvalues below :data:`DEGENERATE_EIGENVALUE_RATIO` of the
+    leading one are zeroed (their eigenvectors are numerically
+    arbitrary), and eigenvector signs follow the canonical convention of
+    :func:`_canonicalize_axis_signs` so every engine produces the same
+    embedding.
 
     Parameters
     ----------
@@ -387,13 +246,16 @@ def classical_mds(distances: np.ndarray, n_components: int = 3) -> np.ndarray:
     dist = np.asarray(distances, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
-    m = dist.shape[0]
-    if m == 0:
+    if dist.shape[0] == 0:
         return np.empty((0, n_components))
     if not np.all(np.isfinite(dist)):
         raise ValueError("distance matrix must be finite; complete it first")
-
-    return classical_mds_from_gram(torgerson_gram_batch(dist), n_components)
+    gram = torgerson_gram_batch(dist)[None]
+    coords = classical_mds_from_gram_stack(gram, n_components)[0]
+    # Column-major, as LAPACK returns eigenvectors: the layout picks the
+    # BLAS path (and rounding) of SMACOF's first ``B @ X`` product, and
+    # the ``pernode`` oracle's frames are pinned byte for byte with it.
+    return np.asfortranarray(coords)
 
 
 def smacof_refine(
@@ -403,7 +265,7 @@ def smacof_refine(
     *,
     iterations: int = 30,
     tol: float = 1e-6,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, int]:
     """Weighted stress majorization (SMACOF) refinement of an embedding.
 
     Improves ``coords`` so that pairwise embedded distances match
@@ -427,29 +289,12 @@ def smacof_refine(
 
     Returns
     -------
-    numpy.ndarray
-        Refined ``(m, d)`` coordinates (a new array).
-    """
-    coords, _ = smacof_refine_counted(
-        coords, distances, weights, iterations=iterations, tol=tol
-    )
-    return coords
-
-
-def smacof_refine_counted(
-    coords: np.ndarray,
-    distances: np.ndarray,
-    weights: np.ndarray,
-    *,
-    iterations: int = 30,
-    tol: float = 1e-6,
-) -> Tuple[np.ndarray, int]:
-    """:func:`smacof_refine` that also reports the majorization steps taken.
-
-    The step count is a deterministic observable of the refinement (it
-    depends only on the inputs), so the sparse engine is required to
-    reproduce it exactly -- it is one of the counters the localization
-    bench compares between engines.
+    (coords, steps):
+        Refined ``(m, d)`` coordinates (a new array) and the majorization
+        steps taken.  The step count is a deterministic observable of the
+        refinement (it depends only on the inputs), so every engine must
+        reproduce it exactly -- it is one of the counters the localization
+        bench compares between engines.
     """
     x = np.array(coords, dtype=float)
     m = x.shape[0]
@@ -522,7 +367,7 @@ def smacof_refine_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched SMACOF over ``(B, m, d)`` embeddings with per-slice stopping.
 
-    Runs the majorization of :func:`smacof_refine_counted` on every slice
+    Runs the majorization of :func:`smacof_refine` on every slice
     of the stack simultaneously, restructured for throughput:
 
     * embedded distances use the Gram identity
@@ -543,13 +388,13 @@ def smacof_refine_batch(
     counts* reproduce the scalar early-stopping sequence exactly (the
     convergence test sees the same stress values up to a relative
     float-reassociation error of ~1e-13, see below).  Coordinates match
-    ``smacof_refine_counted`` within :data:`SMACOF_BATCH_COORD_TOL`: the
+    ``smacof_refine`` within :data:`SMACOF_BATCH_COORD_TOL`: the
     reordered reductions differ from the scalar chain only at the
     last-ulp level per operation, and the majorization update is a
     contraction near the fixed point, so the engines' iterates never
     drift beyond that tolerance.  Slices whose weight graph is
     disconnected (a singular majorization system) are refined by
-    :func:`smacof_refine_counted` itself, so they equal it bit for bit.
+    :func:`smacof_refine` itself, so they equal it bit for bit.
 
     Returns
     -------
@@ -579,7 +424,7 @@ def smacof_refine_batch(
     # to the scalar oracle, whose pseudo-inverse handles them.
     split = ~_weight_graphs_connected(w_all[live])
     for b in live[split].tolist():
-        x[b], steps[b] = smacof_refine_counted(
+        x[b], steps[b] = smacof_refine(
             x[b], t_all[b], w_all[b], iterations=iterations, tol=tol
         )
     live = live[~split]
@@ -703,42 +548,23 @@ def smacof_refine_batch(
     return x, steps
 
 
-def local_mds_embedding(
-    partial_distances: np.ndarray,
-    *,
-    n_components: int = 3,
-    missing_value: float = np.inf,
-    refine: bool = True,
-    refine_iterations: int = 30,
-    info: Optional[Dict[str, int]] = None,
-) -> np.ndarray:
+def local_mds_embedding(partial_distances: np.ndarray) -> Tuple[np.ndarray, int]:
     """Local coordinate system from partial pairwise distances.
 
     Composition of :func:`complete_distance_matrix`, :func:`classical_mds`,
-    and (by default) :func:`smacof_refine` against the measured entries
-    only; this is what step (I) of Algorithm 1 runs at every node.  With
-    perfect measurements the refinement recovers the local geometry almost
-    exactly even though shortest-path completion inflated the classical-MDS
+    and :func:`smacof_refine` against the measured (finite) entries only;
+    this is what step (I) of Algorithm 1 runs at every node.  With perfect
+    measurements the refinement recovers the local geometry almost exactly
+    even though shortest-path completion inflated the classical-MDS
     initialization.
 
-    ``info``, when given a dict, receives the ``smacof_iterations`` count
-    -- the deterministic refinement observable the localization bench
-    compares across engines.
+    Returns the ``(m, 3)`` coordinates and the SMACOF step count -- the
+    deterministic refinement observable the localization bench compares
+    across engines.
     """
     partial = np.asarray(partial_distances, dtype=float)
-    completed = complete_distance_matrix(partial, missing_value=missing_value)
-    coords = classical_mds(completed, n_components=n_components)
-    n_steps = 0
-    if refine:
-        measured_mask = np.isfinite(partial) if np.isinf(missing_value) else (
-            partial != missing_value
-        )
-        weights = measured_mask.astype(float)
-        np.fill_diagonal(weights, 0.0)
-        coords, n_steps = smacof_refine_counted(
-            coords, np.where(measured_mask, partial, 0.0), weights,
-            iterations=refine_iterations,
-        )
-    if info is not None:
-        info["smacof_iterations"] = n_steps
-    return coords
+    coords = classical_mds(complete_distance_matrix(partial))
+    measured = np.isfinite(partial)
+    weights = measured.astype(float)
+    np.fill_diagonal(weights, 0.0)
+    return smacof_refine(coords, np.where(measured, partial, 0.0), weights)

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.mds import smacof_refine_counted
+from repro.geometry.mds import smacof_refine as smacof_oracle
 
 #: Environment variable gating native kernels; set to ``0`` to force the
 #: pure-numpy fallback path (used by the differential tests).
@@ -156,7 +156,7 @@ class NativeKernels:
         frames' rows live in.  Returns the per-frame step counts.  Frames
         the kernel declines -- a disconnected measured-pair graph makes
         the majorization system singular -- are refined by the scalar
-        oracle :func:`~repro.geometry.mds.smacof_refine_counted`, which
+        oracle :func:`~repro.geometry.mds.smacof_refine`, which
         handles them through its pseudo-inverse.
         """
         n_frames = frame_ptr.shape[0] - 1
@@ -185,7 +185,7 @@ class NativeKernels:
                 weights = np.zeros((hi - lo, hi - lo))
                 target[src, dst] = target[dst, src] = edge_delta[edges]
                 weights[src, dst] = weights[dst, src] = 1.0
-                coords[lo:hi], steps[f] = smacof_refine_counted(
+                coords[lo:hi], steps[f] = smacof_oracle(
                     coords[lo:hi], target, weights, iterations=iterations, tol=tol
                 )
         return steps

@@ -21,7 +21,6 @@ from repro.network.localization import (
     LocalFrame,
     build_frames,
     establish_local_frame,
-    local_frames,
 )
 from repro.network.measurement import (
     DistanceErrorModel,
@@ -43,7 +42,6 @@ __all__ = [
     "LocalFrame",
     "build_frames",
     "establish_local_frame",
-    "local_frames",
     "DistanceErrorModel",
     "NoError",
     "UniformAbsoluteError",

@@ -12,8 +12,7 @@ Two equivalent adjacency representations coexist:
   dict/deque BFS machinery below consumes, and
 * a CSR view (:meth:`csr`: ``indptr``/``indices`` with neighbor columns
   sorted per row), which backs the vectorized bulk queries -- ``degrees``,
-  ``edges``, :meth:`edge_values` (edge-aligned per-edge data, e.g. measured
-  distances) and :meth:`k_hop_collections` (every node's k-hop collection
+  ``edges`` and :meth:`k_hop_collections` (every node's k-hop collection
   as one CSR triple, from :func:`hop_bounded_sweep`: boolean sparse
   products of ``(A + I)`` restricted to the source rows, so the work
   follows the collections, not the network size).  The scalar BFS entry
@@ -270,23 +269,6 @@ class NetworkGraph:
         indices = self._indices.view()
         indices.flags.writeable = False
         return indptr, indices
-
-    def edge_values(self, get) -> np.ndarray:
-        """Per-directed-edge values aligned with the CSR ``indices`` array.
-
-        ``get(u, v) -> float`` is queried once per directed CSR entry (so
-        symmetric sources, e.g. measured distances, appear on both
-        directions of every edge).  The result lets bulk consumers replace
-        per-pair lookups with fancy indexing: the value for the edge stored
-        at CSR position ``p`` (row ``u``, column ``indices[p]``) is simply
-        ``values[p]``.
-        """
-        heads = np.repeat(np.arange(self.n_nodes), np.diff(self._indptr))
-        return np.fromiter(
-            (get(int(u), int(v)) for u, v in zip(heads, self._indices)),
-            dtype=float,
-            count=self._indices.size,
-        )
 
     def distance(self, u: int, v: int) -> float:
         """True Euclidean distance between two nodes."""

@@ -26,22 +26,21 @@ engines with *observably identical* results:
 
 ``pernode``
     The oracle: one BFS, one O(m^2) Python-loop matrix assembly, and one
-    scalar MDS chain per node (:func:`establish_local_frame` in a loop).
+    MDS chain per node (:func:`establish_local_frame` in a loop, through
+    :func:`~repro.geometry.mds.local_mds_embedding`: the same completion
+    and eigensolve on a 1-stack, then the scalar SMACOF oracle).
 ``sparse`` (default)
     The production engine: one
     :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep for
     every node's collection, frames of equal size grouped into
-    ``(B, m, m)`` stacks, and an MDS chain that exploits sparsity end to
-    end -- shortest-path completion runs ``scipy.sparse.csgraph.dijkstra``
-    over per-frame CSR blocks for large frames (and a cache-blocked dense
-    relaxation below :data:`SPARSE_DIJKSTRA_MIN_MEMBERS`, where dense
-    arithmetic is empirically faster), classical MDS solves only the top
-    three eigenpairs (MRRR subset driver) instead of the full spectrum,
-    and SMACOF iterates over the measured *edge list* rather than dense
-    ``(m, m)`` weight matrices.  Assembly, completion, centering, and
-    refinement use the native kernels from :mod:`repro.geometry.native`
-    whenever they load, with numpy fallbacks
-    (:func:`~repro.geometry.mds.complete_distance_matrix_batch`,
+    ``(B, m, m)`` stacks, and the MDS chain of :mod:`repro.geometry.mds`
+    run once per stack -- Floyd-Warshall completion, Torgerson centering,
+    a top-3 subset eigensolve (MRRR driver) instead of the full spectrum,
+    and SMACOF over the measured *edge list* rather than dense ``(m, m)``
+    weight matrices.  Assembly, completion, centering, and refinement use
+    the native kernels from :mod:`repro.geometry.native` whenever they
+    load, with the numpy forms
+    (:func:`~repro.geometry.mds.complete_distance_matrix`,
     :func:`~repro.geometry.mds.torgerson_gram_batch`,
     :func:`~repro.geometry.mds.smacof_refine_batch`) behind the same
     contract otherwise.
@@ -53,11 +52,13 @@ sparse chain restructures SMACOF's float arithmetic -- Gram-identity
 distances, algebraic stress expansion, edge-list updates -- which
 perturbs results at the ~1e-14..1e-10 level while taking the identical
 number of majorization steps).  The classical-MDS seed handed to SMACOF
-is *bit-identical* across engines -- both center through
-``torgerson_gram_batch`` (or its native twin) and eigensolve through
-the ``syevr`` subset driver -- because on frames with near-noise-floor
-measured distances the majorization amplifies a last-ulp seed difference
-by several orders of magnitude, past the contract tolerance.  Frames
+is *bit-identical* across engines -- both complete through
+:func:`~repro.geometry.mds.complete_distance_matrix`, center through
+``torgerson_gram_batch`` (or their native twins), and eigensolve through
+:func:`~repro.geometry.mds.classical_mds_from_gram_stack` -- because on
+frames with near-noise-floor measured distances the majorization
+amplifies a last-ulp seed difference by several orders of magnitude,
+past the contract tolerance.  Frames
 smaller than :data:`SCALAR_FALLBACK_MEMBERS` are delegated to the scalar
 MDS kernel *inside* the sparse engine: near-isolated collections produce
 rank-deficient systems whose majorization trajectory is sensitive at the
@@ -72,15 +73,14 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.mds import (
     UNREACHABLE_LOCAL_DISTANCE,
     classical_mds_from_gram_stack,
-    complete_distance_matrix_batch,
-    complete_distance_matrix_sparse,
+    complete_distance_matrix,
     local_mds_embedding,
     smacof_refine_batch,
     torgerson_gram_batch,
@@ -115,17 +115,6 @@ MAX_BATCH_ELEMENTS = 1 << 22
 #: which costs nothing, as batching has no overhead to amortize at O(1)
 #: frame sizes.
 SCALAR_FALLBACK_MEMBERS = 8
-
-#: Frame size at which the sparse engine switches its shortest-path
-#: completion from the cache-blocked dense relaxation to
-#: ``scipy.sparse.csgraph.dijkstra`` over per-frame CSR blocks.  Dijkstra
-#: is asymptotically cheaper (``O(m^2 log m)`` vs ``O(m^3)``) but pays
-#: heap and CSR-construction overhead per source; measured on this
-#: hardware the dense relaxation's contiguous SIMD arithmetic wins up to
-#: roughly twice the typical 2-hop collection size, with crossover near
-#: m ~ 192 (see docs/PERFORMANCE.md).
-SPARSE_DIJKSTRA_MIN_MEMBERS = 192
-
 
 @dataclass
 class LocalFrame:
@@ -308,14 +297,13 @@ def establish_local_frame(
     """
     members, n_one_hop = _frame_members(graph, node, hops)
     partial = _partial_distance_matrix(graph, measured, members)
-    info: Dict[str, int] = {}
-    coords = local_mds_embedding(partial, info=info)
+    coords, steps = local_mds_embedding(partial)
     return LocalFrame(
         node=node,
         members=members,
         coordinates=coords,
         n_one_hop=n_one_hop,
-        smacof_iterations=info.get("smacof_iterations", 0),
+        smacof_iterations=steps,
     )
 
 
@@ -348,19 +336,6 @@ def build_frames(
             for node in node_ids
         )
     return _build_frames_sparse(graph, measured, node_ids, hops)
-
-
-def _measured_edge_values(
-    graph: NetworkGraph,
-    measured: MeasuredDistances,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> np.ndarray:
-    """CSR-aligned measured values, via the vectorized store fast path."""
-    fast = getattr(measured, "csr_values", None)
-    if fast is not None:
-        return fast(indptr, indices)
-    return graph.edge_values(measured.get)
 
 
 def _collect_frame_metas(
@@ -466,7 +441,7 @@ def _build_frames_sparse(
 
     One multi-source BFS sweep yields every collection; frames are grouped
     by member count ``m`` into ``(B, m, m)`` stacks and run through the MDS
-    chain of the module docstring: sparsity-aware completion, top-3 subset
+    chain of the module docstring: Floyd-Warshall completion, top-3 subset
     eigensolves, and edge-list SMACOF, with the hot loops running in the
     native kernels when they load.  Per-frame computations stay
     independent -- grouping, chunk caps, and kernel availability cannot
@@ -480,7 +455,7 @@ def _build_frames_sparse(
         return batch
     kernels = load_kernels()
     indptr, indices = graph.csr()
-    edge_vals = _measured_edge_values(graph, measured, indptr, indices)
+    edge_vals = measured.csr_values(indptr, indices)
     sizes = np.diff(ptr)
     # Scratch global->local maps (int32 for the C kernel, int64 for the
     # numpy gather), reset to -1 after each frame's assembly.
@@ -507,9 +482,7 @@ def _build_frames_sparse(
                 coords = np.empty((nb, m, 3))
                 iters: np.ndarray = np.zeros(nb, dtype=int)
                 for b in range(nb):
-                    info: Dict[str, int] = {}
-                    coords[b] = local_mds_embedding(partial[b], info=info)
-                    iters[b] = info["smacof_iterations"]
+                    coords[b], iters[b] = local_mds_embedding(partial[b])
                 batch.coords[rows] = coords.reshape(-1, 3)
                 batch.smacof_iterations[chunk] = iters
                 continue
@@ -537,22 +510,14 @@ def _build_frames_sparse(
                     member_ids, m, indptr, indices, edge_vals, local_index64
                 )
 
-            # Shortest-path completion: Dijkstra over per-frame CSR blocks
-            # for large frames, the dense relaxation below the crossover.
-            if m >= SPARSE_DIJKSTRA_MIN_MEMBERS:
-                completed = complete_distance_matrix_sparse(stack)
-            elif kernels is not None:
-                kernels.fw_complete(stack, UNREACHABLE_LOCAL_DISTANCE)
-                completed = stack
-            else:
-                completed = complete_distance_matrix_batch(stack)
-
-            # Torgerson centering + top-3 subset eigensolve per frame.
+            # Floyd-Warshall completion and Torgerson centering, then the
+            # top-3 subset eigensolve per frame.
             if kernels is not None:
-                kernels.center_gram(completed)
-                gram = completed
+                gram = stack
+                kernels.fw_complete(gram, UNREACHABLE_LOCAL_DISTANCE)
+                kernels.center_gram(gram)
             else:
-                gram = torgerson_gram_batch(completed)
+                gram = torgerson_gram_batch(complete_distance_matrix(stack))
             coords = classical_mds_from_gram_stack(gram)
 
             # Edge-list SMACOF against the measured distances only (the
@@ -564,8 +529,8 @@ def _build_frames_sparse(
                     iterations=30, tol=1e-6, max_members=m,
                 )
             else:
-                # The completions above return new arrays here, so stack
-                # still holds the measured distances.
+                # The numpy completion returns a new array, so stack still
+                # holds the measured distances.
                 mask = np.isfinite(stack)
                 weights = mask.astype(float)
                 weights[:, diag, diag] = 0.0
@@ -575,17 +540,6 @@ def _build_frames_sparse(
             batch.coords[rows] = coords.reshape(-1, 3)
             batch.smacof_iterations[chunk] = steps
     return batch
-
-
-def local_frames(
-    graph: NetworkGraph,
-    measured: MeasuredDistances,
-    *,
-    hops: int = DEFAULT_COLLECTION_HOPS,
-) -> Iterator[LocalFrame]:
-    """Local frames for every node (generator, in node-ID order)."""
-    for node in range(graph.n_nodes):
-        yield establish_local_frame(graph, measured, node, hops=hops)
 
 
 def true_local_frame(

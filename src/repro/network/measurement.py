@@ -133,9 +133,9 @@ class MeasuredDistances:
     def csr_values(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Per-directed-CSR-entry measured values, vectorized.
 
-        The bulk twin of ``graph.edge_values(self.get)``: the value for
-        the edge stored at CSR position ``p`` (row ``u``, column
-        ``indices[p]``) is ``result[p]``, with no per-entry dict lookup.
+        The bulk twin of :meth:`get`: the value for the edge stored at
+        CSR position ``p`` (row ``u``, column ``indices[p]``) is
+        ``result[p]``, with no per-entry dict lookup.
         Pairs are encoded as ``min * n + max`` and resolved with one
         ``searchsorted`` against a sorted snapshot of the measured pairs,
         built once and cached on the instance.  Raises ``KeyError`` when

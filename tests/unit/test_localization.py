@@ -6,9 +6,9 @@ import pytest
 from repro.geometry.transforms import procrustes_disparity
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
+    build_frames,
     establish_local_frame,
     frame_distance_residual,
-    local_frames,
     true_local_frame,
 )
 from repro.network.measurement import NoError, UniformAbsoluteError, measure_distances
@@ -80,5 +80,8 @@ class TestFrameAccuracy:
 class TestLocalFramesIterator:
     def test_yields_every_node(self, dense_cluster, rng):
         measured = measure_distances(dense_cluster, NoError(), rng)
-        frames = list(local_frames(dense_cluster, measured))
+        frames = list(build_frames(dense_cluster, measured, engine="pernode"))
         assert [f.node for f in frames] == list(range(dense_cluster.n_nodes))
+        direct = establish_local_frame(dense_cluster, measured, 4)
+        assert frames[4].members == direct.members
+        assert frames[4].coordinates.tobytes() == direct.coordinates.tobytes()

@@ -76,20 +76,22 @@ class TestSmacofRefine:
         target = pairwise_distances(pts)
         weights = np.ones_like(target) - np.eye(15)
         init = pts + rng.normal(scale=0.3, size=pts.shape)
-        refined = smacof_refine(init, target, weights, iterations=100)
+        refined, _ = smacof_refine(init, target, weights, iterations=100)
         assert procrustes_disparity(refined, pts) < procrustes_disparity(init, pts)
 
     def test_zero_weights_noop(self, rng):
         pts = rng.normal(size=(6, 3))
-        out = smacof_refine(
+        out, steps = smacof_refine(
             pts, np.zeros((6, 6)), np.zeros((6, 6)), iterations=10
         )
         assert np.allclose(out, pts)
+        assert steps == 0
 
     def test_single_point_noop(self):
         pts = np.array([[1.0, 2.0, 3.0]])
-        out = smacof_refine(pts, np.zeros((1, 1)), np.zeros((1, 1)))
+        out, steps = smacof_refine(pts, np.zeros((1, 1)), np.zeros((1, 1)))
         assert np.allclose(out, pts)
+        assert steps == 0
 
 
 class TestLocalMDSEmbedding:
@@ -102,7 +104,7 @@ class TestLocalMDSEmbedding:
         threshold = np.quantile(true_d[true_d > 0], 0.7)
         partial[true_d > threshold] = np.inf
         np.fill_diagonal(partial, 0.0)
-        coords = local_mds_embedding(partial)
+        coords, _ = local_mds_embedding(partial)
         assert procrustes_disparity(coords, pts) < 0.05
 
     def test_refinement_beats_classical_on_partial_data(self, rng):
@@ -112,8 +114,8 @@ class TestLocalMDSEmbedding:
         threshold = np.quantile(true_d[true_d > 0], 0.6)
         partial[true_d > threshold] = np.inf
         np.fill_diagonal(partial, 0.0)
-        refined = local_mds_embedding(partial, refine=True)
-        unrefined = local_mds_embedding(partial, refine=False)
+        refined, _ = local_mds_embedding(partial)
+        unrefined = classical_mds(complete_distance_matrix(partial))
         assert procrustes_disparity(refined, pts) <= procrustes_disparity(
             unrefined, pts
         ) + 1e-9

@@ -1,29 +1,31 @@
-"""Batched MDS kernels versus their scalar twins, and the in-place FW fix.
+"""Stacked MDS steps versus per-matrix references, and the in-place FW fix.
 
-Contract (see the :mod:`repro.geometry.mds` docstring): completion and
-classical MDS are *bit-identical* per slice; batched SMACOF matches the
-scalar refinement within :data:`SMACOF_BATCH_COORD_TOL` while taking
-exactly the same number of majorization steps.  These are the numpy
-kernels the sparse localization engine runs when native kernels are
-unavailable.
+Contract (see the :mod:`repro.geometry.mds` docstring): completion is
+*bit-identical* per slice whether a matrix is completed alone or inside
+a stack; the stacked eigensolve is bit-identical to scipy's ``evr``
+subset driver; batched SMACOF matches the scalar refinement within
+:data:`SMACOF_BATCH_COORD_TOL` while taking exactly the same number of
+majorization steps.  These are the numpy kernels the sparse localization
+engine runs when native kernels are unavailable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from repro.geometry import mds
 from repro.geometry.mds import (
+    DEGENERATE_EIGENVALUE_RATIO,
     FW_CHUNK_SLICES,
     SMACOF_BATCH_COORD_TOL,
     classical_mds,
     classical_mds_from_gram_stack,
     complete_distance_matrix,
-    complete_distance_matrix_batch,
     local_mds_embedding,
     smacof_refine,
     smacof_refine_batch,
-    smacof_refine_counted,
     torgerson_gram_batch,
 )
 
@@ -47,7 +49,7 @@ def _random_partial_stack(rng, b, m, missing_fraction=0.4):
 def _smacof_inputs(partial):
     """Classical-MDS seeds, targets and weights of a partial-distance stack."""
     seeds = classical_mds_from_gram_stack(
-        torgerson_gram_batch(complete_distance_matrix_batch(partial))
+        torgerson_gram_batch(complete_distance_matrix(partial))
     )
     measured = np.isfinite(partial)
     weights = measured.astype(float)
@@ -80,21 +82,64 @@ class TestBatchedCompletion:
     @pytest.mark.parametrize("b", [1, FW_CHUNK_SLICES, FW_CHUNK_SLICES + 3])
     def test_bit_identical_per_slice(self, rng, b):
         stack = _random_partial_stack(rng, b, 12)
-        batch = complete_distance_matrix_batch(stack)
+        batch = complete_distance_matrix(stack)
         for i in range(b):
             assert np.array_equal(batch[i], complete_distance_matrix(stack[i]))
 
     def test_rejects_non_stack_input(self):
-        with pytest.raises(ValueError, match="B, m, m"):
-            complete_distance_matrix_batch(np.zeros((4, 4)))
+        for shape in [(4,), (4, 5), (2, 4, 5), (1, 2, 4, 4)]:
+            with pytest.raises(ValueError, match="B, m, m"):
+                complete_distance_matrix(np.zeros(shape))
+
+
+def _scipy_reference_embedding(gram):
+    """Top-3 embedding of one Gram matrix through scipy's ``evr`` wrapper,
+    with the library's clip, degenerate cutoff and sign rule."""
+    m = gram.shape[0]
+    vals, vecs = scipy.linalg.eigh(
+        gram, subset_by_index=[m - 3, m - 1], driver="evr", lower=False
+    )
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals = np.clip(vals, 0.0, None)
+    vals = np.where(vals < DEGENERATE_EIGENVALUE_RATIO * vals[0], 0.0, vals)
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
+    return vecs * np.where(peak < 0.0, -1.0, 1.0) * np.sqrt(vals)
 
 
 class TestBatchedClassicalMDS:
     def test_bit_identical_per_slice(self, rng):
-        stack = complete_distance_matrix_batch(_random_partial_stack(rng, 9, 14))
-        batch = classical_mds_from_gram_stack(torgerson_gram_batch(stack))
-        for i in range(stack.shape[0]):
-            assert np.array_equal(batch[i], classical_mds(stack[i]))
+        """Every slice equals scipy's ``evr`` subset solve bit for bit.
+
+        Sizes stop at 32 members: up to there LAPACK's tridiagonal
+        reduction is unblocked.  Above it the block size follows the
+        workspace, which scipy's wrapper sizes optimally and the raw
+        per-slice call leaves at its default, so the two may differ in
+        the last ulp.
+        """
+        for m in (3, 14, 32):
+            stack = complete_distance_matrix(_random_partial_stack(rng, 9, m))
+            gram = torgerson_gram_batch(stack)
+            batch = classical_mds_from_gram_stack(gram.copy())
+            for i in range(stack.shape[0]):
+                expected = _scipy_reference_embedding(gram[i])
+                assert batch[i].tobytes() == expected.tobytes()
+                assert classical_mds(stack[i]).tobytes() == expected.tobytes()
+
+    def test_lapack_error_falls_back_to_full_eigh(self, rng, monkeypatch):
+        """A slice whose ``dsyevr`` call reports an error is embedded from
+        ``np.linalg.eigh``'s full spectrum instead."""
+        gram = torgerson_gram_batch(
+            complete_distance_matrix(_random_partial_stack(rng, 3, 10))
+        )
+        expected = classical_mds_from_gram_stack(gram.copy())
+
+        def failing_syevr(a, **_):
+            return None, None, None, None, 1
+
+        monkeypatch.setattr(mds, "_syevr", lambda: failing_syevr)
+        fallback = classical_mds_from_gram_stack(gram.copy())
+        assert fallback.shape == expected.shape
+        assert np.allclose(fallback, expected, rtol=0.0, atol=1e-9)
 
 
 class TestBatchedSmacof:
@@ -102,22 +147,26 @@ class TestBatchedSmacof:
         stack = _random_partial_stack(rng, 13, 16)
         coords, steps = smacof_refine_batch(*_smacof_inputs(stack))
         for i in range(stack.shape[0]):
-            info = {}
-            scalar = local_mds_embedding(stack[i], info=info)
-            assert steps[i] == info["smacof_iterations"]
+            scalar, scalar_steps = local_mds_embedding(stack[i])
+            assert steps[i] == scalar_steps
             deviation = float(np.abs(coords[i] - scalar).max())
             assert deviation <= SMACOF_BATCH_COORD_TOL
 
-    def test_counted_wrapper_matches_uncounted(self, rng):
+    def test_scalar_step_count_is_exact(self, rng):
+        """Capping the scalar refinement at its own reported step count
+        reproduces its result bit for bit."""
         stack = _random_partial_stack(rng, 1, 12)[0]
-        completed = complete_distance_matrix(stack)
-        init = classical_mds(completed)
+        init = classical_mds(complete_distance_matrix(stack))
         weights = np.isfinite(stack).astype(float)
         np.fill_diagonal(weights, 0.0)
         target = np.where(np.isfinite(stack), stack, 0.0)
-        counted, n_steps = smacof_refine_counted(init, target, weights)
-        assert np.array_equal(counted, smacof_refine(init, target, weights))
-        assert n_steps > 0
+        coords, n_steps = smacof_refine(init, target, weights)
+        assert 0 < n_steps <= 30
+        capped, capped_steps = smacof_refine(
+            init, target, weights, iterations=n_steps
+        )
+        assert capped_steps == n_steps
+        assert capped.tobytes() == coords.tobytes()
 
     def test_refine_off_reports_zero_steps(self, rng):
         seeds, target, weights = _smacof_inputs(_random_partial_stack(rng, 4, 10))
@@ -134,9 +183,5 @@ class TestBatchedSmacof:
         noisy = _random_partial_stack(rng, 1, 12)[0]
         stack = np.stack([exact, noisy])
         _, steps = smacof_refine_batch(*_smacof_inputs(stack))
-        info = {}
-        local_mds_embedding(noisy, info=info)
-        assert steps[1] == info["smacof_iterations"]
-        info_exact = {}
-        local_mds_embedding(exact, info=info_exact)
-        assert steps[0] == info_exact["smacof_iterations"]
+        assert steps[1] == local_mds_embedding(noisy)[1]
+        assert steps[0] == local_mds_embedding(exact)[1]

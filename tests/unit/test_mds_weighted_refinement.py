@@ -19,8 +19,8 @@ class TestWeighting:
 
         corrupted = target.copy()
         corrupted[0, 1] = corrupted[1, 0] = 99.0
-        a = smacof_refine(init, target, weights, iterations=40)
-        b = smacof_refine(init, corrupted, weights, iterations=40)
+        a, _ = smacof_refine(init, target, weights, iterations=40)
+        b, _ = smacof_refine(init, corrupted, weights, iterations=40)
         assert np.allclose(a, b)
 
     def test_heavier_weight_fits_tighter(self, rng):
@@ -36,8 +36,8 @@ class TestWeighting:
         w_high = w_low.copy()
         w_high[0, 1] = w_high[1, 0] = 50.0
 
-        out_low = smacof_refine(init, conflicted, w_low, iterations=80)
-        out_high = smacof_refine(init, conflicted, w_high, iterations=80)
+        out_low, _ = smacof_refine(init, conflicted, w_low, iterations=80)
+        out_high, _ = smacof_refine(init, conflicted, w_high, iterations=80)
         err_low = abs(
             np.linalg.norm(out_low[0] - out_low[1]) - conflicted[0, 1]
         )
@@ -52,12 +52,13 @@ class TestConvergence:
         pts = rng.normal(size=(8, 3))
         target = pairwise_distances(pts)
         weights = np.ones_like(target) - np.eye(8)
-        out = smacof_refine(pts, target, weights, iterations=30)
+        out, _ = smacof_refine(pts, target, weights, iterations=30)
         assert procrustes_disparity(out, pts) < 1e-6
 
     def test_iterations_zero_is_identity(self, rng):
         pts = rng.normal(size=(6, 3))
         target = pairwise_distances(pts) * 2.0
         weights = np.ones_like(target) - np.eye(6)
-        out = smacof_refine(pts, target, weights, iterations=0)
+        out, steps = smacof_refine(pts, target, weights, iterations=0)
         assert np.allclose(out, pts)
+        assert steps == 0

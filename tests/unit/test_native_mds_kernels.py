@@ -1,13 +1,15 @@
 """The native MDS kernels against their numpy twins, directly.
 
 Contracts (see ``src/repro/geometry/ckernels.c``): ``fw_complete`` and
-``center_gram`` are byte-equal to :func:`complete_distance_matrix_batch`
-and :func:`torgerson_gram_batch`; ``smacof_refine`` takes exactly the
+``center_gram`` are byte-equal to :func:`complete_distance_matrix` and
+:func:`torgerson_gram_batch`; ``smacof_refine`` takes exactly the
 scalar oracle's and the numpy twin's majorization steps with
 coordinates within :data:`SMACOF_BATCH_COORD_TOL` (see
 ``_TWIN_EXACT_FIT`` for the one twin exception), and its own output is
 pinned byte for byte by a SHA-256 digest.  Frame sizes cover the
-register-blocked apply's tails on either side of 8, 16 and 32 lanes.
+register-blocked apply's tails on either side of 8, 16 and 32 lanes;
+the Floyd-Warshall comparison adds a 200-member frame, past the largest
+benchmark frames.
 
 Frames whose measured-pair graph is disconnected are outside the
 majorization's SPD fast path; every SMACOF twin hands them to the scalar
@@ -27,9 +29,9 @@ import pytest
 from repro.geometry.mds import (
     SMACOF_BATCH_COORD_TOL,
     UNREACHABLE_LOCAL_DISTANCE,
-    complete_distance_matrix_batch,
+    complete_distance_matrix,
+    smacof_refine,
     smacof_refine_batch,
-    smacof_refine_counted,
     torgerson_gram_batch,
 )
 from repro.geometry.native import load_kernels
@@ -156,7 +158,7 @@ def _dense(frame):
 
 def _oracle(frame):
     target, weights = _dense(frame)
-    return smacof_refine_counted(frame[0], target, weights, iterations=ITERATIONS)
+    return smacof_refine(frame[0], target, weights, iterations=ITERATIONS)
 
 
 def _twin(frames):
@@ -178,7 +180,7 @@ def _pinned_chunk():
 
 
 class TestFloydWarshall:
-    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("m", SIZES + (200,))
     def test_byte_equal_to_numpy_twin(self, native, m):
         rng = np.random.default_rng(m)
         partial = np.concatenate([
@@ -187,7 +189,7 @@ class TestFloydWarshall:
             _partial_stack(rng, 2, m, split=True),
             _partial_stack(rng, 1, m, missing=1.0),
         ])
-        expected = complete_distance_matrix_batch(partial)
+        expected = complete_distance_matrix(partial)
         stack = np.ascontiguousarray(partial)
         native.fw_complete(stack, UNREACHABLE_LOCAL_DISTANCE)
         assert stack.tobytes() == expected.tobytes()
@@ -197,7 +199,7 @@ class TestCenterGram:
     @pytest.mark.parametrize("m", SIZES)
     def test_byte_equal_to_numpy_twin(self, native, m):
         rng = np.random.default_rng(100 + m)
-        completed = complete_distance_matrix_batch(_partial_stack(rng, 4, m))
+        completed = complete_distance_matrix(_partial_stack(rng, 4, m))
         expected = torgerson_gram_batch(completed)
         stack = completed.copy()
         native.center_gram(stack)
