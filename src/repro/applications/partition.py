@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
 from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells
 
 
@@ -57,7 +58,7 @@ def cell_partition(
     landmarks: Sequence[int],
 ) -> SurfacePartition:
     """One patch per landmark: the mesh's combinatorial Voronoi cells."""
-    cells = assign_voronoi_cells(graph, group, landmarks)
+    cells = assign_voronoi_cells(GroupHops(graph, group), landmarks)
     by_landmark: Dict[int, List[int]] = {int(l): [] for l in landmarks}
     for node, owner in cells.items():
         by_landmark[owner].append(node)

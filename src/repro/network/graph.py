@@ -378,10 +378,12 @@ class NetworkGraph:
     ) -> Optional[List[int]]:
         """Deterministic shortest hop path from ``source`` to ``target``.
 
-        Ties are broken by preferring the lowest-ID parent at every BFS
-        layer, so repeated runs -- and the distributed implementation in
-        :mod:`repro.runtime` -- produce the identical path.  Returns None
-        when ``target`` is unreachable (inside ``within`` if given).
+        Among equally short paths the lexicographically smallest one read
+        from ``source`` wins (each node keeps its first-discovered parent,
+        not its lowest-ID one), so repeated runs -- and the distributed
+        implementation in :mod:`repro.runtime` -- produce the identical
+        path.  Returns None when ``target`` is unreachable (inside
+        ``within`` if given).
         """
         if within is not None and (source not in within or target not in within):
             return None
@@ -391,8 +393,10 @@ class NetworkGraph:
         queue: deque = deque([source])
         while queue:
             u = queue.popleft()
-            # Neighbors are pre-sorted, so the first discoverer of any node
-            # is its lowest-ID parent at the shallowest BFS depth.
+            # Neighbors are pre-sorted, so FIFO order visits each layer in
+            # lexicographic order of the nodes' paths from the source; the
+            # first discoverer of a node therefore ends its
+            # lexicographically smallest shortest path.
             for v in self._adjacency[u]:
                 v = int(v)
                 if v in parent:

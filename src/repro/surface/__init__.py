@@ -14,13 +14,16 @@ IV.  triangulation completion with the crossing-avoidance drop rule
 V.   edge flips so no edge carries more than two triangular faces
      (:mod:`repro.surface.edgeflip`).
 
-:class:`repro.surface.pipeline.SurfaceBuilder` chains all five.
+:class:`repro.surface.pipeline.SurfaceBuilder` chains all five; every step
+reads hop distances and paths from one per-group
+:class:`repro.surface.hops.GroupHops` memo.
 """
 
 from repro.surface.cdg import build_cdg
 from repro.surface.cdm import CDMResult, build_cdm
 from repro.surface.edgeflip import edge_flip
 from repro.surface.holepatch import patch_holes
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 from repro.surface.mesh import TriangularMesh
 from repro.surface.pipeline import (
@@ -32,6 +35,7 @@ from repro.surface.pipeline import (
 from repro.surface.triangulation import complete_triangulation
 
 __all__ = [
+    "GroupHops",
     "TriangularMesh",
     "elect_landmarks",
     "assign_voronoi_cells",

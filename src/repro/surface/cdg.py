@@ -9,25 +9,19 @@ planar (Fig. 1(d)); Step III prunes it into the planar CDM.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Set
 
-from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, edge_key
 
 
-def build_cdg(
-    graph: NetworkGraph,
-    group: Iterable[int],
-    cells: Dict[int, int],
-) -> Set[Edge]:
+def build_cdg(hops: GroupHops, cells: Dict[int, int]) -> Set[Edge]:
     """Landmark adjacency from touching Voronoi cells.
 
     Parameters
     ----------
-    graph:
-        Full network connectivity.
-    group:
-        Boundary node IDs of the surface under construction.
+    hops:
+        Flood memo of the boundary group under construction.
     cells:
         Node -> landmark association from Step I.
 
@@ -40,13 +34,13 @@ def build_cdg(
     Locality: the test at each node inspects only its one-hop neighbors'
     cell labels, one beacon round in a real deployment.
     """
-    members: Set[int] = set(int(g) for g in group)
+    members = hops.members
     edges: Set[Edge] = set()
     for node in sorted(members):
         own = cells.get(node)
         if own is None:
             continue
-        for nbr in graph.neighbors(node):
+        for nbr in hops.graph.neighbors(node):
             nbr = int(nbr)
             if nbr not in members:
                 continue

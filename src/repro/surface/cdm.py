@@ -15,9 +15,9 @@ on a landmark shortest path -- Step IV's drop rule consults those marks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, edge_key
 
 
@@ -61,22 +61,21 @@ def path_is_valid(path: List[int], cells: Dict[int, int], i: int, j: int) -> boo
 
 
 def build_cdm(
-    graph: NetworkGraph,
-    group: Iterable[int],
+    hops: GroupHops,
     cells: Dict[int, int],
     cdg_edges: Set[Edge],
 ) -> CDMResult:
     """Filter the CDG into the planar CDM via the path validity test.
 
     Shortest paths are computed within the boundary group only ("based on
-    the identified boundary nodes"), with deterministic lowest-ID
-    tie-breaking so both endpoints -- and the message-level implementation
-    -- agree on the same path.
+    the identified boundary nodes").  Among equally short paths the
+    lexicographically smallest one read from ``i`` wins, so both
+    endpoints -- and the message-level implementation -- agree on the
+    same path.
     """
-    members: Set[int] = set(int(g) for g in group)
     result = CDMResult()
     for i, j in sorted(cdg_edges):
-        path = graph.shortest_path(i, j, within=members)
+        path = hops.path(i, j)
         if path is not None and path_is_valid(path, cells, i, j):
             key = edge_key(i, j)
             result.edges.add(key)

@@ -20,33 +20,10 @@ Two engineering details beyond the paper's description:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
-from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, TriangularMesh, edge_key
-
-
-def _hop_length_fn(graph: NetworkGraph, group: Set[int]) -> Callable[[int, int], int]:
-    """Hop distance between two landmarks within the boundary subgraph.
-
-    Unreachable pairs (which should not occur inside one group) get a large
-    finite length so they sort last among candidate edges.
-    """
-    cache: Dict[Edge, int] = {}
-    expanded: Set[int] = set()
-
-    def hop_length(u: int, v: int) -> int:
-        key = edge_key(u, v)
-        if key not in cache and u not in expanded and v not in expanded:
-            # Cache the whole BFS front for u to amortize repeated queries.
-            hops = graph.bfs_hops([u], within=group)
-            for node, dist in hops.items():
-                if node != u:
-                    cache[edge_key(u, node)] = dist
-            expanded.add(u)
-        return cache.get(key, len(group) + 1)
-
-    return hop_length
 
 
 def _apex_mst_edges(
@@ -79,31 +56,21 @@ def _apex_mst_edges(
     return chosen
 
 
-def edge_flip(
-    mesh: TriangularMesh,
-    graph: NetworkGraph,
-    *,
-    max_iterations: Optional[int] = None,
-) -> TriangularMesh:
+def edge_flip(mesh: TriangularMesh, hops: GroupHops) -> TriangularMesh:
     """Apply edge flips until every edge has at most two triangular faces.
 
+    Edge lengths are hop distances within the group (``hops.distance``).
     The mesh is modified in place and also returned.
 
     Raises
     ------
     RuntimeError
         If saturated edges remain when the iteration guard trips (cannot
-        happen under the no-readd rule unless ``max_iterations`` is set
-        artificially low).
+        happen under the no-readd rule).
     """
-    group = set(mesh.group) if mesh.group else set(mesh.vertices)
-    hop_length = _hop_length_fn(graph, group)
+    hop_length = hops.distance
     n_vertices = len(mesh.vertices)
-    limit = (
-        max_iterations
-        if max_iterations is not None
-        else len(mesh.edges) + n_vertices * n_vertices + 64
-    )
+    limit = len(mesh.edges) + n_vertices * n_vertices + 64
     removed: Set[Edge] = set()
 
     for _ in range(limit):

@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Set
 
-from repro.network.graph import NetworkGraph
-from repro.surface.edgeflip import _hop_length_fn
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, TriangularMesh, edge_key
 
 #: Upper bound on patch rounds; each round adds one diagonal.
@@ -79,13 +78,11 @@ def _find_open_cycle(open_edges: List[Edge]) -> Optional[List[int]]:
     return None
 
 
-def patch_holes(
-    mesh: TriangularMesh,
-    graph: NetworkGraph,
-    *,
-    max_rounds: int = MAX_PATCH_ROUNDS,
-) -> bool:
+def patch_holes(mesh: TriangularMesh, hops: GroupHops) -> bool:
     """Insert diagonals until no cycle of open edges remains.
+
+    Diagonal lengths are hop distances within the group
+    (``hops.distance``).
 
     Returns
     -------
@@ -95,9 +92,7 @@ def patch_holes(
         non-cyclic open structure (a genuinely broken region, e.g. a group
         too sparse to be a closed surface) or the round budget ran out.
     """
-    group = set(mesh.group) if mesh.group else set(mesh.vertices)
-    hop_length = _hop_length_fn(graph, group)
-    for _ in range(max_rounds):
+    for _ in range(MAX_PATCH_ROUNDS):
         counts = mesh.edge_face_counts()
         open_edges = sorted(e for e, c in counts.items() if c <= 1)
         if not open_edges:
@@ -106,7 +101,7 @@ def patch_holes(
         if cycle is None:
             return False
         size = len(cycle)
-        best: Optional[tuple] = None  # (hops, u, v)
+        best: Optional[tuple] = None  # (length, u, v)
         for a in range(size):
             for b in range(a + 2, size):
                 if a == 0 and b == size - 1:
@@ -114,12 +109,12 @@ def patch_holes(
                 u, v = cycle[a], cycle[b]
                 if mesh.has_edge(u, v):
                     continue
-                candidate = (hop_length(u, v), *edge_key(u, v))
+                candidate = (hops.distance(u, v), *edge_key(u, v))
                 if best is None or candidate < best:
                     best = candidate
         if best is None:
             # Cycle is a triangle already fully chorded; nothing to add.
             return False
-        hops, u, v = best
-        mesh.add_edge(u, v, hop_length=hops)
+        length, u, v = best
+        mesh.add_edge(u, v, hop_length=length)
     return not any(c <= 1 for c in mesh.edge_face_counts().values())

@@ -18,23 +18,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 
 
-def elect_landmarks(
-    graph: NetworkGraph,
-    group: Iterable[int],
-    k: int = 3,
-) -> List[int]:
+def elect_landmarks(hops: GroupHops, k: int = 3) -> List[int]:
     """Elect landmarks within one boundary group.
 
     Parameters
     ----------
-    graph:
-        Full network connectivity.
-    group:
-        Boundary node IDs of one boundary surface (one connected component
-        of the boundary subgraph).
+    hops:
+        Flood memo of one boundary group (one connected component of the
+        boundary subgraph).
     k:
         Minimum pairwise landmark hop distance (within the group).
 
@@ -46,24 +40,22 @@ def elect_landmarks(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    members: Set[int] = set(int(g) for g in group)
     landmarks: List[int] = []
     covered: Set[int] = set()
-    for node in sorted(members):
+    for node in sorted(hops.members):
         if node in covered:
             continue
         landmarks.append(node)
         # Suppress any node within k-1 hops: a later candidate there would
-        # be closer than k hops to this landmark.
-        reached = graph.bfs_hops([node], within=members, max_hops=k - 1)
+        # be closer than k hops to this landmark.  The bounded ball is far
+        # cheaper than a full flood, so it bypasses the memo.
+        reached = hops.graph.bfs_hops([node], within=hops.members, max_hops=k - 1)
         covered.update(reached.keys())
     return landmarks
 
 
 def assign_voronoi_cells(
-    graph: NetworkGraph,
-    group: Iterable[int],
-    landmarks: Iterable[int],
+    hops: GroupHops, landmarks: Iterable[int]
 ) -> Dict[int, int]:
     """Associate every group node with its closest landmark.
 
@@ -74,13 +66,11 @@ def assign_voronoi_cells(
     -------
     dict mapping every reachable group node to its landmark ID.
     """
-    members: Set[int] = set(int(g) for g in group)
     best: Dict[int, Tuple[int, int]] = {}
     for landmark in sorted(int(l) for l in landmarks):
-        if landmark not in members:
+        if landmark not in hops.members:
             raise ValueError(f"landmark {landmark} is not in the group")
-        hops = graph.bfs_hops([landmark], within=members)
-        for node, dist in hops.items():
+        for node, dist in hops.hops_from(landmark).items():
             incumbent = best.get(node)
             if incumbent is None or (dist, landmark) < incumbent:
                 best[node] = (dist, landmark)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.network.graph import NetworkGraph
@@ -11,9 +11,21 @@ from repro.surface.cdg import build_cdg
 from repro.surface.cdm import build_cdm
 from repro.surface.edgeflip import edge_flip
 from repro.surface.holepatch import patch_holes
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 from repro.surface.mesh import TriangularMesh
 from repro.surface.triangulation import complete_triangulation
+
+#: Below four landmarks no closed triangular surface exists.
+MIN_LANDMARKS = 4
+
+#: Edge-flip / hole-patch alternations; each pass can expose work for the
+#: other, and two rounds close every case seen in practice.
+FINALIZE_ROUNDS = 6
+
+#: How many coarser spacings (``k+1``, ``k+2``, ..) are also built when the
+#: mesh at ``k`` is not fully closed.
+QUALITY_RETRY_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -27,57 +39,22 @@ class SurfaceConfig:
         paper.  Larger values give coarser meshes and leave more boundary
         nodes outside the mesh surface.  The default of 4 yields closed
         2-manifolds on the deployment densities this library ships; k=3
-        needs denser boundary sampling to close every face.
-    candidate_radius:
-        Maximum landmark hop distance tried during triangulation
-        completion; None means ``2 * k``.
-    min_landmarks:
-        Groups electing fewer landmarks than this are skipped -- below four
-        landmarks no closed triangular surface exists.
-    apply_edge_flip:
-        Whether to run Step V (disable only for ablations).
-    apply_hole_patching:
-        Whether to close residual open rings (see
-        :mod:`repro.surface.holepatch`); disable only for ablations.
-    finalize_rounds:
-        Edge-flip / hole-patch alternations; each pass can expose work for
-        the other, and two rounds close every case seen in practice.
+        needs denser boundary sampling to close every face.  Triangulation
+        completion considers landmark pairs up to ``2k`` hops apart.
     adaptive_k:
-        When a group elects fewer than ``min_landmarks`` landmarks at
+        When a group elects fewer than ``MIN_LANDMARKS`` landmarks at
         spacing ``k`` (typical for small hole boundaries), retry with
         ``k-1, k-2, .., 2`` before giving up.  Matches the paper's remark
         that ``k`` is chosen "according to the needs of specific
         applications": a small hole needs a finer mesh.
-    quality_retry:
-        When the mesh at spacing ``k`` is not fully closed (some edge not
-        on exactly two faces), also build at ``k+1`` and ``k+2`` and keep
-        the best mesh.  Coarser landmarks often close surfaces that a fine
-        spacing leaves ragged, at the cost of mesh resolution.
     """
 
     k: int = 4
-    candidate_radius: Optional[int] = None
-    min_landmarks: int = 4
-    apply_edge_flip: bool = True
-    apply_hole_patching: bool = True
-    finalize_rounds: int = 6
     adaptive_k: bool = True
-    quality_retry: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.min_landmarks < 4:
-            raise ValueError("min_landmarks must be at least 4")
-        if self.candidate_radius is not None and self.candidate_radius < 1:
-            raise ValueError("candidate_radius must be positive")
-        if self.finalize_rounds < 1:
-            raise ValueError("finalize_rounds must be at least 1")
-
-    @property
-    def effective_candidate_radius(self) -> int:
-        """Candidate radius actually used (defaults to ``2 * k``)."""
-        return self.candidate_radius if self.candidate_radius is not None else 2 * self.k
 
 
 @dataclass
@@ -127,52 +104,46 @@ class SurfaceBuilder:
         """Run Steps I-V (plus hole patching) on a single boundary group.
 
         Returns None when the group is too small to carry a closed surface
-        (fewer than ``min_landmarks`` landmarks elected).  With
-        ``quality_retry`` enabled, coarser spacings are also attempted when
-        the first mesh does not close, and the best mesh wins.  Each
-        *effective* spacing is constructed at most once per group: a retry
-        at ``k+1`` whose ``adaptive_k`` decay lands back on an
-        already-built spacing is skipped instead of silently rebuilding
-        the identical mesh.
+        (fewer than ``MIN_LANDMARKS`` landmarks elected).  When the mesh at
+        ``k`` does not close (some edge not on exactly two faces), the
+        coarser spacings ``k+1 .. k+QUALITY_RETRY_STEPS`` are also built
+        and the best mesh wins.  Each *effective* spacing is constructed
+        at most once per group: a retry at ``k+1`` whose ``adaptive_k``
+        decay lands back on an already-built spacing is skipped instead of
+        silently rebuilding the identical mesh.  All attempts share one
+        :class:`GroupHops`, so each landmark is flooded once per group.
         """
         tracer = self._tracer
-        group = sorted(int(g) for g in group)
+        hops = GroupHops(graph, group)
         with tracer.span(
-            "surface.group", n_nodes=len(group), requested_k=self.config.k
+            "surface.group", n_nodes=len(hops.members), requested_k=self.config.k
         ) as gspan:
             tried: Set[int] = set()
             election_cache: Dict[int, List[int]] = {}
-            best = self._build_at_k(
-                graph, group, self.config.k,
-                tried=tried, election_cache=election_cache,
-            )
-            if self.config.quality_retry:
-                best_score = self._two_faced_fraction(best) if best else 0.0
-                k = self.config.k
-                while best_score < 1.0 and k < self.config.k + 2:
-                    k += 1
-                    candidate = self._build_at_k(
-                        graph, group, k,
-                        tried=tried, election_cache=election_cache,
+            best = self._build_at_k(hops, self.config.k, tried, election_cache)
+            best_score = self._two_faced_fraction(best) if best else 0.0
+            k = self.config.k
+            while best_score < 1.0 and k < self.config.k + QUALITY_RETRY_STEPS:
+                k += 1
+                candidate = self._build_at_k(hops, k, tried, election_cache)
+                if candidate is None:
+                    continue
+                score = self._two_faced_fraction(candidate)
+                if score > best_score or best is None:
+                    tracer.event(
+                        "quality_retry_accepted",
+                        effective_k=candidate.effective_k,
+                        score=score,
+                        previous_score=best_score,
                     )
-                    if candidate is None:
-                        continue
-                    score = self._two_faced_fraction(candidate)
-                    if score > best_score or best is None:
-                        tracer.event(
-                            "quality_retry_accepted",
-                            effective_k=candidate.effective_k,
-                            score=score,
-                            previous_score=best_score,
-                        )
-                        best, best_score = candidate, score
-                    else:
-                        tracer.event(
-                            "quality_retry_rejected",
-                            effective_k=candidate.effective_k,
-                            score=score,
-                            best_score=best_score,
-                        )
+                    best, best_score = candidate, score
+                else:
+                    tracer.event(
+                        "quality_retry_rejected",
+                        effective_k=candidate.effective_k,
+                        score=score,
+                        best_score=best_score,
+                    )
             if tracer.enabled:
                 gspan.set("built", best is not None)
                 if best is not None:
@@ -182,12 +153,10 @@ class SurfaceBuilder:
 
     def _build_at_k(
         self,
-        graph: NetworkGraph,
-        group: Iterable[int],
+        hops: GroupHops,
         k: int,
-        *,
-        tried: Optional[Set[int]] = None,
-        election_cache: Optional[Dict[int, List[int]]] = None,
+        tried: Set[int],
+        election_cache: Dict[int, List[int]],
     ) -> Optional[SurfaceBuildRecord]:
         """One full construction attempt at landmark spacing ``k``.
 
@@ -197,55 +166,44 @@ class SurfaceBuilder:
         ``election_cache`` memoizes ``elect_landmarks`` per spacing so the
         decay walk never re-elects a spacing it has already seen.
         """
-        group = sorted(int(g) for g in group)
+
+        def elect(spacing: int) -> List[int]:
+            if spacing not in election_cache:
+                election_cache[spacing] = elect_landmarks(hops, spacing)
+            return election_cache[spacing]
+
         with self._tracer.span("surface.attempt", requested_k=k) as span:
-            landmarks = self._elect(graph, group, k, election_cache)
-            while (
-                self.config.adaptive_k
-                and len(landmarks) < self.config.min_landmarks
-                and k > 2
-            ):
+            landmarks = elect(k)
+            while self.config.adaptive_k and len(landmarks) < MIN_LANDMARKS and k > 2:
                 k -= 1
-                landmarks = self._elect(graph, group, k, election_cache)
+                landmarks = elect(k)
             span.set("effective_k", k)
             span.set("n_landmarks", len(landmarks))
-            if len(landmarks) < self.config.min_landmarks:
+            if len(landmarks) < MIN_LANDMARKS:
                 span.set("outcome", "too_few_landmarks")
                 return None
-            if tried is not None:
-                if k in tried:
-                    span.set("outcome", "duplicate_spacing")
-                    return None
-                tried.add(k)
-            cells = assign_voronoi_cells(graph, group, landmarks)
-            cdg_edges = build_cdg(graph, group, cells)
-            cdm = build_cdm(graph, group, cells, cdg_edges)
-            candidate_radius = (
-                self.config.candidate_radius
-                if self.config.candidate_radius is not None
-                else 2 * k
-            )
+            if k in tried:
+                span.set("outcome", "duplicate_spacing")
+                return None
+            tried.add(k)
+            cells = assign_voronoi_cells(hops, landmarks)
+            cdg_edges = build_cdg(hops, cells)
+            cdm = build_cdm(hops, cells, cdg_edges)
             edges, paths = complete_triangulation(
-                graph,
-                group,
-                landmarks,
-                cdm,
-                candidate_radius=candidate_radius,
+                hops, landmarks, cdm, candidate_radius=2 * k
             )
 
-            mesh = TriangularMesh(vertices=landmarks, group=list(group))
+            mesh = TriangularMesh(vertices=landmarks, group=sorted(hops.members))
             for u, v in sorted(edges):
                 mesh.add_edge(u, v, path=paths.get((u, v)))
 
-            for _ in range(self.config.finalize_rounds):
+            for _ in range(FINALIZE_ROUNDS):
                 dirty = False
-                if self.config.apply_edge_flip and mesh.edges_with_face_count(3):
-                    edge_flip(mesh, graph)
+                if mesh.edges_with_face_count(3):
+                    edge_flip(mesh, hops)
                     dirty = True
-                if self.config.apply_hole_patching and any(
-                    c <= 1 for c in mesh.edge_face_counts().values()
-                ):
-                    patch_holes(mesh, graph)
+                if any(c <= 1 for c in mesh.edge_face_counts().values()):
+                    patch_holes(mesh, hops)
                     dirty = True
                 if not dirty:
                     break
@@ -264,30 +222,11 @@ class SurfaceBuilder:
                 effective_k=k,
             )
 
-    @staticmethod
-    def _elect(
-        graph: NetworkGraph,
-        group: List[int],
-        k: int,
-        cache: Optional[Dict[int, List[int]]],
-    ) -> List[int]:
-        """Landmark election memoized per spacing (pure in graph/group/k)."""
-        if cache is None:
-            return elect_landmarks(graph, group, k)
-        if k not in cache:
-            cache[k] = elect_landmarks(graph, group, k)
-        return cache[k]
-
     def build(
         self, graph: NetworkGraph, groups: Iterable[Iterable[int]]
     ) -> List[TriangularMesh]:
         """Build meshes for all groups large enough to carry one."""
-        meshes: List[TriangularMesh] = []
-        for group in groups:
-            record = self.build_one(graph, group)
-            if record is not None:
-                meshes.append(record.mesh)
-        return meshes
+        return [record.mesh for record in self.build_records(graph, groups)]
 
     def build_records(
         self, graph: NetworkGraph, groups: Iterable[Iterable[int]]

@@ -34,10 +34,10 @@ the resulting edge would pass through a mesh vertex.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.network.graph import NetworkGraph
 from repro.surface.cdm import CDMResult
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, edge_key
 
 #: node -> set of landmark edges whose realizing path covers (or neighbors)
@@ -45,18 +45,14 @@ from repro.surface.mesh import Edge, edge_key
 MarkMap = Dict[int, Set[Edge]]
 
 
-def _mark_path(
-    marks: MarkMap,
-    edge: Edge,
-    path: List[int],
-    graph: NetworkGraph,
-    members: Set[int],
-) -> None:
+def _mark_path(marks: MarkMap, edge: Edge, path: List[int], hops: GroupHops) -> None:
     """Record that ``path`` realizes ``edge``, with one-hop dilation."""
     covered = set(path[1:-1])
     dilated = set(covered)
     for node in sorted(covered):
-        dilated.update(int(v) for v in graph.neighbors(node) if int(v) in members)
+        dilated.update(
+            int(v) for v in hops.graph.neighbors(node) if int(v) in hops.members
+        )
     for node in sorted(dilated):
         marks[node].add(edge)
 
@@ -71,27 +67,21 @@ def _blocked(marks: MarkMap, path: List[int], i: int, j: int) -> bool:
 
 
 def candidate_pairs(
-    graph: NetworkGraph,
-    members: Set[int],
-    landmarks: List[int],
-    candidate_radius: int,
+    hops: GroupHops, landmarks: List[int], candidate_radius: int
 ) -> Dict[Edge, int]:
     """Landmark pairs within ``candidate_radius`` hops, with hop distances."""
-    landmark_set = set(landmarks)
     pairs: Dict[Edge, int] = {}
     for landmark in sorted(landmarks):
-        hops = graph.bfs_hops([landmark], within=members, max_hops=candidate_radius)
-        for other, dist in hops.items():
-            if other != landmark and other in landmark_set:
-                key = edge_key(landmark, other)
-                if key not in pairs or dist < pairs[key]:
-                    pairs[key] = dist
+        flood = hops.hops_from(landmark)
+        for other in landmarks:
+            dist = flood.get(other)
+            if other > landmark and dist is not None and dist <= candidate_radius:
+                pairs[(landmark, other)] = dist
     return pairs
 
 
 def complete_triangulation(
-    graph: NetworkGraph,
-    group: Iterable[int],
+    hops: GroupHops,
     landmarks: List[int],
     cdm: CDMResult,
     *,
@@ -101,10 +91,8 @@ def complete_triangulation(
 
     Parameters
     ----------
-    graph:
-        Full network connectivity.
-    group:
-        Boundary nodes of the surface under construction.
+    hops:
+        Flood memo of the boundary group under construction.
     landmarks:
         Elected landmarks of the group.
     cdm:
@@ -118,22 +106,21 @@ def complete_triangulation(
     (edges, paths)
         The augmented edge set and path map.
     """
-    members: Set[int] = set(int(g) for g in group)
     landmark_set = set(landmarks)
     edges: Set[Edge] = set(cdm.edges)
     paths: Dict[Edge, List[int]] = dict(cdm.paths)
 
     marks: MarkMap = defaultdict(set)
     for edge, path in cdm.paths.items():
-        _mark_path(marks, edge, path, graph, members)
+        _mark_path(marks, edge, path, hops)
 
-    pairs = candidate_pairs(graph, members, landmarks, candidate_radius)
+    pairs = candidate_pairs(hops, landmarks, candidate_radius)
     order = sorted(
         (key for key in pairs if key not in edges),
         key=lambda key: (pairs[key], key),
     )
     for i, j in order:
-        path = graph.shortest_path(i, j, within=members)
+        path = hops.path(i, j)
         if path is None:
             continue
         if any(node in landmark_set for node in path[1:-1]):
@@ -143,5 +130,5 @@ def complete_triangulation(
         key = edge_key(i, j)
         edges.add(key)
         paths[key] = path
-        _mark_path(marks, key, path, graph, members)
+        _mark_path(marks, key, path, hops)
     return edges, paths

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.evaluation.mesh_metrics import evaluate_mesh
+from repro.surface.cdg import build_cdg
+from repro.surface.cdm import build_cdm
+from repro.surface.hops import GroupHops
+from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
+from repro.surface.mesh import TriangularMesh
 from repro.surface.pipeline import SurfaceBuilder, SurfaceConfig
+from repro.surface.triangulation import complete_triangulation
 
 
 class TestSphereSurface:
@@ -68,20 +74,28 @@ class TestHoleSurfaces:
         assert builder.build(sphere_network.graph, [[0, 1]]) == []
 
     def test_edge_flip_disabled_keeps_saturated(self, sphere_network, sphere_detection):
-        config = SurfaceConfig(
-            apply_edge_flip=False, apply_hole_patching=False
-        )
-        record = SurfaceBuilder(config).build_records(
-            sphere_network.graph, sphere_detection.groups
-        )[0]
-        # Without the finalize passes, saturation or open edges may remain;
-        # the full pipeline result must be at least as manifold.
+        """Steps I-IV alone, without the edge-flip / hole-patch finalize
+        passes, may leave saturated or open edges; the full pipeline at the
+        same spacing must be at least as manifold."""
         full = SurfaceBuilder().build_records(
             sphere_network.graph, sphere_detection.groups
         )[0]
+        k = full.effective_k
+        hops = GroupHops(sphere_network.graph, sphere_detection.groups[0])
+        landmarks = elect_landmarks(hops, k)
+        cells = assign_voronoi_cells(hops, landmarks)
+        cdm = build_cdm(hops, cells, build_cdg(hops, cells))
+        edges, paths = complete_triangulation(
+            hops, landmarks, cdm, candidate_radius=2 * k
+        )
+        bare = TriangularMesh(vertices=landmarks, group=sorted(hops.members))
+        for u, v in sorted(edges):
+            bare.add_edge(u, v, path=paths.get((u, v)))
+        assert landmarks == full.landmarks
+
         frac_bare = sum(
-            1 for c in record.mesh.edge_face_counts().values() if c == 2
-        ) / max(len(record.mesh.edges), 1)
+            1 for c in bare.edge_face_counts().values() if c == 2
+        ) / max(len(bare.edges), 1)
         frac_full = sum(
             1 for c in full.mesh.edge_face_counts().values() if c == 2
         ) / max(len(full.mesh.edges), 1)

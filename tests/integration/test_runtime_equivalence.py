@@ -17,6 +17,7 @@ from repro.runtime.protocols import (
     run_iff_distributed,
     run_voronoi_distributed,
 )
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 
 
@@ -70,7 +71,7 @@ class TestLandmarkEquivalence:
     @pytest.mark.parametrize("k", [3, 4])
     def test_election_matches_greedy(self, boundary_setup, k):
         graph, _, _, group = boundary_setup
-        expected = elect_landmarks(graph, group, k)
+        expected = elect_landmarks(GroupHops(graph, group), k)
         got, messages = distributed_landmark_election(graph, group, k)
         assert got == expected
         assert messages > 0
@@ -79,7 +80,8 @@ class TestLandmarkEquivalence:
 class TestVoronoiEquivalence:
     def test_cells_match(self, boundary_setup):
         graph, _, _, group = boundary_setup
-        landmarks = elect_landmarks(graph, group, 4)
-        expected = assign_voronoi_cells(graph, group, landmarks)
+        hops = GroupHops(graph, group)
+        landmarks = elect_landmarks(hops, 4)
+        expected = assign_voronoi_cells(hops, landmarks)
         got, _ = run_voronoi_distributed(graph, group, landmarks)
         assert got == expected

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 
 
@@ -26,7 +27,7 @@ class TestElectionInvariants:
     @settings(max_examples=60, deadline=None)
     def test_pairwise_separation(self, setup):
         graph, group, k = setup
-        landmarks = elect_landmarks(graph, group, k)
+        landmarks = elect_landmarks(GroupHops(graph, group), k)
         members = set(group)
         for i, a in enumerate(landmarks):
             hops = graph.bfs_hops([a], within=members)
@@ -38,7 +39,7 @@ class TestElectionInvariants:
     def test_maximality(self, setup):
         """Every member is within k-1 hops of some landmark."""
         graph, group, k = setup
-        landmarks = elect_landmarks(graph, group, k)
+        landmarks = elect_landmarks(GroupHops(graph, group), k)
         hops = graph.bfs_hops(landmarks, within=set(group))
         for node in group:
             assert hops.get(node, 10**9) <= k - 1
@@ -47,8 +48,9 @@ class TestElectionInvariants:
     @settings(max_examples=60, deadline=None)
     def test_cells_choose_a_closest_landmark(self, setup):
         graph, group, k = setup
-        landmarks = elect_landmarks(graph, group, k)
-        cells = assign_voronoi_cells(graph, group, landmarks)
+        hops = GroupHops(graph, group)
+        landmarks = elect_landmarks(hops, k)
+        cells = assign_voronoi_cells(hops, landmarks)
         members = set(group)
         landmark_hops = {
             lm: graph.bfs_hops([lm], within=members) for lm in landmarks
@@ -64,4 +66,5 @@ class TestElectionInvariants:
     @settings(max_examples=40, deadline=None)
     def test_deterministic(self, setup):
         graph, group, k = setup
-        assert elect_landmarks(graph, group, k) == elect_landmarks(graph, group, k)
+        hops = GroupHops(graph, group)
+        assert elect_landmarks(hops, k) == elect_landmarks(hops, k)

@@ -6,6 +6,7 @@ import pytest
 from repro.network.graph import NetworkGraph
 from repro.surface.cdg import build_cdg
 from repro.surface.cdm import build_cdm, path_is_valid
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 
 
@@ -17,16 +18,16 @@ def ring_setup():
         for i in range(n)
     ]
     graph = NetworkGraph(np.array(pts), radio_range=1.0)
-    group = list(range(n))
-    landmarks = elect_landmarks(graph, group, 4)
-    cells = assign_voronoi_cells(graph, group, landmarks)
-    return graph, group, landmarks, cells
+    hops = GroupHops(graph, range(n))
+    landmarks = elect_landmarks(hops, 4)
+    cells = assign_voronoi_cells(hops, landmarks)
+    return hops, landmarks, cells
 
 
 class TestBuildCDG:
     def test_ring_cdg_is_a_cycle(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        cdg = build_cdg(graph, group, cells)
+        hops, landmarks, cells = ring_setup
+        cdg = build_cdg(hops, cells)
         # On a ring, landmark cells touch exactly their two ring neighbors.
         degree = {l: 0 for l in landmarks}
         for u, v in cdg:
@@ -36,14 +37,14 @@ class TestBuildCDG:
         assert len(cdg) == len(landmarks)
 
     def test_no_self_edges(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        for u, v in build_cdg(graph, group, cells):
+        hops, landmarks, cells = ring_setup
+        for u, v in build_cdg(hops, cells):
             assert u != v
 
     def test_single_cell_yields_no_edges(self, ring_setup):
-        graph, group, _, _ = ring_setup
-        cells = {n: 0 for n in group}
-        assert build_cdg(graph, group, cells) == set()
+        hops, _, _ = ring_setup
+        cells = {n: 0 for n in hops.members}
+        assert build_cdg(hops, cells) == set()
 
 
 class TestPathValidity:
@@ -66,30 +67,30 @@ class TestPathValidity:
 
 class TestBuildCDM:
     def test_ring_cdm_keeps_cycle(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        cdg = build_cdg(graph, group, cells)
-        cdm = build_cdm(graph, group, cells, cdg)
+        hops, landmarks, cells = ring_setup
+        cdg = build_cdg(hops, cells)
+        cdm = build_cdm(hops, cells, cdg)
         # On a clean ring every CDG edge passes the validity test.
         assert cdm.edges == cdg
         assert cdm.rejected == set()
 
     def test_paths_recorded_for_accepted_edges(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        cdg = build_cdg(graph, group, cells)
-        cdm = build_cdm(graph, group, cells, cdg)
+        hops, landmarks, cells = ring_setup
+        cdg = build_cdg(hops, cells)
+        cdm = build_cdm(hops, cells, cdg)
         for edge in cdm.edges:
             path = cdm.paths[edge]
             assert path[0] == edge[0] or path[0] == edge[1]
             assert set(edge) == {path[0], path[-1]}
 
     def test_on_path_marks_intermediates_only(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        cdg = build_cdg(graph, group, cells)
-        cdm = build_cdm(graph, group, cells, cdg)
+        hops, landmarks, cells = ring_setup
+        cdg = build_cdg(hops, cells)
+        cdm = build_cdm(hops, cells, cdg)
         assert not (cdm.on_path & set(landmarks))
 
     def test_edges_union_rejected_covers_cdg(self, ring_setup):
-        graph, group, landmarks, cells = ring_setup
-        cdg = build_cdg(graph, group, cells)
-        cdm = build_cdm(graph, group, cells, cdg)
+        hops, landmarks, cells = ring_setup
+        cdg = build_cdg(hops, cells)
+        cdm = build_cdm(hops, cells, cdg)
         assert cdm.edges | cdm.rejected == cdg

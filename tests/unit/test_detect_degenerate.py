@@ -26,6 +26,8 @@ from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import build_frames, true_local_frame
 from repro.network.measurement import UniformAbsoluteError, measure_distances
+from repro.observability.tracer import TickClock, Tracer
+from repro.surface.pipeline import SurfaceBuilder
 
 SEED = 5
 
@@ -182,3 +184,30 @@ def test_true_frames_match_per_node_oracle(
         assert frame.coordinates.dtype == oracle.coordinates.dtype
         assert frame.coordinates.tobytes() == oracle.coordinates.tobytes()
         assert frame.smacof_iterations == oracle.smacof_iterations == 0
+
+
+def test_surface_builds_on_degenerate_groups(degenerate_network, collinear_network):
+    """The isolated node, coincident twins and collinear chain reach the
+    surface stage inside ``detect()``'s groups and must not break it."""
+    for network in (degenerate_network, collinear_network):
+        result = BoundaryDetector(DetectorConfig()).detect(network)
+        meshes = SurfaceBuilder().build(network.graph, result.groups)
+        assert len(meshes) <= len(result.groups)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, CHAIN_NODES])
+def test_tiny_group_records_too_few_landmarks(collinear_network, size):
+    """Groups of 1-3 chain nodes, and the whole chain (three landmarks even
+    at ``k = 2``), carry no mesh: every attempt decays to ``k = 2`` and
+    records ``too_few_landmarks``."""
+    graph = collinear_network.graph
+    group = list(range(graph.n_nodes - CHAIN_NODES, graph.n_nodes))[:size]
+    tracer = Tracer(clock=TickClock())
+    assert SurfaceBuilder(tracer=tracer).build(graph, [group]) == []
+    (group_span,) = tracer.roots
+    attempts = [c for c in group_span.children if c.name == "surface.attempt"]
+    assert attempts
+    for attempt in attempts:
+        assert attempt.attrs["outcome"] == "too_few_landmarks"
+        assert attempt.attrs["effective_k"] == 2
+        assert attempt.attrs["n_landmarks"] < 4

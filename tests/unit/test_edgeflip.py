@@ -5,12 +5,14 @@ import pytest
 
 from repro.network.graph import NetworkGraph
 from repro.surface.edgeflip import _apex_mst_edges, edge_flip
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import TriangularMesh
 
 
-def _line_graph(n=8):
+def _line_hops(n=8):
+    """Flood memo over a path graph 0 - 1 - .. - n-1."""
     positions = np.array([[0.9 * i, 0.0, 0.0] for i in range(n)])
-    return NetworkGraph(positions, radio_range=1.0)
+    return GroupHops(NetworkGraph(positions, radio_range=1.0), range(n))
 
 
 class TestApexMST:
@@ -46,18 +48,17 @@ class TestEdgeFlip:
 
     def test_saturated_edge_removed(self):
         mesh = self._saturated_mesh()
-        graph = _line_graph(5)
-        edge_flip(mesh, graph)
+        edge_flip(mesh, _line_hops(5))
         assert not mesh.has_edge(0, 1)
 
     def test_result_has_no_saturated_edges(self):
         mesh = self._saturated_mesh()
-        edge_flip(mesh, _line_graph(5))
+        edge_flip(mesh, _line_hops(5))
         assert mesh.edges_with_face_count(3) == []
 
     def test_replacement_edges_among_apexes(self):
         mesh = self._saturated_mesh()
-        edge_flip(mesh, _line_graph(5))
+        edge_flip(mesh, _line_hops(5))
         # Apexes on the line: 2,3,4 -> the two shortest are (2,3) and (3,4).
         assert mesh.has_edge(2, 3)
         assert mesh.has_edge(3, 4)
@@ -69,7 +70,7 @@ class TestEdgeFlip:
             for v in range(u + 1, 4):
                 mesh.add_edge(u, v, hop_length=1)
         before = set(mesh.edges)
-        edge_flip(mesh, _line_graph(4))
+        edge_flip(mesh, _line_hops(4))
         assert mesh.edges == before
 
     def test_flip_terminates_on_detected_boundary(
@@ -81,17 +82,17 @@ class TestEdgeFlip:
         from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
         from repro.surface.triangulation import complete_triangulation
 
-        graph = sphere_network.graph
         group = sphere_detection.groups[0]
-        landmarks = elect_landmarks(graph, group, 4)
-        cells = assign_voronoi_cells(graph, group, landmarks)
-        cdg = build_cdg(graph, group, cells)
-        cdm = build_cdm(graph, group, cells, cdg)
+        hops = GroupHops(sphere_network.graph, group)
+        landmarks = elect_landmarks(hops, 4)
+        cells = assign_voronoi_cells(hops, landmarks)
+        cdg = build_cdg(hops, cells)
+        cdm = build_cdm(hops, cells, cdg)
         edges, paths = complete_triangulation(
-            graph, group, landmarks, cdm, candidate_radius=8
+            hops, landmarks, cdm, candidate_radius=8
         )
         mesh = TriangularMesh(vertices=landmarks, group=list(group))
         for u, v in sorted(edges):
             mesh.add_edge(u, v, path=paths.get((u, v)))
-        edge_flip(mesh, graph)
+        edge_flip(mesh, hops)
         assert mesh.edges_with_face_count(3) == []

@@ -31,6 +31,14 @@ class TestTieBreaking:
         )
         assert g.shortest_path(0, 4) == [0, 5, 4]
 
+    def test_first_discovered_parent_not_lowest_id(self):
+        # Both 0-1-9-4 and 0-2-3-4 are shortest; 4's lowest-ID parent is 3,
+        # but the lexicographically smallest path read from 0 goes via 1.
+        g = _graph_from_edges(
+            10, [(0, 1), (0, 2), (1, 9), (2, 3), (9, 4), (3, 4)]
+        )
+        assert g.shortest_path(0, 4) == [0, 1, 9, 4]
+
     def test_symmetric_paths_reverse_consistency(self):
         """Forward and reverse paths have equal length (not necessarily the
         same nodes -- tie-breaking is direction-dependent by design)."""

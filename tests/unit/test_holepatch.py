@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.network.graph import NetworkGraph
 from repro.surface.holepatch import _find_open_cycle, patch_holes
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import TriangularMesh
 
 
@@ -55,7 +56,7 @@ class TestPatchHoles:
         # Each ring edge has one face (with apex 4); the ring is open below.
         counts = mesh.edge_face_counts()
         assert all(counts[e] == 1 for e in ((0, 2), (1, 2), (1, 3), (0, 3)))
-        ok = patch_holes(mesh, graph)
+        ok = patch_holes(mesh, GroupHops(graph, mesh.group))
         assert ok
         # One diagonal of the quad 0-2-1-3 must now exist.
         assert mesh.has_edge(0, 1) or mesh.has_edge(2, 3)
@@ -68,7 +69,7 @@ class TestPatchHoles:
             for v in range(u + 1, 4):
                 mesh.add_edge(u, v, hop_length=1)
         before = set(mesh.edges)
-        assert patch_holes(mesh, graph)
+        assert patch_holes(mesh, GroupHops(graph, mesh.group))
         assert mesh.edges == before
 
     def test_open_path_reports_failure(self):
@@ -76,4 +77,4 @@ class TestPatchHoles:
         mesh = TriangularMesh(vertices=[0, 1, 2], group=[0, 1, 2])
         mesh.add_edge(0, 1, hop_length=1)
         mesh.add_edge(1, 2, hop_length=1)
-        assert not patch_holes(mesh, graph)
+        assert not patch_holes(mesh, GroupHops(graph, mesh.group))

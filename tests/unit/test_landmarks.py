@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import assign_voronoi_cells, cell_sizes, elect_landmarks
 
 
@@ -18,82 +19,79 @@ def ring_graph():
     return NetworkGraph(np.array(pts), radio_range=1.0)
 
 
+@pytest.fixture
+def ring(ring_graph):
+    """Flood memo over the whole ring as one group."""
+    return GroupHops(ring_graph, range(24))
+
+
 class TestElection:
-    def test_landmarks_k_separated(self, ring_graph):
-        group = list(range(24))
+    def test_landmarks_k_separated(self, ring_graph, ring):
         for k in (2, 3, 4):
-            landmarks = elect_landmarks(ring_graph, group, k)
-            members = set(group)
+            landmarks = elect_landmarks(ring, k)
             for i, a in enumerate(landmarks):
-                hops = ring_graph.bfs_hops([a], within=members)
+                hops = ring_graph.bfs_hops([a], within=ring.members)
                 for b in landmarks[i + 1 :]:
                     assert hops[b] >= k
 
-    def test_maximality_every_node_covered(self, ring_graph):
-        group = list(range(24))
+    def test_maximality_every_node_covered(self, ring_graph, ring):
         k = 3
-        landmarks = elect_landmarks(ring_graph, group, k)
-        hops = ring_graph.bfs_hops(landmarks, within=set(group))
-        assert all(hops[n] <= k - 1 for n in group)
+        landmarks = elect_landmarks(ring, k)
+        hops = ring_graph.bfs_hops(landmarks, within=ring.members)
+        assert all(hops[n] <= k - 1 for n in range(24))
 
-    def test_k_one_selects_everyone(self, ring_graph):
-        group = list(range(24))
-        assert elect_landmarks(ring_graph, group, 1) == group
+    def test_k_one_selects_everyone(self, ring):
+        assert elect_landmarks(ring, 1) == list(range(24))
 
-    def test_lowest_ids_win(self, ring_graph):
-        landmarks = elect_landmarks(ring_graph, range(24), 3)
+    def test_lowest_ids_win(self, ring):
+        landmarks = elect_landmarks(ring, 3)
         assert landmarks[0] == 0
 
-    def test_invalid_k(self, ring_graph):
+    def test_invalid_k(self, ring):
         with pytest.raises(ValueError):
-            elect_landmarks(ring_graph, range(24), 0)
+            elect_landmarks(ring, 0)
 
     def test_restricted_to_group(self, ring_graph):
         """Nodes outside the group never become landmarks."""
         group = list(range(0, 12))
-        landmarks = elect_landmarks(ring_graph, group, 3)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 3)
         assert all(l in group for l in landmarks)
 
 
 class TestVoronoiCells:
-    def test_every_node_assigned(self, ring_graph):
-        group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
-        cells = assign_voronoi_cells(ring_graph, group, landmarks)
-        assert set(cells) == set(group)
+    def test_every_node_assigned(self, ring):
+        landmarks = elect_landmarks(ring, 3)
+        cells = assign_voronoi_cells(ring, landmarks)
+        assert set(cells) == ring.members
 
-    def test_landmarks_own_themselves(self, ring_graph):
-        group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
-        cells = assign_voronoi_cells(ring_graph, group, landmarks)
+    def test_landmarks_own_themselves(self, ring):
+        landmarks = elect_landmarks(ring, 3)
+        cells = assign_voronoi_cells(ring, landmarks)
         for l in landmarks:
             assert cells[l] == l
 
-    def test_closest_assignment(self, ring_graph):
-        group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 4)
-        cells = assign_voronoi_cells(ring_graph, group, landmarks)
-        members = set(group)
+    def test_closest_assignment(self, ring_graph, ring):
+        landmarks = elect_landmarks(ring, 4)
+        cells = assign_voronoi_cells(ring, landmarks)
         for node, owner in cells.items():
-            d_owner = ring_graph.bfs_hops([owner], within=members)[node]
+            d_owner = ring_graph.bfs_hops([owner], within=ring.members)[node]
             for other in landmarks:
-                d_other = ring_graph.bfs_hops([other], within=members)[node]
+                d_other = ring_graph.bfs_hops([other], within=ring.members)[node]
                 assert d_owner <= d_other
 
     def test_tie_breaks_to_smaller_id(self):
         """A 5-chain with landmarks at both ends: the middle joins the lower ID."""
         pts = np.array([[0.9 * i, 0, 0] for i in range(5)])
         g = NetworkGraph(pts, radio_range=1.0)
-        cells = assign_voronoi_cells(g, range(5), [0, 4])
+        cells = assign_voronoi_cells(GroupHops(g, range(5)), [0, 4])
         assert cells[2] == 0
 
     def test_landmark_outside_group_rejected(self, ring_graph):
         with pytest.raises(ValueError):
-            assign_voronoi_cells(ring_graph, range(12), [20])
+            assign_voronoi_cells(GroupHops(ring_graph, range(12)), [20])
 
-    def test_cell_sizes_sum(self, ring_graph):
-        group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
-        cells = assign_voronoi_cells(ring_graph, group, landmarks)
+    def test_cell_sizes_sum(self, ring):
+        landmarks = elect_landmarks(ring, 3)
+        cells = assign_voronoi_cells(ring, landmarks)
         sizes = cell_sizes(cells)
         assert sum(sizes.values()) == 24

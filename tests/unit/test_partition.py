@@ -5,6 +5,7 @@ import pytest
 
 from repro.applications.partition import balanced_partition, cell_partition
 from repro.network.graph import NetworkGraph
+from repro.surface.hops import GroupHops
 from repro.surface.landmarks import elect_landmarks
 
 
@@ -21,20 +22,20 @@ def ring_graph():
 class TestCellPartition:
     def test_covers_group_disjointly(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 3)
         partition = cell_partition(ring_graph, group, landmarks)
         flat = [n for p in partition.patches for n in p]
         assert sorted(flat) == group
 
     def test_heads_are_landmarks(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 3)
         partition = cell_partition(ring_graph, group, landmarks)
         assert partition.heads == sorted(landmarks)
 
     def test_patches_contiguous(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 3)
         partition = cell_partition(ring_graph, group, landmarks)
         for patch in partition.patches:
             hops = ring_graph.bfs_hops([patch[0]], within=set(patch))
@@ -42,7 +43,7 @@ class TestCellPartition:
 
     def test_patch_of_lookup(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 3)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 3)
         partition = cell_partition(ring_graph, group, landmarks)
         lookup = partition.patch_of()
         for idx, patch in enumerate(partition.patches):
@@ -53,13 +54,13 @@ class TestCellPartition:
 class TestBalancedPartition:
     def test_reaches_requested_count(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 2)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 2)
         partition = balanced_partition(ring_graph, group, landmarks, 3)
         assert len(partition.patches) == 3
 
     def test_patches_stay_contiguous(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 2)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 2)
         partition = balanced_partition(ring_graph, group, landmarks, 3)
         for patch in partition.patches:
             hops = ring_graph.bfs_hops([patch[0]], within=set(patch))
@@ -67,13 +68,13 @@ class TestBalancedPartition:
 
     def test_rough_balance_on_ring(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 2)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 2)
         partition = balanced_partition(ring_graph, group, landmarks, 4)
         assert max(partition.sizes) <= 3 * min(partition.sizes)
 
     def test_invalid_counts(self, ring_graph):
         group = list(range(24))
-        landmarks = elect_landmarks(ring_graph, group, 2)
+        landmarks = elect_landmarks(GroupHops(ring_graph, group), 2)
         with pytest.raises(ValueError):
             balanced_partition(ring_graph, group, landmarks, 0)
         with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ class TestBalancedPartition:
 
     def test_on_real_boundary(self, sphere_network, sphere_detection):
         group = sphere_detection.groups[0]
-        landmarks = elect_landmarks(sphere_network.graph, group, 4)
+        landmarks = elect_landmarks(GroupHops(sphere_network.graph, group), 4)
         partition = balanced_partition(sphere_network.graph, group, landmarks, 4)
         assert len(partition.patches) == 4
         flat = [n for p in partition.patches for n in p]

@@ -13,27 +13,11 @@ class TestSurfaceConfigValidation:
     def test_defaults(self):
         config = SurfaceConfig()
         assert config.k == 4
-        assert config.effective_candidate_radius == 8
-        assert config.quality_retry
-
-    def test_candidate_radius_override(self):
-        assert SurfaceConfig(candidate_radius=5).effective_candidate_radius == 5
+        assert config.adaptive_k
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             SurfaceConfig(k=0)
-
-    def test_invalid_min_landmarks(self):
-        with pytest.raises(ValueError):
-            SurfaceConfig(min_landmarks=3)
-
-    def test_invalid_candidate_radius(self):
-        with pytest.raises(ValueError):
-            SurfaceConfig(candidate_radius=0)
-
-    def test_invalid_finalize_rounds(self):
-        with pytest.raises(ValueError):
-            SurfaceConfig(finalize_rounds=0)
 
 
 class TestFunctionalWrapper:
@@ -46,10 +30,3 @@ class TestFunctionalWrapper:
         )
         assert len(direct) == len(functional)
         assert direct[0].edges == functional[0].edges
-
-    def test_quality_retry_off_single_attempt(self, sphere_network, sphere_detection):
-        config = SurfaceConfig(quality_retry=False)
-        meshes = SurfaceBuilder(config).build(
-            sphere_network.graph, sphere_detection.groups
-        )
-        assert meshes  # still builds; just no k-retry pass

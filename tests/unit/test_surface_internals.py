@@ -5,6 +5,7 @@ import pytest
 
 from repro.network.graph import NetworkGraph
 from repro.surface.cdm import CDMResult
+from repro.surface.hops import GroupHops
 from repro.surface.mesh import TriangularMesh
 from repro.surface.triangulation import (
     _blocked,
@@ -41,12 +42,11 @@ class TestMarkAndBlock:
         assert not _blocked(marks, [1, 5, 9], 1, 9)
 
     def test_mark_path_dilates_one_hop(self, ring_graph):
-        marks = {}
         from collections import defaultdict
 
         marks = defaultdict(set)
-        members = set(range(24))
-        _mark_path(marks, (0, 4), [0, 1, 2, 3, 4], ring_graph, members)
+        hops = GroupHops(ring_graph, range(24))
+        _mark_path(marks, (0, 4), [0, 1, 2, 3, 4], hops)
         # Intermediates 1,2,3 marked; their ring neighbors 0 and 4 dilated.
         for node in (0, 1, 2, 3, 4):
             assert (0, 4) in marks[node]
@@ -56,18 +56,18 @@ class TestMarkAndBlock:
 
 class TestCandidatePairs:
     def test_symmetric_minimum_distance(self, ring_graph):
-        members = set(range(24))
         landmarks = [0, 6, 12, 18]
-        pairs = candidate_pairs(ring_graph, members, landmarks, candidate_radius=12)
+        hops = GroupHops(ring_graph, range(24))
+        pairs = candidate_pairs(hops, landmarks, candidate_radius=12)
         # Ring distances: adjacent landmark pairs at 6 hops, opposite at 12.
         assert pairs[(0, 6)] == 6
         assert pairs[(0, 12)] == 12
         assert pairs[(6, 18)] == 12
 
     def test_radius_cutoff(self, ring_graph):
-        members = set(range(24))
         landmarks = [0, 6, 12, 18]
-        pairs = candidate_pairs(ring_graph, members, landmarks, candidate_radius=6)
+        hops = GroupHops(ring_graph, range(24))
+        pairs = candidate_pairs(hops, landmarks, candidate_radius=6)
         assert (0, 6) in pairs
         assert (0, 12) not in pairs
 
@@ -78,7 +78,7 @@ class TestCompleteTriangulationRing:
         landmarks = [0, 6, 12, 18]
         cdm = CDMResult()
         edges, paths = complete_triangulation(
-            ring_graph, range(24), landmarks, cdm, candidate_radius=6
+            GroupHops(ring_graph, range(24)), landmarks, cdm, candidate_radius=6
         )
         # All four adjacent landmark pairs connect (6-hop ring arcs).
         assert (0, 6) in edges
@@ -91,7 +91,8 @@ class TestCompleteTriangulationRing:
 
 class TestMeshGroupDefaults:
     def test_edge_flip_group_defaults_to_vertices(self, ring_graph):
-        """Meshes without an explicit group use their vertices for hops."""
+        """A group of only the mesh vertices (every pair unreachable, so
+        every length is the sentinel) still flips without raising."""
         from repro.surface.edgeflip import edge_flip
 
         mesh = TriangularMesh(vertices=[0, 6, 12, 18])
@@ -99,5 +100,5 @@ class TestMeshGroupDefaults:
             for v in (0, 6, 12, 18):
                 if u < v:
                     mesh.add_edge(u, v, hop_length=1)
-        edge_flip(mesh, ring_graph)  # must not raise
+        edge_flip(mesh, GroupHops(ring_graph, mesh.vertices))  # must not raise
         assert mesh.is_two_manifold()

@@ -24,10 +24,10 @@ def _force_decay_to_k2(monkeypatch):
 
     real_elect = landmarks_mod.elect_landmarks
 
-    def fake_elect(graph, group, k):
+    def fake_elect(hops, k):
         if k >= 3:
             return []
-        return real_elect(graph, group, k)
+        return real_elect(hops, k)
 
     monkeypatch.setattr("repro.surface.pipeline.elect_landmarks", fake_elect)
 
@@ -47,9 +47,9 @@ class TestDuplicateSpacingSkipped:
 
         real_build_cdg = cdg_mod.build_cdg
 
-        def counting_build_cdg(graph, group, cells):
+        def counting_build_cdg(hops, cells):
             built_at.append(len(built_at))
-            return real_build_cdg(graph, group, cells)
+            return real_build_cdg(hops, cells)
 
         monkeypatch.setattr("repro.surface.pipeline.build_cdg", counting_build_cdg)
 
