@@ -460,17 +460,21 @@ def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     whole pipeline at scale.  Each run carries a
     :class:`~repro.observability.tracer.Tracer`; the artifact's ``stages``
     map holds the median seconds of each ``detect`` stage span across the
-    repeats (recorded, not gated).  No warm-up run (the stage is
-    minutes-scale at 100k; the native-kernel load is already warmed by
-    :func:`run_bench`).
+    repeats (recorded, not gated).  It also holds ``surface``: the median
+    of ``repeat`` :class:`SurfaceBuilder` runs on the last run's groups,
+    timed after and outside ``median_seconds`` (every repeat generates the
+    same seeded network).  No warm-up run (the stage is minutes-scale at
+    100k; the native-kernel load is already warmed by :func:`run_bench`).
     """
     scenario = ctx.scenario
     detector = BoundaryDetector(
         DetectorConfig(ubf=ctx.ubf_config, iff=ctx.iff_config)
     )
     stage_seconds: Dict[str, List[float]] = {name: [] for name in E2E_STAGE_SPANS}
+    last: Dict[str, object] = {}
 
     def run() -> dict:
+        last.clear()  # free the previous network before generating the next
         tracer = Tracer()
         network = generate_network(
             scenario_by_name(scenario.shape),
@@ -482,6 +486,7 @@ def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
             if span.name in stage_seconds:
                 stage_seconds[span.name].append(span.duration)
         ubf = ubf_span_counters(result.ubf_outcomes)
+        last.update(graph=network.graph, groups=result.groups)
         return {
             "n_candidates": len(result.candidates),
             "total_balls_tested": float(ubf["balls_tested"]),
@@ -497,6 +502,10 @@ def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     doc["stages"] = {
         name: float(np.median(seconds)) for name, seconds in stage_seconds.items()
     }
+    builder = SurfaceBuilder(SurfaceConfig())
+    doc["stages"]["surface"], _, _ = _median_time(
+        lambda: builder.build(last["graph"], last["groups"]), repeat, warmup=False
+    )
     return doc
 
 

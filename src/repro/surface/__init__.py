@@ -15,8 +15,8 @@ V.   edge flips so no edge carries more than two triangular faces
      (:mod:`repro.surface.edgeflip`).
 
 :class:`repro.surface.pipeline.SurfaceBuilder` chains all five; every step
-reads hop distances and paths from one per-group
-:class:`repro.surface.hops.GroupHops` memo.
+reads hop distances and paths from the per-group hop rows of one
+:class:`repro.surface.hops.GroupHops`.
 """
 
 from repro.surface.cdg import build_cdg

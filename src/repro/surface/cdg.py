@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
+import numpy as np
+
 from repro.surface.hops import GroupHops
-from repro.surface.mesh import Edge, edge_key
+from repro.surface.mesh import Edge
 
 
 def build_cdg(hops: GroupHops, cells: Dict[int, int]) -> Set[Edge]:
@@ -21,7 +23,8 @@ def build_cdg(hops: GroupHops, cells: Dict[int, int]) -> Set[Edge]:
     Parameters
     ----------
     hops:
-        Flood memo of the boundary group under construction.
+        Hop rows and induced subgraph of the boundary group under
+        construction.
     cells:
         Node -> landmark association from Step I.
 
@@ -34,18 +37,20 @@ def build_cdg(hops: GroupHops, cells: Dict[int, int]) -> Set[Edge]:
     Locality: the test at each node inspects only its one-hop neighbors'
     cell labels, one beacon round in a real deployment.
     """
-    members = hops.members
-    edges: Set[Edge] = set()
-    for node in sorted(members):
-        own = cells.get(node)
-        if own is None:
-            continue
-        for nbr in hops.graph.neighbors(node):
-            nbr = int(nbr)
-            if nbr not in members:
-                continue
-            other = cells.get(nbr)
-            if other is None or other == own:
-                continue
-            edges.add(edge_key(own, other))
-    return edges
+    columns = hops.columns(np.fromiter(cells, dtype=np.int64, count=len(cells)))
+    owners = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
+    keep = columns >= 0
+    labels = np.full(hops.nodes.size, -1, dtype=np.int64)
+    labels[columns[keep]] = owners[keep]
+    sub = hops.subgraph
+    own = labels[np.repeat(np.arange(hops.nodes.size), np.diff(sub.indptr))]
+    other = labels[sub.indices]
+    touching = (own >= 0) & (other >= 0) & (own != other)
+    pairs, first = np.unique(
+        np.stack([np.minimum(own, other), np.maximum(own, other)], axis=1)[touching],
+        axis=0,
+        return_index=True,
+    )
+    # Insert in first-seen (node, neighbour) order, as a per-node scan
+    # would, so the set's iteration order does not depend on this pass.
+    return {(u, v) for u, v in pairs[np.argsort(first)].tolist()}

@@ -16,7 +16,9 @@ fixed point the distributed ID-priority election of
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List
+
+import numpy as np
 
 from repro.surface.hops import GroupHops
 
@@ -27,7 +29,7 @@ def elect_landmarks(hops: GroupHops, k: int = 3) -> List[int]:
     Parameters
     ----------
     hops:
-        Flood memo of one boundary group (one connected component of the
+        Hop rows of one boundary group (one connected component of the
         boundary subgraph).
     k:
         Minimum pairwise landmark hop distance (within the group).
@@ -36,21 +38,20 @@ def elect_landmarks(hops: GroupHops, k: int = 3) -> List[int]:
     -------
     Sorted landmark IDs.  Every group member is within ``k - 1`` hops of a
     landmark (maximality), and no two landmarks are closer than ``k`` hops
-    (independence).
+    (independence).  Each landmark's row is computed on election, so
+    :func:`assign_voronoi_cells` reads rows that already exist.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     landmarks: List[int] = []
-    covered: Set[int] = set()
-    for node in sorted(hops.members):
-        if node in covered:
+    covered = np.zeros(hops.nodes.size, dtype=bool)
+    for column, node in enumerate(hops.nodes.tolist()):
+        if covered[column]:
             continue
         landmarks.append(node)
         # Suppress any node within k-1 hops: a later candidate there would
-        # be closer than k hops to this landmark.  The bounded ball is far
-        # cheaper than a full flood, so it bypasses the memo.
-        reached = hops.graph.bfs_hops([node], within=hops.members, max_hops=k - 1)
-        covered.update(reached.keys())
+        # be closer than k hops to this landmark.
+        covered |= hops.row(node) <= k - 1
     return landmarks
 
 
@@ -60,21 +61,24 @@ def assign_voronoi_cells(
     """Associate every group node with its closest landmark.
 
     Ties (equal hop distance to several landmarks) go to the landmark with
-    the smallest ID, the paper's tiebreaker.
+    the smallest ID, the paper's tiebreaker: the landmark rows are stacked
+    in ascending ID order and ``argmin`` keeps the first minimum.
 
     Returns
     -------
-    dict mapping every reachable group node to its landmark ID.
+    dict mapping every reachable group node, in ascending node ID, to its
+    landmark ID.
     """
-    best: Dict[int, Tuple[int, int]] = {}
-    for landmark in sorted(int(l) for l in landmarks):
+    ordered = sorted(set(int(l) for l in landmarks))
+    for landmark in ordered:
         if landmark not in hops.members:
             raise ValueError(f"landmark {landmark} is not in the group")
-        for node, dist in hops.hops_from(landmark).items():
-            incumbent = best.get(node)
-            if incumbent is None or (dist, landmark) < incumbent:
-                best[node] = (dist, landmark)
-    return {node: landmark for node, (_, landmark) in best.items()}
+    if not ordered:
+        return {}
+    rows = np.stack([hops.row(landmark) for landmark in ordered])
+    reached = rows.min(axis=0) < hops.sentinel
+    owners = np.asarray(ordered)[rows.argmin(axis=0)[reached]]
+    return dict(zip(hops.nodes[reached].tolist(), owners.tolist()))
 
 
 def cell_sizes(cells: Dict[int, int]) -> Dict[int, int]:

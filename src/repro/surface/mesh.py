@@ -118,12 +118,14 @@ class TriangularMesh:
         return sorted(found)
 
     def edge_face_counts(self) -> Dict[Edge, int]:
-        """Number of triangles incident to every edge."""
-        counts: Dict[Edge, int] = {e: 0 for e in self.edges}
-        for a, b, c in self.triangles():
-            for pair in ((a, b), (a, c), (b, c)):
-                counts[edge_key(*pair)] += 1
-        return counts
+        """Number of triangles incident to every edge.
+
+        Edge ``(u, v)`` lies on one triangle per common neighbour of ``u``
+        and ``v``; :meth:`triangles` is the reference this count is tested
+        against.
+        """
+        adj = self.adjacency()
+        return {(u, v): len(adj[u] & adj[v]) for u, v in self.edges}
 
     def edges_with_face_count(self, minimum: int) -> List[Edge]:
         """Edges whose triangle count is at least ``minimum``."""

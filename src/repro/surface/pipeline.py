@@ -111,7 +111,8 @@ class SurfaceBuilder:
         at most once per group: a retry at ``k+1`` whose ``adaptive_k``
         decay lands back on an already-built spacing is skipped instead of
         silently rebuilding the identical mesh.  All attempts share one
-        :class:`GroupHops`, so each landmark is flooded once per group.
+        :class:`GroupHops`, so each landmark's hop row is computed once per
+        group.
         """
         tracer = self._tracer
         hops = GroupHops(graph, group)
@@ -193,7 +194,7 @@ class SurfaceBuilder:
                 hops, landmarks, cdm, candidate_radius=2 * k
             )
 
-            mesh = TriangularMesh(vertices=landmarks, group=sorted(hops.members))
+            mesh = TriangularMesh(vertices=landmarks, group=hops.nodes.tolist())
             for u, v in sorted(edges):
                 mesh.add_edge(u, v, path=paths.get((u, v)))
 

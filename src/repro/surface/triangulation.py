@@ -36,6 +36,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.surface.cdm import CDMResult
 from repro.surface.hops import GroupHops
 from repro.surface.mesh import Edge, edge_key
@@ -47,12 +49,10 @@ MarkMap = Dict[int, Set[Edge]]
 
 def _mark_path(marks: MarkMap, edge: Edge, path: List[int], hops: GroupHops) -> None:
     """Record that ``path`` realizes ``edge``, with one-hop dilation."""
-    covered = set(path[1:-1])
-    dilated = set(covered)
-    for node in sorted(covered):
-        dilated.update(
-            int(v) for v in hops.graph.neighbors(node) if int(v) in hops.members
-        )
+    indptr, indices = hops.subgraph.indptr, hops.subgraph.indices
+    dilated = set(path[1:-1])
+    for column in hops.columns(path[1:-1]).tolist():
+        dilated.update(hops.nodes[indices[indptr[column] : indptr[column + 1]]].tolist())
     for node in sorted(dilated):
         marks[node].add(edge)
 
@@ -69,15 +69,24 @@ def _blocked(marks: MarkMap, path: List[int], i: int, j: int) -> bool:
 def candidate_pairs(
     hops: GroupHops, landmarks: List[int], candidate_radius: int
 ) -> Dict[Edge, int]:
-    """Landmark pairs within ``candidate_radius`` hops, with hop distances."""
-    pairs: Dict[Edge, int] = {}
-    for landmark in sorted(landmarks):
-        flood = hops.hops_from(landmark)
-        for other in landmarks:
-            dist = flood.get(other)
-            if other > landmark and dist is not None and dist <= candidate_radius:
-                pairs[(landmark, other)] = dist
-    return pairs
+    """Landmark pairs within ``candidate_radius`` hops, with hop distances.
+
+    One mask over the landmark x landmark block of the hop rows; pairs
+    come in ascending ``(i, j)`` order.
+    """
+    ordered = sorted(set(int(l) for l in landmarks) & hops.members)
+    if not ordered:
+        return {}
+    columns = hops.columns(ordered)
+    block = np.stack([hops.row(landmark)[columns] for landmark in ordered])
+    upper = np.triu(np.ones(block.shape, dtype=bool), k=1)
+    rows, cols = np.nonzero(
+        upper & (block <= candidate_radius) & (block != hops.sentinel)
+    )
+    return {
+        (ordered[a], ordered[b]): int(block[a, b])
+        for a, b in zip(rows.tolist(), cols.tolist())
+    }
 
 
 def complete_triangulation(
@@ -92,7 +101,7 @@ def complete_triangulation(
     Parameters
     ----------
     hops:
-        Flood memo of the boundary group under construction.
+        Hop rows of the boundary group under construction.
     landmarks:
         Elected landmarks of the group.
     cdm:

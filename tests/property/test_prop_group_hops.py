@@ -1,8 +1,9 @@
 """Property: GroupHops agrees with NetworkGraph BFS on random small graphs.
 
 The group is an arbitrary node subset, so it often splits the graph or
-leaves out path endpoints: unreachable pairs must give ``path`` None and
-``distance`` the ``len(members) + 1`` sentinel.
+leaves out path endpoints and sources: unreachable pairs must give ``path``
+None and ``distance`` (and the row entry) the ``len(members) + 1``
+sentinel.
 """
 
 import numpy as np
@@ -24,11 +25,12 @@ def test_matches_bfs_and_shortest_path(pts, group):
     sentinel = len(group) + 1
     for j in range(graph.n_nodes):
         reference = graph.bfs_hops([j], within=group)
-        assert list(hops.hops_from(j).items()) == list(reference.items())
+        expected = [reference.get(n, sentinel) for n in sorted(group)]
+        assert hops.row(j).tolist() == expected
         for i in range(graph.n_nodes):
             assert hops.path(i, j) == graph.shortest_path(i, j, within=group)
             if i != j:
-                assert hops.distance(i, j) == reference.get(i, sentinel)
+                assert hops.distance(j, i) == reference.get(i, sentinel)
 
 
 @given(positions)
@@ -40,3 +42,7 @@ def test_split_group_has_unreachable_pairs(pts):
     hops = GroupHops(graph, range(graph.n_nodes))
     assert hops.path(0, 20) is None
     assert hops.distance(0, 20) == graph.n_nodes + 1
+    assert (hops.row(0)[20:] == graph.n_nodes + 1).all()
+    assert hops.row(0)[:20].tolist() == [
+        graph.bfs_hops([0]).get(n, graph.n_nodes + 1) for n in range(20)
+    ]

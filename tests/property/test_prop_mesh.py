@@ -20,6 +20,29 @@ def random_mesh(draw):
     return mesh
 
 
+@st.composite
+def saturated_mesh(draw):
+    """A random mesh around a 5- or 6-clique, so some edges carry three or
+    four triangles."""
+    mesh = draw(random_mesh().filter(lambda m: len(m.vertices) >= 6))
+    clique = draw(
+        st.lists(st.sampled_from(mesh.vertices), min_size=5, max_size=6, unique=True)
+    )
+    for i, u in enumerate(clique):
+        for v in clique[i + 1 :]:
+            mesh.add_edge(u, v, hop_length=1)
+    return mesh
+
+
+def face_counts_from_triangles(mesh):
+    """Per-edge face counts read off the triangle list."""
+    counts = {e: 0 for e in mesh.edges}
+    for a, b, c in mesh.triangles():
+        for pair in ((a, b), (a, c), (b, c)):
+            counts[edge_key(*pair)] += 1
+    return counts
+
+
 class TestMeshInvariants:
     @given(random_mesh())
     @settings(max_examples=80, deadline=None)
@@ -68,3 +91,23 @@ class TestMeshInvariants:
             for v in nbrs:
                 recovered.add(edge_key(u, v))
         assert recovered == mesh.edges
+
+    @given(st.one_of(random_mesh(), saturated_mesh()))
+    @settings(max_examples=80, deadline=None)
+    def test_face_counts_match_triangles(self, mesh):
+        counts = mesh.edge_face_counts()
+        reference = face_counts_from_triangles(mesh)
+        assert counts == reference
+        assert mesh.is_two_manifold() == (
+            bool(reference) and all(c == 2 for c in reference.values())
+        )
+        assert mesh.euler_characteristic() == (
+            len(mesh.vertices) - len(mesh.edges) + len(mesh.triangles())
+        )
+
+    @given(saturated_mesh())
+    @settings(max_examples=40, deadline=None)
+    def test_saturated_meshes_have_three_faced_edges(self, mesh):
+        assert max(mesh.edge_face_counts().values()) >= 3
+        assert mesh.edges_with_face_count(3)
+        assert not mesh.is_two_manifold()

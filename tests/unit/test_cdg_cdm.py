@@ -24,6 +24,18 @@ def ring_setup():
     return hops, landmarks, cells
 
 
+def cdg_by_scan(graph, members, cells):
+    """Step II as a per-node scan: every in-group neighbour in another cell."""
+    edges = set()
+    for node in sorted(members):
+        own = cells.get(node)
+        for nbr in graph.neighbors(node).tolist():
+            other = cells.get(nbr)
+            if nbr in members and own is not None and other not in (None, own):
+                edges.add((min(own, other), max(own, other)))
+    return edges
+
+
 class TestBuildCDG:
     def test_ring_cdg_is_a_cycle(self, ring_setup):
         hops, landmarks, cells = ring_setup
@@ -40,6 +52,23 @@ class TestBuildCDG:
         hops, landmarks, cells = ring_setup
         for u, v in build_cdg(hops, cells):
             assert u != v
+
+    def test_matches_per_node_scan(self, sphere_network, sphere_detection):
+        graph = sphere_network.graph
+        for group in sphere_detection.groups:
+            hops = GroupHops(graph, group)
+            for k in (3, 4, 5):
+                cells = assign_voronoi_cells(hops, elect_landmarks(hops, k))
+                assert build_cdg(hops, cells) == cdg_by_scan(graph, hops.members, cells)
+
+    def test_cells_outside_the_group_are_ignored(self, ring_setup):
+        """Labels of non-members (and of IDs outside the graph) never enter
+        the CDG, and never land on another node's column."""
+        hops, _, _ = ring_setup
+        half = GroupHops(hops.graph, range(12))
+        cells = {n: n // 4 for n in range(24)}
+        expected = cdg_by_scan(hops.graph, half.members, cells)
+        assert build_cdg(half, {**cells, -1: 7, 99: 8}) == expected == {(0, 1), (1, 2)}
 
     def test_single_cell_yields_no_edges(self, ring_setup):
         hops, _, _ = ring_setup

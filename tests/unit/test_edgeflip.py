@@ -10,7 +10,7 @@ from repro.surface.mesh import TriangularMesh
 
 
 def _line_hops(n=8):
-    """Flood memo over a path graph 0 - 1 - .. - n-1."""
+    """Hop rows over a path graph 0 - 1 - .. - n-1."""
     positions = np.array([[0.9 * i, 0.0, 0.0] for i in range(n)])
     return GroupHops(NetworkGraph(positions, radio_range=1.0), range(n))
 

@@ -1,13 +1,16 @@
-"""GroupHops against the NetworkGraph BFS it memoizes, on detected groups.
+"""GroupHops against the NetworkGraph BFS it replaces, on detected groups.
 
-``GroupHops.hops_from`` must return exactly ``graph.bfs_hops`` (dict
-order included, since Voronoi cells inherit it), ``distance`` must read
-the same hop counts, and ``path`` must reproduce ``graph.shortest_path``
-without running a BFS per query.
+``GroupHops.row`` must hold exactly ``graph.bfs_hops`` over the group
+(the sentinel where BFS does not reach), ``distance`` must read the same
+hop counts, and ``path`` must reproduce ``graph.shortest_path`` without
+running a BFS per query.  Sources and endpoints outside the group reach
+nothing.
 """
 
+import numpy as np
 import pytest
 
+from repro.network.graph import NetworkGraph
 from repro.surface.hops import GroupHops
 from repro.surface.landmarks import elect_landmarks
 
@@ -20,6 +23,25 @@ def groups(sphere_network, sphere_detection, one_hole_network, one_hole_detectio
     ]
 
 
+def _outsiders(graph, hops, count=5):
+    """A few graph nodes outside the group, plus IDs outside the graph."""
+    outside = [n for n in range(graph.n_nodes) if n not in hops.members][:count]
+    return outside + [-1, graph.n_nodes]
+
+
+def bounded_bfs_election(graph, group, k):
+    """The greedy election as it ran before hop rows: one bounded BFS ball
+    per elected node, suppressing everything within ``k - 1`` hops."""
+    members = set(group)
+    landmarks, covered = [], set()
+    for node in sorted(members):
+        if node in covered:
+            continue
+        landmarks.append(node)
+        covered.update(graph.bfs_hops([node], within=members, max_hops=k - 1))
+    return landmarks
+
+
 def test_fixture_groups_cover_small_and_large(groups):
     sizes = sorted(len(g) for _, g in groups)
     assert len(sizes) == 3
@@ -29,13 +51,28 @@ def test_fixture_groups_cover_small_and_large(groups):
 def test_floods_and_distances_match_bfs_every_pair(groups):
     for graph, group in groups:
         hops = GroupHops(graph, group)
-        for source in sorted(hops.members):
+        nodes = hops.nodes.tolist()
+        assert nodes == sorted(group)
+        for source in nodes:
             reference = graph.bfs_hops([source], within=hops.members)
-            assert list(hops.hops_from(source).items()) == list(reference.items())
-        for u in sorted(hops.members):
-            for v in sorted(hops.members):
-                if u != v:
-                    assert hops.distance(u, v) == hops.hops_from(u)[v]
+            expected = [reference.get(n, hops.sentinel) for n in nodes]
+            assert hops.row(source).tolist() == expected
+        for u in nodes:
+            row = hops.row(u)
+            for column, v in enumerate(nodes):
+                assert hops.distance(u, v) == row[column]
+
+
+def test_outsiders_reach_nothing(groups):
+    for graph, group in groups:
+        hops = GroupHops(graph, group)
+        member = hops.nodes[0]
+        for outsider in _outsiders(graph, hops):
+            assert (hops.row(outsider) == hops.sentinel).all()
+            assert hops.distance(member, outsider) == hops.sentinel
+            assert hops.distance(outsider, member) == hops.sentinel
+            assert hops.path(member, outsider) is None
+            assert hops.path(outsider, member) is None
 
 
 def test_paths_match_shortest_path(groups):
@@ -44,7 +81,7 @@ def test_paths_match_shortest_path(groups):
     member towards the first landmark."""
     for graph, group in groups:
         hops = GroupHops(graph, group)
-        members = sorted(hops.members)
+        members = hops.nodes.tolist()
         if len(members) < 100:
             pairs = [(i, j) for i in members for j in members]
         else:
@@ -53,3 +90,30 @@ def test_paths_match_shortest_path(groups):
             pairs += [(i, landmarks[0]) for i in members]
         for i, j in pairs:
             assert hops.path(i, j) == graph.shortest_path(i, j, within=hops.members)
+
+
+def test_election_matches_bounded_bfs_oracle(groups):
+    for graph, group in groups:
+        hops = GroupHops(graph, group)
+        for k in range(2, 7):
+            assert elect_landmarks(hops, k) == bounded_bfs_election(graph, group, k)
+
+
+def test_rows_are_shared_and_read_only(groups):
+    graph, group = groups[0]
+    hops = GroupHops(graph, group)
+    row = hops.row(hops.nodes[0])
+    assert hops.row(hops.nodes[0]) is row
+    with pytest.raises(ValueError):
+        row[0] = 1
+
+
+@pytest.mark.parametrize("size, dtype", [(126, np.int8), (127, np.int16),
+                                         (32766, np.int16), (32767, np.int32)])
+def test_row_dtype_is_smallest_signed_holding_sentinel(size, dtype):
+    """``len(members) + 1`` decides the dtype: int16 up to 32 766 members."""
+    graph = NetworkGraph(np.c_[2.0 * np.arange(size), np.zeros((size, 2))])
+    hops = GroupHops(graph, range(size))
+    row = hops.row(0)
+    assert row.dtype == dtype
+    assert row[0] == 0 and (row[1:] == size + 1).all()

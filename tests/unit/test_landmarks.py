@@ -21,7 +21,7 @@ def ring_graph():
 
 @pytest.fixture
 def ring(ring_graph):
-    """Flood memo over the whole ring as one group."""
+    """Hop rows over the whole ring as one group."""
     return GroupHops(ring_graph, range(24))
 
 
@@ -85,6 +85,24 @@ class TestVoronoiCells:
         g = NetworkGraph(pts, radio_range=1.0)
         cells = assign_voronoi_cells(GroupHops(g, range(5)), [0, 4])
         assert cells[2] == 0
+
+    def test_equidistant_node_joins_smaller_landmark(self):
+        """On an 11-chain, node 5 is two hops from landmarks 3 and 7 and
+        goes to 3, however the landmarks are passed."""
+        pts = np.array([[0.9 * i, 0, 0] for i in range(11)])
+        hops = GroupHops(NetworkGraph(pts, radio_range=1.0), range(11))
+        for landmarks in ([3, 7], [7, 3]):
+            cells = assign_voronoi_cells(hops, landmarks)
+            assert hops.distance(5, 3) == hops.distance(5, 7) == 2
+            assert cells[5] == 3
+            assert list(cells) == list(range(11))
+
+    def test_unreached_nodes_are_dropped(self):
+        """A group split in two: the half no landmark reaches gets no cell."""
+        pts = np.array([[0.9 * i, 0, 0] for i in range(3)] +
+                       [[50 + 0.9 * i, 0, 0] for i in range(3)])
+        hops = GroupHops(NetworkGraph(pts, radio_range=1.0), range(6))
+        assert assign_voronoi_cells(hops, [1]) == {0: 1, 1: 1, 2: 1}
 
     def test_landmark_outside_group_rejected(self, ring_graph):
         with pytest.raises(ValueError):

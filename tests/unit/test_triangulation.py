@@ -13,7 +13,7 @@ from repro.surface.triangulation import candidate_pairs, complete_triangulation
 
 @pytest.fixture
 def sphere_boundary(sphere_network, sphere_detection):
-    """Flood memo of the session sphere network's outer boundary group."""
+    """Hop rows of the session sphere network's outer boundary group."""
     return GroupHops(sphere_network.graph, sphere_detection.groups[0])
 
 
