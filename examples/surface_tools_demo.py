@@ -1,28 +1,20 @@
 #!/usr/bin/env python
-"""Graph tools on boundary surfaces: routing and hole analysis.
+"""Hole analysis on a detected inner boundary.
 
-The paper constructs 2-manifold boundary meshes "to enable available
-graph theory tools to be applied on 3D surfaces, such as embedding,
-localization, partition, and greedy routing".  This demo exercises two
-such tools shipped in :mod:`repro.applications`:
-
-1. **Greedy surface routing** -- messages routed between boundary nodes
-   along the constructed mesh, with the greedy/fallback split reported;
-2. **Hole analysis** -- position, radius, and volume estimates for the
-   internal hole of the Fig. 7 scenario, compared against ground truth.
+The paper motivates boundary detection with the need to delineate event
+regions (Sec. I).  This demo detects the boundary groups of the Fig. 7
+scenario and runs :func:`repro.applications.analyze_hole` on the inner
+group: position, radius, and volume estimates for the internal hole,
+compared against ground truth.
 
 Usage::
 
     python examples/surface_tools_demo.py
 """
 
-import numpy as np
-
 from repro import (
     BoundaryDetector,
     DeploymentConfig,
-    SurfaceBuilder,
-    SurfaceRouter,
     analyze_hole,
     generate_network,
     one_hole_scenario,
@@ -42,25 +34,6 @@ def main() -> None:
 
     result = BoundaryDetector().detect(network)
     print(f"boundary groups: {[len(g) for g in result.groups]}")
-    meshes = SurfaceBuilder().build(network.graph, result.groups)
-    outer_mesh = meshes[0]
-    print(f"outer mesh: {outer_mesh.summary()}")
-
-    print("\n== greedy routing on the outer boundary surface ==")
-    router = SurfaceRouter(network.graph, outer_mesh)
-    rng = np.random.default_rng(2)
-    group = outer_mesh.group
-    greedy_ratios = []
-    for i in range(5):
-        src, dst = (int(x) for x in rng.choice(group, size=2, replace=False))
-        route = router.route(src, dst)
-        greedy_ratios.append(route.greedy_success_ratio)
-        print(
-            f"  {src} -> {dst}: {len(route.landmark_route)} landmark hops, "
-            f"{len(route.node_route)} node hops, "
-            f"greedy {route.greedy_success_ratio:.0%}"
-        )
-    print(f"mean greedy success: {np.mean(greedy_ratios):.0%}")
 
     print("\n== analyzing the detected hole ==")
     hole_group = result.groups[1]

@@ -34,8 +34,6 @@ if TYPE_CHECKING:  # eager imports for type checkers only
     from repro.applications import (
         GeoRouter,
         HoleReport,
-        RouteResult,
-        SurfaceRouter,
         analyze_hole,
     )
     from repro.core import (
@@ -49,7 +47,6 @@ if TYPE_CHECKING:  # eager imports for type checkers only
         run_iff,
         run_ubf,
     )
-    from repro.events import EventMonitor, SphericalEvent, apply_event
     from repro.network import (
         DeploymentConfig,
         DistanceErrorModel,
@@ -148,14 +145,7 @@ _EXPORT_MODULES = {
     "repro.applications": (
         "GeoRouter",
         "HoleReport",
-        "RouteResult",
-        "SurfaceRouter",
         "analyze_hole",
-    ),
-    "repro.events": (
-        "EventMonitor",
-        "SphericalEvent",
-        "apply_event",
     ),
     "repro.surface": (
         "SurfaceBuilder",

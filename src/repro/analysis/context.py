@@ -25,9 +25,9 @@ from repro.analysis.suppressions import collect_suppressions
 #: and its fault models) ranks alongside ``surface``: it is infrastructure
 #: the consumer layers drive -- ``evaluation`` runs protocols under
 #: injected faults for the robustness sweeps -- but it never imports them.
-#: The consumer layers -- applications, evaluation, io, events -- sit side
-#: by side above with no lateral edges, so any of them can be deleted
-#: without touching the others.  ``service`` (the durable job queue and
+#: The consumer layers -- applications, evaluation, io -- sit side by side
+#: above with no lateral edges, so any of them can be deleted without
+#: touching the others.  ``service`` (the durable job queue and
 #: worker pool) drives full pipeline runs *through* the evaluation layer,
 #: so it sits above the consumers; ``cli`` and the lint subsystem are
 #: topmost.  ``observability`` (stdlib-only tracing/metrics) ranks *below*
@@ -45,7 +45,6 @@ LAYER_RANKS: Dict[str, int] = {
     "applications": 5,
     "evaluation": 5,
     "io": 5,
-    "events": 5,
     "service": 6,
     "cli": 7,
     "analysis": 7,

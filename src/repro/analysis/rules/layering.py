@@ -3,7 +3,7 @@
 The spine mirrors the paper's pipeline stages::
 
     geometry -> shapes -> network -> core -> {surface, runtime}
-        -> {applications, evaluation, io, events} -> cli
+        -> {applications, evaluation, io} -> cli
 
 A module may import from its own package or any *strictly lower* layer.
 Upward edges and lateral edges between distinct same-rank packages are

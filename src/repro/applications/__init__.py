@@ -1,14 +1,12 @@
-"""Applications built on detected boundaries and meshes.
+"""Applications built on detected boundaries.
 
-The paper's stated purpose for the locally planarized 2-manifold surfaces
-is "to enable available graph theory tools to be applied on 3D surfaces,
-such as embedding, localization, partition, and greedy routing among many
-others" (Sec. I-B).  This package delivers two such tools:
+The paper motivates boundary detection with routing around holes and
+with delineating the regions that events destroy (Sec. I).  This package
+delivers one tool for each:
 
-* :mod:`repro.applications.surface_routing` -- greedy geographic routing
-  *on the boundary surface*: landmark-level greedy forwarding over the
-  mesh with guaranteed-progress fallback, plus node-level path expansion
-  through the recorded virtual-edge paths.
+* :mod:`repro.applications.geo_routing` -- boundary-aware geographic
+  routing through the network: greedy forwarding toward the destination
+  with a detour along detected boundary nodes when greedy gets stuck.
 * :mod:`repro.applications.hole_analysis` -- quantitative descriptions of
   detected holes (extent, centroid, volume estimate) from their boundary
   groups, the "delineate the event region" use case of Sec. I.
@@ -16,22 +14,11 @@ others" (Sec. I-B).  This package delivers two such tools:
 
 from repro.applications.geo_routing import GeoRouter, GeoRouteResult, delivery_rate
 from repro.applications.hole_analysis import HoleReport, analyze_hole
-from repro.applications.partition import (
-    SurfacePartition,
-    balanced_partition,
-    cell_partition,
-)
-from repro.applications.surface_routing import RouteResult, SurfaceRouter
 
 __all__ = [
-    "SurfaceRouter",
-    "RouteResult",
     "GeoRouter",
     "GeoRouteResult",
     "delivery_rate",
     "analyze_hole",
     "HoleReport",
-    "SurfacePartition",
-    "cell_partition",
-    "balanced_partition",
 ]

@@ -309,18 +309,3 @@ def ubf_span_counters(outcomes: Iterable[UBFNodeOutcome]) -> Dict[str, int]:
         "balls_tested": int(outcomes.balls_tested.sum()),
         "points_checked": int(outcomes.points_checked.sum()),
     }
-
-
-def balls_tested_profile(outcomes: Iterable[UBFNodeOutcome]) -> Dict[str, float]:
-    """Aggregate ball-testing statistics (Theorem 1 observables)."""
-    outcomes = _as_outcomes(outcomes)
-    tested = outcomes.balls_tested.astype(float)
-    checked = outcomes.points_checked.astype(float)
-    degrees = outcomes.neighborhood_size.astype(float)
-    return {
-        "mean_balls_tested": float(tested.mean()) if tested.size else 0.0,
-        "max_balls_tested": float(tested.max()) if tested.size else 0.0,
-        "mean_points_checked": float(checked.mean()) if checked.size else 0.0,
-        "max_points_checked": float(checked.max()) if checked.size else 0.0,
-        "mean_degree": float(degrees.mean()) if degrees.size else 0.0,
-    }

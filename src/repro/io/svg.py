@@ -159,18 +159,6 @@ class SvgScene:
                 )
             )
 
-    def add_route(
-        self,
-        route: List[int],
-        *,
-        stroke: str = "#cc7700",
-        width: float = 2.0,
-    ) -> None:
-        """Highlight a node walk (e.g. a routing result)."""
-        self.add_edges(
-            list(zip(route, route[1:])), stroke=stroke, width=width, opacity=1.0
-        )
-
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------

@@ -465,13 +465,3 @@ class NetworkGraph:
             u: [int(v) for v in self._adjacency[u] if int(v) in nodes]
             for u in sorted(nodes)
         }
-
-    def to_networkx(self):
-        """Export to a ``networkx.Graph`` (positions in the ``pos`` attr)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for i in range(self.n_nodes):
-            g.add_node(i, pos=tuple(self._positions[i]))
-        g.add_edges_from(self.edges())
-        return g

@@ -48,20 +48,3 @@ def multinomial_split(n: int, weights, rng: np.random.Generator) -> np.ndarray:
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be non-negative with positive sum")
     return rng.multinomial(n, w / w.sum())
-
-
-def orthonormal_frame(direction: np.ndarray) -> tuple:
-    """Two unit vectors completing ``direction`` to an orthonormal frame.
-
-    ``direction`` need not be normalized.  The construction is deterministic
-    and continuous except at the poles of the chosen reference axis.
-    """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    reference = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(d, reference))) > 0.9:
-        reference = np.array([1.0, 0.0, 0.0])
-    u = np.cross(d, reference)
-    u = u / np.linalg.norm(u)
-    v = np.cross(d, u)
-    return u, v

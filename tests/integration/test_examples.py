@@ -34,7 +34,6 @@ def _child_env() -> dict:
 EXAMPLES = [
     "quickstart.py",
     "underwater_survey.py",
-    "hole_monitoring.py",
     "pipe_inspection.py",
     "surface_tools_demo.py",
 ]

@@ -4,12 +4,19 @@
 that use them.  A module-level import would land in every entry point's
 start-up time, e.g. the benchmark's ``setup_s``, which imports both
 modules before it reads the clock.
+
+The package also imports no third-party module beyond the ones
+``pyproject.toml`` declares, and declares none it does not import.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -30,3 +37,24 @@ def test_pipeline_and_worker_import_without_scipy_sparse():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_third_party_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    declared = {
+        re.split(r"[<>=!~\[; ]", req, maxsplit=1)[0]
+        for req in pyproject["project"]["dependencies"]
+    }
+    imported = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update(name.split(".")[0] for name in names)
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party == declared

@@ -70,6 +70,13 @@ class TestVoronoiCells:
         for l in landmarks:
             assert cells[l] == l
 
+    def test_cells_are_contiguous(self, ring_graph, ring):
+        """Each cell is connected through its own members alone."""
+        cells = assign_voronoi_cells(ring, elect_landmarks(ring, 3))
+        for landmark in set(cells.values()):
+            cell = {n for n, owner in cells.items() if owner == landmark}
+            assert set(ring_graph.bfs_hops([landmark], within=cell)) == cell
+
     def test_closest_assignment(self, ring_graph, ring):
         landmarks = elect_landmarks(ring, 4)
         cells = assign_voronoi_cells(ring, landmarks)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.ubf import balls_tested_profile, candidates_from_outcomes
+from repro.core.ubf import candidates_from_outcomes
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
 from repro.network.stats import compute_network_stats
@@ -13,12 +13,6 @@ from repro.shapes.terrain import UnderwaterTerrain
 
 
 class TestEmptyProfiles:
-    def test_balls_tested_profile_empty(self):
-        profile = balls_tested_profile([])
-        assert profile["mean_balls_tested"] == 0.0
-        assert profile["max_balls_tested"] == 0.0
-        assert profile["mean_degree"] == 0.0
-
     def test_candidates_from_empty(self):
         assert candidates_from_outcomes([]) == set()
 

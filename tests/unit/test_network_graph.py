@@ -128,9 +128,3 @@ class TestExports:
     def test_induced_adjacency(self, chain_graph):
         induced = chain_graph.induced_adjacency({1, 2, 4})
         assert induced == {1: [2], 2: [1], 4: []}
-
-    def test_to_networkx(self, chain_graph):
-        g = chain_graph.to_networkx()
-        assert g.number_of_nodes() == 5
-        assert g.number_of_edges() == 4
-        assert g.nodes[0]["pos"] == (0.0, 0.0, 0.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.shapes.csg import Difference
 from repro.shapes.sampling import (
     multinomial_split,
-    orthonormal_frame,
     sample_circle,
     sample_unit_disk,
     sample_unit_sphere,
@@ -69,20 +68,3 @@ class TestMultinomialSplit:
             multinomial_split(10, [-1.0, 2.0], rng)
         with pytest.raises(ValueError):
             multinomial_split(10, [0.0, 0.0], rng)
-
-
-class TestOrthonormalFrame:
-    def test_frame_is_orthonormal(self, rng):
-        for _ in range(20):
-            d = rng.normal(size=3)
-            u, v = orthonormal_frame(d)
-            d_hat = d / np.linalg.norm(d)
-            assert abs(np.dot(u, v)) < 1e-10
-            assert abs(np.dot(u, d_hat)) < 1e-10
-            assert abs(np.dot(v, d_hat)) < 1e-10
-            assert np.linalg.norm(u) == pytest.approx(1.0)
-            assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_near_pole_direction(self):
-        u, v = orthonormal_frame([0.0, 0.0, 1.0])
-        assert abs(np.dot(u, v)) < 1e-10

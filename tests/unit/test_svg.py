@@ -57,11 +57,6 @@ class TestSvgScene:
             assert 0 <= x <= 200
             assert 0 <= y <= 200
 
-    def test_route_highlight(self, small_scene):
-        scene, _ = small_scene
-        scene.add_route([0, 1, 2, 3])
-        assert scene.to_svg().count("<line") == 3
-
     def test_invalid_positions_rejected(self):
         with pytest.raises(ValueError):
             SvgScene(np.zeros((3, 2)))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import UBFConfig
 from repro.core.ubf import (
-    balls_tested_profile,
     candidates_from_outcomes,
     run_ubf,
     ubf_classify_frame,
@@ -108,12 +107,3 @@ class TestClassifyFrame:
         truth = sorted(sphere_network.truth_boundary_set)
         frame = true_local_frame(sphere_network.graph, truth[0])
         assert ubf_classify_frame(frame, 1.001).is_boundary
-
-
-class TestProfiles:
-    def test_balls_tested_profile_keys(self, sphere_network):
-        outcomes = run_ubf(sphere_network, UBFConfig(), find_first=False)
-        profile = balls_tested_profile(outcomes)
-        assert profile["mean_balls_tested"] > 0
-        assert profile["max_balls_tested"] >= profile["mean_balls_tested"]
-        assert profile["mean_degree"] > 0
