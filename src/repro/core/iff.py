@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Set
 import numpy as np
 
 from repro.core.config import IFFConfig
+from repro.geometry.native import load_kernels
 from repro.network.graph import NetworkGraph, hop_bounded_sweep
 from repro.observability.tracer import ensure_tracer
 
@@ -35,17 +36,29 @@ def iff_fragment_sizes(
     packets "will be forwarded by other boundary nodes but not non-boundary
     nodes".
 
-    All candidates flood together: the counts are the row lengths of one
-    :func:`repro.network.graph.hop_bounded_sweep` at ``ttl`` over the
-    candidate-induced block of the graph's ``(A + I)`` operator, so the
-    work is O(k * rho^ttl) for k candidates.  The per-candidate dict BFS
+    All candidates flood together.  With native kernels the counts are
+    one count-only pass of the hop-bounded BFS
+    (:meth:`~repro.geometry.native.NativeKernels.hop_bfs`, masked to the
+    candidates, ``ttl`` hops); without them they are the row lengths of
+    one :func:`repro.network.graph.hop_bounded_sweep` at ``ttl`` over the
+    candidate-induced block of the graph's ``(A + I)`` operator, the
+    kernel's differential twin.  Either way the work is O(k * rho^ttl)
+    for k candidates.  The per-candidate dict BFS
     (:func:`iff_fragment_sizes_bfs`) is kept as the differential oracle.
     """
     cand = np.asarray(sorted(int(c) for c in candidates), dtype=np.int64)
     if cand.size == 0:
         return {}
-    induced = graph.reach_operator()[cand][:, cand]
-    ptr, _, _ = hop_bounded_sweep(induced, ttl, np.arange(cand.size))
+    kernels = load_kernels()
+    if kernels is not None:
+        mask = np.zeros(graph.n_nodes, dtype=np.uint8)
+        mask[cand] = 1
+        ptr, _, _ = kernels.hop_bfs(
+            *graph.csr(), cand, max(ttl, 0), mask=mask, fill=False
+        )
+    else:
+        induced = graph.reach_operator()[cand][:, cand]
+        ptr, _, _ = hop_bounded_sweep(induced, ttl, np.arange(cand.size))
     return dict(zip(cand.tolist(), np.diff(ptr).tolist()))
 
 
@@ -58,7 +71,7 @@ def iff_fragment_sizes_bfs(
 
     One ``bfs_hops`` call per candidate on the induced subgraph -- the
     straightforward transcription of the flooding protocol, kept as the
-    differential oracle for the sparse sweep.
+    differential oracle for the native BFS and the sparse sweep.
     """
     sizes: Dict[int, int] = {}
     for node in candidates:

@@ -1,11 +1,12 @@
-/* Native hot-path kernels: the "sparse" localization engine and the UBF
+/* Native hot-path kernels: hop-bounded BFS (frame collection, IFF flood
+ * counts, components), the "sparse" localization engine and the UBF
  * candidate search.
  *
  * Compiled on demand by repro.geometry.native with the system C compiler
  * (see native.py for the cache/fallback protocol); every routine has a
- * pure-numpy twin in repro.geometry.mds / repro.network.localization /
- * repro.geometry.ballfit that the caller falls back to when no compiler
- * is available.
+ * pure-Python twin in repro.network.graph / repro.geometry.mds /
+ * repro.network.localization / repro.geometry.ballfit that the caller
+ * falls back to when no compiler is available.
  *
  * Numerical contracts
  * -------------------
@@ -50,6 +51,127 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* ---------------------------------------------------------------- */
+/* Hop-bounded masked BFS                                           */
+/* ---------------------------------------------------------------- */
+
+/* Ascending in-place sort of a short int64 run: quicksort on the
+ * median of three down to 16 elements, insertion sort below. */
+static void sort_int64(int64_t *a, int64_t n)
+{
+    while (n > 16) {
+        int64_t x = a[0], y = a[n / 2], z = a[n - 1];
+        int64_t pivot = x < y ? (y < z ? y : (x < z ? z : x))
+                              : (x < z ? x : (y < z ? z : y));
+        int64_t i = 0, j = n - 1;
+        for (;;) {
+            while (a[i] < pivot)
+                ++i;
+            while (a[j] > pivot)
+                --j;
+            if (i >= j)
+                break;
+            int64_t t = a[i];
+            a[i] = a[j];
+            a[j] = t;
+            ++i;
+            --j;
+        }
+        /* a[0..j] <= pivot <= a[j+1..n-1]; recurse into the smaller part */
+        if (j + 1 < n - j - 1) {
+            sort_int64(a, j + 1);
+            a += j + 1;
+            n -= j + 1;
+        } else {
+            sort_int64(a + j + 1, n - j - 1);
+            n = j + 1;
+        }
+    }
+    for (int64_t i = 1; i < n; ++i) {
+        int64_t v = a[i], k = i;
+        for (; k > 0 && a[k - 1] > v; --k)
+            a[k] = a[k - 1];
+        a[k] = v;
+    }
+}
+
+/* One search of hop_bfs (below): from source s, visiting nodes whose
+ * stamp is below `floor_` and stamping them `tag`.  Writes the visit order
+ * to `queue` and returns its length; *n1 receives the hop-1 count. */
+static int64_t bfs_from(const int64_t *indptr, const int64_t *indices,
+                        int64_t s, const uint8_t *mask, int64_t hops,
+                        int64_t *stamp, int64_t tag, int64_t floor_,
+                        int64_t *queue, int64_t *n1)
+{
+    *n1 = 0;
+    if ((mask && !mask[s]) || stamp[s] >= floor_)
+        return 0;
+    stamp[s] = tag;
+    queue[0] = s;
+    int64_t head = 0, tail = 1;
+    for (int64_t depth = 0; head < tail && (hops < 0 || depth < hops);
+         ++depth) {
+        int64_t level_end = tail;
+        for (; head < level_end; ++head) {
+            int64_t u = queue[head];
+            for (int64_t p = indptr[u]; p < indptr[u + 1]; ++p) {
+                int64_t v = indices[p];
+                if (stamp[v] >= floor_ || (mask && !mask[v]))
+                    continue;
+                stamp[v] = tag;
+                queue[tail++] = v;
+            }
+        }
+        if (depth == 0)
+            *n1 = tail - 1;
+    }
+    return tail;
+}
+
+/* Hop-bounded BFS from each of n_src sources over a CSR adjacency.
+ *
+ * A node counts as visited when its stamp is >= a floor; source i stamps
+ * what it reaches with tag i + 1.  Per-source collections use floor =
+ * tag, so duplicate and unsorted sources each get a fresh, independent
+ * search;
+ * with `shared` nonzero the floor stays 1 and every source sees what the
+ * earlier ones reached (one global visited set: a source already reached
+ * yields an empty collection), which labels connected components.  Only
+ * nodes with mask[v] != 0 are entered (mask may be NULL: every node); a
+ * source outside the mask reaches nothing.  hops < 0 means unbounded.
+ *
+ * Two passes over the same searches, each starting from an all-zero
+ * `stamp` (n-sized):
+ * - count pass (members == NULL): writes ptr[0..n_src] (collection
+ *   offsets, source included) and, if non-NULL, n_one_hop[i] (the
+ *   collection's hop-1 size); `queue` is an n-sized scratch.
+ * - fill pass: writes collection i into members[ptr[i]..ptr[i+1]) in
+ *   frame order -- the source, its hop-1 nodes in CSR row order (the
+ *   rows are sorted, so ascending), then the nodes at hop >= 2
+ *   ascending.  The search queue is that segment itself. */
+void hop_bfs(const int64_t *indptr, const int64_t *indices,
+             const int64_t *sources, int64_t n_src, const uint8_t *mask,
+             int64_t hops, int shared, int64_t *stamp, int64_t *queue,
+             int64_t *ptr, int64_t *n_one_hop, int64_t *members)
+{
+    if (members == NULL)
+        ptr[0] = 0;
+    for (int64_t i = 0; i < n_src; ++i) {
+        int64_t tag = i + 1, n1;
+        int64_t *out = members ? members + ptr[i] : queue;
+        int64_t reached = bfs_from(indptr, indices, sources[i], mask, hops,
+                                   stamp, tag, shared ? 1 : tag, out, &n1);
+        if (members) {
+            if (reached > 1 + n1)
+                sort_int64(out + 1 + n1, reached - 1 - n1);
+        } else {
+            ptr[i + 1] = ptr[i] + reached;
+            if (n_one_hop)
+                n_one_hop[i] = n1;
+        }
+    }
+}
 
 /* ---------------------------------------------------------------- */
 /* Frame assembly: partial distance matrices + undirected edge lists */

@@ -1,8 +1,9 @@
-"""On-demand native kernels for the sparse localization engine and UBF.
+"""On-demand native kernels for graph floods, the sparse localization
+engine and UBF.
 
-The hot loops (frame assembly, Floyd-Warshall completion, double
-centering, SMACOF majorization, and the fused UBF candidate search) are
-written once in portable C (``ckernels.c``) and compiled lazily with the
+The hot loops (hop-bounded BFS, frame assembly, Floyd-Warshall
+completion, double centering, SMACOF majorization, and the fused UBF
+candidate search) are written once in portable C (``ckernels.c``) and compiled lazily with the
 system C compiler the first time they are requested.  The resulting
 shared object is cached on disk keyed by the source hash, so every later
 process (including pool workers) dlopens the same binary -- a
@@ -12,8 +13,8 @@ No new dependency is introduced: the build shells out to ``cc`` (or
 ``$CC``) with ``ctypes`` doing the loading.  When no compiler is
 available, compilation fails, or ``REPRO_NATIVE=0`` is set, callers
 receive ``None`` and fall back to the pure-numpy twins in
-:mod:`repro.geometry.mds` / :mod:`repro.geometry.ballfit` -- same
-results, more wall clock.
+:mod:`repro.network.graph` / :mod:`repro.geometry.mds` /
+:mod:`repro.geometry.ballfit` -- same results, more wall clock.
 
 The build pins ``-ffp-contract=off`` (no FMA contraction) so the C
 relaxation arithmetic matches the numpy ufunc chain operation for
@@ -51,6 +52,7 @@ _APPLY_LANES = 16
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _INT32_P = ctypes.POINTER(ctypes.c_int32)
+_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
 
 
 def _ptr(array: np.ndarray, ctype) -> "ctypes.pointer":
@@ -63,6 +65,12 @@ class NativeKernels:
     def __init__(self, library: ctypes.CDLL, path: str):
         self.path = path
         self._lib = library
+        library.hop_bfs.restype = None
+        library.hop_bfs.argtypes = [
+            _INT64_P, _INT64_P, _INT64_P, ctypes.c_int64, _UINT8_P,
+            ctypes.c_int64, ctypes.c_int, _INT64_P, _INT64_P,
+            _INT64_P, _INT64_P, _INT64_P,
+        ]
         library.assemble_frames.restype = ctypes.c_int64
         library.assemble_frames.argtypes = [
             _INT64_P, _INT64_P, _INT64_P, _INT64_P, _DOUBLE_P,
@@ -90,6 +98,68 @@ class NativeKernels:
             ctypes.c_int64, *[ctypes.c_double] * 6, ctypes.c_int,
             _INT64_P, _INT64_P, _DOUBLE_P, _INT64_P,
         ]
+
+    def hop_bfs(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        sources: np.ndarray,
+        hops: int,
+        *,
+        mask: Optional[np.ndarray] = None,
+        shared: bool = False,
+        fill: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Hop-bounded BFS from each source over a CSR adjacency.
+
+        Returns ``(ptr, n_one_hop, members)`` (int64): source ``i``'s
+        collection is ``members[ptr[i]:ptr[i+1]]`` in frame order -- the
+        source, its hop-1 nodes ascending, then the nodes at hop >= 2
+        ascending -- and ``n_one_hop[i]`` counts its hop-1 nodes.
+        Sources may repeat and come in any order; each gets an
+        independent search unless ``shared``, where one visited set spans
+        all sources (a source already reached gets an empty collection).
+        Only nodes where ``mask`` is true are entered; a source outside
+        it reaches nothing.  ``hops < 0`` is unbounded.  With ``fill``
+        false only the counts are computed and ``members`` is None.
+        """
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        sources = np.ascontiguousarray(sources, dtype=np.int64).reshape(-1)
+        n = indptr.shape[0] - 1
+        if n < 0 or indptr[-1] != indices.shape[0]:
+            raise ValueError("hop_bfs: indptr does not describe indices")
+        if sources.size and (sources.min() < 0 or sources.max() >= n):
+            raise ValueError("hop_bfs: source ids must lie in [0, n_nodes)")
+        if mask is not None:
+            mask = np.ascontiguousarray(mask, dtype=np.uint8)
+            if mask.shape != (n,):
+                raise ValueError("hop_bfs: mask must have one entry per node")
+        n_src = sources.shape[0]
+        ptr = np.empty(n_src + 1, dtype=np.int64)
+        n_one_hop = np.empty(n_src, dtype=np.int64)
+        queue = np.empty(max(n, 1), dtype=np.int64)
+        common = (
+            _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
+            _ptr(sources, ctypes.c_int64), n_src,
+            None if mask is None else _ptr(mask, ctypes.c_uint8),
+            int(hops), 1 if shared else 0,
+        )
+        # Each pass starts from all-zero stamps (see ckernels.c).
+        stamp = np.zeros(max(n, 1), dtype=np.int64)
+        self._lib.hop_bfs(
+            *common, _ptr(stamp, ctypes.c_int64), _ptr(queue, ctypes.c_int64),
+            _ptr(ptr, ctypes.c_int64), _ptr(n_one_hop, ctypes.c_int64), None,
+        )
+        if not fill:
+            return ptr, n_one_hop, None
+        members = np.empty(int(ptr[-1]), dtype=np.int64)
+        stamp = np.zeros(max(n, 1), dtype=np.int64)
+        self._lib.hop_bfs(
+            *common, _ptr(stamp, ctypes.c_int64), None,
+            _ptr(ptr, ctypes.c_int64), None, _ptr(members, ctypes.c_int64),
+        )
+        return ptr, n_one_hop, members
 
     def assemble_frames(
         self,

@@ -12,12 +12,18 @@ Two equivalent adjacency representations coexist:
   dict/deque BFS machinery below consumes, and
 * a CSR view (:meth:`csr`: ``indptr``/``indices`` with neighbor columns
   sorted per row), which backs the vectorized bulk queries -- ``degrees``,
-  ``edges`` and :meth:`k_hop_collections` (every node's k-hop collection
-  as one CSR triple, from :func:`hop_bounded_sweep`: boolean sparse
-  products of ``(A + I)`` restricted to the source rows, so the work
-  follows the collections, not the network size).  The scalar BFS entry
-  points are kept as the differential oracle the sweep is property-tested
-  against.
+  ``edges`` and the hop-bounded floods.
+
+The floods -- every node's k-hop frame collection, the IFF flood counts
+and connected components -- run in production through the native
+hop-bounded BFS (:meth:`repro.geometry.native.NativeKernels.hop_bfs`,
+one stamp-array search per source over the CSR rows).  Without a C
+compiler (or under ``REPRO_NATIVE=0``) :meth:`k_hop_collections` and
+:func:`hop_bounded_sweep` (boolean sparse products of ``(A + I)``
+restricted to the source rows) stand in for it and are its differential
+twin; components fall back to the deque BFS.  Either way the work
+follows the collections, not the network size.  The scalar BFS entry
+points are kept as the oracles both are property-tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from repro.geometry.native import load_kernels
 from repro.geometry.primitives import as_points
 from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
@@ -356,7 +363,9 @@ class NetworkGraph:
         the returned CSR triple.  ``sources`` defaults to every node; rows
         are per-source independent, so any subset (unsorted, duplicated)
         returns exactly the rows of the full sweep -- the shard driver
-        relies on this.
+        relies on this.  Frame collection runs on it only without native
+        kernels; otherwise it is the differential twin of
+        :meth:`repro.geometry.native.NativeKernels.hop_bfs`.
         """
         if hops < 0:
             raise ValueError("hops must be non-negative")
@@ -419,6 +428,9 @@ class NetworkGraph:
 
         Components are returned sorted by their smallest member, matching
         the deterministic min-ID grouping of the distributed protocol.
+        With native kernels this is one unbounded masked BFS with a shared
+        visited set, seeded in ascending node order; the deque BFS below
+        is the fallback and the oracle.
         """
         if within is None:
             nodes: Sequence[int] = range(self.n_nodes)
@@ -426,6 +438,21 @@ class NetworkGraph:
         else:
             nodes = sorted(within)
             member = within
+        kernels = load_kernels()
+        if kernels is not None:
+            seeds = np.asarray(nodes, dtype=np.int64)
+            mask = None
+            if member is not None:
+                mask = np.zeros(self.n_nodes, dtype=np.uint8)
+                mask[seeds] = 1
+            ptr, _, flat = kernels.hop_bfs(
+                self._indptr, self._indices, seeds, -1, mask=mask, shared=True
+            )
+            return [
+                np.sort(flat[lo:hi]).tolist()
+                for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())
+                if hi > lo
+            ]
         seen: Set[int] = set()
         components: List[List[int]] = []
         for start in nodes:
@@ -449,9 +476,20 @@ class NetworkGraph:
         return components
 
     def is_connected(self) -> bool:
-        """Whether the whole graph is a single connected component."""
+        """Whether the whole graph is a single connected component.
+
+        One unbounded count-only BFS from node 0 through the native
+        kernel, or :meth:`bfs_hops` without it.
+        """
         if self.n_nodes == 0:
             return True
+        kernels = load_kernels()
+        if kernels is not None:
+            ptr, _, _ = kernels.hop_bfs(
+                self._indptr, self._indices, np.zeros(1, dtype=np.int64), -1,
+                fill=False,
+            )
+            return int(ptr[1]) == self.n_nodes
         reached = self.bfs_hops([0])
         return len(reached) == self.n_nodes
 

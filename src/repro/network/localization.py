@@ -30,9 +30,11 @@ engines with *observably identical* results:
     :func:`~repro.geometry.mds.local_mds_embedding`: the same completion
     and eigensolve on a 1-stack, then the scalar SMACOF oracle).
 ``sparse`` (default)
-    The production engine: one
-    :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep for
-    every node's collection, frames of equal size grouped into
+    The production engine: one batched hop-bounded BFS for every node's
+    collection (the native
+    :meth:`~repro.geometry.native.NativeKernels.hop_bfs`, or the
+    :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep
+    without native kernels), frames of equal size grouped into
     ``(B, m, m)`` stacks, and the MDS chain of :mod:`repro.geometry.mds`
     run once per stack -- Floyd-Warshall completion, Torgerson centering,
     a top-3 subset eigensolve (MRRR driver) instead of the full spectrum,
@@ -341,20 +343,47 @@ def build_frames(
 def _collect_frame_metas(
     graph: NetworkGraph, node_ids: Sequence[int], hops: int
 ) -> FrameBatch:
-    """The frames of ``node_ids`` from one k-hop sweep, coordinates unset.
+    """The frames of ``node_ids`` from one batched collection, coordinates
+    unset.
 
     Frame ``i``'s members mirror :func:`_frame_members` for
     ``node_ids[i]``: the node itself, then its one-hop neighbors
-    ascending, then the farther collection ascending
-    (``k_hop_collections`` returns nodes sorted ascending).  ``coords``
-    is allocated but left for the caller to fill.
+    ascending, then the farther collection ascending.  The native
+    hop-bounded BFS (:meth:`~repro.geometry.native.NativeKernels.hop_bfs`)
+    emits ``ptr``, ``members`` and ``n_one_hop`` in exactly that order;
+    without native kernels one
+    :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep, the
+    kernel's differential twin, is reordered into it.  ``coords`` is
+    allocated but left for the caller to fill.
     """
-    ptr, nodes, hop_counts = graph.k_hop_collections(hops, sources=node_ids)
-    n_sources = len(node_ids)
-    # One flat pass over the sweep's CSR triple: a stable per-segment sort
-    # moving hop >= 2 members behind the one-hop ones (each segment arrives
-    # node-sorted, so stability preserves the ascending order within both
-    # halves), then the owning node is spliced in at each segment start.
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    sources = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    kernels = load_kernels()
+    if kernels is not None:
+        frame_ptr, n_one_hop, members = kernels.hop_bfs(*graph.csr(), sources, hops)
+    else:
+        frame_ptr, members, n_one_hop = _frame_order_from_sweep(graph, sources, hops)
+    return FrameBatch(
+        nodes=sources,
+        ptr=frame_ptr,
+        members=members,
+        coords=np.empty((members.size, 3)),
+        n_one_hop=n_one_hop,
+        smacof_iterations=np.zeros(sources.size, dtype=np.int64),
+    )
+
+
+def _frame_order_from_sweep(graph: NetworkGraph, sources: np.ndarray, hops: int):
+    """``(ptr, members, n_one_hop)`` in frame order from the sparse sweep.
+
+    ``k_hop_collections`` returns each collection ascending; one flat pass
+    over its CSR triple applies a stable per-segment sort moving hop >= 2
+    members behind the one-hop ones (stability keeps both halves
+    ascending), then splices the owning node in at each segment start.
+    """
+    ptr, nodes, hop_counts = graph.k_hop_collections(hops, sources=sources)
+    n_sources = sources.size
     segment = np.repeat(np.arange(n_sources, dtype=np.int64), np.diff(ptr))
     keep = hop_counts >= 1  # drop the hop-0 source itself
     nodes = nodes[keep]
@@ -368,18 +397,11 @@ def _collect_frame_metas(
     np.cumsum(sizes, out=frame_ptr[1:])
     members_flat = np.empty(int(frame_ptr[-1]), dtype=np.int64)
     starts = frame_ptr[:-1]
-    members_flat[starts] = np.asarray(node_ids, dtype=np.int64)
+    members_flat[starts] = sources
     fill = np.ones(members_flat.size, dtype=bool)
     fill[starts] = False
     members_flat[fill] = ordered
-    return FrameBatch(
-        nodes=np.asarray(node_ids, dtype=np.int64).reshape(-1),
-        ptr=frame_ptr,
-        members=members_flat,
-        coords=np.empty((members_flat.size, 3)),
-        n_one_hop=n_one_hop.astype(np.int64),
-        smacof_iterations=np.zeros(n_sources, dtype=np.int64),
-    )
+    return frame_ptr, members_flat, n_one_hop.astype(np.int64)
 
 
 def true_frames(

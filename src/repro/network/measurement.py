@@ -190,12 +190,19 @@ def measure_distances(
     """Measure every edge of ``graph`` once under ``model``.
 
     Returns a :class:`MeasuredDistances` usable by the localization step.
+    Edges are drawn in :meth:`NetworkGraph.edges` order.  The true
+    distances come from one stacked product over the edge array, each
+    equal bit for bit to :meth:`NetworkGraph.distance` (the same dot
+    product under its square root; an ``einsum`` or an explicit
+    ``x*x + y*y + z*z`` rounds differently on some edges).
     """
-    edges = list(graph.edges())
-    if not edges:
+    edge_array = graph.edge_array()
+    if not edge_array.size:
         return MeasuredDistances({})
-    true = np.array([graph.distance(u, v) for u, v in edges])
+    pos = graph.positions
+    d = pos[edge_array[:, 0]] - pos[edge_array[:, 1]]
+    true = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
     measured = model.perturb(true, rng)
     return MeasuredDistances(
-        {edge: float(value) for edge, value in zip(edges, measured)}
+        dict(zip(map(tuple, edge_array.tolist()), measured.tolist()))
     )

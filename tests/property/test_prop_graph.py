@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.network.graph import NetworkGraph
+from tests.native_paths import PATHS, on_path
 
 coord = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False, width=32)
 positions = arrays(np.float64, (20, 3), elements=coord)
@@ -58,6 +59,26 @@ class TestGraphInvariants:
         full = g.bfs_hops([0])
         capped = g.bfs_hops([0], max_hops=cap)
         assert capped == {n: d for n, d in full.items() if d <= cap}
+
+
+class TestComponentsOnBothPaths:
+    """Components and connectivity, native shared-visited BFS and deque
+    fallback alike, against per-component ``bfs_hops`` floods."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(positions, st.one_of(st.none(), st.sets(st.integers(0, 19))))
+    @settings(max_examples=40, deadline=None)
+    def test_components_are_restricted_floods(self, path, pts, within):
+        g = NetworkGraph(pts, radio_range=1.0)
+        with on_path(path):
+            comps = g.connected_components(within=within)
+            connected = g.is_connected()
+        nodes = list(range(g.n_nodes)) if within is None else sorted(within)
+        assert sorted(n for comp in comps for n in comp) == nodes
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+        for comp in comps:
+            assert comp == sorted(g.bfs_hops([comp[0]], within=within))
+        assert connected == (len(g.bfs_hops([0])) == g.n_nodes)
 
 
 class TestCSRDerivedViews:

@@ -1,4 +1,9 @@
-"""Property tests: the sparse IFF flood sweep versus its dict-BFS oracle."""
+"""Property tests: the IFF flood counts versus their dict-BFS oracle.
+
+The counts come from the native hop-bounded BFS when the kernels load and
+from the sparse sweep otherwise; the ``fallback`` cases pin the sweep
+even where the kernels load.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.iff import iff_fragment_sizes, iff_fragment_sizes_bfs
 from repro.network.graph import NetworkGraph
+from tests.native_paths import on_path
 
 coord = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False, width=32)
 positions = arrays(np.float64, (20, 3), elements=coord)
@@ -41,3 +47,12 @@ def test_matches_bfs_oracle_on_degenerate_candidates(candidates, ttl):
     sizes = iff_fragment_sizes(g, candidates, ttl)
     assert sizes == iff_fragment_sizes_bfs(g, candidates, ttl)
     assert set(sizes) == candidates
+
+
+@given(positions, st.sets(st.integers(0, 19)), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_sweep_fallback_matches_bfs_oracle(pts, candidates, ttl):
+    g = NetworkGraph(pts, radio_range=1.0)
+    with on_path("fallback"):
+        sizes = iff_fragment_sizes(g, candidates, ttl)
+    assert sizes == iff_fragment_sizes_bfs(g, candidates, ttl)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.network.graph import NetworkGraph
 from repro.network.measurement import (
+    MIN_MEASURED_DISTANCE,
     GaussianError,
     MeasuredDistances,
     NoError,
@@ -105,3 +106,24 @@ class TestMeasureDistances:
             small_graph, UniformAbsoluteError(0.2), np.random.default_rng(9)
         )
         assert dict(m1.items()) == dict(m2.items())
+
+    @pytest.mark.parametrize("network", ["sphere_network", "one_hole_network"])
+    def test_true_distances_bit_equal_to_graph_distance(self, network, request):
+        # The stacked-product distances must equal the per-edge
+        # np.linalg.norm of NetworkGraph.distance bit for bit, in edges()
+        # order.
+        graph = request.getfixturevalue(network).graph
+        measured = measure_distances(graph, NoError(), np.random.default_rng(0))
+        expected = [((u, v), graph.distance(u, v)) for u, v in graph.edges()]
+        assert list(measured.items()) == expected
+
+    def test_noise_drawn_in_edge_order(self, sphere_network):
+        graph = sphere_network.graph
+        measured = measure_distances(
+            graph, UniformAbsoluteError(0.3), np.random.default_rng(9)
+        )
+        edges = list(graph.edges())
+        true = np.array([graph.distance(u, v) for u, v in edges])
+        noise = np.random.default_rng(9).uniform(-0.3, 0.3, size=len(edges))
+        expected = np.maximum(true + noise, MIN_MEASURED_DISTANCE)
+        assert list(measured.items()) == list(zip(edges, expected.tolist()))
