@@ -669,8 +669,10 @@ def run_frames_parallel(
     default) and byte-identical for any worker count (see the module
     docstring).  ``mode`` mirrors the pipeline's resolved localization:
     ``"mds"`` (honors ``engine``) or ``"true"``.
-    True-coordinate frames always build in-process (one sweep and a
-    gather cost less than the pool round trip; docs/PERFORMANCE.md).
+    True-coordinate frames always build in-process: they are one
+    collection sweep indexing ``graph.positions``, with no coordinate to
+    compute or copy, which costs less than the pool round trip
+    (docs/PERFORMANCE.md).
     """
     if mode not in FRAME_MODES:
         raise ValueError("mode must be 'mds' or 'true'")

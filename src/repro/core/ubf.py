@@ -178,21 +178,19 @@ def search_frames(
 
     Reads each frame as :func:`ubf_classify_frame` does (origin row,
     one-hop rows as pair candidates when there are at least two, every
-    row as a probe); the arrays entry bounds the working set itself.
+    row as a probe), straight from the batch's point table and row index:
+    frame ``i``'s probes are rows ``ptr[i] .. ptr[i + 1]`` and its pairs
+    rows ``ptr[i] + 1 .. ptr[i] + 1 + n_one_hop[i]``.  No coordinate is
+    copied.
     """
     starts = frames.ptr[:-1]
-    pair_counts = np.where(frames.n_one_hop >= 2, frames.n_one_hop, 0)
-    nbr_ptr = np.zeros(len(frames) + 1, dtype=np.int64)
-    np.cumsum(pair_counts, out=nbr_ptr[1:])
-    nbr_rows = np.arange(int(nbr_ptr[-1]), dtype=np.int64) + np.repeat(
-        starts + 1 - nbr_ptr[:-1], pair_counts
-    )
     return empty_ball_exists_batch_arrays(
-        frames.coords[starts],
-        frames.coords[nbr_rows],
-        nbr_ptr,
-        frames.coords,
-        frames.ptr,
+        frames.points,
+        frames.rows,
+        starts + 1,
+        np.where(frames.n_one_hop >= 2, frames.n_one_hop, 0),
+        starts,
+        np.diff(frames.ptr),
         radius,
         find_first=find_first,
     )

@@ -30,13 +30,19 @@ the ``kernel`` argument of :func:`empty_ball_exists`:
     ``repro-bench`` speedup criterion is measured from.
 
 ``"batched"`` (default)
-    The network-batched kernel over a slab of nodes.  Whenever the native
-    kernels load (:mod:`repro.geometry.native`) it is one call into the
-    fused ``ubf_enumerate_scan`` C kernel per slab: each node walks its
-    neighbor pairs, solves Eq. 1 and probes every candidate at once,
-    stopping at its witness -- no candidate array is built.  Otherwise (no
-    C compiler, or ``REPRO_NATIVE=0``) the numpy fallback flattens the
-    candidates of all nodes in the slab into one node-major, pair-major
+    The network-batched kernel.  Its input is a point table plus a row
+    index: point ``k`` of the batch is ``points[rows[k]]``, and each node
+    names its neighbor (pair) rows and its probe rows -- its own position
+    first -- as ranges of ``rows``.  A frame batch passes its table and
+    index as they are, so ground-truth frames read the network's position
+    table and no per-member coordinate is copied.  Whenever the native
+    kernels load (:mod:`repro.geometry.native`) the whole batch is one
+    call into the fused ``ubf_enumerate_scan`` C kernel: each node copies
+    its rows into a small scratch, walks its neighbor pairs, solves Eq. 1
+    and probes every candidate at once, stopping at its witness -- no
+    candidate array is built.  Otherwise (no C compiler, or
+    ``REPRO_NATIVE=0``) the numpy fallback gathers one slab of nodes at a
+    time and flattens their candidates into one node-major, pair-major
     workset (one Eq.-1 evaluation over every neighbor pair of every node),
     then scans it in synchronized waves: each wave advances every
     still-active node by :data:`DEFAULT_CHUNK_SIZE` candidates with one
@@ -63,13 +69,13 @@ follows numpy's SIMD dispatch and so differs between hosts.
 
 Working set
 -----------
-The native kernel holds nothing beyond its per-node outputs.  The numpy
-fallback sizes every temporary from one byte budget,
-:data:`UBF_WORKING_SET_BYTES`: the node slab (pair index arrays and
-candidate centers), the Eq.-1 enumeration blocks, and the probe waves.
-All steps are row-wise, so slab and block sizes never change a result --
-only how much memory one call holds, which stays flat in the network
-size.
+The native kernel holds nothing beyond its per-node outputs and one
+scratch of a node's rows.  The numpy fallback sizes every temporary from
+one byte budget, :data:`UBF_WORKING_SET_BYTES`: the node slab (its
+gathered neighbor and probe rows, pair index arrays and candidate
+centers), the Eq.-1 enumeration blocks, and the probe waves.  All steps
+are row-wise, so slab and block sizes never change a result -- only how
+much memory one call holds, which stays flat in the network size.
 """
 
 from __future__ import annotations
@@ -103,9 +109,9 @@ KERNELS = ("naive", "batched")
 #: -- counters and verdicts are independent of it.
 DEFAULT_CHUNK_SIZE = 64
 
-#: Working-set budget of one batched search, in bytes.  Sizes the node
-#: slab (:func:`search_bytes`) and, on the numpy fallback, the Eq.-1
-#: enumeration blocks (:data:`BLOCK_BYTES_PER_PAIR`) and the probe waves
+#: Working-set budget of one numpy-fallback search, in bytes.  Sizes the
+#: node slab (:func:`search_bytes`), the Eq.-1 enumeration blocks
+#: (:data:`BLOCK_BYTES_PER_PAIR`) and the probe waves
 #: (:data:`PROBE_ENTRY_BYTES`); see "Working set" in the module docstring.
 UBF_WORKING_SET_BYTES = 32 << 20
 
@@ -115,7 +121,7 @@ UBF_WORKING_SET_BYTES = 32 << 20
 SLAB_BYTES_PER_PAIR = 224
 
 #: Bytes a slab holds per probe row (the node itself and its collection):
-#: the flattened neighbor and probe copies of its local frame.
+#: the neighbor and probe rows the fallback gathers from the point table.
 SLAB_BYTES_PER_PROBE = 96
 
 #: Peak bytes of Eq.-1 temporaries per neighbor pair of an enumeration
@@ -134,11 +140,11 @@ PROBE_COL_WAVE = 16
 
 
 def search_bytes(n_neighbors, n_probes):
-    """Slab bytes the batched search holds for one node (or an array of them).
+    """Slab bytes the numpy fallback holds for one node (or an array of them).
 
     ``n_neighbors`` one-hop neighbors give ``n (n - 1) / 2`` Eq.-1 pairs;
     ``n_probes`` counts the node's probe rows (itself plus its collection).
-    Callers sum this over nodes to cut slabs of at most
+    :func:`_numpy_search` sums this over nodes to cut slabs of at most
     :data:`UBF_WORKING_SET_BYTES`.
     """
     pairs = n_neighbors * (n_neighbors - 1) // 2
@@ -638,56 +644,79 @@ def _batch_probe(
     return probes, empty
 
 
-def _batched_search(
-    origins: np.ndarray,
-    nbr_flat: np.ndarray,
-    nbr_ptr: np.ndarray,
-    probe_flat: np.ndarray,
-    probe_base: np.ndarray,
-    probe_len: np.ndarray,
-    radius: float,
-    find_first: bool,
-) -> BallFitArrays:
-    """Network-batched emptiness search over one slab of nodes.
-
-    One call into the fused ``ubf_enumerate_scan`` C kernel when the
-    native kernels load, the numpy fallback :func:`_numpy_search`
-    otherwise.  ``probe_base`` indexes ``probe_flat`` directly, so slabs
-    of one network share its probe array.  Counters are the semantic
-    sequential work counts, so they match the naive oracle exactly.
-    """
-    native = _native_ubf_kernels()
-    if native is None:
-        return _numpy_search(
-            origins, nbr_flat, nbr_ptr, probe_flat, probe_base, probe_len,
-            radius, find_first,
-        )
-    tested, checked, witness_center, witness_pair = native.ubf_enumerate_scan(
-        origins, nbr_flat, nbr_ptr, probe_flat, probe_base, probe_len,
-        _eq1_bounds(radius), find_first,
+def _gather_ranges(
+    points: np.ndarray, rows: np.ndarray, base: np.ndarray, length: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``points[rows[base[u] .. base[u] + length[u]]]`` for every ``u``,
+    concatenated, and its ``(n + 1,)`` offsets."""
+    ptr = np.zeros(length.size + 1, dtype=np.int64)
+    np.cumsum(length, out=ptr[1:])
+    index = np.arange(int(ptr[-1]), dtype=np.int64) + np.repeat(
+        base - ptr[:-1], length
     )
-    # Nodes without a candidate ball (or fewer than two neighbors) sit
-    # against empty space: conservative boundary, zero counters.
-    return BallFitArrays(
-        is_boundary=(tested == 0) | (witness_pair[:, 0] >= 0),
-        balls_tested=tested,
-        points_checked=checked,
-        witness_center=witness_center,
-        witness_pair=witness_pair,
-    )
+    return points[rows[index]], ptr
 
 
 def _numpy_search(
-    origins: np.ndarray,
-    nbr_flat: np.ndarray,
-    nbr_ptr: np.ndarray,
-    probe_flat: np.ndarray,
+    points: np.ndarray,
+    rows: np.ndarray,
+    pair_base: np.ndarray,
+    pair_len: np.ndarray,
     probe_base: np.ndarray,
     probe_len: np.ndarray,
     radius: float,
     find_first: bool,
 ) -> BallFitArrays:
-    """The compiler-less twin of ``ubf_enumerate_scan``.
+    """The compiler-less twin of ``ubf_enumerate_scan``, same arguments.
+
+    Nodes are searched in consecutive slabs of at most
+    :data:`UBF_WORKING_SET_BYTES` (:func:`search_bytes`; a single node
+    over the budget forms its own slab).  Each slab gathers its origins,
+    neighbor rows and probe rows out of ``points[rows]`` and is scanned by
+    :func:`_scan_slab`; slabs never change a result, only the memory one
+    call holds.
+    """
+    spent = np.cumsum(search_bytes(pair_len, probe_len))
+    n_nodes = pair_base.shape[0]
+    slabs: List[BallFitArrays] = []
+    start = 0
+    while start < n_nodes or not slabs:  # no nodes: one empty, typed slab
+        before = int(spent[start - 1]) if start else 0
+        end = int(
+            np.searchsorted(spent, before + UBF_WORKING_SET_BYTES, side="right")
+        )
+        end = min(max(end, start + 1), n_nodes)
+        nbr_flat, nbr_ptr = _gather_ranges(
+            points, rows, pair_base[start:end], pair_len[start:end]
+        )
+        probe_flat, probe_ptr = _gather_ranges(
+            points, rows, probe_base[start:end], probe_len[start:end]
+        )
+        # The origin is each node's first probe row; nodes without a pair
+        # never read it (and may have no probe rows at all).
+        origins = np.zeros((end - start, 3))
+        scanned = pair_len[start:end] >= 2
+        origins[scanned] = probe_flat[probe_ptr[:-1][scanned]]
+        slabs.append(
+            _scan_slab(
+                origins, nbr_flat, nbr_ptr, probe_flat, probe_ptr, radius,
+                find_first,
+            )
+        )
+        start = end
+    return BallFitArrays(*(np.concatenate(column) for column in zip(*slabs)))
+
+
+def _scan_slab(
+    origins: np.ndarray,
+    nbr_flat: np.ndarray,
+    nbr_ptr: np.ndarray,
+    probe_flat: np.ndarray,
+    probe_ptr: np.ndarray,
+    radius: float,
+    find_first: bool,
+) -> BallFitArrays:
+    """The numpy emptiness search over one slab of gathered rows.
 
     Candidates are enumerated once for the whole slab
     (:func:`_batch_enumerate`), then scanned in numpy waves: every wave
@@ -696,6 +725,8 @@ def _numpy_search(
     stops contributing work at the wave after its witness.
     """
     n_nodes = origins.shape[0]
+    probe_base = probe_ptr[:-1]
+    probe_len = np.diff(probe_ptr)
     centers, pairs, _, cand_ptr = _batch_enumerate(
         origins, nbr_flat, nbr_ptr, radius
     )
@@ -788,59 +819,56 @@ def _native_ubf_kernels():
 
 
 def empty_ball_exists_batch_arrays(
-    origins,
-    nbr_flat,
-    nbr_ptr,
-    probe_flat,
-    probe_ptr,
+    points,
+    rows,
+    pair_base,
+    pair_len,
+    probe_base,
+    probe_len,
     radius: float,
     *,
     find_first: bool = True,
 ) -> BallFitArrays:
-    """Batch emptiness search over pre-flattened per-node arrays.
+    """Batch emptiness search over a point table and a row index.
 
-    The array-native entry point behind :func:`empty_ball_exists_batch`:
-    ``nbr_flat``/``nbr_ptr`` hold every node's one-hop neighbor positions
-    concatenated (CSR layout), ``probe_flat``/``probe_ptr`` the emptiness
-    probe sets with **each node's own position as the first probe row** --
-    the probe order the sequential scan uses.  Callers that already hold
-    flattened collections (the 100k-scale pipeline) avoid any per-node
-    Python assembly.  Nodes are searched in consecutive slabs of at most
-    :data:`UBF_WORKING_SET_BYTES` (:func:`search_bytes`; a single node
-    over the budget forms its own slab), and the per-node outcomes come
-    back as one :class:`BallFitArrays` -- no per-node objects.
+    The array-native entry point behind :func:`empty_ball_exists_batch`.
+    Point ``k`` of the batch is ``points[rows[k]]``: node ``u``'s one-hop
+    neighbors (the pair candidates) are rows ``pair_base[u] .. +
+    pair_len[u]`` and its emptiness probes rows ``probe_base[u] .. +
+    probe_len[u]``, with **the node's own position as the first probe
+    row** -- its origin, and the probe order the sequential scan uses.
+    A frame batch passes its table and index as they are (true frames
+    index the network's positions, so nothing is copied per member).
+    Whenever the native kernels load, the whole batch is one
+    ``ubf_enumerate_scan`` call; otherwise :func:`_numpy_search` scans it
+    in slabs of at most :data:`UBF_WORKING_SET_BYTES`.  The per-node
+    outcomes come back as one :class:`BallFitArrays` -- no per-node
+    objects.
     """
-    origins = as_points(origins)
-    nbr_ptr = np.asarray(nbr_ptr, dtype=np.int64)
-    probe_ptr = np.asarray(probe_ptr, dtype=np.int64)
-    nbr_flat = as_points(nbr_flat) if len(nbr_flat) else np.empty((0, 3))
-    probe_flat = as_points(probe_flat) if len(probe_flat) else np.empty((0, 3))
-    probe_len = np.diff(probe_ptr)
-    spent = np.cumsum(search_bytes(np.diff(nbr_ptr), probe_len))
-    n_nodes = origins.shape[0]
-    slabs: List[BallFitArrays] = []
-    start = 0
-    while start < n_nodes or not slabs:  # no nodes: one empty, typed slab
-        before = int(spent[start - 1]) if start else 0
-        end = int(
-            np.searchsorted(spent, before + UBF_WORKING_SET_BYTES, side="right")
+    points = as_points(points) if len(points) else np.empty((0, 3))
+    rows, pair_base, pair_len, probe_base, probe_len = (
+        np.asarray(a, dtype=np.int64).reshape(-1)
+        for a in (rows, pair_base, pair_len, probe_base, probe_len)
+    )
+    native = _native_ubf_kernels()
+    if native is None:
+        return _numpy_search(
+            points, rows, pair_base, pair_len, probe_base, probe_len,
+            radius, find_first,
         )
-        end = min(max(end, start + 1), n_nodes)
-        lo = nbr_ptr[start]
-        slabs.append(
-            _batched_search(
-                origins[start:end],
-                nbr_flat[lo : nbr_ptr[end]],
-                nbr_ptr[start : end + 1] - lo,
-                probe_flat,
-                probe_ptr[start:end],
-                probe_len[start:end],
-                radius,
-                find_first,
-            )
-        )
-        start = end
-    return BallFitArrays(*(np.concatenate(column) for column in zip(*slabs)))
+    tested, checked, witness_center, witness_pair = native.ubf_enumerate_scan(
+        points, rows, pair_base, pair_len, probe_base, probe_len,
+        _eq1_bounds(radius), find_first,
+    )
+    # Nodes without a candidate ball (or fewer than two neighbors) sit
+    # against empty space: conservative boundary, zero counters.
+    return BallFitArrays(
+        is_boundary=(tested == 0) | (witness_pair[:, 0] >= 0),
+        balls_tested=tested,
+        points_checked=checked,
+        witness_center=witness_center,
+        witness_pair=witness_pair,
+    )
 
 
 def empty_ball_exists_batch(
@@ -869,34 +897,30 @@ def empty_ball_exists_batch(
     nbrs = [
         as_points(nb) if len(nb) else np.empty((0, 3)) for nb in neighbor_sets
     ]
-    # Nodes with fewer than two neighbors never enumerate (conservative
-    # boundary, zero counters) -- drop their neighbors so the enumeration
-    # skips them, matching the single-node guard.
-    nbrs = [nb if nb.shape[0] >= 2 else np.empty((0, 3)) for nb in nbrs]
-    nbr_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum([nb.shape[0] for nb in nbrs], out=nbr_ptr[1:])
-    nbr_flat = np.concatenate(nbrs) if n_nodes else np.empty((0, 3))
-    probe_rows: List[np.ndarray] = []
+    checks = (
+        nbrs
+        if check_sets is None
+        else [as_points(c) if len(c) else np.empty((0, 3)) for c in check_sets]
+    )
+    # Node i's rows: its origin and check set (the probes), then its
+    # neighbors (the pair rows).  Nodes with fewer than two neighbors never
+    # enumerate (conservative boundary, zero counters), matching the
+    # single-node guard.
+    pieces: List[np.ndarray] = [np.empty((0, 3))]
     for i in range(n_nodes):
-        check = (
-            nbrs[i]
-            if check_sets is None
-            else (
-                as_points(check_sets[i])
-                if len(check_sets[i])
-                else np.empty((0, 3))
-            )
-        )
-        probe_rows.append(np.vstack([origins[i][None, :], check]))
-    probe_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum([p.shape[0] for p in probe_rows], out=probe_ptr[1:])
-    probe_flat = np.concatenate(probe_rows) if n_nodes else np.empty((0, 3))
+        pieces += [origins[i][None, :], checks[i], nbrs[i]]
+    points = np.concatenate(pieces)
+    probe_len = np.array([1 + c.shape[0] for c in checks], dtype=np.int64)
+    nbr_len = np.array([nb.shape[0] for nb in nbrs], dtype=np.int64)
+    sizes = probe_len + nbr_len
+    probe_base = np.cumsum(sizes) - sizes
     return empty_ball_exists_batch_arrays(
-        origins,
-        nbr_flat,
-        nbr_ptr,
-        probe_flat,
-        probe_ptr,
+        points,
+        np.arange(points.shape[0], dtype=np.int64),
+        probe_base + probe_len,
+        np.where(nbr_len >= 2, nbr_len, 0),
+        probe_base,
+        probe_len,
         radius,
         find_first=find_first,
     ).results()

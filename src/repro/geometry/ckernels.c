@@ -43,6 +43,10 @@
  *   SIMD dispatch.  Probe distances stay left to right,
  *   dx*dx + dy*dy + dz*dz, with per-ball early exit at the first
  *   strictly-inside probe.  No FMA contraction anywhere.
+ *   Its points come as a point table plus a row index (point k is
+ *   points[rows[k]]); each node's rows are copied into scratch before
+ *   the scan, so the layout changes which bytes are read, never the
+ *   arithmetic, the probe order, the counters or the witnesses.
  * - No routine reads clocks, RNGs, or global state: outputs depend only
  *   on inputs, so results are byte-stable across processes and batch
  *   compositions (the repro-san property).
@@ -763,21 +767,39 @@ done:
     out_counts[1] = checked;
 }
 
-/* Steps (II)-(III) of Algorithm 1 for a slab of nodes, one scan_node
+/* Copy the n table rows points[rows[base + k]] into dst (n, 3). */
+static inline void gather_rows(const double *points, const int64_t *rows,
+                               int64_t base, int64_t n, double *dst)
+{
+    for (int64_t k = 0; k < n; ++k)
+        memcpy(dst + k * 3, points + rows[base + k] * 3, 3 * sizeof(double));
+}
+
+/* Steps (II)-(III) of Algorithm 1 for a batch of nodes, one scan_node
  * call each.  No candidate array is built, and with find_first a node
  * stops at its witness.
  *
- * origins       (n_nodes, 3) node positions
- * nbr_flat      (total_neighbors, 3) one-hop neighbor positions, node-major
- * nbr_ptr       (n_nodes + 1) neighbor offsets per node
- * probe_flat    (total_probes, 3) emptiness probe points, each node's own
- *               position first
- * probe_base    (n_nodes) offset of each node's probe segment
- * probe_len     (n_nodes) probe count per node
+ * Every point is read through a row index: point k of the batch is
+ * points[rows[k]].  Frames built from true coordinates pass the network's
+ * position table with rows = the frame members, so no per-member
+ * coordinate copy exists; embedded frames pass their own table with
+ * rows = 0..M-1.  Per node, the pair and probe rows are copied into
+ * scratch (a few KiB, so it stays in L1) and scan_node runs on the
+ * copies exactly as it would on contiguous arrays.
+ *
+ * points        (n_points, 3) coordinate table
+ * rows          (n_rows) int64 row index into points
+ * pair_base / pair_len
+ *               (n_nodes) each node's one-hop neighbor rows, the pair
+ *               candidates: rows[pair_base[u] .. pair_base[u] + pair_len[u])
+ * probe_base / probe_len
+ *               (n_nodes) each node's emptiness probe rows, its own
+ *               position first -- that first row is also the origin
  * coincident_sq, degeneracy_tol, r_sq, fit_floor, tangent_sq,
  * threshold_sq  the fields of struct eq1_bounds, computed once by the
  *               caller (ballfit._eq1_bounds)
  * find_first    nonzero to stop each node at its first empty ball
+ * scratch       (max probe_len + max pair_len, 3) workspace
  * balls_tested / points_checked
  *               (n_nodes) outputs, the semantic work counters
  * witness_center / witness_pair
@@ -789,23 +811,27 @@ done:
  * operation for operation (see the header), so the outputs are those of
  * the numpy fallback byte for byte. */
 void ubf_enumerate_scan(
-    const double *origins, const double *nbr_flat, const int64_t *nbr_ptr,
-    const double *probe_flat, const int64_t *probe_base,
-    const int64_t *probe_len, int64_t n_nodes,
+    const double *points, const int64_t *rows,
+    const int64_t *pair_base, const int64_t *pair_len,
+    const int64_t *probe_base, const int64_t *probe_len, int64_t n_nodes,
     double coincident_sq, double degeneracy_tol, double r_sq,
     double fit_floor, double tangent_sq, double threshold_sq,
-    int find_first,
+    int find_first, double *scratch,
     int64_t *balls_tested, int64_t *points_checked,
     double *witness_center, int64_t *witness_pair)
 {
     struct eq1_bounds bd = {coincident_sq, degeneracy_tol, r_sq,
                             fit_floor, tangent_sq, threshold_sq};
     for (int64_t u = 0; u < n_nodes; ++u) {
-        int64_t counts[2];
-        scan_node(&bd, origins + u * 3, nbr_flat + nbr_ptr[u] * 3,
-                  nbr_ptr[u + 1] - nbr_ptr[u],
-                  probe_flat + probe_base[u] * 3, probe_len[u], find_first,
-                  counts, witness_center + u * 3, witness_pair + u * 2);
+        int64_t counts[2] = {0, 0};
+        int64_t m = pair_len[u], n_probes = probe_len[u];
+        if (m >= 2) {
+            double *probes = scratch, *nb = scratch + n_probes * 3;
+            gather_rows(points, rows, probe_base[u], n_probes, probes);
+            gather_rows(points, rows, pair_base[u], m, nb);
+            scan_node(&bd, probes, nb, m, probes, n_probes, find_first,
+                      counts, witness_center + u * 3, witness_pair + u * 2);
+        }
         balls_tested[u] = counts[0];
         points_checked[u] = counts[1];
     }

@@ -94,8 +94,8 @@ class NativeKernels:
         ]
         library.ubf_enumerate_scan.restype = None
         library.ubf_enumerate_scan.argtypes = [
-            _DOUBLE_P, _DOUBLE_P, _INT64_P, _DOUBLE_P, _INT64_P, _INT64_P,
-            ctypes.c_int64, *[ctypes.c_double] * 6, ctypes.c_int,
+            _DOUBLE_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
+            ctypes.c_int64, *[ctypes.c_double] * 6, ctypes.c_int, _DOUBLE_P,
             _INT64_P, _INT64_P, _DOUBLE_P, _INT64_P,
         ]
 
@@ -262,50 +262,65 @@ class NativeKernels:
 
     def ubf_enumerate_scan(
         self,
-        origins: np.ndarray,
-        nbr_flat: np.ndarray,
-        nbr_ptr: np.ndarray,
-        probe_flat: np.ndarray,
+        points: np.ndarray,
+        rows: np.ndarray,
+        pair_base: np.ndarray,
+        pair_len: np.ndarray,
         probe_base: np.ndarray,
         probe_len: np.ndarray,
         bounds: Tuple[float, ...],
         find_first: bool,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused Eq.-1 enumeration and emptiness scan over a node slab.
+        """Fused Eq.-1 enumeration and emptiness scan over a node batch.
 
-        ``bounds`` holds the Eq.-1 filter constants and the strict-inside
-        threshold, in ``ubf_enumerate_scan``'s parameter order.  Returns
-        the per-node ``(balls_tested, points_checked, witness_center,
-        witness_pair)``; witness rows are NaN / -1 where no empty ball was
-        found.  Outputs equal the numpy fallback's byte for byte (see
-        ckernels.c for the floating-point contract).
+        Point ``k`` is ``points[rows[k]]``; node ``u``'s pair candidates
+        are rows ``pair_base[u] .. + pair_len[u]`` and its probes rows
+        ``probe_base[u] .. + probe_len[u]``, the first probe being the
+        node itself (its origin).  ``bounds`` holds the Eq.-1 filter
+        constants and the strict-inside threshold, in
+        ``ubf_enumerate_scan``'s parameter order.  Returns the per-node
+        ``(balls_tested, points_checked, witness_center, witness_pair)``;
+        witness rows are NaN / -1 where no empty ball was found.  Outputs
+        equal the numpy fallback's byte for byte (see ckernels.c for the
+        floating-point contract).
         """
-        n_nodes = nbr_ptr.shape[0] - 1
-        origins = np.ascontiguousarray(origins, dtype=np.float64)
-        nbr_flat = np.ascontiguousarray(nbr_flat, dtype=np.float64)
-        probe_flat = np.ascontiguousarray(probe_flat, dtype=np.float64)
-        nbr_ptr = np.ascontiguousarray(nbr_ptr, dtype=np.int64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        pair_base = np.ascontiguousarray(pair_base, dtype=np.int64)
+        pair_len = np.ascontiguousarray(pair_len, dtype=np.int64)
         probe_base = np.ascontiguousarray(probe_base, dtype=np.int64)
         probe_len = np.ascontiguousarray(probe_len, dtype=np.int64)
+        n_nodes = pair_base.shape[0]
+        scanned = pair_len >= 2
         if (
-            origins.shape != (n_nodes, 3)
-            or probe_base.shape != (n_nodes,)
-            or probe_len.shape != (n_nodes,)
-            or nbr_flat.shape[1:] != (3,)
-            or probe_flat.shape[1:] != (3,)
-            or (n_nodes and nbr_ptr[-1] > nbr_flat.shape[0])
-            or (n_nodes and (probe_base + probe_len).max() > probe_flat.shape[0])
+            points.ndim != 2
+            or points.shape[1] != 3
+            or rows.ndim != 1
+            or any(a.shape != (n_nodes,) for a in (pair_len, probe_base, probe_len))
+            or (rows.size and (rows.min() < 0 or rows.max() >= points.shape[0]))
+            or (n_nodes and (pair_base.min() < 0 or probe_base.min() < 0))
+            or (n_nodes and (pair_len.min() < 0 or probe_len.min() < 0))
+            or (n_nodes and (pair_base + pair_len).max() > rows.size)
+            or (n_nodes and (probe_base + probe_len).max() > rows.size)
+            or (probe_len[scanned] < 1).any()
         ):
-            raise ValueError("ubf_enumerate_scan: inconsistent CSR array shapes")
+            raise ValueError("ubf_enumerate_scan: inconsistent row-index arrays")
+        scratch_rows = (
+            int(probe_len[scanned].max() + pair_len[scanned].max())
+            if scanned.any()
+            else 0
+        )
+        scratch = np.empty((max(scratch_rows, 1), 3))
         tested = np.zeros(n_nodes, dtype=np.int64)
         checked = np.zeros(n_nodes, dtype=np.int64)
         witness_center = np.full((n_nodes, 3), np.nan)
         witness_pair = np.full((n_nodes, 2), -1, dtype=np.int64)
         self._lib.ubf_enumerate_scan(
-            _ptr(origins, ctypes.c_double), _ptr(nbr_flat, ctypes.c_double),
-            _ptr(nbr_ptr, ctypes.c_int64), _ptr(probe_flat, ctypes.c_double),
+            _ptr(points, ctypes.c_double), _ptr(rows, ctypes.c_int64),
+            _ptr(pair_base, ctypes.c_int64), _ptr(pair_len, ctypes.c_int64),
             _ptr(probe_base, ctypes.c_int64), _ptr(probe_len, ctypes.c_int64),
             n_nodes, *bounds, 1 if find_first else 0,
+            _ptr(scratch, ctypes.c_double),
             _ptr(tested, ctypes.c_int64), _ptr(checked, ctypes.c_int64),
             _ptr(witness_center, ctypes.c_double),
             _ptr(witness_pair, ctypes.c_int64),

@@ -194,9 +194,17 @@ class NetworkGraph:
 
     @property
     def positions(self) -> np.ndarray:
-        """Node positions as a read-only ``(n, 3)`` view."""
-        view = self._positions.view()
-        view.flags.writeable = False
+        """Node positions as a read-only ``(n, 3)`` view.
+
+        The same view object on every call, so a frame batch that indexes
+        it (:func:`repro.network.localization.true_frames`) can be told
+        apart from one that owns its coordinates by identity.
+        """
+        view = getattr(self, "_positions_view", None)
+        if view is None:
+            view = self._positions.view()
+            view.flags.writeable = False
+            self._positions_view = view
         return view
 
     @property
@@ -492,14 +500,3 @@ class NetworkGraph:
             return int(ptr[1]) == self.n_nodes
         reached = self.bfs_hops([0])
         return len(reached) == self.n_nodes
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-
-    def induced_adjacency(self, nodes: Set[int]) -> Dict[int, List[int]]:
-        """Adjacency dict of the subgraph induced by ``nodes``."""
-        return {
-            u: [int(v) for v in self._adjacency[u] if int(v) in nodes]
-            for u in sorted(nodes)
-        }

@@ -133,7 +133,9 @@ class LocalFrame:
     coordinates:
         ``(len(members), 3)`` embedded positions; row ``k`` corresponds to
         ``members[k]``.  The frame is arbitrary up to rigid motion and
-        reflection.
+        reflection.  A :class:`FrameBatch` holds no such array per frame:
+        its views gather these rows from the batch's point table through
+        its row index.
     n_one_hop:
         Number of one-hop neighbors; rows ``1 .. n_one_hop`` of
         ``coordinates`` are the pair candidates for ball construction.
@@ -168,35 +170,48 @@ class LocalFrame:
 
 @dataclass(eq=False)
 class FrameBatch:
-    """The local frames of ``k`` nodes as one CSR batch.
+    """The local frames of ``k`` nodes as one CSR batch over a point table.
 
     Frame ``i`` is rows ``ptr[i]:ptr[i + 1]`` of ``members`` (int64 node
-    IDs) and ``coords`` (float64 ``(M, 3)``) in :class:`LocalFrame`'s row
-    layout -- the owner ``nodes[i]`` first, then its one-hop neighbors
-    ascending, then the farther members ascending -- with
-    ``n_one_hop[i]`` and ``smacof_iterations[i]`` alongside (all int64).
-    Localization produces it and UBF consumes it; :class:`LocalFrame`
-    objects exist only as views (:meth:`frame`, iteration) and as
-    per-node oracle outputs, which :meth:`from_frames` packs.
+    IDs) in :class:`LocalFrame`'s row layout -- the owner ``nodes[i]``
+    first, then its one-hop neighbors ascending, then the farther members
+    ascending -- with ``n_one_hop[i]`` and ``smacof_iterations[i]``
+    alongside (all int64).  Coordinates are a point table plus a row
+    index: frame row ``r`` sits at ``points[rows[r]]``.  Ground-truth
+    frames (:func:`true_frames`) index the network's positions --
+    ``points`` is ``graph.positions`` and ``rows`` is ``members``, both
+    shared, so no per-member float exists -- while embedded frames own
+    their table and index it with ``rows = arange(M)``.  :attr:`coords`
+    materializes ``points[rows]`` on demand.  Localization produces the
+    batch and UBF consumes the table and index directly;
+    :class:`LocalFrame` objects exist only as views (:meth:`frame`,
+    iteration) and as per-node oracle outputs, which :meth:`from_frames`
+    packs.
     """
 
     nodes: np.ndarray
     ptr: np.ndarray
     members: np.ndarray
-    coords: np.ndarray
+    points: np.ndarray
+    rows: np.ndarray
     n_one_hop: np.ndarray
     smacof_iterations: np.ndarray
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @property
+    def coords(self) -> np.ndarray:
+        """Every frame row's coordinates, ``(M, 3)`` (a fresh copy)."""
+        return self.points[self.rows]
+
     def frame(self, i: int) -> LocalFrame:
-        """Frame ``i`` as a :class:`LocalFrame` (coordinates are a view)."""
+        """Frame ``i`` as a :class:`LocalFrame` (coordinates are a copy)."""
         lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
         return LocalFrame(
             node=int(self.nodes[i]),
             members=self.members[lo:hi].tolist(),
-            coordinates=self.coords[lo:hi],
+            coordinates=self.points[self.rows[lo:hi]],
             n_one_hop=int(self.n_one_hop[i]),
             smacof_iterations=int(self.smacof_iterations[i]),
         )
@@ -218,10 +233,11 @@ class FrameBatch:
                 [np.asarray(f.members, dtype=np.int64) for f in frames]
                 + [np.empty(0, dtype=np.int64)]
             ),
-            coords=np.concatenate(
+            points=np.concatenate(
                 [np.asarray(f.coordinates, dtype=float) for f in frames]
                 + [np.empty((0, 3))]
             ),
+            rows=np.arange(ptr[-1], dtype=np.int64),
             n_one_hop=np.array([f.n_one_hop for f in frames], dtype=np.int64),
             smacof_iterations=np.array(
                 [f.smacof_iterations for f in frames], dtype=np.int64
@@ -229,33 +245,56 @@ class FrameBatch:
         )
 
     def select(self, rows) -> "FrameBatch":
-        """The frames at batch rows ``rows``, in that order (a copy)."""
+        """The frames at batch rows ``rows``, in that order.
+
+        Copies the per-member ``members`` and ``rows`` entries only; the
+        point table is shared with this batch.
+        """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         sizes = self.ptr[rows + 1] - self.ptr[rows]
         ptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=ptr[1:])
         gather = np.arange(ptr[-1]) + np.repeat(self.ptr[rows] - ptr[:-1], sizes)
+        members = self.members[gather]
         return FrameBatch(
             nodes=self.nodes[rows],
             ptr=ptr,
-            members=self.members[gather],
-            coords=self.coords[gather],
+            members=members,
+            points=self.points,
+            rows=members if self.rows is self.members else self.rows[gather],
             n_one_hop=self.n_one_hop[rows],
             smacof_iterations=self.smacof_iterations[rows],
         )
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
-        """One batch holding ``batches``' frames in order."""
+        """One batch holding ``batches``' frames in order.
+
+        Batches over one shared point table (the shards of a true-frame
+        run) keep it; otherwise the tables are stacked and each batch's
+        row index is offset into the stack.
+        """
         if not batches:
             return cls.from_frames([])
         joined = {
             name: np.concatenate([getattr(b, name) for b in batches])
-            for name in ("nodes", "members", "coords", "n_one_hop", "smacof_iterations")
+            for name in ("nodes", "members", "n_one_hop", "smacof_iterations")
         }
         ptr = np.zeros(len(joined["nodes"]) + 1, dtype=np.int64)
         np.cumsum(np.concatenate([np.diff(b.ptr) for b in batches]), out=ptr[1:])
-        return cls(ptr=ptr, **joined)
+        points = batches[0].points
+        if all(b.points is points for b in batches):
+            if all(b.rows is b.members for b in batches):
+                rows = joined["members"]
+            else:
+                rows = np.concatenate([b.rows for b in batches])
+        else:
+            bases = np.cumsum([0] + [len(b.points) for b in batches[:-1]])
+            points = np.concatenate([b.points for b in batches])
+            rows = np.concatenate(
+                [b.rows + base for b, base in zip(batches, bases.tolist())]
+            )
+        return cls(ptr=ptr, points=points, rows=rows, **joined)
 
 
 def _frame_members(graph: NetworkGraph, node: int, hops: int) -> (List[int], int):
@@ -340,40 +379,6 @@ def build_frames(
     return _build_frames_sparse(graph, measured, node_ids, hops)
 
 
-def _collect_frame_metas(
-    graph: NetworkGraph, node_ids: Sequence[int], hops: int
-) -> FrameBatch:
-    """The frames of ``node_ids`` from one batched collection, coordinates
-    unset.
-
-    Frame ``i``'s members mirror :func:`_frame_members` for
-    ``node_ids[i]``: the node itself, then its one-hop neighbors
-    ascending, then the farther collection ascending.  The native
-    hop-bounded BFS (:meth:`~repro.geometry.native.NativeKernels.hop_bfs`)
-    emits ``ptr``, ``members`` and ``n_one_hop`` in exactly that order;
-    without native kernels one
-    :meth:`~repro.network.graph.NetworkGraph.k_hop_collections` sweep, the
-    kernel's differential twin, is reordered into it.  ``coords`` is
-    allocated but left for the caller to fill.
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    sources = np.asarray(node_ids, dtype=np.int64).reshape(-1)
-    kernels = load_kernels()
-    if kernels is not None:
-        frame_ptr, n_one_hop, members = kernels.hop_bfs(*graph.csr(), sources, hops)
-    else:
-        frame_ptr, members, n_one_hop = _frame_order_from_sweep(graph, sources, hops)
-    return FrameBatch(
-        nodes=sources,
-        ptr=frame_ptr,
-        members=members,
-        coords=np.empty((members.size, 3)),
-        n_one_hop=n_one_hop,
-        smacof_iterations=np.zeros(sources.size, dtype=np.int64),
-    )
-
-
 def _frame_order_from_sweep(graph: NetworkGraph, sources: np.ndarray, hops: int):
     """``(ptr, members, n_one_hop)`` in frame order from the sparse sweep.
 
@@ -407,15 +412,39 @@ def _frame_order_from_sweep(graph: NetworkGraph, sources: np.ndarray, hops: int)
 def true_frames(
     graph: NetworkGraph, node_ids: Sequence[int], *, hops: int = DEFAULT_COLLECTION_HOPS
 ) -> FrameBatch:
-    """Ground-truth frames for ``node_ids`` from one collection sweep.
+    """Ground-truth frames for ``node_ids`` from one batched collection.
 
     Frame for frame identical to :func:`true_local_frame` (its per-node
-    BFS twin and oracle): same member order, coordinates ``positions[
-    members]`` bit for bit.
+    BFS twin and oracle): frame ``i``'s members mirror
+    :func:`_frame_members` for ``node_ids[i]`` -- the node itself, then
+    its one-hop neighbors ascending, then the farther collection
+    ascending -- and its coordinates are ``positions[members]`` bit for
+    bit.  The native hop-bounded BFS
+    (:meth:`~repro.geometry.native.NativeKernels.hop_bfs`) emits ``ptr``,
+    ``members`` and ``n_one_hop`` in exactly that order; without native
+    kernels one :meth:`~repro.network.graph.NetworkGraph.k_hop_collections`
+    sweep, the kernel's differential twin, is reordered into it.  The
+    batch copies no coordinate: its point table is ``graph.positions``
+    itself and its row index is ``members``.  The sparse MDS engine
+    starts from this batch and swaps in a table of its own.
     """
-    batch = _collect_frame_metas(graph, node_ids, hops)
-    batch.coords = graph.positions[batch.members]
-    return batch
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    sources = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    kernels = load_kernels()
+    if kernels is not None:
+        frame_ptr, n_one_hop, members = kernels.hop_bfs(*graph.csr(), sources, hops)
+    else:
+        frame_ptr, members, n_one_hop = _frame_order_from_sweep(graph, sources, hops)
+    return FrameBatch(
+        nodes=sources,
+        ptr=frame_ptr,
+        members=members,
+        points=graph.positions,
+        rows=members,
+        n_one_hop=n_one_hop,
+        smacof_iterations=np.zeros(sources.size, dtype=np.int64),
+    )
 
 
 def _assemble_partial_stack(
@@ -471,8 +500,11 @@ def _build_frames_sparse(
     sharded runs remain partition-invariant.  Each chunk's coordinates
     and step counts land in the batch's rows directly.
     """
-    batch = _collect_frame_metas(graph, node_ids, hops)
+    batch = true_frames(graph, node_ids, hops=hops)
     ptr, members = batch.ptr, batch.members
+    # The embedding's own table; frame row r is table row r.
+    batch.points = np.empty((members.size, 3))
+    batch.rows = np.arange(members.size, dtype=np.int64)
     if not node_ids:
         return batch
     kernels = load_kernels()
@@ -505,7 +537,7 @@ def _build_frames_sparse(
                 iters: np.ndarray = np.zeros(nb, dtype=int)
                 for b in range(nb):
                     coords[b], iters[b] = local_mds_embedding(partial[b])
-                batch.coords[rows] = coords.reshape(-1, 3)
+                batch.points[rows] = coords.reshape(-1, 3)
                 batch.smacof_iterations[chunk] = iters
                 continue
 
@@ -559,7 +591,7 @@ def _build_frames_sparse(
                 coords, steps = smacof_refine_batch(
                     coords, np.where(mask, stack, 0.0), weights, iterations=30
                 )
-            batch.coords[rows] = coords.reshape(-1, 3)
+            batch.points[rows] = coords.reshape(-1, 3)
             batch.smacof_iterations[chunk] = steps
     return batch
 

@@ -79,11 +79,3 @@ def assign_voronoi_cells(
     reached = rows.min(axis=0) < hops.sentinel
     owners = np.asarray(ordered)[rows.argmin(axis=0)[reached]]
     return dict(zip(hops.nodes[reached].tolist(), owners.tolist()))
-
-
-def cell_sizes(cells: Dict[int, int]) -> Dict[int, int]:
-    """Number of associated nodes per landmark (landmark itself included)."""
-    sizes: Dict[int, int] = {}
-    for landmark in cells.values():
-        sizes[landmark] = sizes.get(landmark, 0) + 1
-    return sizes

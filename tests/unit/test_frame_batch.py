@@ -31,11 +31,11 @@ from repro.observability.tracer import TickClock, Tracer
 FIELDS = ("nodes", "ptr", "members", "coords", "n_one_hop", "smacof_iterations")
 
 #: Bytes a true-mode batch may hold per frame member: an int64 member ID
-#: and three float64 coordinates (32 B), plus the per-frame arrays spread
-#: over the ~100 members of a 2-hop frame.  One ``LocalFrame`` per node
-#: (a members list of Python ints, a coordinate array, the object) costs
-#: about twice that.
-MAX_BYTES_PER_MEMBER = 40
+#: (8 B), which is also the row index into the shared position table,
+#: plus the per-frame arrays spread over the ~70 members of a 2-hop frame
+#: (8.5 B measured).  Copied coordinates would add 24 B a member (32.5 B
+#: measured), and one ``LocalFrame`` per node about twice that again.
+MAX_BYTES_PER_MEMBER = 12
 
 
 def _batches_equal(a: FrameBatch, b: FrameBatch) -> bool:
@@ -86,6 +86,36 @@ class TestFrameBatch:
         assert _batches_equal(FrameBatch.concat(halves), batch)
         assert len(FrameBatch.concat([])) == 0
 
+    def test_true_batch_indexes_the_positions(self, sphere_network):
+        """Sharded true frames keep one point table, the graph's own, and
+        a row index that is the member array itself."""
+        graph = sphere_network.graph
+        assert graph.n_nodes > parallel.FRAME_SHARD_SIZE  # shards were concatenated
+        batch = run_frames_parallel(sphere_network, mode="true")
+        assert batch.points is graph.positions
+        assert batch.rows is batch.members
+        picked = batch.select([4, 1, 4])
+        assert picked.points is batch.points and picked.rows is picked.members
+
+    def test_concat_stacks_owned_tables(self, sphere_network):
+        """Batches with tables of their own are stacked, each row index
+        offset into the stack -- also when an index is not ``arange``."""
+        batch = run_frames_parallel(sphere_network, mode="true")
+        parts = [
+            FrameBatch.from_frames(batch.select(range(0, 7))),
+            FrameBatch.from_frames(batch.select(range(7, 20))),
+        ]
+        joined = FrameBatch.concat(parts)
+        assert len(joined.points) == sum(len(p.points) for p in parts)
+        assert _batches_equal(joined, batch.select(range(20)))
+        mixed = FrameBatch.concat([parts[1].select([3, 0]), parts[0].select([6])])
+        assert _batches_equal(mixed, batch.select([10, 7, 6]))
+
+    def test_coords_is_read_only(self, sphere_network):
+        batch = run_frames_parallel(sphere_network, mode="true")
+        with pytest.raises(AttributeError):
+            batch.coords = np.empty((0, 3))
+
 
 class TestUBFOutcomes:
     def test_views_indexing_and_packing(self, sphere_network):
@@ -130,7 +160,7 @@ def test_true_frames_never_use_the_pool(sphere_network, monkeypatch):
 
 
 def test_true_batch_bytes_per_member(sphere_3k):
-    """The frames ``run_frames_parallel`` returns hold <= 40 B a member."""
+    """The frames ``run_frames_parallel`` returns hold <= 12 B a member."""
     run_frames_parallel(sphere_3k, mode="true")  # warm the cached sweep operator
     gc.collect()
     tracemalloc.start()

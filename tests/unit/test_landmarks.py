@@ -5,7 +5,7 @@ import pytest
 
 from repro.network.graph import NetworkGraph
 from repro.surface.hops import GroupHops
-from repro.surface.landmarks import assign_voronoi_cells, cell_sizes, elect_landmarks
+from repro.surface.landmarks import assign_voronoi_cells, elect_landmarks
 
 
 @pytest.fixture
@@ -114,9 +114,3 @@ class TestVoronoiCells:
     def test_landmark_outside_group_rejected(self, ring_graph):
         with pytest.raises(ValueError):
             assign_voronoi_cells(GroupHops(ring_graph, range(12)), [20])
-
-    def test_cell_sizes_sum(self, ring):
-        landmarks = elect_landmarks(ring, 3)
-        cells = assign_voronoi_cells(ring, landmarks)
-        sizes = cell_sizes(cells)
-        assert sum(sizes.values()) == 24

@@ -31,9 +31,9 @@ from hypothesis.extra.numpy import arrays
 from repro.geometry.native import load_kernels
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
-    _collect_frame_metas,
     _frame_members,
     _frame_order_from_sweep,
+    true_frames,
 )
 from tests.native_paths import PATHS, on_path
 
@@ -67,7 +67,7 @@ def _segments(ptr: np.ndarray, flat: np.ndarray):
 def test_frames_match_pernode_oracle(path, pts, srcs, hops):
     g = _graph(pts)
     with on_path(path):
-        batch = _collect_frame_metas(g, srcs, hops)
+        batch = true_frames(g, srcs, hops=hops)
     assert batch.nodes.tolist() == srcs
     assert batch.ptr.dtype == batch.members.dtype == batch.n_one_hop.dtype == np.int64
     for i, (node, members) in enumerate(zip(srcs, _segments(batch.ptr, batch.members))):
@@ -172,4 +172,4 @@ def test_invalid_arguments_rejected():
 def test_negative_hops_rejected_for_frames(path):
     g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
     with on_path(path), pytest.raises(ValueError):
-        _collect_frame_metas(g, [0], -1)
+        true_frames(g, [0], hops=-1)

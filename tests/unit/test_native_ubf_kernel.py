@@ -7,7 +7,9 @@ arithmetic of :func:`repro.geometry.ballfit._batch_enumerate` and
 every output of :func:`empty_ball_exists_batch_arrays` -- verdicts,
 counters, witness pairs and the witness-center bytes, NaN rows included
 -- is the same on the C path and the numpy fallback.  Both are pinned
-byte for byte by a SHA-256 digest over seeded neighborhoods.
+byte for byte by a SHA-256 digest over seeded neighborhoods, and both
+read their points through a row index into a point table, which the
+shuffled-table case shows changes no byte.
 
 The neighborhoods cover the degree ends (0, 1, 2, 3) and two realistic
 degrees (17, 40), plus the degenerate Eq.-1 cases: coincident points,
@@ -90,16 +92,17 @@ def _neighborhoods(radius, seed=2024):
 
 
 def _flatten(cases):
-    """CSR arrays for :func:`empty_ball_exists_batch_arrays`; each node's
-    probe rows are its own position, its neighbors, then its extras."""
-    origins = np.array([c[0] for c in cases]).reshape(len(cases), 3)
-    nbr_ptr = np.zeros(len(cases) + 1, dtype=np.int64)
-    np.cumsum([c[1].shape[0] for c in cases], out=nbr_ptr[1:])
-    nbr_flat = np.concatenate([c[1].reshape(-1, 3) for c in cases])
-    probes = [np.vstack([c[0][None, :], c[1], c[2]]) for c in cases]
-    probe_ptr = np.zeros(len(cases) + 1, dtype=np.int64)
-    np.cumsum([p.shape[0] for p in probes], out=probe_ptr[1:])
-    return origins, nbr_flat, nbr_ptr, np.concatenate(probes), probe_ptr
+    """Row-index arrays for :func:`empty_ball_exists_batch_arrays`: each
+    node's rows are its own position, its neighbors, then its extras; its
+    probes are all of them and its pairs the neighbors."""
+    points = np.concatenate(
+        [np.vstack([c[0][None, :], c[1], c[2]]) for c in cases]
+    )
+    sizes = np.array([1 + c[1].shape[0] + c[2].shape[0] for c in cases])
+    probe_base = np.cumsum(sizes) - sizes
+    pair_len = np.array([c[1].shape[0] for c in cases], dtype=np.int64)
+    rows = np.arange(points.shape[0], dtype=np.int64)
+    return points, rows, probe_base + 1, pair_len, probe_base, sizes
 
 
 def _search(eps, find_first):
@@ -150,42 +153,75 @@ def test_native_matches_numpy_fallback_bytewise(eps, find_first, monkeypatch):
         assert a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "path", [pytest.param("native", marks=native_only), "fallback"]
+)
+@pytest.mark.parametrize("eps", EPS_VALUES)
+@pytest.mark.parametrize("find_first", [True, False])
+def test_row_index_into_a_shuffled_shared_table(eps, find_first, path, monkeypatch):
+    """Reading through a shuffled table, with the pair rows in a region
+    of their own, gives the ``arange`` layout's outputs byte for byte."""
+    radius = 1.0 + eps
+    expected = _search(eps, find_first)
+    points, rows, pair_base, pair_len, probe_base, probe_len = _flatten(
+        _neighborhoods(radius)
+    )
+    perm = np.random.default_rng(5).permutation(points.shape[0])
+    table = np.empty_like(points)
+    table[perm] = points
+    pair_rows = np.concatenate(
+        [rows[b : b + n] for b, n in zip(pair_base, pair_len)]
+    )
+    shuffled = np.concatenate([perm[rows], perm[pair_rows]])
+    pair_ptr = np.cumsum(pair_len) - pair_len
+    if path == "fallback":
+        _force_numpy(monkeypatch)
+    got = empty_ball_exists_batch_arrays(
+        table, shuffled, rows.size + pair_ptr, pair_len, probe_base, probe_len,
+        radius, find_first=find_first,
+    )
+    for name, a, b in zip(got._fields, got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 @native_only
 def test_kernel_writes_only_witness_rows():
     """Direct call: nodes without a witness keep the caller's NaN / -1."""
     radius = 1.2
-    origins, nbr_flat, nbr_ptr, probe_flat, probe_ptr = _flatten(
-        _neighborhoods(radius)
-    )
+    arrays = _flatten(_neighborhoods(radius))
+    pair_len, probe_len = arrays[3], arrays[5]
     tested, checked, center, pair = load_kernels().ubf_enumerate_scan(
-        origins, nbr_flat, nbr_ptr, probe_flat, probe_ptr[:-1],
-        np.diff(probe_ptr), ballfit._eq1_bounds(radius), True,
+        *arrays, ballfit._eq1_bounds(radius), True,
     )
     found = pair[:, 0] >= 0
     assert found.any() and not found.all()
     assert np.isnan(center[~found]).all() and (pair[~found] == -1).all()
     assert np.isfinite(center[found]).all()
     assert (pair[found, 0] < pair[found, 1]).all()
-    assert (tested[nbr_ptr[1:] - nbr_ptr[:-1] < 2] == 0).all()
-    assert (checked <= tested * np.diff(probe_ptr)).all()
+    assert (tested[pair_len < 2] == 0).all()
+    assert (checked <= tested * probe_len).all()
 
 
 @native_only
 def test_kernel_rejects_inconsistent_shapes():
-    origins, nbr_flat, nbr_ptr, probe_flat, probe_ptr = _flatten(
+    points, rows, pair_base, pair_len, probe_base, probe_len = _flatten(
         _neighborhoods(1.2)
     )
     kernels = load_kernels()
-    with pytest.raises(ValueError):
-        kernels.ubf_enumerate_scan(
-            origins, nbr_flat[:-1], nbr_ptr, probe_flat, probe_ptr[:-1],
-            np.diff(probe_ptr), ballfit._eq1_bounds(1.2), True,
-        )
-    with pytest.raises(ValueError):
-        kernels.ubf_enumerate_scan(
-            origins[:-1], nbr_flat, nbr_ptr, probe_flat, probe_ptr[:-1],
-            np.diff(probe_ptr), ballfit._eq1_bounds(1.2), True,
-        )
+    bounds = ballfit._eq1_bounds(1.2)
+    bad_rows = rows.copy()
+    bad_rows[-1] = points.shape[0]
+    origin_less = probe_len.copy()
+    origin_less[pair_len >= 2] = 0
+    for args in (
+        (points[:-1], rows, pair_base, pair_len, probe_base, probe_len),
+        (points, bad_rows, pair_base, pair_len, probe_base, probe_len),
+        (points, rows[:-1], pair_base, pair_len, probe_base, probe_len),
+        (points, rows, pair_base[:-1], pair_len, probe_base, probe_len),
+        (points, rows, pair_base, pair_len, probe_base, origin_less),
+    ):
+        with pytest.raises(ValueError):
+            kernels.ubf_enumerate_scan(*args, bounds, True)
 
 
 #: Candidate balls of each degenerate case in a full scan: the coincident

@@ -122,9 +122,3 @@ class TestComponents:
 
     def test_empty_graph_connected(self):
         assert NetworkGraph(np.zeros((0, 3))).is_connected()
-
-
-class TestExports:
-    def test_induced_adjacency(self, chain_graph):
-        induced = chain_graph.induced_adjacency({1, 2, 4})
-        assert induced == {1: [2], 2: [1], 4: []}
