@@ -25,7 +25,7 @@ Payload sinks recognized: ``<pool|executor>.map/submit/imap/
 imap_unordered/apply/apply_async/starmap``, the ``initializer=`` /
 ``target=`` keywords of ``ProcessPoolExecutor`` / ``Pool`` / ``Process``
 constructors, and the sharded drivers ``run_sharded`` /
-``run_ubf_parallel`` / ``run_frames_parallel``.
+``run_frames_parallel``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ POOL_CONSTRUCTOR_KEYWORDS = frozenset({"initializer", "target"})
 
 #: Sharded drivers from :mod:`repro.core.parallel`; the first positional
 #: argument is the (picklable) task payload.
-SHARDED_DRIVERS = frozenset(
-    {"run_sharded", "run_ubf_parallel", "run_frames_parallel"}
-)
+SHARDED_DRIVERS = frozenset({"run_sharded", "run_frames_parallel"})
 
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(

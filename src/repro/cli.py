@@ -13,8 +13,9 @@ Subcommands::
     repro-campaign run       --spec campaigns/robustness_baseline.json --root store/
 
 ``generate`` writes a network JSON; ``detect`` runs the UBF+IFF pipeline
-on it (``--workers N`` shards UBF across processes); ``surface`` builds and
-exports the triangular boundary meshes; ``scenario`` runs one of the
+on it (``--workers N`` shards MDS frame construction across processes;
+every other stage runs in-process); ``surface`` builds and exports the
+triangular boundary meshes; ``scenario`` runs one of the
 Figs. 6-10 scenarios end to end and prints the summary; ``sweep`` prints
 the Fig. 1(g)-style error-sweep table; ``robustness`` sweeps message loss
 and node crashes over the message-level IFF flood + grouping protocols and
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the per-node stages (deterministic for any N)",
+        help="worker processes for MDS frame construction (deterministic for any N)",
     )
     p.add_argument(
         "--localization",
@@ -634,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the UBF stage (deterministic for any N)",
+        help="worker processes for MDS frame construction (deterministic for any N)",
     )
     p.add_argument("--svg", default=None, help="also render the result to SVG")
     p.set_defaults(func=cmd_scenario)

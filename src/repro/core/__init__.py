@@ -7,9 +7,8 @@
   flooding demotes candidates sitting in fragments smaller than ``theta``.
 * :mod:`repro.core.grouping` -- connected-component grouping of the
   surviving boundary nodes, one group per network boundary.
-* :mod:`repro.core.parallel` -- process-parallel sharding of the per-node
-  stages (frame construction and UBF candidacy; deterministic merge,
-  byte-identical to sequential).
+* :mod:`repro.core.parallel` -- process-parallel sharding of MDS frame
+  construction (deterministic merge, byte-identical to sequential).
 * :mod:`repro.core.pipeline` -- :class:`BoundaryDetector`, the end-to-end
   localization -> UBF -> IFF -> grouping pipeline.
 """
@@ -22,11 +21,7 @@ from repro.core.config import (
 )
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import iff_fragment_sizes, run_iff
-from repro.core.parallel import (
-    run_frames_parallel,
-    run_sharded,
-    run_ubf_parallel,
-)
+from repro.core.parallel import run_frames_parallel, run_sharded
 from repro.core.pipeline import BoundaryDetectionResult, BoundaryDetector, detect_boundary
 from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, run_ubf, ubf_classify_frame
 
@@ -38,7 +33,6 @@ __all__ = [
     "UBFNodeOutcome",
     "UBFOutcomes",
     "run_ubf",
-    "run_ubf_parallel",
     "run_frames_parallel",
     "run_sharded",
     "ubf_classify_frame",

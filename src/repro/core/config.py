@@ -122,12 +122,12 @@ class DetectorConfig:
         ``"true"`` -- nodes know their coordinates, step (I) skipped;
         ``"auto"`` -- ``"true"`` under :class:`NoError`, else ``"mds"``.
     workers:
-        Worker processes for the per-node stages (frame construction and
-        UBF candidacy).  ``1`` (default) runs in-process; larger values
-        shard nodes across a process pool (each node's work touches only
-        its own local frame, so both stages are embarrassingly parallel)
-        and merge deterministically -- results are byte-identical to the
-        sequential path for any worker count.
+        Worker processes for MDS frame construction.  ``1`` (default)
+        runs in-process; larger values shard the nodes' frames across a
+        process pool (each frame reads only its own collection) and merge
+        deterministically -- results are byte-identical to the sequential
+        path for any worker count.  True-coordinate frames, UBF, IFF and
+        grouping always run in this process.
     """
 
     ubf: UBFConfig = field(default_factory=UBFConfig)

@@ -1,35 +1,33 @@
-"""Process-parallel sharding of the per-node pipeline stages.
+"""Process-parallel sharding of MDS frame construction.
 
-Both per-node stages of the pipeline are embarrassingly parallel by
-construction: Theorem 1's UBF test reads nothing but the node's own local
-frame, and step (I)'s frame construction reads nothing but the node's own
-``hops``-hop collection and the measured distances inside it.  The node
-set can therefore be partitioned arbitrarily across workers without any
-coordination.  This module provides one generic driver, :func:`run_sharded`,
-that shards node IDs into contiguous fixed-size slices, runs a picklable
-*shard task* on each slice in a worker process, and merges the per-shard
-results back into node order through the result type's ``concat``.  Two
-tasks use it:
-
-* :func:`run_ubf_parallel` -- the UBF candidacy stage, returning one
-  :class:`~repro.core.ubf.UBFOutcomes`;
-* :func:`run_frames_parallel` -- local-frame construction, returning one
-  :class:`~repro.network.localization.FrameBatch`, so the pipeline
-  computes every frame once and the UBF stage classifies that batch.
-  True-coordinate frames always build in-process (see the function).
+Step (I)'s frame construction is embarrassingly parallel by construction:
+a node's frame reads nothing but its own ``hops``-hop collection and the
+measured distances inside it, so the node set can be partitioned
+arbitrarily across workers without any coordination.  This module
+provides one generic driver, :func:`run_sharded`, that shards node IDs
+into contiguous fixed-size slices, runs a picklable *shard task* on each
+slice in a worker process, and merges the per-shard results back into
+node order through the result type's ``concat``.  The pool serves only
+the work it wins on, embedded (MDS) frames: :func:`run_frames_parallel`
+returns one :class:`~repro.network.localization.FrameBatch`, so the
+pipeline computes every frame once and the UBF stage classifies that
+batch.  True-coordinate frames and UBF run as one in-process call at any
+worker count: each costs less than the pool round trip
+(docs/PERFORMANCE.md).  :func:`run_ubf_parallel` survives only as an
+entry point that packs a frame mapping and calls
+:func:`repro.core.ubf.run_ubf`.
 
 Payload transport
 -----------------
 Task payloads are dominated by big numpy arrays (positions, CSR adjacency,
-measured distances, a precomputed frame batch's own arrays).  They are
-**not pickled** to workers -- that costs a serialize/deserialize round
-per worker and, under spawn, a second copy per worker: the parent
-publishes them once into a single ``multiprocessing.shared_memory``
-segment and each worker's initializer rehydrates the task -- exactly
-once per worker -- around zero-copy read-only views of that segment (see
-``_SharedArrays`` / ``export_payload``/``import_payload``).  Only a small
-array-free task shell and the segment descriptor travel through the
-pool's ``initargs``.
+measured distances).  They are **not pickled** to workers -- that costs a
+serialize/deserialize round per worker and, under spawn, a second copy per
+worker: the parent publishes them once into a single
+``multiprocessing.shared_memory`` segment and each worker's initializer
+rehydrates the task -- exactly once per worker -- around zero-copy
+read-only views of that segment (see ``_SharedArrays`` /
+``export_payload``/``import_payload``).  Only a small array-free task
+shell and the segment descriptor travel through the pool's ``initargs``.
 This holds under both ``fork`` and ``spawn``; the spawn path is pinned by
 an explicit regression test via the ``start_method`` override.
 
@@ -43,22 +41,22 @@ returns them in submission order.  Shared-memory rehydration preserves
 every payload byte and every iteration-order observable, so the merged
 result is *identical* -- not just equivalent -- for any worker count and
 start method, which ``tests/property/test_prop_parallel_determinism.py``
-pins down to the serialized byte level for both tasks.  (For frames this
-leans on the engines being slice-independent: a frame's bits do not depend
-on which other frames share its MDS batch, so fixed shard boundaries are
-sufficient.)
+pins down to the byte level.  (This leans on the engines being
+slice-independent: a frame's bits do not depend on which other frames
+share its MDS batch, so fixed shard boundaries are sufficient.)
 
 Tracing contract
 ----------------
-With a :class:`repro.observability.Tracer` attached, each stage emits one
-parent span (``ubf`` / ``localization.frames``) with one child span per
-shard (``ubf.shard`` / ``localization.shard``: node range, wall time, work
+With a :class:`repro.observability.Tracer` attached, MDS frame
+construction emits one ``localization.frames`` span with one
+``localization.shard`` child per shard (node range, wall time, work
 counters).  Shard boundaries come from the task's fixed shard size, and
 each shard is timed by a fresh clock from the tracer's ``shard_clock``
 factory -- so the span forest (and, under a deterministic injected clock,
 the exported JSONL bytes) is identical for any ``workers`` value.  Worker
 processes return their shard spans as plain dicts; the parent grafts them
-in shard order.
+in shard order.  True-coordinate frames emit the ``localization.frames``
+span alone.
 """
 
 from __future__ import annotations
@@ -73,13 +71,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import UBFConfig
-from repro.core.ubf import (
-    FRAME_MODES,
-    UBFOutcomes,
-    localize_frames,
-    run_ubf,
-    ubf_span_counters,
-)
+from repro.core.ubf import FRAME_MODES, UBFOutcomes, localize_frames, run_ubf
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import (
@@ -95,20 +87,17 @@ from repro.observability.tracer import ensure_tracer
 #: silently degrades to the in-process path (same results either way).
 MIN_PARALLEL_NODES = 64
 
-#: Nodes per UBF shard.  Fixed (rather than derived from the worker count)
-#: so shard boundaries -- and the ``ubf.shard`` spans they emit -- are a
-#: property of the input alone; workers then pull shards from a common
-#: queue, which also keeps uneven per-node costs balanced.
-SHARD_SIZE = 128
-
-#: Nodes per localization shard.  Larger than :data:`SHARD_SIZE` because
-#: the sparse engine amortizes its call overhead across the frames of a
-#: shard -- too-small shards would starve the size-grouped MDS batches.
+#: Nodes per localization shard.  Fixed (rather than derived from the
+#: worker count) so shard boundaries -- and the ``localization.shard`` spans
+#: they emit -- are a property of the input alone; workers then pull shards
+#: from a common queue, which also keeps uneven per-node costs balanced.
+#: Large enough for the sparse engine to amortize its call overhead across
+#: the size-grouped MDS batches of a shard.
 FRAME_SHARD_SIZE = 512
 
 #: Worker-process state installed once per worker by the pool initializer.
-#: The heavy task payload (network arrays, measured distances, precomputed
-#: frames) never travels through pickle at all: it is published once into a
+#: The heavy task payload (network arrays, measured distances) never
+#: travels through pickle at all: it is published once into a
 #: shared-memory segment and rehydrated here, exactly once per worker.
 _WORKER_STATE: dict = {}
 
@@ -259,7 +248,7 @@ def _import_measured(
 
 
 def shard_nodes_by_size(
-    node_ids: Sequence[int], shard_size: int = SHARD_SIZE
+    node_ids: Sequence[int], shard_size: int = FRAME_SHARD_SIZE
 ) -> List[List[int]]:
     """Partition ``node_ids`` into contiguous slices of ``shard_size``.
 
@@ -270,73 +259,6 @@ def shard_nodes_by_size(
         raise ValueError("shard_size must be at least 1")
     ids = [int(n) for n in node_ids]
     return [ids[i : i + shard_size] for i in range(0, len(ids), shard_size)]
-
-
-@dataclass(frozen=True)
-class _UBFShardTask:
-    """Picklable UBF stage task for :func:`run_sharded`."""
-
-    network: Network
-    config: UBFConfig
-    measured: Optional[MeasuredDistances]
-    localization: str
-    find_first: bool
-    frames: Optional[FrameBatch] = None
-
-    span_name = "ubf"
-    shard_span_name = "ubf.shard"
-    shard_size = SHARD_SIZE
-    merge = staticmethod(UBFOutcomes.concat)
-
-    def span_attrs(self, node_ids: List[int]) -> Dict[str, Any]:
-        return {
-            "n_nodes": len(node_ids),
-            "localization": self.localization,
-        }
-
-    def run(self, node_ids: List[int]) -> UBFOutcomes:
-        return run_ubf(
-            self.network,
-            self.config,
-            measured=self.measured,
-            localization=self.localization,
-            find_first=self.find_first,
-            nodes=node_ids,
-            frames=self.frames,
-        )
-
-    def counters(self, results: UBFOutcomes) -> Dict[str, Any]:
-        return ubf_span_counters(results)
-
-    def export_payload(self) -> Tuple["_UBFShardTask", Dict[str, np.ndarray]]:
-        """Split into an array-free shell plus the payload arrays (the
-        frame batch's own arrays go into the segment as they are)."""
-        arrays: Dict[str, np.ndarray] = {}
-        shell = replace(
-            self,
-            network=_export_network(self.network, arrays, "net."),
-            measured=_export_measured(self.measured, arrays, "meas."),
-            frames=None,
-        )
-        if self.frames is not None:
-            arrays.update(
-                {"frames." + name: value for name, value in vars(self.frames).items()}
-            )
-        return shell, arrays
-
-    def import_payload(self, arrays: Dict[str, np.ndarray]) -> "_UBFShardTask":
-        """Rebuild the full task around shared-memory array views."""
-        frames = {
-            key[len("frames.") :]: value
-            for key, value in arrays.items()
-            if key.startswith("frames.")
-        }
-        return replace(
-            self,
-            network=_import_network(self.network, arrays, "net."),
-            measured=_import_measured(self.measured, arrays, "meas."),
-            frames=FrameBatch(**frames) if frames else None,
-        )
 
 
 def frame_span_counters(frames: FrameBatch) -> Dict[str, int]:
@@ -501,10 +423,8 @@ def _init_worker(task, shm_spec, trace, clock_factory) -> None:
     # around them, bumping the per-process materialization counter the
     # spawn regression test reads back through _PayloadProbeTask.
     global _MATERIALIZED
-    handle = None
-    if shm_spec is not None:
-        views, handle = _attach_shared(shm_spec)
-        task = task.import_payload(views)
+    views, handle = _attach_shared(shm_spec)
+    task = task.import_payload(views)
     _MATERIALIZED += 1  # lint: allow[PAR008] -- write-once per-process install count, read back only through shard results (test observable), never by the parent
     _WORKER_STATE.update(  # lint: allow[PAR008] -- sanctioned initializer idiom: write-once per-process payload install, never read by the parent
         {"task": task, "trace": trace, "clock_factory": clock_factory, "shm": handle}
@@ -550,7 +470,8 @@ def run_sharded(
     ``counters(results) -> dict``, ``span_attrs(node_ids) -> dict``,
     ``merge(per_shard_results)`` (the result type's ``concat``), and the
     class attributes ``span_name``, ``shard_span_name``, and
-    ``shard_size`` (see :class:`_UBFShardTask` / :class:`_FrameShardTask`).
+    ``shard_size`` (see :class:`_FrameShardTask`), plus
+    ``export_payload``/``import_payload`` for the shared-memory transport.
     Results merge in ``node_ids`` order; see the module docstring for
     the determinism and tracing contracts.  ``workers=1`` (and small
     inputs, see :data:`MIN_PARALLEL_NODES`) run in-process; the untraced
@@ -579,11 +500,8 @@ def run_sharded(
         else:
             # Publish the payload arrays once into shared memory; workers
             # receive only the array-free task shell plus the segment spec.
-            if hasattr(task, "export_payload"):
-                shell, payload = task.export_payload()
-            else:  # tasks without large payloads ship as-is
-                shell, payload = task, {}
-            shared = _SharedArrays(payload) if payload else None
+            shell, payload = task.export_payload()
+            shared = _SharedArrays(payload)
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(shards)),
@@ -591,15 +509,14 @@ def run_sharded(
                     initializer=_init_worker,
                     initargs=(
                         shell,
-                        shared.spec if shared is not None else None,
+                        shared.spec,
                         tracer.enabled,
                         tracer.shard_clock if tracer.enabled else None,
                     ),
                 ) as pool:
                     results = list(pool.map(_run_shard, enumerate(shards)))
             finally:
-                if shared is not None:
-                    shared.dispose()
+                shared.dispose()
         merged = task.merge([shard_results for shard_results, _ in results])
         if tracer.enabled:
             tracer.attach([doc for _, doc in results if doc is not None])
@@ -618,33 +535,28 @@ def run_ubf_parallel(
     nodes: Optional[Sequence[int]] = None,
     frames: Optional[Union[FrameBatch, Mapping[int, LocalFrame]]] = None,
     tracer=None,
-    start_method: Optional[str] = None,
 ) -> UBFOutcomes:
-    """Phase 1 over the whole network, sharded across worker processes.
+    """Phase 1 through :func:`repro.core.ubf.run_ubf`, in this process.
 
-    Drop-in replacement for :func:`repro.core.ubf.run_ubf` with a
-    ``workers`` knob; see the module docstring for the determinism and
-    tracing contracts.  ``frames`` (a :class:`FrameBatch`, or a mapping of
-    node ID to :class:`LocalFrame`, packed once here) passes precomputed
-    local frames through to :func:`run_ubf` so the stage classifies
-    instead of re-localizing.
+    UBF never shards, whatever ``workers`` is (it must still be at least
+    1): the fused scan over a whole frame batch costs less than the pool
+    round trip.  ``frames`` (a :class:`FrameBatch`, or a mapping of node
+    ID to :class:`LocalFrame`, packed here) passes precomputed local
+    frames through so the stage classifies instead of re-localizing.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if frames is not None and not isinstance(frames, FrameBatch):
         frames = FrameBatch.from_frames(frames.values())
-    node_ids = (
-        list(range(network.graph.n_nodes)) if nodes is None else [int(n) for n in nodes]
-    )
-    task = _UBFShardTask(
-        network=network,
-        config=config,
-        # Precomputed frames skip localization, the only reader of measured.
-        measured=measured if frames is None else None,
+    return run_ubf(
+        network,
+        config,
+        measured=measured,
         localization=localization,
         find_first=find_first,
+        nodes=nodes,
         frames=frames,
-    )
-    return run_sharded(
-        task, node_ids, workers=workers, tracer=tracer, start_method=start_method
+        tracer=tracer,
     )
 
 
@@ -660,7 +572,7 @@ def run_frames_parallel(
     tracer=None,
     start_method: Optional[str] = None,
 ) -> FrameBatch:
-    """Step (I) over the whole network, sharded across worker processes.
+    """Step (I) over the whole network; MDS frames shard across processes.
 
     Builds every node's local frame once -- through the sparse
     localization engine by default -- so downstream stages (UBF, quality
@@ -669,23 +581,29 @@ def run_frames_parallel(
     default) and byte-identical for any worker count (see the module
     docstring).  ``mode`` mirrors the pipeline's resolved localization:
     ``"mds"`` (honors ``engine``) or ``"true"``.
-    True-coordinate frames always build in-process: they are one
-    collection sweep indexing ``graph.positions``, with no coordinate to
-    compute or copy, which costs less than the pool round trip
-    (docs/PERFORMANCE.md).
+    True-coordinate frames are one :func:`localize_frames` call in this
+    process under one ``localization.frames`` span, whatever ``workers``
+    is: they are one collection sweep indexing ``graph.positions``, with
+    no coordinate to compute or copy, which costs less than the pool
+    round trip (docs/PERFORMANCE.md).
     """
     if mode not in FRAME_MODES:
         raise ValueError("mode must be 'mds' or 'true'")
     if mode == "mds" and measured is None:
         raise ValueError(f"mode={mode!r} requires measured distances")
-    if mode == "true":
-        workers = 1
     node_ids = (
         list(range(network.graph.n_nodes)) if nodes is None else [int(n) for n in nodes]
     )
     task = _FrameShardTask(
         network=network, measured=measured, mode=mode, hops=hops, engine=engine
     )
-    return run_sharded(
-        task, node_ids, workers=workers, tracer=tracer, start_method=start_method
-    )
+    if mode == "mds":
+        return run_sharded(
+            task, node_ids, workers=workers, tracer=tracer, start_method=start_method
+        )
+    tracer = ensure_tracer(tracer)
+    with tracer.span(task.span_name, **task.span_attrs(node_ids)) as span:
+        frames = task.run(node_ids)
+        if tracer.enabled:
+            span.set_many(task.counters(frames))
+    return frames

@@ -11,12 +11,8 @@ import numpy as np
 from repro.core.config import DetectorConfig
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import run_iff
-from repro.core.parallel import (
-    frame_span_counters,
-    run_frames_parallel,
-    run_ubf_parallel,
-)
-from repro.core.ubf import UBFOutcomes, candidates_from_outcomes
+from repro.core.parallel import frame_span_counters, run_frames_parallel
+from repro.core.ubf import UBFOutcomes, candidates_from_outcomes, run_ubf
 from repro.network.generator import Network
 from repro.network.measurement import (
     MeasuredDistances,
@@ -131,8 +127,8 @@ class BoundaryDetector:
         tracer:
             Optional :class:`repro.observability.Tracer`.  When given, the
             run emits a ``detect`` root span (config snapshot, RNG seed
-            provenance) with nested ``localization``, ``ubf`` (per-shard),
-            ``iff``, and ``grouping`` stage spans.
+            provenance) with nested ``localization``, ``ubf``, ``iff``,
+            and ``grouping`` stage spans.
         """
         tracer = ensure_tracer(tracer)
         mode = self.config.resolved_localization()
@@ -176,12 +172,11 @@ class BoundaryDetector:
                 if tracer.enabled:
                     loc_span.set_many(frame_span_counters(frames))
 
-            outcomes = run_ubf_parallel(
+            outcomes = run_ubf(
                 network,
                 self.config.ubf,
                 measured=measured,
                 localization=mode,
-                workers=self.config.workers,
                 frames=frames,
                 tracer=tracer,
             )

@@ -111,14 +111,6 @@ class UBFOutcomes:
             }
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["UBFOutcomes"]) -> "UBFOutcomes":
-        """One batch holding ``parts``' outcomes in order."""
-        if not parts:
-            return cls.from_outcomes([])
-        columns = zip(*(vars(p).values() for p in parts))
-        return cls(*(np.concatenate(column) for column in columns))
-
 
 def _as_outcomes(outcomes: Iterable[UBFNodeOutcome]) -> UBFOutcomes:
     """``outcomes`` as a :class:`UBFOutcomes` (packing a per-node list)."""
@@ -196,19 +188,6 @@ def search_frames(
     )
 
 
-def _frames_of(frames: FrameBatch, node_ids: Sequence[int], n_nodes: int) -> FrameBatch:
-    """The rows of ``frames`` for ``node_ids``, in that order."""
-    ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
-    if np.array_equal(frames.nodes, ids):
-        return frames
-    row_of = np.full(n_nodes, -1, dtype=np.int64)
-    row_of[frames.nodes] = np.arange(len(frames), dtype=np.int64)
-    rows = row_of[ids]
-    if (rows < 0).any():
-        raise KeyError(int(ids[np.argmax(rows < 0)]))
-    return frames.select(rows)
-
-
 def run_ubf(
     network: Network,
     config: UBFConfig = UBFConfig(),
@@ -239,48 +218,50 @@ def run_ubf(
         Stop each node's search at its first empty ball (Algorithm 1's
         break).  Benches pass False to count the full candidate set.
     nodes:
-        Node IDs to test; all nodes when None.  The shard driver in
-        :mod:`repro.core.parallel` passes each worker's slice here, which
-        is sound because every node's test reads only its own local frame.
+        Node IDs to localize and test, in this order; all nodes when
+        None.  Only without ``frames``: a node's test reads only its own
+        local frame, so any subset is sound.
     frames:
-        Precomputed local frames holding every node of ``nodes`` (e.g.
-        from :func:`repro.core.parallel.run_frames_parallel`).  When
-        given, frame construction is skipped and ``measured``/
-        ``localization`` only label the run -- the pipeline computes
-        frames once in its localization stage and classifies them here.
+        Precomputed local frames (e.g. from
+        :func:`repro.core.parallel.run_frames_parallel`), classified in
+        the batch's own order; passing ``nodes`` as well raises
+        ``ValueError``.  When given, frame construction is skipped and
+        ``measured``/``localization`` only label the run -- the pipeline
+        computes frames once in its localization stage and classifies
+        them here.
     tracer:
         Optional :class:`repro.observability.Tracer`; when given, the run
-        is wrapped in a ``ubf.run`` span carrying the Theorem-1 work
+        is wrapped in a ``ubf`` span carrying the Theorem-1 work
         counters.  The default no-op tracer adds no per-node work.
 
     Returns
     -------
-    UBFOutcomes, ordered as ``nodes`` (node-ID order by default).
+    UBFOutcomes, ordered as ``nodes`` or ``frames`` (node-ID order by
+    default).
     """
     if localization not in FRAME_MODES:
         raise ValueError("localization must be 'true' or 'mds'")
     if localization == "mds" and measured is None and frames is None:
         raise ValueError(f"localization={localization!r} requires measured distances")
+    if frames is not None and nodes is not None:
+        raise ValueError("pass nodes or frames, not both")
 
     tracer = ensure_tracer(tracer)
     graph = network.graph
     node_ids = range(graph.n_nodes) if nodes is None else [int(n) for n in nodes]
-    with tracer.span(
-        "ubf.run", n_nodes=len(node_ids), localization=localization
-    ) as span:
+    n_nodes = len(node_ids) if frames is None else len(frames)
+    with tracer.span("ubf", n_nodes=n_nodes, localization=localization) as span:
         if frames is None:
-            batch = localize_frames(
+            frames = localize_frames(
                 graph, measured, node_ids,
                 mode=localization, hops=config.collection_hops,
             )
-        else:
-            batch = _frames_of(frames, node_ids, graph.n_nodes)
-        search = search_frames(batch, config.radius, find_first=find_first)
+        search = search_frames(frames, config.radius, find_first=find_first)
         outcomes = UBFOutcomes(
-            node=batch.nodes.copy(),
+            node=frames.nodes.copy(),
             is_candidate=search.is_boundary,
             balls_tested=search.balls_tested,
-            neighborhood_size=np.diff(batch.ptr) - 1,
+            neighborhood_size=np.diff(frames.ptr) - 1,
             points_checked=search.points_checked,
         )
         if tracer.enabled:
@@ -297,9 +278,8 @@ def candidates_from_outcomes(outcomes: Iterable[UBFNodeOutcome]) -> set:
 def ubf_span_counters(outcomes: Iterable[UBFNodeOutcome]) -> Dict[str, int]:
     """Deterministic span counters summarizing a batch of UBF outcomes.
 
-    Shared by :func:`run_ubf`'s ``ubf.run`` span and the per-shard spans of
-    :mod:`repro.core.parallel` -- the values depend only on the outcomes,
-    never on sharding or timing.
+    Set on :func:`run_ubf`'s ``ubf`` span -- the values depend only on the
+    outcomes, never on timing.
     """
     outcomes = _as_outcomes(outcomes)
     return {

@@ -244,36 +244,11 @@ class FrameBatch:
             ),
         )
 
-    def select(self, rows) -> "FrameBatch":
-        """The frames at batch rows ``rows``, in that order.
-
-        Copies the per-member ``members`` and ``rows`` entries only; the
-        point table is shared with this batch.
-        """
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        sizes = self.ptr[rows + 1] - self.ptr[rows]
-        ptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ptr[1:])
-        gather = np.arange(ptr[-1]) + np.repeat(self.ptr[rows] - ptr[:-1], sizes)
-        members = self.members[gather]
-        return FrameBatch(
-            nodes=self.nodes[rows],
-            ptr=ptr,
-            members=members,
-            points=self.points,
-            rows=members if self.rows is self.members else self.rows[gather],
-            n_one_hop=self.n_one_hop[rows],
-            smacof_iterations=self.smacof_iterations[rows],
-        )
-
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
-        """One batch holding ``batches``' frames in order.
-
-        Batches over one shared point table (the shards of a true-frame
-        run) keep it; otherwise the tables are stacked and each batch's
-        row index is offset into the stack.
-        """
+        """One batch holding ``batches``' frames in order (the merge of
+        MDS frame shards): the point tables are stacked and each batch's
+        row index is offset into the stack."""
         if not batches:
             return cls.from_frames([])
         joined = {
@@ -282,18 +257,11 @@ class FrameBatch:
         }
         ptr = np.zeros(len(joined["nodes"]) + 1, dtype=np.int64)
         np.cumsum(np.concatenate([np.diff(b.ptr) for b in batches]), out=ptr[1:])
-        points = batches[0].points
-        if all(b.points is points for b in batches):
-            if all(b.rows is b.members for b in batches):
-                rows = joined["members"]
-            else:
-                rows = np.concatenate([b.rows for b in batches])
-        else:
-            bases = np.cumsum([0] + [len(b.points) for b in batches[:-1]])
-            points = np.concatenate([b.points for b in batches])
-            rows = np.concatenate(
-                [b.rows + base for b, base in zip(batches, bases.tolist())]
-            )
+        bases = np.cumsum([0] + [len(b.points) for b in batches[:-1]])
+        points = np.concatenate([b.points for b in batches])
+        rows = np.concatenate(
+            [b.rows + base for b, base in zip(batches, bases.tolist())]
+        )
         return cls(ptr=ptr, points=points, rows=rows, **joined)
 
 

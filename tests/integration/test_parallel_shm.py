@@ -1,9 +1,9 @@
 """Shared-memory payload transport: spawn-context regression tests.
 
 ``run_sharded`` publishes a task's numpy payload (network CSR arrays,
-measured edge values, precomputed frames) into one shared-memory segment
-and ships workers an array-free task shell; each worker rehydrates the
-payload exactly once from shared memory.  These tests pin the two
+measured edge values) into one shared-memory segment and ships workers
+an array-free task shell; each worker rehydrates the payload exactly
+once from shared memory.  These tests pin the two
 contracts that transport must keep:
 
 * **Byte-identity** -- sharded output is byte-identical for workers
@@ -25,12 +25,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core.parallel import (
-    _PayloadProbeTask,
-    run_frames_parallel,
-    run_sharded,
-    run_ubf_parallel,
-)
+from repro.core.parallel import _PayloadProbeTask, run_frames_parallel, run_sharded
 from repro.network.measurement import UniformAbsoluteError, measure_distances
 
 import numpy as np
@@ -99,65 +94,6 @@ class TestSpawnByteIdentity:
             sphere_network, measured, engine="sparse", workers=2
         )
         assert _frame_bytes(frames) == reference
-
-    @spawn_available
-    def test_ubf_with_frames_payload_byte_identical(
-        self, sphere_network, measured
-    ):
-        frames = {
-            f.node: f
-            for f in run_frames_parallel(
-                sphere_network, measured, engine="sparse", workers=1
-            )
-        }
-        reference = run_ubf_parallel(
-            sphere_network,
-            measured=measured,
-            localization="mds",
-            frames=frames,
-            workers=1,
-        )
-        parallel = run_ubf_parallel(
-            sphere_network,
-            measured=measured,
-            localization="mds",
-            frames=frames,
-            workers=2,
-            start_method="spawn",
-        )
-        assert parallel == reference
-
-    def test_ubf_with_frames_ships_no_measurements(
-        self, sphere_network, measured, monkeypatch
-    ):
-        from repro.core import parallel
-
-        frames = run_frames_parallel(
-            sphere_network, measured, engine="sparse", workers=1
-        )
-        exported = []
-        export = parallel._UBFShardTask.export_payload
-
-        def recording_export(task):
-            shell, arrays = export(task)
-            exported.append(sorted(arrays))
-            return shell, arrays
-
-        monkeypatch.setattr(parallel._UBFShardTask, "export_payload", recording_export)
-        runs = {
-            workers: run_ubf_parallel(
-                sphere_network,
-                measured=measured,
-                localization="mds",
-                frames=frames,
-                workers=workers,
-            )
-            for workers in (1, 2)
-        }
-        assert len(exported) == 1
-        assert not [key for key in exported[0] if key.startswith("meas.")]
-        assert any(key.startswith("frames.") for key in exported[0])
-        assert runs[2] == runs[1]
 
 
 class TestSingleMaterialization:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import BoundaryDetector, DetectorConfig
-from repro.core.parallel import SHARD_SIZE
+from repro.core.ubf import ubf_span_counters
 from repro.observability.export import trace_lines, validate_trace_lines
 from repro.observability.tracer import TickClock, Tracer
 from repro.surface.pipeline import SurfaceBuilder
@@ -42,11 +42,15 @@ class TestTracedDetection:
         )
 
         names = _span_names(tracer.roots)
-        for stage in ("detect", "localization", "ubf", "ubf.shard", "iff",
+        for stage in ("detect", "localization", "ubf", "iff",
                       "grouping", "surface.group", "surface.attempt"):
             assert stage in names, f"stage {stage!r} missing from trace"
-        expected_shards = -(-sphere_network.graph.n_nodes // SHARD_SIZE)
-        assert names.count("ubf.shard") == expected_shards
+        # UBF is one in-process call under one span: no shard children.
+        (ubf_span,) = [c for c in tracer.roots[0].children if c.name == "ubf"]
+        assert names.count("ubf") == 1 and ubf_span.children == []
+        assert "ubf.shard" not in names
+        counters = ubf_span_counters(result.ubf_outcomes)
+        assert {key: ubf_span.attrs[key] for key in counters} == counters
 
         lines = trace_lines(tracer.roots)
         assert validate_trace_lines(lines) == []

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import UBFConfig
 from repro.core.parallel import run_frames_parallel
-from repro.core.ubf import run_ubf, ubf_classify_frame
+from repro.core.ubf import localize_frames, run_ubf, ubf_classify_frame
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
 from repro.network.localization import FrameBatch, true_local_frame
@@ -84,10 +84,8 @@ def test_true_batch_matches_per_node_oracle(case):
 @settings(max_examples=60, deadline=None)
 def test_ubf_on_batch_matches_naive_per_frame(case, find_first):
     network, subset, hops = case
-    batch = run_frames_parallel(network, mode="true", hops=hops, nodes=subset)
-    outcomes = run_ubf(
-        network, UBFConfig(), frames=batch, nodes=subset, find_first=find_first
-    )
+    batch = localize_frames(network.graph, None, subset, mode="true", hops=hops)
+    outcomes = run_ubf(network, UBFConfig(), frames=batch, find_first=find_first)
     assert outcomes.node.tolist() == list(subset)
     for outcome, v in zip(outcomes, subset):
         frame = true_local_frame(network.graph, v, hops=hops)

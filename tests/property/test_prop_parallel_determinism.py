@@ -8,7 +8,7 @@ Three properties pin the parallel paths to the sequential semantics:
 * **Node-relabeling invariance** -- permuting node IDs (same geometry,
   new labels) must permute the detected boundary set and nothing else.
   UBF is a per-node geometric predicate; its verdict cannot depend on the
-  ID a node happens to carry or the shard it lands in.
+  ID a node happens to carry.
 * **Frame-stage invariance** -- ``run_frames_parallel`` (step I sharded
   over processes) must return byte-identical coordinates and identical
   SMACOF step counts for any worker count, in every localization mode.
@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 from repro import BoundaryDetector, DetectorConfig
-from repro.core.parallel import run_frames_parallel, run_ubf_parallel
+from repro.core.parallel import run_frames_parallel
 from repro.core.ubf import run_ubf
 from repro.io.serialization import save_detection_result
 from repro.network.generator import DeploymentConfig, Network, generate_network
 from repro.network.graph import NetworkGraph
 from repro.network.measurement import UniformAbsoluteError, measure_distances
+from repro.observability.tracer import TickClock, Tracer
 from repro.shapes.library import sphere_scenario
 
 WORKER_COUNTS = (1, 2, 4)
@@ -46,11 +47,48 @@ class TestWorkerCountInvariance:
                 f"workers={workers} produced different serialized bytes"
             )
 
-    def test_outcomes_match_sequential(self, sphere_network):
-        sequential = run_ubf(sphere_network)
-        for workers in WORKER_COUNTS[1:]:
-            parallel = run_ubf_parallel(sphere_network, workers=workers)
-            assert parallel == sequential
+    def test_mds_detect_identical_across_workers_and_tracing(self, sphere_network):
+        """At 30 % ranging error, UBF outcomes, boundary and groups are
+        byte-identical for workers 1 and 2, traced or not; only the MDS
+        frames shard, and a traced true-mode run cuts no shard at all."""
+        runs = {}
+        for workers in (1, 2):
+            config = DetectorConfig(
+                error_model=UniformAbsoluteError(0.3), workers=workers
+            )
+            for traced in (False, True):
+                tracer = Tracer(clock=TickClock(), shard_clock=TickClock) if traced else None
+                runs[workers, traced] = BoundaryDetector(config).detect(
+                    sphere_network, rng=np.random.default_rng(11), tracer=tracer
+                )
+                if traced:
+                    names = _span_names(tracer)
+                    assert names.count("localization.shard") > 1
+                    assert names.count("ubf") == 1 and "ubf.shard" not in names
+        reference = runs[1, False]
+        assert reference.localization_used == "mds"
+        for key, result in runs.items():
+            for name, want in vars(reference.ubf_outcomes).items():
+                got = getattr(result.ubf_outcomes, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+            assert result.candidates == reference.candidates, key
+            assert result.boundary == reference.boundary, key
+            assert result.groups == reference.groups, key
+
+        tracer = Tracer(clock=TickClock(), shard_clock=TickClock)
+        BoundaryDetector(DetectorConfig(workers=2)).detect(sphere_network, tracer=tracer)
+        names = _span_names(tracer)
+        assert "localization.frames" in names
+        assert "localization.shard" not in names and "ubf.shard" not in names
+
+
+def _span_names(tracer):
+    names, stack = [], list(tracer.roots)
+    while stack:
+        span = stack.pop()
+        names.append(span.name)
+        stack.extend(span.children)
+    return names
 
 
 class TestNodeRelabelingInvariance:
@@ -140,19 +178,12 @@ class TestFrameStageWorkerInvariance:
     def test_frames_feed_ubf_identically(self, measured_network):
         """UBF over precomputed frames equals UBF that localizes inline."""
         network, measured = measured_network
-        frames = {
-            f.node: f
-            for f in run_frames_parallel(network, measured, workers=2)
-        }
-        with_frames = run_ubf_parallel(
+        frames = run_frames_parallel(network, measured, workers=2)
+        with_frames = run_ubf(
             network, measured=measured, localization="mds", frames=frames
         )
-        inline = run_ubf_parallel(
-            network, measured=measured, localization="mds"
-        )
-        assert [o.is_candidate for o in with_frames] == [
-            o.is_candidate for o in inline
-        ]
+        inline = run_ubf(network, measured=measured, localization="mds")
+        assert with_frames == inline
 
     def test_invalid_mode_and_missing_measurements_rejected(
         self, measured_network

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _detector_from_args, build_parser, main
+from repro.core.pipeline import BoundaryDetector
+from repro.core.ubf import ubf_span_counters
+from repro.io.serialization import load_network
 
 
 class TestParser:
@@ -226,10 +230,21 @@ class TestEndToEnd:
             for child in span.children:
                 yield from names(child)
 
-        seen = set(names(cli_span))
-        for stage in ("detect", "localization", "ubf", "ubf.shard", "iff",
+        seen = list(names(cli_span))
+        for stage in ("detect", "localization", "ubf", "iff",
                       "grouping", "surface.group", "surface.attempt"):
             assert stage in seen
+        # One ``ubf`` span, no shard children, counters of the run itself.
+        (detect_span,) = [c for c in cli_span.children if c.name == "detect"]
+        (ubf_span,) = [c for c in detect_span.children if c.name == "ubf"]
+        assert seen.count("ubf") == 1 and ubf_span.children == []
+        assert "ubf.shard" not in seen
+        args = build_parser().parse_args(["detect", "--network", net_path])
+        result = BoundaryDetector(_detector_from_args(args)).detect(
+            load_network(net_path), rng=np.random.default_rng(args.seed)
+        )
+        counters = ubf_span_counters(result.ubf_outcomes)
+        assert {key: ubf_span.attrs[key] for key in counters} == counters
 
         capsys.readouterr()
         assert main(["trace", trace_path, "--validate"]) == 0
@@ -238,7 +253,7 @@ class TestEndToEnd:
         assert main(["trace", trace_path]) == 0
         tree = capsys.readouterr().out
         assert tree.lstrip().startswith("cli.detect")
-        assert "ubf.shard" in tree
+        assert "ubf" in tree and "ubf.shard" not in tree
 
     def test_trace_subcommand_rejects_invalid_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -6,7 +6,7 @@ one :class:`~repro.core.ubf.UBFOutcomes`; the per-node
 ``LocalFrame``/``UBFNodeOutcome`` objects survive only as views and
 oracle outputs.  These tests pin the batch operations, the memory a
 true-mode batch holds, that ``detect()`` builds no per-node object, and
-that true-mode frames never start a process pool.
+that true-mode frames never start a process pool or cut shards.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core import parallel
 from repro.core.config import DetectorConfig
 from repro.core.parallel import run_frames_parallel
 from repro.core.pipeline import BoundaryDetector
-from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, run_ubf
+from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, localize_frames, run_ubf
 from repro.network.localization import FrameBatch, LocalFrame, true_local_frame
 from repro.network.measurement import UniformAbsoluteError
 from repro.observability.export import trace_lines
@@ -75,41 +75,32 @@ class TestFrameBatch:
         assert len(empty) == 0 and empty.ptr.tolist() == [0]
         assert empty.coords.shape == (0, 3)
 
-    def test_select_and_concat(self, sphere_network):
-        batch = run_frames_parallel(sphere_network, mode="true")
-        rows = [9, 3, 3, 0]
-        picked = batch.select(rows)
-        assert [f.node for f in picked] == [int(batch.nodes[r]) for r in rows]
-        for got, r in zip(picked, rows):
-            assert got.coordinates.tobytes() == batch.frame(r).coordinates.tobytes()
-        halves = [batch.select(range(0, 100)), batch.select(range(100, len(batch)))]
-        assert _batches_equal(FrameBatch.concat(halves), batch)
-        assert len(FrameBatch.concat([])) == 0
-
     def test_true_batch_indexes_the_positions(self, sphere_network):
-        """Sharded true frames keep one point table, the graph's own, and
-        a row index that is the member array itself."""
+        """True frames keep one point table, the graph's own, and a row
+        index that is the member array itself -- also when the network
+        spans several frame shards."""
         graph = sphere_network.graph
-        assert graph.n_nodes > parallel.FRAME_SHARD_SIZE  # shards were concatenated
-        batch = run_frames_parallel(sphere_network, mode="true")
+        assert graph.n_nodes > parallel.FRAME_SHARD_SIZE
+        batch = run_frames_parallel(sphere_network, mode="true", workers=2)
         assert batch.points is graph.positions
         assert batch.rows is batch.members
-        picked = batch.select([4, 1, 4])
-        assert picked.points is batch.points and picked.rows is picked.members
 
     def test_concat_stacks_owned_tables(self, sphere_network):
-        """Batches with tables of their own are stacked, each row index
-        offset into the stack -- also when an index is not ``arange``."""
-        batch = run_frames_parallel(sphere_network, mode="true")
-        parts = [
-            FrameBatch.from_frames(batch.select(range(0, 7))),
-            FrameBatch.from_frames(batch.select(range(7, 20))),
-        ]
+        """Batches are stacked, each row index offset into the stack --
+        also when an index is not ``arange`` (true frames index the
+        network's positions)."""
+        graph = sphere_network.graph
+
+        def frames(nodes):
+            return localize_frames(graph, None, nodes, mode="true")
+
+        parts = [FrameBatch.from_frames(frames(range(0, 7))), frames(range(7, 20))]
         joined = FrameBatch.concat(parts)
-        assert len(joined.points) == sum(len(p.points) for p in parts)
-        assert _batches_equal(joined, batch.select(range(20)))
-        mixed = FrameBatch.concat([parts[1].select([3, 0]), parts[0].select([6])])
-        assert _batches_equal(mixed, batch.select([10, 7, 6]))
+        assert len(joined.points) == len(parts[0].points) + graph.n_nodes
+        assert _batches_equal(joined, frames(range(20)))
+        mixed = FrameBatch.concat([frames([10, 7]), parts[0], frames([6])])
+        assert _batches_equal(mixed, frames([10, 7, *range(7), 6]))
+        assert len(FrameBatch.concat([])) == 0
 
     def test_coords_is_read_only(self, sphere_network):
         batch = run_frames_parallel(sphere_network, mode="true")
@@ -125,18 +116,11 @@ class TestUBFOutcomes:
         assert all(isinstance(o, UBFNodeOutcome) for o in views)
         assert outcomes[5] == views[5] and outcomes[-1] == views[-1]
         assert UBFOutcomes.from_outcomes(views) == outcomes
-        assert UBFOutcomes.concat([outcomes]) == outcomes
-
-    def test_concat_matches_one_run(self, sphere_network):
-        whole = run_ubf(sphere_network, nodes=range(60))
-        parts = [run_ubf(sphere_network, nodes=range(0, 25)),
-                 run_ubf(sphere_network, nodes=range(25, 60))]
-        assert UBFOutcomes.concat(parts) == whole
-        assert len(UBFOutcomes.concat([])) == 0
 
 
 def test_true_frames_never_use_the_pool(sphere_network, monkeypatch):
-    """``mode="true"`` builds in-process for any ``workers``; spans agree."""
+    """``mode="true"`` is one in-process call for any ``workers``: no pool,
+    no shard spans, and the same trace."""
 
     def _traced(workers):
         tracer = Tracer(clock=TickClock(), shard_clock=TickClock)
@@ -157,6 +141,7 @@ def test_true_frames_never_use_the_pool(sphere_network, monkeypatch):
     traced, lines = _traced(2)
     assert _batches_equal(traced, reference)
     assert lines == reference_lines
+    assert not [line for line in lines if "localization.shard" in line]
 
 
 def test_true_batch_bytes_per_member(sphere_3k):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.config import UBFConfig
 from repro.core.parallel import run_ubf_parallel
-from repro.core.ubf import localize_frames, search_frames, ubf_classify_frame
+from repro.core.ubf import localize_frames, run_ubf, search_frames, ubf_classify_frame
 from repro.geometry.ballfit import empty_ball_exists, empty_ball_exists_batch
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
@@ -177,29 +177,38 @@ def test_check_sets_without_the_neighbors(path, find_first):
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("mode", ["true", "mds"])
-def test_sharded_select_concat_equals_unsharded(sphere_network, path, mode):
+def test_frame_shards_concat_equals_unsharded(sphere_network, path, mode):
+    """Frames localized shard by shard and merged by ``concat`` (as the
+    MDS frame driver merges its shards) equal one unsharded batch."""
     with on_path(path):
         batch = _frames(sphere_network, mode, SUBSET)
-        cuts = [0, 5, 6, 40, len(batch)]
-        shards = [batch.select(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        nodes = list(SUBSET)
+        cuts = [0, 5, 6, 40, len(nodes)]
+        shards = [_frames(sphere_network, mode, nodes[a:b]) for a, b in zip(cuts, cuts[1:])]
         joined = FrameBatch.concat(shards)
         for name in ("nodes", "ptr", "members", "coords", "n_one_hop",
                      "smacof_iterations"):
             assert getattr(joined, name).tobytes() == getattr(batch, name).tobytes()
-        if mode == "true":
-            assert joined.points is batch.points and joined.rows is joined.members
         _assert_same_search(search_frames(joined, RADIUS), search_frames(batch, RADIUS))
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("mode", ["true", "mds"])
 def test_parallel_ubf_is_byte_identical(sphere_network, path, mode):
+    """``run_ubf_parallel``, the entry point that packs a frame mapping,
+    equals ``run_ubf`` on the batch for any ``workers``: UBF never shards."""
     with on_path(path):
         batch = _frames(sphere_network, mode, range(sphere_network.graph.n_nodes))
+        reference = run_ubf(sphere_network, localization=mode, frames=batch)
+        mapping = {f.node: f for f in batch}
         runs = [
             run_ubf_parallel(
-                sphere_network, localization=mode, workers=workers, frames=batch
+                sphere_network, localization=mode, workers=workers, frames=frames
             )
             for workers in (1, 2)
+            for frames in (batch, mapping)
         ]
-    assert runs[0] == runs[1]
+    for run in runs:
+        for name, got in vars(run).items():
+            want = getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

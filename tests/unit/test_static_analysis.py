@@ -520,6 +520,23 @@ def test_par008_flags_global_mutation_in_worker():
     assert "CACHE" in diags[0].message
 
 
+@pytest.mark.parametrize(
+    "driver, flagged",
+    [("run_sharded", True), ("run_frames_parallel", True), ("run_ubf_parallel", False)],
+)
+def test_par008_sharded_driver_sinks(driver, flagged):
+    """Only the drivers that reach the pool are payload sinks: UBF never
+    shards, so ``run_ubf_parallel`` is not one."""
+    diags = lint(
+        f"""
+        def drive(xs):
+            from repro.core.parallel import {driver}
+            return {driver}(lambda x: x, xs)
+        """
+    )
+    assert codes(diags) == (["PAR008"] if flagged else [])
+
+
 def test_par008_flags_initializer_and_mutator_methods():
     diags = lint(
         """

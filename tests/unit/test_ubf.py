@@ -11,7 +11,7 @@ from repro.core.ubf import (
 )
 from repro.network.generator import Network
 from repro.network.graph import NetworkGraph
-from repro.network.localization import true_local_frame
+from repro.network.localization import true_frames, true_local_frame
 from repro.network.measurement import NoError, measure_distances
 
 
@@ -66,6 +66,13 @@ class TestRunUBF:
     def test_unknown_localization_rejected(self, sphere_network):
         with pytest.raises(ValueError):
             run_ubf(sphere_network, UBFConfig(), localization="nope")
+
+    def test_frames_with_nodes_rejected(self, sphere_network):
+        frames = true_frames(sphere_network.graph, [3, 1])
+        outcomes = run_ubf(sphere_network, UBFConfig(), frames=frames)
+        assert outcomes.node.tolist() == [3, 1]
+        with pytest.raises(ValueError, match="not both"):
+            run_ubf(sphere_network, UBFConfig(), frames=frames, nodes=[3, 1])
 
     def test_mds_matches_true_under_perfect_ranging(self):
         net = _grid_slab_network()
