@@ -1,6 +1,6 @@
 """PAR008 -- fork/pickle safety for pool payloads and worker functions.
 
-``run_sharded`` (and the stdlib pool APIs underneath it) promises
+``run_frames_parallel`` (and the stdlib pool APIs underneath it) promises
 byte-identical results for any worker count.  That promise survives only
 if everything shipped to a worker process round-trips through pickle and
 carries no hidden shared state.  Three patterns break it:
@@ -24,8 +24,7 @@ carries no hidden shared state.  Three patterns break it:
 Payload sinks recognized: ``<pool|executor>.map/submit/imap/
 imap_unordered/apply/apply_async/starmap``, the ``initializer=`` /
 ``target=`` keywords of ``ProcessPoolExecutor`` / ``Pool`` / ``Process``
-constructors, and the sharded drivers ``run_sharded`` /
-``run_frames_parallel``.
+constructors, and the sharded driver ``run_frames_parallel``.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ POOL_CONSTRUCTORS = frozenset({"ProcessPoolExecutor", "Pool", "Process"})
 POOL_CONSTRUCTOR_KEYWORDS = frozenset({"initializer", "target"})
 
 #: Sharded drivers from :mod:`repro.core.parallel`; the first positional
-#: argument is the (picklable) task payload.
-SHARDED_DRIVERS = frozenset({"run_sharded", "run_frames_parallel"})
+#: argument is the payload shipped to the pool.
+SHARDED_DRIVERS = frozenset({"run_frames_parallel"})
 
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -126,7 +125,10 @@ def _payload_sites(tree: ast.Module) -> Iterator[Tuple[ast.expr, str]]:
             continue
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in POOL_METHODS:
-            receiver = _final_identifier(func.value)
+            # ``ProcessPoolExecutor(...).map(...)``: name the pool by its
+            # constructor.
+            value = func.value.func if isinstance(func.value, ast.Call) else func.value
+            receiver = _final_identifier(value)
             if receiver is not None and any(
                 hint in receiver.lower() for hint in POOL_RECEIVER_HINTS
             ):

@@ -7,8 +7,10 @@
   flooding demotes candidates sitting in fragments smaller than ``theta``.
 * :mod:`repro.core.grouping` -- connected-component grouping of the
   surviving boundary nodes, one group per network boundary.
-* :mod:`repro.core.parallel` -- process-parallel sharding of MDS frame
-  construction (deterministic merge, byte-identical to sequential).
+* :mod:`repro.core.parallel` -- :func:`run_frames_parallel`, step (I)
+  for the whole network; MDS frames run in fixed 512-node shards on a
+  process pool fed through shared memory (ordered merge, byte-identical
+  to one in-process call).
 * :mod:`repro.core.pipeline` -- :class:`BoundaryDetector`, the end-to-end
   localization -> UBF -> IFF -> grouping pipeline.
 """
@@ -21,7 +23,7 @@ from repro.core.config import (
 )
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import iff_fragment_sizes, run_iff
-from repro.core.parallel import run_frames_parallel, run_sharded
+from repro.core.parallel import run_frames_parallel
 from repro.core.pipeline import BoundaryDetectionResult, BoundaryDetector, detect_boundary
 from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, run_ubf, ubf_classify_frame
 
@@ -34,7 +36,6 @@ __all__ = [
     "UBFOutcomes",
     "run_ubf",
     "run_frames_parallel",
-    "run_sharded",
     "ubf_classify_frame",
     "run_iff",
     "iff_fragment_sizes",

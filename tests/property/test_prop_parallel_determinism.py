@@ -193,3 +193,6 @@ class TestFrameStageWorkerInvariance:
             run_frames_parallel(network, mode="fast")
         with pytest.raises(ValueError, match="measured"):
             run_frames_parallel(network, mode="mds")
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_frames_parallel(network, mode="true", workers=workers)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import DeploymentConfig, generate_network, scenario_by_name
-from repro.core import parallel
 from repro.core.config import DetectorConfig, LocalizationConfig
 from repro.core.parallel import run_frames_parallel
 from repro.core.pipeline import BoundaryDetector
@@ -167,10 +166,8 @@ def test_collinear_measured_mode_matches_pernode_and_naive_oracles(
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("hops", [1, 2, 3])
 def test_true_frames_match_per_node_oracle(
-    degenerate_network, monkeypatch, hops, workers
+    degenerate_network, hops, workers
 ):
-    # Small shards so two workers really split the network.
-    monkeypatch.setattr(parallel._FrameShardTask, "shard_size", 40)
     graph = degenerate_network.graph
     frames = run_frames_parallel(
         degenerate_network, mode="true", hops=hops, workers=workers

@@ -512,8 +512,8 @@ def test_par008_flags_global_mutation_in_worker():
             return CACHE[x]
 
         def drive(xs):
-            from repro.core.parallel import run_sharded
-            return run_sharded(worker, xs)
+            from concurrent.futures import ProcessPoolExecutor
+            return list(ProcessPoolExecutor(2).map(worker, xs))
         """
     )
     assert codes(diags) == ["PAR008"]
@@ -522,7 +522,7 @@ def test_par008_flags_global_mutation_in_worker():
 
 @pytest.mark.parametrize(
     "driver, flagged",
-    [("run_sharded", True), ("run_frames_parallel", True), ("run_ubf_parallel", False)],
+    [("run_frames_parallel", True), ("run_ubf_parallel", False)],
 )
 def test_par008_sharded_driver_sinks(driver, flagged):
     """Only the drivers that reach the pool are payload sinks: UBF never
