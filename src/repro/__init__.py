@@ -64,14 +64,10 @@ if TYPE_CHECKING:  # eager imports for type checkers only
     )
     from repro.shapes import (
         SCENARIOS,
-        AxisAlignedBox,
         BentPipe,
-        Cylinder,
         Difference,
         Shape3D,
         Sphere,
-        Torus,
-        Union,
         UnderwaterTerrain,
         bent_pipe_scenario,
         one_hole_scenario,
@@ -126,14 +122,10 @@ _EXPORT_MODULES = {
     ),
     "repro.shapes": (
         "SCENARIOS",
-        "AxisAlignedBox",
         "BentPipe",
-        "Cylinder",
         "Difference",
         "Shape3D",
         "Sphere",
-        "Torus",
-        "Union",
         "UnderwaterTerrain",
         "bent_pipe_scenario",
         "one_hole_scenario",

@@ -49,12 +49,6 @@ class GeoRouteResult:
     recovery_hops: int = 0
     stalls: int = 0
 
-    @property
-    def greedy_success_ratio(self) -> float:
-        """Fraction of hops decided by pure greedy progress."""
-        total = self.greedy_hops + self.recovery_hops
-        return self.greedy_hops / total if total else 1.0
-
 
 class GeoRouter:
     """Greedy geographic router with boundary-surface recovery.

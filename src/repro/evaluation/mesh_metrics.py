@@ -95,49 +95,6 @@ def point_triangle_distance(point, a, b, c) -> float:
     return float(abs(np.dot(ap, normal)) / np.sqrt(np.dot(normal, normal)))
 
 
-def mesh_surface_area(network: Network, mesh: TriangularMesh) -> float:
-    """Total area of the mesh triangles, landmarks at true positions.
-
-    For a closed boundary mesh this estimates the area of the network
-    boundary surface -- one of the geographic quantities the paper's
-    terrain/underwater reconnaissance motivation asks for.
-    """
-    positions = network.graph.positions
-    total = 0.0
-    for a, b, c in mesh.triangles():
-        ab = positions[b] - positions[a]
-        ac = positions[c] - positions[a]
-        total += 0.5 * float(np.linalg.norm(np.cross(ab, ac)))
-    return total
-
-
-def mesh_enclosed_volume(network: Network, mesh: TriangularMesh) -> Optional[float]:
-    """Volume enclosed by a closed mesh via the divergence theorem.
-
-    Sums signed tetrahedron volumes ``det(a, b, c) / 6`` against the
-    centroid with faces oriented consistently outward.  Faces come from
-    3-clique enumeration without an orientation, so each face is oriented
-    away from the mesh centroid first; this is exact for star-shaped
-    meshes and a good estimate for the near-convex boundaries the
-    scenarios produce.  Returns None when the mesh is not a closed
-    2-manifold (the signed sum would be meaningless).
-    """
-    if not mesh.is_two_manifold():
-        return None
-    positions = network.graph.positions
-    centroid = positions[np.asarray(mesh.vertices, dtype=int)].mean(axis=0)
-    volume = 0.0
-    for a, b, c in mesh.triangles():
-        pa = positions[a] - centroid
-        pb = positions[b] - centroid
-        pc = positions[c] - centroid
-        signed = float(np.dot(pa, np.cross(pb, pc))) / 6.0
-        # Orient each face outward from the centroid: for a star-shaped
-        # mesh the tetra volume against the centroid is then positive.
-        volume += abs(signed)
-    return volume
-
-
 @dataclass(frozen=True)
 class MeshQuality:
     """Quality summary of one boundary mesh.

@@ -7,8 +7,8 @@ algorithms are built on:
   pairwise distances.
 * :mod:`repro.geometry.ballfit` -- the unit-ball-through-three-points solver
   used by the Unit Ball Fitting (UBF) algorithm (Sec. II of the paper).
-* :mod:`repro.geometry.spatial_index` -- a uniform grid for fixed-radius
-  neighbor queries, used to build unit-ball graphs efficiently.
+* :mod:`repro.geometry.spatial_index` -- a uniform grid whose fixed-radius
+  all-pairs sweep builds unit-ball graphs efficiently.
 * :mod:`repro.geometry.mds` -- classical multidimensional scaling with
   shortest-path completion, the local-coordinates substrate (Sec. II-A3,
   step I).
@@ -33,7 +33,6 @@ from repro.geometry.primitives import (
     norm,
     normalize,
     pairwise_distances,
-    triangle_area,
 )
 from repro.geometry.spatial_index import UniformGridIndex
 from repro.geometry.transforms import (
@@ -55,7 +54,6 @@ __all__ = [
     "norm",
     "normalize",
     "pairwise_distances",
-    "triangle_area",
     "UniformGridIndex",
     "kabsch_align",
     "procrustes_disparity",

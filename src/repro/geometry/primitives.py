@@ -67,13 +67,6 @@ def pairwise_distances(points) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def triangle_area(p1, p2, p3) -> float:
-    """Area of the triangle ``p1 p2 p3``."""
-    a = as_point(p2) - as_point(p1)
-    b = as_point(p3) - as_point(p1)
-    return 0.5 * float(np.linalg.norm(np.cross(a, b)))
-
-
 def circumcenter(p1, p2, p3) -> np.ndarray:
     """Circumcenter of a non-degenerate triangle in 3D.
 
@@ -100,14 +93,3 @@ def circumradius(p1, p2, p3) -> float:
     """Circumradius of a non-degenerate triangle in 3D."""
     center = circumcenter(p1, p2, p3)
     return norm(center - as_point(p1))
-
-
-def point_in_ball(point, center, radius, *, tol: float = 1e-9) -> bool:
-    """Whether ``point`` lies strictly inside the ball ``(center, radius)``.
-
-    A point whose distance from ``center`` is within ``tol`` of ``radius``
-    (i.e. numerically *on* the sphere) is not considered inside.  This is the
-    convention the UBF emptiness test relies on: the three nodes that define
-    a candidate ball sit exactly on its surface and must not disqualify it.
-    """
-    return norm(as_point(point) - as_point(center)) < radius - tol

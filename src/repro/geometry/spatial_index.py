@@ -1,38 +1,33 @@
-"""Uniform grid index for fixed-radius neighbor queries in 3D.
+"""Uniform grid index for the fixed-radius all-pairs sweep in 3D.
 
 Building a unit-ball graph naively costs ``O(n^2)`` distance checks.  The
-generator instead bins points into a uniform grid with cell size equal to the
-query radius, so each query inspects only the 27 surrounding cells.  For the
-roughly uniform deployments this library simulates, construction and the full
-all-pairs neighbor sweep are both ``O(n)`` expected.
+index instead bins points into a uniform grid with cell size equal to the
+query radius, so each point is compared only with the points of the 27
+surrounding cells.  For the roughly uniform deployments this library
+simulates, construction and the all-pairs sweep are both ``O(n)`` expected.
 
 The index is fully array-based: cell membership is computed for every point
 at once, points are grouped by sorted linear cell id (one stable argsort +
-run-length boundaries instead of a per-point Python dict), and the bulk
-queries -- :meth:`UniformGridIndex.neighbor_pairs_array` /
-:meth:`~UniformGridIndex.neighbor_lists` -- expand whole cell-pair blocks
-with vectorized cross products.  This is what lets the generator emit a
-100k-node unit-ball graph in seconds; the scalar dict implementation it
-replaces spent minutes in per-point loops at that scale.
+run-length boundaries instead of a per-point Python dict), and its one query,
+:meth:`UniformGridIndex.neighbor_pairs_array`, expands whole cell-pair blocks
+with vectorized cross products.  :class:`~repro.network.graph.NetworkGraph`
+and :func:`~repro.network.radio.build_adjacency` both build their edges from
+that sweep, which is what lets the generator emit a 100k-node unit-ball
+graph in seconds.
 
-Candidate-cell selection picks the cheaper of two scans: enumerating the
-``(2*reach+1)^3`` stencil around the query cell, or -- when the stencil is
-larger than the number of *occupied* cells -- intersecting the occupied-cell
-table with the query's Chebyshev range directly, so sparse indexes never pay
-for empty stencil cells.
-
-All query results are returned in ascending index order (and pairs in
-lexicographic ``(i, j)`` order), which is also exactly what a brute-force
-``O(n^2)`` scan produces -- the differential tests compare byte-for-byte.
+Pairs are returned in lexicographic ``(i, j)`` order, which is also exactly
+what a brute-force ``O(n^2)`` scan produces -- the differential tests compare
+byte-for-byte.  The radius is inclusive: two points exactly ``radius`` apart
+are paired.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.geometry.primitives import as_point, as_points
+from repro.geometry.primitives import as_points
 
 #: Cached ``(2*reach+1)^3 x 3`` offset stencils, keyed by reach.
 _STENCILS: Dict[int, np.ndarray] = {}
@@ -126,11 +121,6 @@ class UniformGridIndex:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    @property
-    def n_occupied_cells(self) -> int:
-        """Number of grid cells holding at least one point."""
-        return int(self._cell_keys.size)
-
     def _keys_of(self, cells: np.ndarray) -> np.ndarray:
         """Linear cell key per row of ``cells``; -1 outside the occupied box.
 
@@ -153,49 +143,6 @@ class UniformGridIndex:
         pos = np.minimum(pos, self._cell_keys.size - 1)
         hit = (keys >= 0) & (self._cell_keys[pos] == keys)
         return np.where(hit, pos, np.int64(-1))
-
-    def _cells_in_range(self, point: np.ndarray, radius: float) -> np.ndarray:
-        """Occupied-cell group indices intersecting the query ball's box.
-
-        Scans whichever side is smaller: the ``(2*reach+1)^3`` stencil
-        around the query cell, or the occupied-cell table itself.  A sparse
-        index queried with a large radius therefore never enumerates the
-        (mostly empty) stencil -- it walks its occupied cells once.
-        """
-        reach = int(np.ceil(radius / self._cell_size))
-        cell = np.floor(point / self._cell_size).astype(np.int64)
-        n_stencil = (2 * reach + 1) ** 3
-        if n_stencil <= self._cell_keys.size:
-            groups = self._lookup(self._keys_of(cell + _stencil(reach)))
-            return groups[groups >= 0]
-        within = (np.abs(self._cell_coords - cell) <= reach).all(axis=1)
-        return np.flatnonzero(within)
-
-    def _group_points(self, groups: np.ndarray) -> np.ndarray:
-        """Concatenated point indices of the given occupied-cell groups."""
-        counts = self._cell_starts[groups + 1] - self._cell_starts[groups]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        base = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(base, counts)
-        return self._order[np.repeat(self._cell_starts[groups], counts) + within]
-
-    def query_radius(self, point, radius: float) -> np.ndarray:
-        """Indices of all points within ``radius`` of ``point`` (inclusive).
-
-        Returned in ascending index order -- identical to what a brute-force
-        distance scan over all points produces.
-        """
-        point = as_point(point)
-        if self._points.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        cand = self._group_points(self._cells_in_range(point, radius))
-        if cand.size == 0:
-            return cand
-        diff = self._points[cand] - point
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        return np.sort(cand[dist_sq <= radius * radius])
 
     def neighbor_pairs_array(self, radius: float) -> np.ndarray:
         """All index pairs within ``radius`` as an ``(E, 2)`` int64 array.
@@ -249,25 +196,3 @@ class UniformGridIndex:
         j_all = np.concatenate(chunks_j)
         order = np.lexsort((j_all, i_all))
         return np.column_stack([i_all[order], j_all[order]])
-
-    def neighbor_pairs(self, radius: float) -> List[Tuple[int, int]]:
-        """All index pairs ``(i, j)`` with ``i < j`` within ``radius``.
-
-        Tuple-list facade over :meth:`neighbor_pairs_array` (same order).
-        """
-        return [tuple(row) for row in self.neighbor_pairs_array(radius).tolist()]
-
-    def neighbor_lists(self, radius: float) -> List[np.ndarray]:
-        """Per-point arrays of neighbor indices within ``radius`` (self excluded).
-
-        Every array is sorted ascending; built from one batched
-        :meth:`neighbor_pairs_array` sweep instead of per-point queries.
-        """
-        n = self._points.shape[0]
-        pairs = self.neighbor_pairs_array(radius)
-        u = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        v = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        counts = np.bincount(u, minlength=n)
-        return np.split(v, np.cumsum(counts)[:-1]) if n else []

@@ -1,11 +1,11 @@
-"""Serialization: networks to JSON/NPZ, meshes to OFF/OBJ/PLY, points to XYZ.
+"""Serialization: networks and detection results to JSON/NPZ, meshes to OBJ.
 
 Mesh exports embed landmarks at their true positions so results can be
 inspected in any standard 3D viewer (MeshLab, Blender), mirroring the
 renderings of Figs. 1 and 6-10.
 """
 
-from repro.io.meshio import export_mesh_obj, export_mesh_off, export_mesh_ply, export_points_xyz
+from repro.io.meshio import export_mesh_obj
 from repro.io.serialization import (
     load_detection_result,
     load_network,
@@ -19,10 +19,7 @@ __all__ = [
     "load_network",
     "save_detection_result",
     "load_detection_result",
-    "export_mesh_off",
     "export_mesh_obj",
-    "export_mesh_ply",
-    "export_points_xyz",
     "SvgScene",
     "render_detection_svg",
 ]

@@ -1,9 +1,9 @@
-"""Mesh and point-cloud export to standard 3D formats."""
+"""Mesh export to Wavefront OBJ."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -23,17 +23,6 @@ def _mesh_geometry(mesh: TriangularMesh, graph: NetworkGraph):
     return vertices, faces
 
 
-def export_mesh_off(mesh: TriangularMesh, graph: NetworkGraph, path: PathLike) -> None:
-    """Write the landmark mesh as an OFF file."""
-    vertices, faces = _mesh_geometry(mesh, graph)
-    lines = ["OFF", f"{len(vertices)} {len(faces)} {len(mesh.edges)}"]
-    for x, y, z in vertices:
-        lines.append(f"{x:.6f} {y:.6f} {z:.6f}")
-    for a, b, c in faces:
-        lines.append(f"3 {a} {b} {c}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def export_mesh_obj(mesh: TriangularMesh, graph: NetworkGraph, path: PathLike) -> None:
     """Write the landmark mesh as a Wavefront OBJ file (1-based indices)."""
     vertices, faces = _mesh_geometry(mesh, graph)
@@ -42,37 +31,4 @@ def export_mesh_obj(mesh: TriangularMesh, graph: NetworkGraph, path: PathLike) -
         lines.append(f"v {x:.6f} {y:.6f} {z:.6f}")
     for a, b, c in faces:
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_mesh_ply(mesh: TriangularMesh, graph: NetworkGraph, path: PathLike) -> None:
-    """Write the landmark mesh as an ASCII PLY file."""
-    vertices, faces = _mesh_geometry(mesh, graph)
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(vertices)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(faces)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    body: List[str] = []
-    for x, y, z in vertices:
-        body.append(f"{x:.6f} {y:.6f} {z:.6f}")
-    for a, b, c in faces:
-        body.append(f"3 {a} {b} {c}")
-    Path(path).write_text("\n".join(header + body) + "\n")
-
-
-def export_points_xyz(
-    graph: NetworkGraph, nodes, path: PathLike
-) -> None:
-    """Write selected node positions as an XYZ point cloud."""
-    lines = []
-    for node in sorted(int(n) for n in nodes):
-        x, y, z = graph.position(node)
-        lines.append(f"{x:.6f} {y:.6f} {z:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -108,28 +108,6 @@ class SvgScene:
                 )
             )
 
-    def add_edges(
-        self,
-        edges: Iterable[Tuple[int, int]],
-        *,
-        stroke: str = "#999999",
-        width: float = 0.5,
-        opacity: float = 0.6,
-    ) -> None:
-        """Draw node-pair segments (e.g. graph edges, route hops)."""
-        for u, v in edges:
-            x1, y1 = self._point(u)
-            x2, y2 = self._point(v)
-            depth = float((self._depth[int(u)] + self._depth[int(v)]) / 2.0)
-            self._elements.append(
-                (
-                    depth,
-                    f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
-                    f'y2="{y2:.1f}" stroke="{stroke}" '
-                    f'stroke-width="{width}" stroke-opacity="{opacity}"/>',
-                )
-            )
-
     def add_mesh(
         self,
         mesh: TriangularMesh,

@@ -1,18 +1,19 @@
-"""Radio link models.
+"""Radio link model for quasi-unit-disk deployments.
 
 Definition 1 of the paper assumes only "an arbitrary radio transmission
 model with a maximum radio transmission range of 1".  The generator
-defaults to the unit-disk model (link iff distance <= 1), and also ships
-the standard quasi-unit-disk model (quasi-UDG): links are certain up to
-``alpha``, impossible beyond 1, and exist with a distance-interpolated
-probability in between -- the usual abstraction for real radios' gray
-zone.  Link decisions are symmetric (one draw per pair) and deterministic
-given the RNG seed.
+defaults to unit-disk connectivity (link iff distance <= 1), which
+:class:`~repro.network.graph.NetworkGraph` builds directly from positions.
+Setting ``DeploymentConfig.quasi_udg_alpha`` switches it to the standard
+quasi-unit-disk model (quasi-UDG) here: links are certain up to ``alpha``,
+impossible beyond 1, and exist with a distance-interpolated probability in
+between -- the usual abstraction for real radios' gray zone.  Link
+decisions are symmetric (one draw per pair) and deterministic given the
+RNG seed; ``alpha = 1`` is unit-disk connectivity and draws nothing.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List
 
@@ -21,43 +22,15 @@ import numpy as np
 from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
 
-class LinkModel(ABC):
-    """Decides which candidate node pairs form links."""
-
-    #: Maximum distance (in radio-range units) at which a link can exist.
-    max_range: float = 1.0
-
-    @abstractmethod
-    def link_mask(
-        self, distances: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Boolean mask of which pair distances become links."""
-
-    def describe(self) -> str:
-        """Human-readable tag for reports."""
-        return type(self).__name__
-
-
 @dataclass(frozen=True)
-class UnitDiskModel(LinkModel):
-    """Deterministic unit-disk connectivity: link iff distance <= 1."""
-
-    def link_mask(self, distances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(distances) <= 1.0
-
-    def describe(self) -> str:
-        return "unit-disk"
-
-
-@dataclass(frozen=True)
-class QuasiUnitDiskModel(LinkModel):
+class QuasiUnitDiskModel:
     """Quasi-UDG: certain links below ``alpha``, linear gray zone to 1.
 
     Parameters
     ----------
     alpha:
         Inner radius in ``(0, 1]``; pairs closer than this always link.
-        ``alpha = 1`` degenerates to the unit-disk model.
+        ``alpha = 1`` degenerates to unit-disk connectivity.
     """
 
     alpha: float = 0.75
@@ -67,6 +40,7 @@ class QuasiUnitDiskModel(LinkModel):
             raise ValueError("alpha must be in (0, 1]")
 
     def link_mask(self, distances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Boolean mask of which pair distances become links."""
         d = np.asarray(distances, dtype=float)
         if self.alpha >= 1.0:
             return d <= 1.0
@@ -75,21 +49,26 @@ class QuasiUnitDiskModel(LinkModel):
         return rng.uniform(size=d.shape) < probability
 
     def describe(self) -> str:
+        """Human-readable tag for reports."""
         return f"quasi-udg(alpha={self.alpha})"
 
 
 def build_adjacency(
     positions: np.ndarray,
-    model: LinkModel,
+    model: QuasiUnitDiskModel,
     rng: np.random.Generator,
 ) -> List[List[int]]:
-    """Adjacency lists under a link model (one symmetric draw per pair)."""
+    """Adjacency lists under a quasi-UDG model (one symmetric draw per pair).
+
+    Candidate pairs are those within the normalized radio range 1, the
+    farthest any link can reach.
+    """
     n = positions.shape[0]
     adjacency: List[List[int]] = [[] for _ in range(n)]
     if n == 0:
         return adjacency
-    index = UniformGridIndex(positions, cell_size=auto_cell_size(model.max_range))
-    pairs = index.neighbor_pairs_array(model.max_range)
+    index = UniformGridIndex(positions, cell_size=auto_cell_size(1.0))
+    pairs = index.neighbor_pairs_array(1.0)
     if not pairs.size:
         return adjacency
     dists = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)

@@ -35,9 +35,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     record_campaign_report,
-    record_simulation,
-    record_surface_build,
-    record_ubf_outcomes,
 )
 from repro.observability.tracer import (
     NULL_TRACER,
@@ -65,9 +62,6 @@ __all__ = [
     "load_trace",
     "parse_trace",
     "record_campaign_report",
-    "record_simulation",
-    "record_surface_build",
-    "record_ubf_outcomes",
     "render_trace_tree",
     "trace_lines",
     "validate_trace_lines",

@@ -1,16 +1,17 @@
 """Named counters, gauges, and histograms for pipeline observables.
 
-The detection and surface pipelines already *compute* most of their
-interesting observables -- ``UBFNodeOutcome`` carries Theorem-1 work
-counters, ``SimulationResult`` counts rounds/messages/timers, and
-``SurfaceBuildRecord`` keeps the per-step mesh artifacts -- but each keeps
-them in its own ad-hoc shape.  A :class:`MetricsRegistry` gives them one
-queryable home with a deterministic, JSON-ready snapshot.
+A :class:`MetricsRegistry` gives run-level observables one queryable home
+with a deterministic, JSON-ready snapshot.  Three writers fill one: the
+service's job store and worker count job lifecycle events
+(``service.*``), the bench records per-stage peak RSS through
+:func:`record_peak_rss` (``rss.<stage>.peak_bytes``), and the campaign
+runner absorbs its report through :func:`record_campaign_report`
+(``campaign.*``).
 
-The ``record_*`` absorbers are deliberately duck-typed: this package sits
-below every pipeline layer in the import DAG, so it reads the result
-objects through their attributes instead of importing their classes
-(which would be an upward edge under LAY002).
+:func:`record_campaign_report` is duck-typed: this package sits below every
+pipeline layer in the import DAG, so it reads the report through its
+attributes instead of importing its class (which would be an upward edge
+under LAY002).
 """
 
 from __future__ import annotations
@@ -177,59 +178,6 @@ def record_peak_rss(registry: MetricsRegistry, stage: str) -> Optional[int]:
         return None
     registry.gauge(f"rss.{stage}.peak_bytes").set(value)
     return value
-
-
-def record_ubf_outcomes(registry: MetricsRegistry, outcomes: Iterable[Any]) -> None:
-    """Absorb ``UBFNodeOutcome``-shaped records (duck-typed) into metrics.
-
-    Expects objects with ``is_candidate``, ``balls_tested``,
-    ``points_checked``, and ``neighborhood_size`` attributes.
-    """
-    candidates = registry.counter("ubf.candidates")
-    balls = registry.counter("ubf.balls_tested")
-    checks = registry.counter("ubf.points_checked")
-    nodes = registry.counter("ubf.nodes_tested")
-    degree = registry.histogram("ubf.neighborhood_size")
-    for outcome in outcomes:
-        nodes.inc()
-        if outcome.is_candidate:
-            candidates.inc()
-        balls.inc(outcome.balls_tested)
-        checks.inc(outcome.points_checked)
-        degree.observe(outcome.neighborhood_size)
-
-
-def record_simulation(registry: MetricsRegistry, result: Any, prefix: str = "sim") -> None:
-    """Absorb a ``SimulationResult``-shaped record (duck-typed) into metrics.
-
-    Expects ``rounds``, ``messages_sent``, ``messages_dropped``,
-    ``messages_duplicated``, ``timers_fired``, and ``quiesced`` attributes.
-    """
-    registry.counter(f"{prefix}.runs").inc()
-    registry.counter(f"{prefix}.messages_sent").inc(result.messages_sent)
-    registry.counter(f"{prefix}.messages_dropped").inc(result.messages_dropped)
-    registry.counter(f"{prefix}.messages_duplicated").inc(result.messages_duplicated)
-    registry.counter(f"{prefix}.timers_fired").inc(result.timers_fired)
-    if not result.quiesced:
-        registry.counter(f"{prefix}.non_quiescent_runs").inc()
-    registry.histogram(f"{prefix}.rounds").observe(result.rounds)
-
-
-def record_surface_build(registry: MetricsRegistry, record: Any) -> None:
-    """Absorb a ``SurfaceBuildRecord``-shaped object (duck-typed) into metrics.
-
-    Expects ``landmarks``, ``cdg_edges``, ``cdm_edges``, ``cdm_rejected``
-    and a ``mesh`` with ``edge_face_counts()``.
-    """
-    registry.counter("surface.meshes_built").inc()
-    registry.histogram("surface.landmarks").observe(len(record.landmarks))
-    registry.counter("surface.cdg_edges").inc(len(record.cdg_edges))
-    registry.counter("surface.cdm_edges").inc(len(record.cdm_edges))
-    registry.counter("surface.cdm_rejected").inc(len(record.cdm_rejected))
-    counts = record.mesh.edge_face_counts()
-    if counts:
-        two_faced = sum(1 for c in counts.values() if c == 2) / len(counts)
-        registry.histogram("surface.two_faced_fraction").observe(two_faced)
 
 
 def record_campaign_report(registry: MetricsRegistry, report: Any) -> None:

@@ -161,11 +161,6 @@ class FaultPlan:
         )
 
     @staticmethod
-    def ideal() -> "FaultPlan":
-        """The no-fault plan (perfect synchronous delivery)."""
-        return FaultPlan()
-
-    @staticmethod
     def uniform_loss(rate: float) -> "FaultPlan":
         """Back-compat shim for the old single ``loss_rate`` float."""
         return FaultPlan(loss_rate=rate)

@@ -21,8 +21,8 @@ sandbox:
 **Degradation ladder.**  On the first breach the job is *not* failed: the
 store requeues it immediately (no backoff -- the breach is a
 deterministic property of the job, waiting changes nothing) flagged
-``degraded``.  The degraded attempt runs a reduced pipeline (scalar
-localization engine, ``workers=1``, surface construction skipped) with
+``degraded``.  The degraded attempt runs a reduced pipeline (the job's
+own localization engine, ``workers=1``, surface construction skipped) with
 budget enforcement off, and its completion is marked ``degraded`` rather
 than ``failed``.  Degraded results never populate the result cache.
 """

@@ -828,9 +828,6 @@ class JobStore:
             tally[record.state] = tally.get(record.state, 0) + 1
         return dict(sorted(tally.items()))
 
-    def all_terminal(self) -> bool:
-        return all(r.state in TERMINAL_STATES for r in self.jobs())
-
     def canonical_state(self) -> str:
         """Deterministic byte-diff projection of the store (see module
         docstring): sorted job order, sorted keys, semantic fields only."""

@@ -19,8 +19,8 @@ traces byte-identical across runs and worker counts; pass
 
 Budget breaches follow the degradation ladder of
 :mod:`repro.service.budgets`: first breach requeues the job for an
-immediate *degraded* attempt (scalar localization engine, one pipeline
-worker, surface skipped, enforcement off).
+immediate *degraded* attempt (the job's own localization engine, one
+pipeline worker, surface skipped, enforcement off).
 """
 
 from __future__ import annotations
@@ -61,9 +61,11 @@ from repro.surface.pipeline import SurfaceBuilder, SurfaceConfig
 def detector_config_for(spec: JobSpec, *, degraded: bool) -> DetectorConfig:
     """The pipeline configuration for one attempt of ``spec``.
 
-    A degraded attempt swaps in the scalar (``pernode``) localization
-    engine and a single pipeline worker; the surface stage is skipped by
-    :func:`execute_job` itself.
+    A degraded attempt runs on a single pipeline worker; the surface stage
+    is skipped by :func:`execute_job` itself.  It keeps the job's
+    localization engine: the ``pernode`` oracle is slower than ``sparse``
+    and peaks higher, so it would relieve neither a wall-time breach nor an
+    RSS breach (the per-process high-water mark never goes down anyway).
     """
     if spec.error > 0:
         error_model = UniformAbsoluteError(spec.error)
@@ -72,9 +74,7 @@ def detector_config_for(spec: JobSpec, *, degraded: bool) -> DetectorConfig:
     return DetectorConfig(
         ubf=UBFConfig(epsilon=spec.epsilon),
         iff=IFFConfig(theta=spec.theta, ttl=spec.ttl),
-        localization_config=LocalizationConfig(
-            engine="pernode" if degraded else spec.engine
-        ),
+        localization_config=LocalizationConfig(engine=spec.engine),
         error_model=error_model,
         localization=spec.localization,
         workers=1 if degraded else spec.workers,

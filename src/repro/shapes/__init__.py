@@ -10,12 +10,15 @@ from scratch: every shape knows how to
 * sample its boundary surface uniformly by area (``sample_surface``), and
 * sample its interior uniformly by volume (``sample_interior``).
 
-The five evaluation scenarios of Figs. 6-10 are available pre-configured in
-:mod:`repro.shapes.library`.
+Four shapes build the five evaluation scenarios of Figs. 6-10: a
+:class:`Sphere` (Fig. 10, and the holes of Figs. 7-8), a :class:`Difference`
+carving sphere holes out of a sphere (Figs. 7-8), a :class:`BentPipe`
+(Fig. 9) and an :class:`UnderwaterTerrain` (Fig. 6).  The scenarios are
+available pre-configured in :mod:`repro.shapes.library`.
 """
 
 from repro.shapes.base import Shape3D
-from repro.shapes.csg import Difference, Union
+from repro.shapes.csg import Difference
 from repro.shapes.library import (
     SCENARIOS,
     bent_pipe_scenario,
@@ -26,17 +29,13 @@ from repro.shapes.library import (
     underwater_scenario,
 )
 from repro.shapes.pipe import BentPipe
-from repro.shapes.solids import AxisAlignedBox, Cylinder, Sphere, Torus
+from repro.shapes.solids import Sphere
 from repro.shapes.terrain import UnderwaterTerrain
 
 __all__ = [
     "Shape3D",
     "Difference",
-    "Union",
     "Sphere",
-    "AxisAlignedBox",
-    "Cylinder",
-    "Torus",
     "BentPipe",
     "UnderwaterTerrain",
     "SCENARIOS",

@@ -1,9 +1,8 @@
-"""Constructive solid geometry combinators.
+"""Constructive solid geometry: a region with voids carved out.
 
 The paper's "3D space network with internal holes" scenarios (Figs. 7 and 8)
 are regions with one or two voids carved out; :class:`Difference` models
-exactly that.  :class:`Union` is provided for building composite outer
-regions.
+exactly that.
 """
 
 from __future__ import annotations
@@ -86,71 +85,3 @@ class Difference(Shape3D):
         # Upper bound assuming strictly interior holes; exact in the
         # configurations this library ships.
         return self.outer.surface_area + sum(h.surface_area for h in self.holes)
-
-
-class Union(Shape3D):
-    """Set union of several shapes.
-
-    Surface sampling draws from each component's surface proportionally to
-    area and rejects points that fall inside another component, which yields
-    a uniform sample of the union's boundary.
-    """
-
-    def __init__(self, parts: Sequence[Shape3D]):
-        if not parts:
-            raise ValueError("Union requires at least one part")
-        self.parts = list(parts)
-
-    def __repr__(self) -> str:
-        return f"Union(parts={self.parts!r})"
-
-    def contains(self, points) -> np.ndarray:
-        pts = self._as_points(points)
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for part in self.parts:
-            mask |= part.contains(pts)
-        return mask
-
-    def _inside_other(self, pts: np.ndarray, skip: int) -> np.ndarray:
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for idx, part in enumerate(self.parts):
-            if idx == skip:
-                continue
-            mask |= part.contains(pts)
-        return mask
-
-    def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        areas = [p.surface_area for p in self.parts]
-        counts = multinomial_split(n, areas, rng)
-        samples = []
-        for idx, (part, count) in enumerate(zip(self.parts, counts)):
-            if count == 0:
-                continue
-            collected = []
-            got = 0
-            for _ in range(1000):
-                pts = part.sample_surface(count * 2 + 8, rng)
-                keep = pts[~self._inside_other(pts, idx)]
-                collected.append(keep)
-                got += keep.shape[0]
-                if got >= count:
-                    break
-            else:
-                raise RuntimeError(
-                    "union surface sampling did not converge; is one part "
-                    "entirely inside another?"
-                )
-            samples.append(np.vstack(collected)[:count])
-        if not samples:
-            return np.empty((0, 3))
-        return np.vstack(samples)
-
-    @property
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        los, his = zip(*(p.bounding_box for p in self.parts))
-        return np.min(np.vstack(los), axis=0), np.max(np.vstack(his), axis=0)
-
-    @property
-    def surface_area(self) -> float:
-        # Upper bound; exact when parts are disjoint.
-        return sum(p.surface_area for p in self.parts)

@@ -21,23 +21,6 @@ def sample_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
     return vecs / norms
 
 
-def sample_unit_disk(n: int, rng: np.random.Generator) -> np.ndarray:
-    """``(n, 2)`` points uniform in the unit disk (sqrt-radius trick)."""
-    if n <= 0:
-        return np.empty((0, 2))
-    radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-
-
-def sample_circle(n: int, rng: np.random.Generator) -> np.ndarray:
-    """``(n, 2)`` points uniform on the unit circle."""
-    if n <= 0:
-        return np.empty((0, 2))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.column_stack([np.cos(angle), np.sin(angle)])
-
-
 def multinomial_split(n: int, weights, rng: np.random.Generator) -> np.ndarray:
     """Randomly split ``n`` draws across components proportionally to ``weights``.
 

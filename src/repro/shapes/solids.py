@@ -1,4 +1,4 @@
-"""Primitive solid shapes: sphere, box, cylinder, torus."""
+"""The primitive solid: a sphere (Fig. 10's deployment and the hole model of Figs. 7-8)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.shapes.base import Shape3D
-from repro.shapes.sampling import (
-    multinomial_split,
-    sample_circle,
-    sample_unit_disk,
-    sample_unit_sphere,
-)
+from repro.shapes.sampling import sample_unit_sphere
 
 
 class Sphere(Shape3D):
@@ -56,189 +51,3 @@ class Sphere(Shape3D):
     def volume(self) -> float:
         """Exact volume (used to bypass Monte-Carlo when available)."""
         return 4.0 / 3.0 * np.pi * self.radius ** 3
-
-
-class AxisAlignedBox(Shape3D):
-    """A rectangular box ``[lo, hi]`` aligned with the coordinate axes."""
-
-    def __init__(self, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if np.any(self.hi <= self.lo):
-            raise ValueError("hi must exceed lo on every axis")
-
-    def __repr__(self) -> str:
-        return f"AxisAlignedBox(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
-
-    def contains(self, points) -> np.ndarray:
-        pts = self._as_points(points)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-
-    def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        extent = self.hi - self.lo
-        # Six faces, paired by the axis they are perpendicular to.
-        face_areas = []
-        for axis in range(3):
-            other = [a for a in range(3) if a != axis]
-            area = extent[other[0]] * extent[other[1]]
-            face_areas.extend([area, area])  # lo face, hi face
-        counts = multinomial_split(n, face_areas, rng)
-        samples = []
-        face = 0
-        for axis in range(3):
-            other = [a for a in range(3) if a != axis]
-            for side, fixed in ((0, self.lo[axis]), (1, self.hi[axis])):
-                count = counts[face]
-                face += 1
-                if count == 0:
-                    continue
-                pts = np.empty((count, 3))
-                pts[:, axis] = fixed
-                for o in other:
-                    pts[:, o] = rng.uniform(self.lo[o], self.hi[o], size=count)
-                samples.append(pts)
-        if not samples:
-            return np.empty((0, 3))
-        return np.vstack(samples)
-
-    def sample_interior(self, n: int, rng: np.random.Generator, **_) -> np.ndarray:
-        if n <= 0:
-            return np.empty((0, 3))
-        return rng.uniform(self.lo, self.hi, size=(n, 3))
-
-    @property
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.lo.copy(), self.hi.copy()
-
-    @property
-    def surface_area(self) -> float:
-        ex, ey, ez = self.hi - self.lo
-        return 2.0 * (ex * ey + ey * ez + ez * ex)
-
-    @property
-    def volume(self) -> float:
-        """Exact volume."""
-        return float(np.prod(self.hi - self.lo))
-
-
-class Cylinder(Shape3D):
-    """A solid circular cylinder with axis parallel to z."""
-
-    def __init__(self, center=(0.0, 0.0, 0.0), radius: float = 1.0, height: float = 2.0):
-        if radius <= 0 or height <= 0:
-            raise ValueError("radius and height must be positive")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.height = float(height)
-
-    def __repr__(self) -> str:
-        return (
-            f"Cylinder(center={self.center.tolist()}, radius={self.radius}, "
-            f"height={self.height})"
-        )
-
-    def contains(self, points) -> np.ndarray:
-        pts = self._as_points(points) - self.center
-        radial = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= self.radius ** 2
-        axial = np.abs(pts[:, 2]) <= self.height / 2.0
-        return radial & axial
-
-    def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        side_area = 2.0 * np.pi * self.radius * self.height
-        cap_area = np.pi * self.radius ** 2
-        counts = multinomial_split(n, [side_area, cap_area, cap_area], rng)
-        samples = []
-        if counts[0]:
-            ring = sample_circle(counts[0], rng) * self.radius
-            z = rng.uniform(-self.height / 2.0, self.height / 2.0, size=counts[0])
-            samples.append(np.column_stack([ring, z]))
-        for sign, count in ((1.0, counts[1]), (-1.0, counts[2])):
-            if count:
-                disk = sample_unit_disk(count, rng) * self.radius
-                z = np.full(count, sign * self.height / 2.0)
-                samples.append(np.column_stack([disk, z]))
-        if not samples:
-            return np.empty((0, 3))
-        return self.center + np.vstack(samples)
-
-    @property
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        half = np.array([self.radius, self.radius, self.height / 2.0])
-        return self.center - half, self.center + half
-
-    @property
-    def surface_area(self) -> float:
-        return 2.0 * np.pi * self.radius * (self.radius + self.height)
-
-    @property
-    def volume(self) -> float:
-        """Exact volume."""
-        return np.pi * self.radius ** 2 * self.height
-
-
-class Torus(Shape3D):
-    """A solid torus in the xy-plane: tube radius ``minor`` around a circle
-    of radius ``major``.
-    """
-
-    def __init__(self, center=(0.0, 0.0, 0.0), major: float = 2.0, minor: float = 0.5):
-        if minor <= 0 or major <= minor:
-            raise ValueError("need 0 < minor < major for a ring torus")
-        self.center = np.asarray(center, dtype=float)
-        self.major = float(major)
-        self.minor = float(minor)
-
-    def __repr__(self) -> str:
-        return (
-            f"Torus(center={self.center.tolist()}, major={self.major}, "
-            f"minor={self.minor})"
-        )
-
-    def contains(self, points) -> np.ndarray:
-        pts = self._as_points(points) - self.center
-        ring_dist = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2) - self.major
-        return ring_dist ** 2 + pts[:, 2] ** 2 <= self.minor ** 2
-
-    def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Area-correct torus surface sampling.
-
-        The surface element is proportional to ``major + minor*cos(psi)``
-        where ``psi`` is the tube angle, so ``psi`` is drawn by rejection
-        against that weight rather than uniformly.
-        """
-        if n <= 0:
-            return np.empty((0, 3))
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        psi = np.empty(n)
-        filled = 0
-        while filled < n:
-            need = n - filled
-            candidates = rng.uniform(0.0, 2.0 * np.pi, size=2 * need + 16)
-            weight = (self.major + self.minor * np.cos(candidates)) / (
-                self.major + self.minor
-            )
-            keep = candidates[rng.uniform(size=candidates.size) < weight]
-            take = min(need, keep.size)
-            psi[filled : filled + take] = keep[:take]
-            filled += take
-        ring = self.major + self.minor * np.cos(psi)
-        pts = np.column_stack(
-            [ring * np.cos(phi), ring * np.sin(phi), self.minor * np.sin(psi)]
-        )
-        return self.center + pts
-
-    @property
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        reach = np.array(
-            [self.major + self.minor, self.major + self.minor, self.minor]
-        )
-        return self.center - reach, self.center + reach
-
-    @property
-    def surface_area(self) -> float:
-        return 4.0 * np.pi ** 2 * self.major * self.minor
-
-    @property
-    def volume(self) -> float:
-        """Exact volume."""
-        return 2.0 * np.pi ** 2 * self.major * self.minor ** 2

@@ -1,8 +1,8 @@
-"""Cross-format consistency of mesh exports on a real detected boundary."""
+"""OBJ export consistency on a real detected boundary."""
 
 import pytest
 
-from repro.io.meshio import export_mesh_obj, export_mesh_off, export_mesh_ply
+from repro.io.meshio import export_mesh_obj
 from repro.surface.pipeline import SurfaceBuilder
 
 
@@ -15,27 +15,15 @@ def real_mesh(sphere_network, sphere_detection):
 class TestExportConsistency:
     def test_vertex_and_face_counts_agree(self, real_mesh, tmp_path):
         graph, mesh = real_mesh
-        off = tmp_path / "m.off"
         obj = tmp_path / "m.obj"
-        ply = tmp_path / "m.ply"
-        export_mesh_off(mesh, graph, off)
         export_mesh_obj(mesh, graph, obj)
-        export_mesh_ply(mesh, graph, ply)
 
         n_vertices = len(mesh.vertices)
         n_faces = len(mesh.triangles())
 
-        off_counts = off.read_text().splitlines()[1].split()
-        assert int(off_counts[0]) == n_vertices
-        assert int(off_counts[1]) == n_faces
-
         obj_text = obj.read_text()
         assert sum(1 for l in obj_text.splitlines() if l.startswith("v ")) == n_vertices
         assert sum(1 for l in obj_text.splitlines() if l.startswith("f ")) == n_faces
-
-        ply_text = ply.read_text()
-        assert f"element vertex {n_vertices}" in ply_text
-        assert f"element face {n_faces}" in ply_text
 
     def test_obj_indices_in_range(self, real_mesh, tmp_path):
         graph, mesh = real_mesh
@@ -48,11 +36,11 @@ class TestExportConsistency:
                     idx = int(token)
                     assert 1 <= idx <= n_vertices
 
-    def test_off_coordinates_match_graph(self, real_mesh, tmp_path):
+    def test_obj_coordinates_match_graph(self, real_mesh, tmp_path):
         graph, mesh = real_mesh
-        off = tmp_path / "m.off"
-        export_mesh_off(mesh, graph, off)
-        lines = off.read_text().splitlines()
-        first_vertex = [float(x) for x in lines[2].split()]
+        obj = tmp_path / "m.obj"
+        export_mesh_obj(mesh, graph, obj)
+        vertex_lines = [l for l in obj.read_text().splitlines() if l.startswith("v ")]
+        first_vertex = [float(x) for x in vertex_lines[0].split()[1:]]
         expected = graph.position(mesh.vertices[0])
         assert first_vertex == pytest.approx(list(expected), abs=1e-5)

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.observability.export import validate_trace_lines
-from repro.service.jobstore import JobSpec, JobStore
+from repro.service.jobstore import TERMINAL_STATES, JobSpec, JobStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_DIR = REPO_ROOT / "src"
@@ -74,10 +74,14 @@ def _serve(*args):
     )
 
 
+def _all_terminal(store):
+    return all(record.state in TERMINAL_STATES for record in store.jobs())
+
+
 def _wait_terminal(store, timeout=180.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if store.jobs() and store.all_terminal():
+        if store.jobs() and _all_terminal(store):
             return
         time.sleep(0.25)
     pytest.fail(f"queue not drained in {timeout}s: {store.counts()}")
@@ -125,7 +129,7 @@ class TestKillAWorker:
                 deadline = time.monotonic() + 180.0
                 while time.monotonic() < deadline:
                     survivor.wait(timeout=180)
-                    if store.all_terminal():
+                    if _all_terminal(store):
                         break
                     time.sleep(0.5)
                     survivor = _spawn_worker(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.shapes.csg import Difference
 from repro.shapes.pipe import BentPipe
-from repro.shapes.solids import AxisAlignedBox, Cylinder, Sphere, Torus
+from repro.shapes.solids import Sphere
 
 
 def _shapes():
@@ -14,11 +14,15 @@ def _shapes():
         [
             Sphere(radius=1.0),
             Sphere(center=(1, 2, 3), radius=0.7),
-            AxisAlignedBox((0, 0, 0), (2, 1, 1)),
-            Cylinder(radius=0.8, height=1.6),
-            Torus(major=1.5, minor=0.4),
             BentPipe(bend_radius=1.0, tube_radius=0.3),
             Difference(Sphere(radius=1.0), [Sphere(center=(0.3, 0, 0), radius=0.3)]),
+            Difference(
+                Sphere(radius=1.0),
+                [
+                    Sphere(center=(-0.42, 0, 0), radius=0.27),
+                    Sphere(center=(0.42, 0.1, 0.05), radius=0.27),
+                ],
+            ),
         ]
     )
 

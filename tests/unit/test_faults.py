@@ -62,7 +62,6 @@ class TestPlanValidation:
 
     def test_is_ideal(self):
         assert FaultPlan().is_ideal
-        assert FaultPlan.ideal().is_ideal
         assert not FaultPlan(loss_rate=0.1).is_ideal
         assert not FaultPlan(crashes=(CrashSpec(0),)).is_ideal
         assert not FaultPlan(delay=DelaySpec(rate=0.1)).is_ideal

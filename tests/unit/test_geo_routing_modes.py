@@ -52,4 +52,4 @@ class TestRecoveryBookkeeping:
         result = router.route(0, 9)
         assert result.delivered
         assert result.recovery_hops == 0
-        assert result.greedy_success_ratio == 1.0
+        assert result.greedy_hops == 9

@@ -11,8 +11,6 @@ from repro.geometry.primitives import (
     norm,
     normalize,
     pairwise_distances,
-    point_in_ball,
-    triangle_area,
 )
 
 
@@ -77,20 +75,6 @@ class TestPairwiseDistances:
         assert d[0, 1] == pytest.approx(5.0)
 
 
-class TestTriangleArea:
-    def test_right_triangle(self):
-        assert triangle_area([0, 0, 0], [2, 0, 0], [0, 2, 0]) == pytest.approx(2.0)
-
-    def test_degenerate_is_zero(self):
-        assert triangle_area([0, 0, 0], [1, 0, 0], [2, 0, 0]) == pytest.approx(0.0)
-
-    def test_invariant_under_translation(self):
-        shift = np.array([5.0, -2.0, 7.0])
-        a = triangle_area([0, 0, 0], [1, 0, 0], [0, 1, 1])
-        b = triangle_area(shift, shift + [1, 0, 0], shift + [0, 1, 1])
-        assert a == pytest.approx(b)
-
-
 class TestCircumcenter:
     def test_right_triangle_in_plane(self):
         c = circumcenter([0, 0, 0], [2, 0, 0], [0, 2, 0])
@@ -126,14 +110,3 @@ class TestCircumradius:
         p2 = [s, 0, 0]
         p3 = [s / 2, s * np.sqrt(3) / 2, 0]
         assert circumradius(p1, p2, p3) == pytest.approx(s / np.sqrt(3))
-
-
-class TestPointInBall:
-    def test_inside(self):
-        assert point_in_ball([0.1, 0, 0], [0, 0, 0], 1.0)
-
-    def test_on_surface_not_inside(self):
-        assert not point_in_ball([1.0, 0, 0], [0, 0, 0], 1.0)
-
-    def test_outside(self):
-        assert not point_in_ball([2.0, 0, 0], [0, 0, 0], 1.0)

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import BoundaryDetectionResult
-from repro.io.meshio import (
-    export_mesh_obj,
-    export_mesh_off,
-    export_mesh_ply,
-    export_points_xyz,
-)
+from repro.io.meshio import export_mesh_obj
 from repro.io.serialization import (
     load_detection_result,
     load_network,
@@ -80,17 +75,6 @@ class TestMeshExport:
                 mesh.add_edge(u, v)
         return mesh, graph
 
-    def test_off_structure(self, tmp_path):
-        mesh, graph = self._mesh_and_graph()
-        path = tmp_path / "m.off"
-        export_mesh_off(mesh, graph, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "OFF"
-        n_v, n_f, _ = map(int, lines[1].split())
-        assert n_v == 4
-        assert n_f == 4
-        assert len(lines) == 2 + n_v + n_f
-
     def test_obj_structure(self, tmp_path):
         mesh, graph = self._mesh_and_graph()
         path = tmp_path / "m.obj"
@@ -100,23 +84,6 @@ class TestMeshExport:
         assert text.count("\nf ") == 4
         # OBJ indices are 1-based.
         assert " 0 " not in text.split("f ", 1)[1]
-
-    def test_ply_structure(self, tmp_path):
-        mesh, graph = self._mesh_and_graph()
-        path = tmp_path / "m.ply"
-        export_mesh_ply(mesh, graph, path)
-        text = path.read_text()
-        assert text.startswith("ply")
-        assert "element vertex 4" in text
-        assert "element face 4" in text
-
-    def test_xyz_points(self, tmp_path):
-        _, graph = self._mesh_and_graph()
-        path = tmp_path / "p.xyz"
-        export_points_xyz(graph, [0, 2], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].split() == ["0.000000", "0.000000", "0.000000"]
 
 
 class TestWriteAtomic:

@@ -8,7 +8,7 @@ from repro.network.graph import NetworkGraph
 from repro.network.stats import compute_network_stats
 from repro.shapes.csg import Difference
 from repro.shapes.pipe import BentPipe
-from repro.shapes.solids import Sphere, Torus
+from repro.shapes.solids import Sphere
 from repro.shapes.terrain import UnderwaterTerrain
 
 
@@ -34,7 +34,6 @@ class TestEmptyNetworkStats:
 class TestReprs:
     def test_shape_reprs_mention_parameters(self):
         assert "radius=1.0" in repr(Sphere(radius=1.0))
-        assert "major=2.0" in repr(Torus(major=2.0, minor=0.5))
         assert "bend_radius=1.0" in repr(BentPipe())
         assert "depth=0.8" in repr(UnderwaterTerrain())
         combined = Difference(Sphere(), [Sphere(radius=0.3)])

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its duck-typed absorbers."""
+"""Unit tests for the metrics registry and its metric kinds."""
 
 import pytest
 
@@ -7,9 +7,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    record_simulation,
-    record_surface_build,
-    record_ubf_outcomes,
 )
 
 
@@ -89,63 +86,3 @@ class TestMetricsRegistry:
         b.counter("y").inc()
         b.counter("x").inc()
         assert a.as_dict() == b.as_dict()
-
-
-class TestAbsorbers:
-    def test_record_ubf_outcomes(self, sphere_network):
-        from repro.core.ubf import run_ubf
-
-        outcomes = run_ubf(sphere_network, nodes=range(50))
-        reg = MetricsRegistry()
-        record_ubf_outcomes(reg, outcomes)
-        snap = reg.as_dict()
-        assert snap["counters"]["ubf.nodes_tested"] == 50
-        assert snap["counters"]["ubf.candidates"] == sum(
-            1 for o in outcomes if o.is_candidate
-        )
-        assert snap["counters"]["ubf.balls_tested"] == sum(
-            o.balls_tested for o in outcomes
-        )
-        assert snap["histograms"]["ubf.neighborhood_size"]["count"] == 50
-
-    def test_record_simulation(self):
-        from repro.runtime.simulator import SimulationResult
-
-        result = SimulationResult(
-            states={}, rounds=7, messages_sent=40, quiesced=False,
-            messages_dropped=3, messages_duplicated=1, timers_fired=2,
-        )
-        reg = MetricsRegistry()
-        record_simulation(reg, result)
-        record_simulation(reg, result)
-        snap = reg.as_dict()
-        assert snap["counters"]["sim.runs"] == 2
-        assert snap["counters"]["sim.messages_sent"] == 80
-        assert snap["counters"]["sim.messages_dropped"] == 6
-        assert snap["counters"]["sim.non_quiescent_runs"] == 2
-        assert snap["histograms"]["sim.rounds"]["p50"] == 7
-
-    def test_record_simulation_prefix(self):
-        from repro.runtime.simulator import SimulationResult
-
-        result = SimulationResult(
-            states={}, rounds=1, messages_sent=2, quiesced=True
-        )
-        reg = MetricsRegistry()
-        record_simulation(reg, result, prefix="iff")
-        assert "iff.messages_sent" in reg
-        assert "sim.messages_sent" not in reg
-
-    def test_record_surface_build(self, sphere_network, sphere_detection):
-        from repro.surface.pipeline import SurfaceBuilder
-
-        record = SurfaceBuilder().build_one(
-            sphere_network.graph, sphere_detection.groups[0]
-        )
-        assert record is not None
-        reg = MetricsRegistry()
-        record_surface_build(reg, record)
-        snap = reg.as_dict()
-        assert snap["counters"]["surface.meshes_built"] == 1
-        assert snap["histograms"]["surface.landmarks"]["min"] >= 4
-        assert snap["counters"]["surface.cdg_edges"] == len(record.cdg_edges)

@@ -1,14 +1,15 @@
-"""Unit tests for radio link models."""
+"""Unit tests for the quasi-unit-disk radio model."""
 
 import numpy as np
 import pytest
 
-from repro.network.radio import QuasiUnitDiskModel, UnitDiskModel, build_adjacency
+from repro.network.radio import QuasiUnitDiskModel, build_adjacency
 
 
 class TestUnitDisk:
     def test_threshold_at_one(self, rng):
-        model = UnitDiskModel()
+        """alpha = 1 is unit-disk connectivity: exactly 1 is linked."""
+        model = QuasiUnitDiskModel(alpha=1.0)
         d = np.array([0.2, 0.99, 1.0, 1.01])
         assert model.link_mask(d, rng).tolist() == [True, True, True, False]
 
@@ -52,7 +53,10 @@ class TestBuildAdjacency:
         from repro.network.graph import NetworkGraph
 
         pts = rng.uniform(0, 3, size=(50, 3))
-        adjacency = build_adjacency(pts, UnitDiskModel(), rng)
+        state = rng.bit_generator.state
+        adjacency = build_adjacency(pts, QuasiUnitDiskModel(alpha=1.0), rng)
+        # alpha = 1 is deterministic: it draws nothing from the stream.
+        assert rng.bit_generator.state == state
         graph = NetworkGraph(pts, radio_range=1.0)
         for i in range(50):
             assert sorted(adjacency[i]) == graph.neighbors(i).tolist()
@@ -67,12 +71,14 @@ class TestBuildAdjacency:
     def test_quasi_udg_subset_of_unit_disk(self, rng):
         pts = rng.uniform(0, 3, size=(60, 3))
         quasi = build_adjacency(pts, QuasiUnitDiskModel(0.6), np.random.default_rng(1))
-        full = build_adjacency(pts, UnitDiskModel(), np.random.default_rng(1))
+        full = build_adjacency(
+            pts, QuasiUnitDiskModel(alpha=1.0), np.random.default_rng(1)
+        )
         for u in range(60):
             assert set(quasi[u]) <= set(full[u])
 
     def test_empty_positions(self, rng):
-        assert build_adjacency(np.empty((0, 3)), UnitDiskModel(), rng) == []
+        assert build_adjacency(np.empty((0, 3)), QuasiUnitDiskModel(), rng) == []
 
 
 class TestGeneratorIntegration:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.shapes.csg import Difference
-from repro.shapes.sampling import (
-    multinomial_split,
-    sample_circle,
-    sample_unit_disk,
-    sample_unit_sphere,
-)
+from repro.shapes.sampling import multinomial_split, sample_unit_sphere
 from repro.shapes.solids import Sphere
 
 
@@ -34,24 +29,8 @@ class TestSamplers:
         pts = sample_unit_sphere(500, rng)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
-    def test_unit_disk_within(self, rng):
-        pts = sample_unit_disk(500, rng)
-        assert (np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12).all()
-
-    def test_disk_area_uniformity(self, rng):
-        """Half the points fall inside radius 1/sqrt(2)."""
-        pts = sample_unit_disk(20_000, rng)
-        inner = (np.linalg.norm(pts, axis=1) < 1 / np.sqrt(2)).mean()
-        assert inner == pytest.approx(0.5, abs=0.02)
-
-    def test_circle_on_rim(self, rng):
-        pts = sample_circle(200, rng)
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
-
     def test_zero_counts(self, rng):
         assert sample_unit_sphere(0, rng).shape == (0, 3)
-        assert sample_unit_disk(0, rng).shape == (0, 2)
-        assert sample_circle(0, rng).shape == (0, 2)
 
 
 class TestMultinomialSplit:

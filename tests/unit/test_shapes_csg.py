@@ -1,9 +1,9 @@
-"""Unit tests for CSG difference and union."""
+"""Unit tests for the CSG difference."""
 
 import numpy as np
 import pytest
 
-from repro.shapes.csg import Difference, Union
+from repro.shapes.csg import Difference
 from repro.shapes.solids import Sphere
 
 
@@ -52,40 +52,3 @@ class TestDifference:
         assert self.shape.volume_estimate(rng, samples=150_000) == pytest.approx(
             expected, rel=0.05
         )
-
-
-class TestUnion:
-    def setup_method(self):
-        self.shape = Union(
-            [Sphere(center=(0, 0, 0), radius=0.5), Sphere(center=(1.5, 0, 0), radius=0.5)]
-        )
-
-    def test_contains_either(self):
-        assert self.shape.contains_point([0.0, 0.0, 0.0])
-        assert self.shape.contains_point([1.5, 0.0, 0.0])
-        assert not self.shape.contains_point([0.75, 0.0, 0.0])
-
-    def test_surface_on_some_part(self, rng):
-        pts = self.shape.sample_surface(300, rng)
-        d0 = np.abs(np.linalg.norm(pts, axis=1) - 0.5)
-        d1 = np.abs(np.linalg.norm(pts - np.array([1.5, 0, 0]), axis=1) - 0.5)
-        assert ((d0 < 1e-9) | (d1 < 1e-9)).all()
-
-    def test_overlapping_union_surface_excludes_buried_points(self, rng):
-        overlapping = Union(
-            [Sphere(radius=0.6), Sphere(center=(0.5, 0, 0), radius=0.6)]
-        )
-        pts = overlapping.sample_surface(400, rng)
-        # No sampled surface point may be strictly inside the other part.
-        inside0 = np.linalg.norm(pts, axis=1) < 0.6 - 1e-9
-        inside1 = np.linalg.norm(pts - np.array([0.5, 0, 0]), axis=1) < 0.6 - 1e-9
-        assert not (inside0 & inside1).any()
-
-    def test_bounding_box_covers_parts(self):
-        lo, hi = self.shape.bounding_box
-        assert np.all(lo <= [-0.5, -0.5, -0.5])
-        assert np.all(hi >= [2.0, 0.5, 0.5])
-
-    def test_requires_parts(self):
-        with pytest.raises(ValueError):
-            Union([])

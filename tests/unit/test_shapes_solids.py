@@ -1,9 +1,9 @@
-"""Unit tests for the primitive solids."""
+"""Unit tests for the sphere solid."""
 
 import numpy as np
 import pytest
 
-from repro.shapes.solids import AxisAlignedBox, Cylinder, Sphere, Torus
+from repro.shapes.solids import Sphere
 
 
 class TestSphere:
@@ -41,77 +41,3 @@ class TestSphere:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             Sphere(radius=0.0)
-
-
-class TestAxisAlignedBox:
-    def test_contains(self):
-        b = AxisAlignedBox((0, 0, 0), (1, 2, 3))
-        assert b.contains_point([0.5, 1.0, 2.9])
-        assert not b.contains_point([1.5, 1.0, 1.0])
-
-    def test_surface_samples_on_faces(self, rng):
-        b = AxisAlignedBox((0, 0, 0), (1, 1, 1))
-        pts = b.sample_surface(400, rng)
-        on_face = np.zeros(len(pts), dtype=bool)
-        for axis in range(3):
-            on_face |= np.isclose(pts[:, axis], 0.0) | np.isclose(pts[:, axis], 1.0)
-        assert on_face.all()
-
-    def test_interior_uniform_mean(self, rng):
-        b = AxisAlignedBox((0, 0, 0), (2, 2, 2))
-        pts = b.sample_interior(5000, rng)
-        assert np.allclose(pts.mean(axis=0), [1, 1, 1], atol=0.1)
-
-    def test_surface_area(self):
-        assert AxisAlignedBox((0, 0, 0), (1, 2, 3)).surface_area == pytest.approx(22.0)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            AxisAlignedBox((0, 0, 0), (1, -1, 1))
-
-
-class TestCylinder:
-    def test_contains(self):
-        c = Cylinder(radius=1.0, height=2.0)
-        assert c.contains_point([0.5, 0.0, 0.9])
-        assert not c.contains_point([0.5, 0.0, 1.1])
-        assert not c.contains_point([1.1, 0.0, 0.0])
-
-    def test_surface_on_boundary(self, rng):
-        c = Cylinder(radius=1.0, height=2.0)
-        pts = c.sample_surface(600, rng)
-        radial = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        on_side = np.isclose(radial, 1.0, atol=1e-9)
-        on_cap = np.isclose(np.abs(pts[:, 2]), 1.0, atol=1e-9)
-        assert (on_side | on_cap).all()
-
-    def test_volume(self, rng):
-        c = Cylinder(radius=0.8, height=1.5)
-        assert c.volume_estimate(rng, samples=100_000) == pytest.approx(
-            c.volume, rel=0.05
-        )
-
-
-class TestTorus:
-    def test_contains_tube_center(self):
-        t = Torus(major=2.0, minor=0.5)
-        assert t.contains_point([2.0, 0.0, 0.0])
-        assert not t.contains_point([0.0, 0.0, 0.0])  # the donut hole
-        assert not t.contains_point([2.0, 0.0, 0.6])
-
-    def test_surface_at_tube_radius(self, rng):
-        t = Torus(major=2.0, minor=0.5)
-        pts = t.sample_surface(500, rng)
-        ring = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2) - 2.0
-        dist = np.sqrt(ring ** 2 + pts[:, 2] ** 2)
-        assert np.allclose(dist, 0.5, atol=1e-9)
-
-    def test_volume(self, rng):
-        t = Torus(major=2.0, minor=0.5)
-        assert t.volume_estimate(rng, samples=150_000) == pytest.approx(
-            t.volume, rel=0.05
-        )
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            Torus(major=0.4, minor=0.5)

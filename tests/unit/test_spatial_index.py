@@ -6,43 +6,11 @@ import pytest
 from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
 
-def brute_force_radius(points, query, radius):
-    d = np.linalg.norm(points - np.asarray(query, float), axis=1)
-    return set(np.flatnonzero(d <= radius).tolist())
-
-
-class TestQueryRadius:
-    def test_matches_brute_force(self, rng):
-        points = rng.uniform(-3, 3, size=(300, 3))
-        index = UniformGridIndex(points, cell_size=1.0)
-        for _ in range(25):
-            q = rng.uniform(-3, 3, size=3)
-            got = set(index.query_radius(q, 1.0).tolist())
-            assert got == brute_force_radius(points, q, 1.0)
-
-    def test_radius_larger_than_cell(self, rng):
-        points = rng.uniform(-2, 2, size=(150, 3))
-        index = UniformGridIndex(points, cell_size=0.5)
-        q = np.zeros(3)
-        got = set(index.query_radius(q, 1.7).tolist())
-        assert got == brute_force_radius(points, q, 1.7)
-
-    def test_empty_result_far_away(self, rng):
-        points = rng.uniform(0, 1, size=(50, 3))
-        index = UniformGridIndex(points, cell_size=1.0)
-        assert index.query_radius([100.0, 100.0, 100.0], 1.0).size == 0
-
-    def test_boundary_inclusive(self):
-        points = np.array([[1.0, 0.0, 0.0]])
-        index = UniformGridIndex(points, cell_size=1.0)
-        assert 0 in index.query_radius([0.0, 0.0, 0.0], 1.0)
-
-
 class TestNeighborStructures:
     def test_pairs_match_brute_force(self, rng):
         points = rng.uniform(0, 4, size=(120, 3))
         index = UniformGridIndex(points, cell_size=1.0)
-        pairs = set(index.neighbor_pairs(1.0))
+        pairs = set(map(tuple, index.neighbor_pairs_array(1.0).tolist()))
         expected = set()
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
@@ -50,11 +18,11 @@ class TestNeighborStructures:
                     expected.add((i, j))
         assert pairs == expected
 
-    def test_neighbor_lists_exclude_self(self, rng):
-        points = rng.uniform(0, 2, size=(60, 3))
+    def test_boundary_inclusive(self):
+        """A pair exactly ``radius`` apart is paired (the radius is inclusive)."""
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         index = UniformGridIndex(points, cell_size=1.0)
-        for i, nbrs in enumerate(index.neighbor_lists(1.0)):
-            assert i not in nbrs
+        np.testing.assert_array_equal(index.neighbor_pairs_array(1.0), [[0, 1]])
 
     def test_len(self, rng):
         points = rng.uniform(0, 1, size=(17, 3))

@@ -28,11 +28,6 @@ class TestSvgScene:
         assert text.count("<circle") == 3
         assert "#ff0000" in text
 
-    def test_edges_rendered_as_lines(self, small_scene):
-        scene, _ = small_scene
-        scene.add_edges([(0, 1), (2, 3)])
-        assert scene.to_svg().count("<line") == 2
-
     def test_mesh_rendered_as_polygons(self, small_scene):
         scene, _ = small_scene
         mesh = TriangularMesh(vertices=[0, 1, 2, 3])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 
 from repro.io.svg import SvgScene
+from repro.surface.mesh import TriangularMesh
 
 
 class TestPaintersAlgorithm:
@@ -17,13 +18,18 @@ class TestPaintersAlgorithm:
         svg = scene.to_svg()
         assert svg.index("#back") < svg.index("#front")
 
-    def test_edge_depth_is_midpoint(self):
-        positions = np.array([[0, 0, -5.0], [0, 0, 5.0], [0, 1, 4.9]])
+    def test_mesh_depth_is_triangle_mean(self):
+        positions = np.array(
+            [[0, 0, -5.0], [0, 0, 5.0], [1, 0, 0.0], [0, 1, 4.9]]
+        )
         scene = SvgScene(positions, yaw=0.0, pitch=0.0)
-        scene.add_edges([(0, 1)])  # mean depth 0
-        scene.add_nodes([2], fill="#node")  # depth 4.9 -> in front
+        mesh = TriangularMesh(vertices=[0, 1, 2])
+        for u, v in ((0, 1), (1, 2), (0, 2)):
+            mesh.add_edge(u, v)
+        scene.add_mesh(mesh)  # mean depth 0, though one vertex is at 5
+        scene.add_nodes([3], fill="#node")  # depth 4.9 -> in front
         svg = scene.to_svg()
-        assert svg.index("<line") < svg.index("#node")
+        assert svg.index("<polygon") < svg.index("#node")
 
 
 class TestProjectionScaling:
