@@ -460,7 +460,9 @@ def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     whole pipeline at scale.  Each run carries a
     :class:`~repro.observability.tracer.Tracer`; the artifact's ``stages``
     map holds the median seconds of each ``detect`` stage span across the
-    repeats (recorded, not gated).  It also holds ``surface``: the median
+    repeats and ``generation``, the median seconds of the
+    ``generate_network`` call (all recorded, not gated).  It also holds
+    ``surface``: the median
     of ``repeat`` :class:`SurfaceBuilder` runs on the last run's groups,
     timed after and outside ``median_seconds`` (every repeat generates the
     same seeded network).  No warm-up run (the stage is minutes-scale at
@@ -470,17 +472,21 @@ def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     detector = BoundaryDetector(
         DetectorConfig(ubf=ctx.ubf_config, iff=ctx.iff_config)
     )
-    stage_seconds: Dict[str, List[float]] = {name: [] for name in E2E_STAGE_SPANS}
+    stage_seconds: Dict[str, List[float]] = {
+        name: [] for name in ("generation", *E2E_STAGE_SPANS)
+    }
     last: Dict[str, object] = {}
 
     def run() -> dict:
         last.clear()  # free the previous network before generating the next
         tracer = Tracer()
+        start = time.perf_counter()
         network = generate_network(
             scenario_by_name(scenario.shape),
             scenario.deployment(),
             scenario=scenario.shape,
         )
+        stage_seconds["generation"].append(time.perf_counter() - start)
         result = detector.detect(network, tracer=tracer)
         for span in tracer.roots[0].children:
             if span.name in stage_seconds:

@@ -1,15 +1,20 @@
-/* Native hot-path kernels: hop-bounded BFS (frame collection, IFF flood
- * counts, components), the "sparse" localization engine and the UBF
- * candidate search.
+/* Native hot-path kernels: the unit-ball graph build, hop-bounded BFS
+ * (frame collection, IFF flood counts, components), the "sparse"
+ * localization engine and the UBF candidate search.
  *
  * Compiled on demand by repro.geometry.native with the system C compiler
  * (see native.py for the cache/fallback protocol); every routine has a
- * pure-Python twin in repro.network.graph / repro.geometry.mds /
- * repro.network.localization / repro.geometry.ballfit that the caller
- * falls back to when no compiler is available.
+ * pure-Python twin in repro.geometry.spatial_index / repro.network.graph /
+ * repro.geometry.mds / repro.network.localization / repro.geometry.ballfit
+ * that the caller falls back to when no compiler is available.
  *
  * Numerical contracts
  * -------------------
+ * - unit_ball_csr pairs points exactly as
+ *   UniformGridIndex.neighbor_pairs_array does: the same cells, the
+ *   difference lower id minus higher id, the squared distance summed as
+ *   (dx^2 + dz^2) + dy^2 and compared <= r^2 (r^2 computed in Python), so
+ *   its indptr/indices equal the numpy CSR byte for byte.
  * - fw_complete_batch mirrors the numpy Floyd-Warshall relaxation
  *   bit-for-bit: identical pivot order (k outer), identical elementwise
  *   min/add, no FMA contraction (-ffp-contract=off in the build flags).
@@ -175,6 +180,71 @@ void hop_bfs(const int64_t *indptr, const int64_t *indices,
                 n_one_hop[i] = n1;
         }
     }
+}
+
+/* ---------------------------------------------------------------- */
+/* Unit-ball graph                                                  */
+/* ---------------------------------------------------------------- */
+
+/* CSR adjacency of the unit-ball graph over n points: i and j (i != j)
+ * are neighbours iff their squared distance is <= r_sq.
+ *
+ * The caller bins the points (UniformGridIndex.cell_blocks): `pts` holds
+ * them in cell order, sorted row k being point order[k]; occupied cell c
+ * owns rows cell_start[c]..cell_start[c+1]) and cell_nbrs[c * n_stencil
+ * ..] lists the occupied cells of its stencil (-1 = empty), so the
+ * neighbour cells are looked up once per cell, not once per point.
+ *
+ * The squared distance is the numpy twin's, operation for operation: the
+ * difference is the lower id's point minus the higher id's, and the terms
+ * sum as (dx*dx + dz*dz) + dy*dy, with no FMA contraction.
+ *
+ * Two passes over the same sweep, as in hop_bfs:
+ * - count pass (indices == NULL): writes indptr[0..n] (row offsets by
+ *   point id) and returns indptr[n], the directed entry count.
+ * - fill pass: writes row i into indices[indptr[i]..indptr[i+1]) and
+ *   sorts it ascending; returns indptr[n]. */
+int64_t unit_ball_csr(const double *pts, const int64_t *order, int64_t n,
+                      const int64_t *cell_start, const int64_t *cell_nbrs,
+                      int64_t n_cells, int64_t n_stencil, double r_sq,
+                      int64_t *indptr, int64_t *indices)
+{
+    for (int64_t c = 0; c < n_cells; ++c) {
+        const int64_t *nbrs = cell_nbrs + c * n_stencil;
+        for (int64_t a = cell_start[c]; a < cell_start[c + 1]; ++a) {
+            int64_t i = order[a], deg = 0;
+            int64_t *row = indices ? indices + indptr[i] : NULL;
+            for (int64_t s = 0; s < n_stencil; ++s) {
+                int64_t g = nbrs[s];
+                if (g < 0)
+                    continue;
+                for (int64_t b = cell_start[g]; b < cell_start[g + 1]; ++b) {
+                    int64_t j = order[b];
+                    if (j == i)
+                        continue;
+                    const double *lo = pts + 3 * (i < j ? a : b);
+                    const double *hi = pts + 3 * (i < j ? b : a);
+                    double dx = lo[0] - hi[0], dy = lo[1] - hi[1],
+                           dz = lo[2] - hi[2];
+                    if ((dx * dx + dz * dz) + dy * dy <= r_sq) {
+                        if (row)
+                            row[deg] = j;
+                        ++deg;
+                    }
+                }
+            }
+            if (row)
+                sort_int64(row, deg);
+            else
+                indptr[i + 1] = deg;
+        }
+    }
+    if (!indices) {
+        indptr[0] = 0;
+        for (int64_t i = 0; i < n; ++i)
+            indptr[i + 1] += indptr[i];
+    }
+    return indptr[n];
 }
 
 /* ---------------------------------------------------------------- */

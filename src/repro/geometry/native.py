@@ -1,9 +1,10 @@
-"""On-demand native kernels for graph floods, the sparse localization
-engine and UBF.
+"""On-demand native kernels for the unit-ball graph build, graph floods,
+the sparse localization engine and UBF.
 
-The hot loops (hop-bounded BFS, frame assembly, Floyd-Warshall
-completion, double centering, SMACOF majorization, and the fused UBF
-candidate search) are written once in portable C (``ckernels.c``) and compiled lazily with the
+The hot loops (the unit-ball CSR build, hop-bounded BFS, frame assembly,
+Floyd-Warshall completion, double centering, SMACOF majorization, and the
+fused UBF candidate search) are written once in portable C
+(``ckernels.c``) and compiled lazily with the
 system C compiler the first time they are requested.  The resulting
 shared object is cached on disk keyed by the source hash, so every later
 process (including pool workers) dlopens the same binary -- a
@@ -13,12 +14,13 @@ No new dependency is introduced: the build shells out to ``cc`` (or
 ``$CC``) with ``ctypes`` doing the loading.  When no compiler is
 available, compilation fails, or ``REPRO_NATIVE=0`` is set, callers
 receive ``None`` and fall back to the pure-numpy twins in
-:mod:`repro.network.graph` / :mod:`repro.geometry.mds` /
-:mod:`repro.geometry.ballfit` -- same results, more wall clock.
+:mod:`repro.geometry.spatial_index` / :mod:`repro.network.graph` /
+:mod:`repro.geometry.mds` / :mod:`repro.geometry.ballfit` -- same results,
+more wall clock.
 
 The build pins ``-ffp-contract=off`` (no FMA contraction) so the C
-relaxation arithmetic matches the numpy ufunc chain operation for
-operation; see ckernels.c for the per-routine contracts.
+distance and relaxation arithmetic matches the numpy ufunc chain
+operation for operation; see ckernels.c for the per-routine contracts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.geometry.mds import smacof_refine as smacof_oracle
+from repro.geometry.primitives import as_points
+from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
 #: Environment variable gating native kernels; set to ``0`` to force the
 #: pure-numpy fallback path (used by the differential tests).
@@ -65,6 +69,12 @@ class NativeKernels:
     def __init__(self, library: ctypes.CDLL, path: str):
         self.path = path
         self._lib = library
+        library.unit_ball_csr.restype = ctypes.c_int64
+        library.unit_ball_csr.argtypes = [
+            _DOUBLE_P, _INT64_P, ctypes.c_int64, _INT64_P, _INT64_P,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+            _INT64_P, _INT64_P,
+        ]
         library.hop_bfs.restype = None
         library.hop_bfs.argtypes = [
             _INT64_P, _INT64_P, _INT64_P, ctypes.c_int64, _UINT8_P,
@@ -98,6 +108,36 @@ class NativeKernels:
             ctypes.c_int64, *[ctypes.c_double] * 6, ctypes.c_int, _DOUBLE_P,
             _INT64_P, _INT64_P, _DOUBLE_P, _INT64_P,
         ]
+
+    def unit_ball_csr(
+        self, positions: np.ndarray, radius: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency of the graph linking points at most ``radius`` apart.
+
+        Returns ``(indptr, indices)`` (int64): point ``i``'s neighbours are
+        ``indices[indptr[i]:indptr[i+1]]``, ascending, without ``i``
+        itself.  One count pass and one fill pass over radius-sized grid
+        cells (:meth:`UniformGridIndex.cell_blocks`); byte-equal to the
+        CSR the numpy fallback derives from
+        :meth:`UniformGridIndex.neighbor_pairs_array`.
+        """
+        points = as_points(positions)
+        index = UniformGridIndex(points, cell_size=auto_cell_size(radius))
+        order, starts, cells = index.cell_blocks(radius)
+        binned = np.ascontiguousarray(points[order])
+        n = points.shape[0]
+        args = (
+            _ptr(binned, ctypes.c_double), _ptr(order, ctypes.c_int64), n,
+            _ptr(starts, ctypes.c_int64), _ptr(cells, ctypes.c_int64),
+            cells.shape[0], cells.shape[1], float(radius) * float(radius),
+        )
+        indptr = np.empty(n + 1, dtype=np.int64)
+        total = self._lib.unit_ball_csr(*args, _ptr(indptr, ctypes.c_int64), None)
+        indices = np.empty(total, dtype=np.int64)
+        self._lib.unit_ball_csr(
+            *args, _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64)
+        )
+        return indptr, indices
 
     def hop_bfs(
         self,

@@ -7,23 +7,32 @@ surrounding cells.  For the roughly uniform deployments this library
 simulates, construction and the all-pairs sweep are both ``O(n)`` expected.
 
 The index is fully array-based: cell membership is computed for every point
-at once, points are grouped by sorted linear cell id (one stable argsort +
-run-length boundaries instead of a per-point Python dict), and its one query,
-:meth:`UniformGridIndex.neighbor_pairs_array`, expands whole cell-pair blocks
-with vectorized cross products.  :class:`~repro.network.graph.NetworkGraph`
-and :func:`~repro.network.radio.build_adjacency` both build their edges from
-that sweep, which is what lets the generator emit a 100k-node unit-ball
-graph in seconds.
+at once, and points are grouped by sorted linear cell id (one stable
+argsort + run-length boundaries instead of a per-point Python dict).  Two
+queries read that layout:
+
+* :meth:`UniformGridIndex.cell_blocks` -- the points in cell order plus,
+  for every occupied cell, the occupied cells of its stencil, looked up
+  once per cell.  The native ``unit_ball_csr`` kernel
+  (:meth:`repro.geometry.native.NativeKernels.unit_ball_csr`) builds
+  :class:`~repro.network.graph.NetworkGraph`'s CSR adjacency from it.
+* :meth:`UniformGridIndex.neighbor_pairs_array` -- every pair within the
+  radius, expanded from the same blocks with vectorized cross products.
+  It is the kernel's numpy twin (the graph's fallback when no C compiler
+  is available) and feeds :func:`~repro.network.radio.build_adjacency`.
 
 Pairs are returned in lexicographic ``(i, j)`` order, which is also exactly
 what a brute-force ``O(n^2)`` scan produces -- the differential tests compare
 byte-for-byte.  The radius is inclusive: two points exactly ``radius`` apart
-are paired.
+are paired.  The squared distance sums its terms as ``(dx^2 + dz^2) +
+dy^2`` (``dx = p_i - p_j`` for ``i < j``), the order numpy's
+``einsum("ij,ij->i")`` uses on AVX-512 hosts, spelled out so the result does
+not depend on numpy's SIMD dispatch and the native kernel can repeat it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -111,13 +120,6 @@ class UniformGridIndex:
         ).astype(np.int64, copy=False)
         self._cell_coords = cells[order[firsts]]
 
-    @property
-    def points(self) -> np.ndarray:
-        """The indexed points (read-only view)."""
-        view = self._points.view()
-        view.flags.writeable = False
-        return view
-
     def __len__(self) -> int:
         return self._points.shape[0]
 
@@ -144,6 +146,26 @@ class UniformGridIndex:
         hit = (keys >= 0) & (self._cell_keys[pos] == keys)
         return np.where(hit, pos, np.int64(-1))
 
+    def cell_blocks(self, radius: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points grouped by cell, and each cell's ``radius`` stencil.
+
+        Returns ``(order, starts, stencil_cells)`` (all int64): the points
+        of occupied cell ``c`` are ``order[starts[c]:starts[c+1]]``,
+        ascending, and ``stencil_cells[c]`` lists the occupied cell at each
+        offset of the Chebyshev-``reach`` stencil around ``c`` (lex offset
+        order, ``-1`` where that cell is empty), with ``reach =
+        ceil(radius / cell_size)`` -- every cell that can hold a point
+        within ``radius`` of one in ``c``.  The stencil is looked up once
+        per occupied cell (one ``searchsorted`` per offset), never per
+        point.
+        """
+        reach = int(np.ceil(radius / self._cell_size))
+        stencil = _stencil(reach)
+        table = np.empty((self._cell_keys.size, len(stencil)), dtype=np.int64)
+        for s, off in enumerate(stencil):
+            table[:, s] = self._lookup(self._keys_of(self._cell_coords + off))
+        return self._order, self._cell_starts, table
+
     def neighbor_pairs_array(self, radius: float) -> np.ndarray:
         """All index pairs within ``radius`` as an ``(E, 2)`` int64 array.
 
@@ -152,24 +174,22 @@ class UniformGridIndex:
         never paired with itself; coincident points are paired.
 
         The sweep is cell-block batched: for each stencil offset, every
-        occupied cell is matched against the occupied cell at that offset
-        in one ``searchsorted``, and all matched cell pairs expand their
-        point cross products with one vectorized block -- no per-point
-        Python dispatch anywhere.
+        occupied cell is matched against its :meth:`cell_blocks` neighbour
+        at that offset, and all matched cell pairs expand their point cross
+        products with one vectorized block -- no per-point Python dispatch
+        anywhere.
         """
-        n = self._points.shape[0]
-        if n == 0:
+        if self._points.shape[0] == 0:
             return np.empty((0, 2), dtype=np.int64)
-        reach = int(np.ceil(radius / self._cell_size))
+        order, cell_starts, table = self.cell_blocks(radius)
         r_sq = radius * radius
-        sizes = np.diff(self._cell_starts)
-        starts = self._cell_starts[:-1]
+        sizes = np.diff(cell_starts)
+        starts = cell_starts[:-1]
         chunks_i: List[np.ndarray] = []
         chunks_j: List[np.ndarray] = []
         # One block per stencil offset keeps the transient cross-product
         # arrays at O(occupied cells * mean cell population^2) each.
-        for off in _stencil(reach):
-            g2 = self._lookup(self._keys_of(self._cell_coords + off))
+        for g2 in table.T:
             g1 = np.flatnonzero(g2 >= 0)
             if g1.size == 0:
                 continue
@@ -180,19 +200,20 @@ class UniformGridIndex:
             base = np.cumsum(counts) - counts
             block = np.repeat(np.arange(g1.size), counts)
             within = np.arange(total, dtype=np.int64) - base[block]
-            i_idx = self._order[starts[g1][block] + within // b[block]]
-            j_idx = self._order[starts[g2][block] + within % b[block]]
+            i_idx = order[starts[g1][block] + within // b[block]]
+            j_idx = order[starts[g2][block] + within % b[block]]
             # Each unordered pair appears once with i < j across the offset
             # and its mirror (or within the same block for the 0 offset).
             keep = i_idx < j_idx
             i_idx, j_idx = i_idx[keep], j_idx[keep]
-            diff = self._points[i_idx] - self._points[j_idx]
-            close = np.einsum("ij,ij->i", diff, diff) <= r_sq
+            sq = self._points[i_idx] - self._points[j_idx]
+            sq *= sq
+            close = (sq[:, 0] + sq[:, 2]) + sq[:, 1] <= r_sq
             chunks_i.append(i_idx[close])
             chunks_j.append(j_idx[close])
         if not chunks_i:
             return np.empty((0, 2), dtype=np.int64)
         i_all = np.concatenate(chunks_i)
         j_all = np.concatenate(chunks_j)
-        order = np.lexsort((j_all, i_all))
-        return np.column_stack([i_all[order], j_all[order]])
+        lex = np.lexsort((j_all, i_all))
+        return np.column_stack([i_all[lex], j_all[lex]])

@@ -195,16 +195,30 @@ def generate_network(
 
 
 def _restrict_to_giant_component(network: Network) -> Network:
-    """Relabel the network onto its largest connected component."""
-    components = network.graph.connected_components()
-    giant = max(components, key=len)
-    keep = np.array(sorted(giant), dtype=int)
-    positions = network.graph.positions[keep]
-    truth = network.truth_boundary[keep]
-    graph = NetworkGraph(positions, radio_range=network.graph.radio_range)
+    """Relabel the network onto its largest connected component.
+
+    The component's induced subgraph is cut out of the existing CSR, so the
+    links the deployment's radio model drew are kept exactly (a quasi-UDG
+    network gains no gray-zone links).  The relabel is monotone, so rows
+    stay sorted.
+    """
+    graph = network.graph
+    components = graph.connected_components()
+    keep = np.array(max(components, key=len), dtype=np.int64)
+    indptr, indices = graph.csr()
+    starts = indptr[keep]
+    sizes = indptr[keep + 1] - starts
+    new_indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=new_indptr[1:])
+    rows = np.repeat(starts - new_indptr[:-1], sizes) + np.arange(new_indptr[-1])
+    # A component is closed under adjacency, so every neighbor of a kept
+    # node is in the sorted ``keep`` and its new id is its rank there.
+    new_indices = np.searchsorted(keep, indices[rows])
     return Network(
-        graph=graph,
-        truth_boundary=truth,
+        graph=NetworkGraph.from_csr(
+            graph.positions[keep], graph.radio_range, new_indptr, new_indices
+        ),
+        truth_boundary=network.truth_boundary[keep],
         scenario=network.scenario + "+giant",
         scale=network.scale,
         config=network.config,

@@ -6,13 +6,18 @@ paper's algorithms need: one-hop neighborhoods, restricted BFS (hop counts
 and deterministic shortest paths inside a node subset, e.g. the boundary
 subgraph), and connected components of induced subgraphs.
 
-Two equivalent adjacency representations coexist:
+The adjacency is stored once, as CSR (:meth:`csr`: ``indptr``/``indices``
+with neighbor columns sorted per row).  Every query reads it: a node's
+neighbors are a read-only slice of ``indices``, the dict/deque BFS
+machinery below walks the rows, and the vectorized bulk queries --
+``degrees``, ``edges`` and the hop-bounded floods -- take the arrays whole.
 
-* the per-node list-of-arrays view (``neighbors``/``has_edge``), which the
-  dict/deque BFS machinery below consumes, and
-* a CSR view (:meth:`csr`: ``indptr``/``indices`` with neighbor columns
-  sorted per row), which backs the vectorized bulk queries -- ``degrees``,
-  ``edges`` and the hop-bounded floods.
+The unit-ball CSR is built in one native pass
+(:meth:`repro.geometry.native.NativeKernels.unit_ball_csr`: a count and a
+fill sweep over radius-sized grid cells).  Without a C compiler (or under
+``REPRO_NATIVE=0``) it is derived from
+:meth:`~repro.geometry.spatial_index.UniformGridIndex.neighbor_pairs_array`
+with one lexsort instead -- the kernel's differential twin, byte for byte.
 
 The floods -- every node's k-hop frame collection, the IFF flood counts
 and connected components -- run in production through the native
@@ -79,6 +84,19 @@ def hop_bounded_sweep(
     )
 
 
+def _csr_from_arcs(
+    n: int, heads: np.ndarray, tails: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the directed arcs ``heads -> tails``.
+
+    One lexsort by ``(head, tail)`` sorts every row's columns in place.
+    """
+    order = np.lexsort((tails, heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    return indptr, tails[order].astype(np.int64, copy=False)
+
+
 class NetworkGraph:
     """Immutable undirected graph over positioned nodes.
 
@@ -93,8 +111,8 @@ class NetworkGraph:
         any positive value.
     adjacency:
         Optional pre-computed adjacency (list of neighbor-index sequences).
-        When omitted it is built with a uniform grid index in ``O(n)``
-        expected time.
+        When omitted the unit-ball CSR is built over a uniform grid in
+        ``O(n)`` expected time.
     """
 
     def __init__(self, positions, radio_range: float = 1.0, adjacency=None):
@@ -104,40 +122,29 @@ class NetworkGraph:
         self._radio_range = float(radio_range)
         n = self._positions.shape[0]
         if adjacency is None:
-            # Build the CSR form directly from one batched neighbor-pair
-            # sweep (no per-node Python loop): directed copies of every
-            # pair, lexsorted by (row, column), give sorted rows in place.
-            if n:
-                index = UniformGridIndex(
-                    self._positions, cell_size=auto_cell_size(self._radio_range)
+            kernels = load_kernels()
+            if kernels is not None:
+                self._indptr, self._indices = kernels.unit_ball_csr(
+                    self._positions, self._radio_range
                 )
-                pairs = index.neighbor_pairs_array(self._radio_range)
             else:
-                pairs = np.empty((0, 2), dtype=np.int64)
-            heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((tails, heads))
-            self._indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(heads, minlength=n), out=self._indptr[1:])
-            self._indices = tails[order]
-            self._adjacency = (
-                np.split(self._indices, self._indptr[1:-1]) if n else []
-            )
+                pairs = UniformGridIndex(
+                    self._positions, cell_size=auto_cell_size(self._radio_range)
+                ).neighbor_pairs_array(self._radio_range)
+                self._indptr, self._indices = _csr_from_arcs(
+                    n,
+                    np.concatenate([pairs[:, 0], pairs[:, 1]]),
+                    np.concatenate([pairs[:, 1], pairs[:, 0]]),
+                )
         else:
             if len(adjacency) != n:
                 raise ValueError("adjacency length must match number of nodes")
-            self._adjacency = [
-                np.sort(np.asarray(list(nbrs), dtype=int)) for nbrs in adjacency
-            ]
-            # CSR twin of the adjacency lists: row u's neighbor columns live
-            # in indices[indptr[u]:indptr[u+1]], sorted ascending like the
-            # lists.
-            self._indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum([a.size for a in self._adjacency], out=self._indptr[1:])
-            self._indices = (
-                np.concatenate(self._adjacency).astype(np.int64)
-                if n and self._indptr[-1]
-                else np.empty(0, dtype=np.int64)
+            rows = [np.asarray(list(nbrs), dtype=np.int64) for nbrs in adjacency]
+            sizes = np.fromiter((r.size for r in rows), dtype=np.int64, count=n)
+            self._indptr, self._indices = _csr_from_arcs(
+                n,
+                np.repeat(np.arange(n, dtype=np.int64), sizes),
+                np.concatenate(rows) if n else np.empty(0, dtype=np.int64),
             )
         self._neighbor_sets_cache: Optional[List[Set[int]]] = None
         self._edge_array: Optional[np.ndarray] = None
@@ -157,9 +164,9 @@ class NetworkGraph:
         per-row neighbor columns must already be sorted ascending, exactly
         as :meth:`csr` emits them.  Unlike the constructor, nothing is
         re-derived or copied -- ``positions`` and ``indices`` are adopted
-        as-is (read-only shared-memory buffers included), and the per-node
-        adjacency list holds views into ``indices``.  This is the
-        zero-copy rehydration path workers use for shared-memory payloads.
+        as-is (read-only shared-memory buffers included), with no per-node
+        work.  This is the zero-copy rehydration path for shared-memory
+        payloads.
         """
         self = cls.__new__(cls)
         pos = as_points(positions)
@@ -172,9 +179,6 @@ class NetworkGraph:
         n = pos.shape[0]
         if self._indptr.shape != (n + 1,) or self._indptr[-1] != self._indices.size:
             raise ValueError("indptr does not describe indices")
-        self._adjacency = (
-            np.split(self._indices, self._indptr[1:-1]) if n else []
-        )
         self._neighbor_sets_cache = None
         self._edge_array = None
         self._reach_operator = None
@@ -217,12 +221,21 @@ class NetworkGraph:
         return self._positions[node].copy()
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Sorted array of the node's one-hop neighbors."""
-        return self._adjacency[node]
+        """Sorted, read-only array of the node's one-hop neighbors.
+
+        A slice of the CSR ``indices`` (see :meth:`csr`), not a copy.
+        """
+        row = self._indices[self._indptr[node] : self._indptr[node + 1]]
+        row.flags.writeable = False
+        return row
+
+    def _row(self, node: int) -> List[int]:
+        """The node's neighbors as Python ints, for the BFS loops."""
+        return self._indices[self._indptr[node] : self._indptr[node + 1]].tolist()
 
     def degree(self, node: int) -> int:
         """Number of one-hop neighbors."""
-        return int(self._adjacency[node].size)
+        return int(self._indptr[node + 1] - self._indptr[node])
 
     def degrees(self) -> np.ndarray:
         """Array of all node degrees (from the CSR row extents)."""
@@ -237,8 +250,10 @@ class NetworkGraph:
         the hash-set twin of the CSR adjacency is created lazily.
         """
         if self._neighbor_sets_cache is None:
+            bounds = self._indptr.tolist()
+            indices = self._indices.tolist()
             self._neighbor_sets_cache = [
-                set(map(int, a)) for a in self._adjacency
+                set(indices[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
         return self._neighbor_sets_cache
 
@@ -328,8 +343,7 @@ class NetworkGraph:
             u = queue.popleft()
             if max_hops is not None and hops[u] >= max_hops:
                 continue
-            for v in self._adjacency[u]:
-                v = int(v)
+            for v in self._row(u):
                 if v in hops:
                     continue
                 if within is not None and v not in within:
@@ -414,8 +428,7 @@ class NetworkGraph:
             # lexicographic order of the nodes' paths from the source; the
             # first discoverer of a node therefore ends its
             # lexicographically smallest shortest path.
-            for v in self._adjacency[u]:
-                v = int(v)
+            for v in self._row(u):
                 if v in parent:
                     continue
                 if within is not None and v not in within:
@@ -471,8 +484,7 @@ class NetworkGraph:
             queue: deque = deque([start])
             while queue:
                 u = queue.popleft()
-                for v in self._adjacency[u]:
-                    v = int(v)
+                for v in self._row(u):
                     if v in seen:
                         continue
                     if member is not None and v not in member:

@@ -48,10 +48,6 @@ class QuasiUnitDiskModel:
         probability[d <= self.alpha] = 1.0
         return rng.uniform(size=d.shape) < probability
 
-    def describe(self) -> str:
-        """Human-readable tag for reports."""
-        return f"quasi-udg(alpha={self.alpha})"
-
 
 def build_adjacency(
     positions: np.ndarray,

@@ -16,7 +16,7 @@ under LAY002).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -65,9 +65,6 @@ class Histogram:
 
     def observe(self, value: Number) -> None:
         self.values.append(value)
-
-    def observe_many(self, values: Iterable[Number]) -> None:
-        self.values.extend(values)
 
     @staticmethod
     def _nearest_rank(ordered: List[Number], q: float) -> Number:

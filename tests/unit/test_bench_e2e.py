@@ -34,12 +34,13 @@ def test_counters_are_detect_outputs(e2e_small):
 
 
 def test_stages_map_holds_detect_spans(e2e_small):
-    """The detect spans lie inside the timed runs; ``surface`` is timed
-    after them and is not part of ``median_seconds``."""
+    """Generation and the detect spans lie inside the timed runs;
+    ``surface`` is timed after them and is not part of ``median_seconds``."""
     stages = dict(e2e_small["stages"])
     surface = stages.pop("surface")
-    assert tuple(stages) == E2E_STAGE_SPANS
+    assert tuple(stages) == ("generation", *E2E_STAGE_SPANS)
     assert all(seconds >= 0.0 for seconds in stages.values())
+    assert stages["generation"] > 0.0
     assert sum(stages.values()) <= max(e2e_small["timings"])
     assert surface > 0.0
     assert e2e_small["repeat"] == 2 and len(e2e_small["timings"]) == 2

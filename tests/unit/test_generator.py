@@ -1,5 +1,7 @@
 """Unit tests for network deployment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.network.generator import (
     _radio_range_for_degree,
     generate_network,
 )
+from repro.network.graph import NetworkGraph
 from repro.shapes.solids import Sphere
 
 
@@ -70,6 +73,45 @@ class TestGenerateNetwork:
         net = generate_network(Sphere(radius=1.0), sparse)
         assert net.graph.is_connected()
         assert net.scenario.endswith("+giant")
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_giant_component_keeps_the_induced_links(self, alpha):
+        """The kept graph is the induced subgraph of the deployed one.
+
+        Unit-disk: byte-identical to a unit-ball rebuild over the kept
+        positions.  Quasi-UDG: exactly the links the model drew between kept
+        nodes, no gray-zone link added.
+        """
+        config = DeploymentConfig(
+            n_surface=40,
+            n_interior=40,
+            target_degree=3,
+            seed=1,
+            connectivity_retries=0,
+            quasi_udg_alpha=alpha,
+        )
+        with mock.patch.object(NetworkGraph, "is_connected", return_value=True):
+            deployed = generate_network(Sphere(radius=1.0), config).graph
+        net = generate_network(Sphere(radius=1.0), config)
+        assert net.scenario.endswith("+giant")
+        keep = np.array(max(deployed.connected_components(), key=len))
+        assert net.n_nodes == keep.size < deployed.n_nodes
+        np.testing.assert_array_equal(net.graph.positions, deployed.positions[keep])
+        relabel = {int(old): new for new, old in enumerate(keep)}
+        induced = sorted(
+            (relabel[u], relabel[v])
+            for u, v in deployed.edges()
+            if u in relabel and v in relabel
+        )
+        assert list(net.graph.edges()) == induced
+        rebuilt = NetworkGraph(net.graph.positions, radio_range=1.0)
+        same = [np.array_equal(a, b) for a, b in zip(net.graph.csr(), rebuilt.csr())]
+        if alpha is None:
+            assert same == [True, True]
+        else:
+            # The unit-ball rebuild over the same positions adds gray-zone
+            # links the quasi-UDG draw rejected.
+            assert net.graph.n_edges < rebuilt.n_edges
 
     def test_disconnected_raises_without_fallback(self):
         sparse = DeploymentConfig(

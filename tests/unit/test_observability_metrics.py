@@ -37,7 +37,8 @@ class TestHistogram:
 
     def test_summary_statistics(self):
         h = Histogram("h")
-        h.observe_many([5, 1, 3, 2, 4])
+        for value in [5, 1, 3, 2, 4]:
+            h.observe(value)
         s = h.summary()
         assert s["count"] == 5
         assert s["sum"] == 15

@@ -44,9 +44,6 @@ class TestQuasiUnitDisk:
         with pytest.raises(ValueError):
             QuasiUnitDiskModel(alpha=1.2)
 
-    def test_describe(self):
-        assert "0.7" in QuasiUnitDiskModel(alpha=0.7).describe()
-
 
 class TestBuildAdjacency:
     def test_unit_disk_matches_graph_construction(self, rng):

@@ -32,12 +32,6 @@ class TestNeighborStructures:
         with pytest.raises(ValueError):
             UniformGridIndex(np.zeros((1, 3)), cell_size=0.0)
 
-    def test_points_view_read_only(self, rng):
-        points = rng.uniform(0, 1, size=(5, 3))
-        index = UniformGridIndex(points, 1.0)
-        with pytest.raises(ValueError):
-            index.points[0, 0] = 99.0
-
 
 def brute_force_pairs_array(points, radius):
     """The (i, j)-lexicographic pair array a double loop emits."""
