@@ -9,7 +9,7 @@ section).  The inspection:
    Fig. 1(g)-style detection table for this geometry;
 3. builds the boundary mesh at each error level and reports the mesh
    deviation from the true pipe wall -- the paper's Figs. 1(j)-(l)
-   robustness story on a non-convex shape.
+   error-tolerance story on a non-convex shape.
 
 Usage::
 

@@ -22,9 +22,9 @@ from repro.analysis.suppressions import collect_suppressions
 #: paper's pipeline fixes the spine geometry -> network -> core -> surface;
 #: ``shapes`` (ground-truth region generators) sits below ``network`` which
 #: samples deployments from it.  ``runtime`` (the message-passing simulator
-#: and its fault models) ranks alongside ``surface``: it is infrastructure
-#: the consumer layers drive -- ``evaluation`` runs protocols under
-#: injected faults for the robustness sweeps -- but it never imports them.
+#: and the paper's loss-free protocols) ranks alongside ``surface``: tests
+#: and benches drive its protocols against the centralized code, and it
+#: never imports the layers above it.
 #: The consumer layers -- applications, evaluation, io -- sit side by side
 #: above with no lateral edges, so any of them can be deleted without
 #: touching the others.  ``service`` (the durable job queue and

@@ -7,22 +7,18 @@ Subcommands::
     repro-boundary surface   --network net.json --result result.json --out-prefix mesh
     repro-boundary scenario  --scenario one_hole
     repro-boundary sweep     --scenario sphere --levels 0,0.2,0.4
-    repro-boundary robustness --scenario sphere --loss 0,0.1,0.3
     repro-boundary bench     --stages ubf,iff --check-regression
     repro-boundary trace     result.trace.jsonl
-    repro-campaign run       --spec campaigns/robustness_baseline.json --root store/
+    repro-campaign run       --spec campaigns/error_sweep_mini.json --root store/
 
 ``generate`` writes a network JSON; ``detect`` runs the UBF+IFF pipeline
 on it (``--workers N`` shards MDS frame construction across processes;
 every other stage runs in-process); ``surface`` builds and exports the
-triangular boundary meshes; ``scenario`` runs one of the
-Figs. 6-10 scenarios end to end and prints the summary; ``sweep`` prints
-the Fig. 1(g)-style error-sweep table; ``robustness`` sweeps message loss
-and node crashes over the message-level IFF flood + grouping protocols and
-prints the degradation table (see docs/ROBUSTNESS.md); ``bench`` times the
-pipeline stages on pinned scenarios, writes ``BENCH_<stage>.json``
-artifacts, and optionally gates against the committed baseline (see
-docs/PERFORMANCE.md).
+triangular boundary meshes; ``scenario`` runs one of the Figs. 6-10
+scenarios end to end and prints the summary; ``sweep`` prints the
+Fig. 1(g)-style error-sweep table; ``bench`` times the pipeline stages on
+pinned scenarios, writes ``BENCH_<stage>.json`` artifacts, and optionally
+gates against the committed baseline (see docs/PERFORMANCE.md).
 
 ``repro-campaign`` (also reachable as ``repro-boundary campaign``) runs
 declarative experiment campaigns through the durable job service:
@@ -32,11 +28,10 @@ committed ``results/`` tables; ``status`` reports per-axis progress;
 ``expand`` and ``render`` inspect without executing (see
 docs/CAMPAIGNS.md).
 
-``detect``, ``robustness``, and ``bench`` accept ``--trace PATH`` to
-record a structured JSONL execution trace (nested stage spans with wall
-times and counters; see docs/OBSERVABILITY.md); ``trace`` validates such
-a file against the trace schema (``--validate``) or pretty-prints it as
-an ASCII span tree.
+``detect`` and ``bench`` accept ``--trace PATH`` to record a structured
+JSONL execution trace (nested stage spans with wall times and counters;
+see docs/OBSERVABILITY.md); ``trace`` validates such a file against the
+trace schema (``--validate``) or pretty-prints it as an ASCII span tree.
 """
 
 from __future__ import annotations
@@ -329,55 +324,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_robustness(args) -> int:
-    """Run the fault-injection degradation sweep and print its table."""
-    from repro.evaluation.robustness import (
-        render_robustness_table,
-        run_scenario_robustness,
-    )
-    from repro.runtime.protocols import RetryPolicy
-
-    loss_rates = [float(x) for x in args.loss.split(",")]
-    crash_fractions = [float(x) for x in args.crash.split(",")]
-    detector_config = _detector_from_args(args)
-    tracer = _tracer_from_args(args)
-    common = dict(
-        deployment=_deployment_from_args(args),
-        loss_rates=loss_rates,
-        crash_fractions=crash_fractions,
-        detector_config=detector_config,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        tracer=tracer,
-    )
-    sections = []
-    with tracer.span(
-        "cli.robustness", scenario=args.scenario, mode=args.mode, seed=args.seed
-    ):
-        if args.mode in ("raw", "both"):
-            points = run_scenario_robustness(args.scenario, **common)
-            sections.append(
-                "[robustness] raw protocols (no reliability layer)\n"
-                + render_robustness_table(points)
-            )
-        if args.mode in ("reliable", "both"):
-            policy = RetryPolicy(max_retries=args.max_retries, rto=args.rto)
-            points = run_scenario_robustness(
-                args.scenario, retry_policy=policy, **common
-            )
-            sections.append(
-                f"[robustness] reliable wrapper (max_retries={policy.max_retries}, "
-                f"rto={policy.rto})\n" + render_robustness_table(points)
-            )
-    report = "\n\n".join(sections)
-    print(report)
-    if args.out:
-        write_atomic(args.out, report + "\n")
-        print(f"wrote {args.out}")
-    _write_trace_if_requested(args, tracer)
-    return 0
-
-
 def cmd_campaign_run(args) -> int:
     """Run a campaign spec through the job store; write its tables."""
     from repro.evaluation.campaign import load_spec
@@ -644,30 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_deployment_args(p)
     p.add_argument("--levels", default="0,0.1,0.2,0.3,0.4,0.5")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "robustness",
-        help="fault-injection degradation sweep (loss x crashes)",
-    )
-    _add_deployment_args(p)
-    p.add_argument("--error", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--theta", type=int, default=20)
-    p.add_argument("--ttl", type=int, default=3)
-    p.add_argument("--loss", default="0,0.1,0.3", help="loss rates, comma-separated")
-    p.add_argument("--crash", default="0", help="crash fractions, comma-separated")
-    p.add_argument(
-        "--mode",
-        choices=("raw", "reliable", "both"),
-        default="both",
-        help="run without, with, or with-and-without the reliable wrapper",
-    )
-    p.add_argument("--max-retries", type=int, default=5)
-    p.add_argument("--rto", type=int, default=2)
-    p.add_argument("--max-rounds", type=int, default=10_000)
-    p.add_argument("--out", default=None, help="also write the tables to a file")
-    _add_trace_arg(p)
-    p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("analyze", help="report detected holes")
     p.add_argument("--network", required=True)

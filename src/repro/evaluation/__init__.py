@@ -14,9 +14,6 @@
   make every sweep cell a pure function of its own identity.
 * :mod:`repro.evaluation.reporting` -- ASCII tables in the shape of the
   paper's figures.
-* :mod:`repro.evaluation.robustness` -- degradation sweeps under injected
-  channel faults (message loss, crashes), with and without the reliable
-  ack/retransmit wrapper; see ``docs/ROBUSTNESS.md``.
 * :mod:`repro.evaluation.bench` -- ``repro-bench``: stage wall-time +
   Theorem-1 counter benchmarking with ``BENCH_<stage>.json`` artifacts and
   a baseline regression gate; see ``docs/PERFORMANCE.md``.
@@ -49,7 +46,6 @@ from repro.evaluation.seeding import (
     cell_rng,
     cell_substream,
     error_cell_identity,
-    fault_cell_identity,
 )
 from repro.evaluation.experiments import (
     ErrorSweepPoint,
@@ -67,14 +63,6 @@ from repro.evaluation.experiments import (
     run_ubf_complexity,
 )
 from repro.evaluation.reporting import format_table
-from repro.evaluation.robustness import (
-    RobustnessPoint,
-    precision_recall_f1,
-    render_robustness_table,
-    run_fault_cell,
-    run_robustness_sweep,
-    run_scenario_robustness,
-)
 
 __all__ = [
     "BENCH_SCENARIOS",
@@ -91,13 +79,6 @@ __all__ = [
     "cell_rng",
     "cell_substream",
     "error_cell_identity",
-    "fault_cell_identity",
-    "RobustnessPoint",
-    "precision_recall_f1",
-    "render_robustness_table",
-    "run_fault_cell",
-    "run_robustness_sweep",
-    "run_scenario_robustness",
     "run_error_cell",
     "DetectionStats",
     "evaluate_detection",

@@ -1,12 +1,11 @@
 """Declarative experiment campaigns: spec, cell cross-product, executors.
 
 The paper's evidence is a family of multi-cell sweeps (Figs. 6-10 and the
-error/fault grids of Figs. 1(g-i) and 11), each previously hand-rolled as
-its own driver invocation.  A :class:`CampaignSpec` describes one such
-sweep declaratively -- scenario x seed x config-variant axes crossed with
-either a measurement-error axis (``kind="error_sweep"``) or a
-loss x crash x mode fault grid (``kind="robustness"``) -- and
-:func:`expand` turns it into an ordered list of :class:`CampaignCell`
+error sweeps of Figs. 1(g-i) and 11), each previously hand-rolled as its
+own driver invocation.  A :class:`CampaignSpec` describes one such sweep
+declaratively -- scenario x seed x config-variant axes crossed with a
+measurement-error axis (``kind="error_sweep"``, the only kind so far) --
+and :func:`expand` turns it into an ordered list of :class:`CampaignCell`
 values.
 
 Each cell is a *pure function of its parameters*: :func:`execute_cell`
@@ -41,30 +40,21 @@ from repro.evaluation.reporting import (
     render_mistaken_distribution,
     render_missing_distribution,
 )
-from repro.evaluation.robustness import (
-    RobustnessPoint,
-    render_robustness_table,
-    run_fault_cell,
-)
 from repro.network.generator import DeploymentConfig, generate_network
 from repro.observability.tracer import ensure_tracer
-from repro.runtime.protocols import RetryPolicy
 from repro.shapes.library import scenario_by_name
 
 CAMPAIGN_FORMAT_VERSION = 1
 
 #: Job kinds the campaign manager submits (``JobSpec.kind`` values).
 CELL_KIND_ERROR = "eval.error_cell"
-CELL_KIND_FAULT = "eval.fault_cell"
-CELL_KINDS = (CELL_KIND_ERROR, CELL_KIND_FAULT)
 
 #: Campaign kinds (spec-level).
 KIND_ERROR_SWEEP = "error_sweep"
-KIND_ROBUSTNESS = "robustness"
-CAMPAIGN_KINDS = (KIND_ERROR_SWEEP, KIND_ROBUSTNESS)
+CAMPAIGN_KINDS = (KIND_ERROR_SWEEP,)
 
-#: Detector/protocol knobs a config variant may override.
-VARIANT_KEYS = ("epsilon", "theta", "ttl", "max_retries", "rto")
+#: Detector knobs a config variant may override.
+VARIANT_KEYS = ("epsilon", "theta", "ttl")
 
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
@@ -75,12 +65,10 @@ _NAME_CHARS = frozenset(
 class CampaignSpec:
     """One declarative experiment campaign (the committed JSON schema).
 
-    Axes: ``scenarios`` x ``seeds`` x ``variants`` crossed with the
-    kind-specific grid -- ``levels`` for an error sweep, ``modes`` x
-    ``crash_fractions`` x ``loss_rates`` for a robustness grid.  The
-    ``seed`` axis value seeds *both* the deployment (network generation)
-    and the per-cell substreams, so each seed is a fully independent
-    replication.
+    Axes: ``scenarios`` x ``seeds`` x ``variants`` crossed with the error
+    sweep's ``levels``.  The ``seed`` axis value seeds *both* the
+    deployment (network generation) and the per-cell substreams, so each
+    seed is a fully independent replication.
 
     ``variants`` is the config-variant axis: each entry is a mapping with
     a unique ``name`` plus overrides drawn from :data:`VARIANT_KEYS`.
@@ -100,24 +88,10 @@ class CampaignSpec:
     ttl: int = 3
     variants: Tuple[Mapping[str, Any], ...] = ()
     levels: Tuple[float, ...] = ()
-    loss_rates: Tuple[float, ...] = ()
-    crash_fractions: Tuple[float, ...] = (0.0,)
-    modes: Tuple[str, ...] = ("raw",)
-    max_retries: int = 8
-    rto: int = 2
-    max_rounds: int = 10_000
     output: Optional[str] = None
 
     def __post_init__(self):
-        for attr in (
-            "scenarios",
-            "seeds",
-            "variants",
-            "levels",
-            "loss_rates",
-            "crash_fractions",
-            "modes",
-        ):
+        for attr in ("scenarios", "seeds", "variants", "levels"):
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
         if not self.name or not set(self.name) <= _NAME_CHARS:
             raise ValueError(
@@ -133,21 +107,8 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one scenario")
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
-        if self.kind == KIND_ERROR_SWEEP and not self.levels:
+        if not self.levels:
             raise ValueError("error_sweep campaign needs non-empty levels")
-        if self.kind == KIND_ROBUSTNESS:
-            if not self.loss_rates:
-                raise ValueError("robustness campaign needs non-empty loss_rates")
-            if not self.crash_fractions:
-                raise ValueError(
-                    "robustness campaign needs non-empty crash_fractions"
-                )
-            bad_modes = [m for m in self.modes if m not in ("raw", "reliable")]
-            if not self.modes or bad_modes:
-                raise ValueError(
-                    f"modes must be a non-empty subset of ('raw', 'reliable'), "
-                    f"got {self.modes!r}"
-                )
         seen = set()
         for variant in self.variants:
             vname = variant.get("name")
@@ -231,10 +192,8 @@ def _variant_value(spec: CampaignSpec, variant: Mapping[str, Any], key: str) -> 
 def expand(spec: CampaignSpec) -> List[CampaignCell]:
     """The ordered cell cross-product of ``spec``.
 
-    Order is slice-major (scenario, seed, variant) then the kind grid
-    (levels; or mode-major crash x loss row-major, matching
-    :func:`repro.evaluation.robustness.run_robustness_sweep`).  Rendering
-    and status both rely on this order being deterministic.
+    Order is slice-major (scenario, seed, variant) then ``levels``.
+    Rendering and status both rely on this order being deterministic.
     """
     cells: List[CampaignCell] = []
     for scenario in spec.scenarios:
@@ -255,43 +214,15 @@ def expand(spec: CampaignSpec) -> List[CampaignCell]:
                     "theta": int(_variant_value(spec, variant, "theta")),
                     "ttl": int(_variant_value(spec, variant, "ttl")),
                 }
-                if spec.kind == KIND_ERROR_SWEEP:
-                    for level in spec.levels:
-                        cells.append(
-                            CampaignCell(
-                                index=len(cells),
-                                kind=CELL_KIND_ERROR,
-                                axes={**base_axes, "level": float(level)},
-                                params={**base_params, "level": float(level)},
-                            )
+                for level in spec.levels:
+                    cells.append(
+                        CampaignCell(
+                            index=len(cells),
+                            kind=CELL_KIND_ERROR,
+                            axes={**base_axes, "level": float(level)},
+                            params={**base_params, "level": float(level)},
                         )
-                else:
-                    max_retries = int(_variant_value(spec, variant, "max_retries"))
-                    rto = int(_variant_value(spec, variant, "rto"))
-                    for mode in spec.modes:
-                        for crash in spec.crash_fractions:
-                            for loss in spec.loss_rates:
-                                cells.append(
-                                    CampaignCell(
-                                        index=len(cells),
-                                        kind=CELL_KIND_FAULT,
-                                        axes={
-                                            **base_axes,
-                                            "mode": mode,
-                                            "crash": float(crash),
-                                            "loss": float(loss),
-                                        },
-                                        params={
-                                            **base_params,
-                                            "loss_rate": float(loss),
-                                            "crash_fraction": float(crash),
-                                            "reliable": mode == "reliable",
-                                            "max_retries": max_retries,
-                                            "rto": rto,
-                                            "max_rounds": int(spec.max_rounds),
-                                        },
-                                    )
-                                )
+                    )
     return cells
 
 
@@ -327,12 +258,11 @@ def execute_cell(
 ) -> Dict[str, Any]:
     """Run one campaign cell; returns its JSON result document.
 
-    The document round-trips through :func:`error_point_from_doc` /
-    :func:`fault_point_from_doc` back into the dataclasses the existing
-    renderers consume.  Execution is deterministic: equal ``(kind,
-    params)`` always produce byte-identical documents (the substreams are
-    identity-derived), which is the contract the job store's result cache
-    keys on.
+    The document round-trips through :func:`error_point_from_doc` back
+    into the dataclass the existing renderers consume.  Execution is
+    deterministic: equal ``(kind, params)`` always produce byte-identical
+    documents (the substreams are identity-derived), which is the contract
+    the job store's result cache keys on.
     """
     if params is None:
         raise ValueError(f"cell job of kind {kind!r} has no cell parameters")
@@ -352,31 +282,6 @@ def execute_cell(
                 seed=params["seed"],
             )
         return error_point_doc(point)
-    if kind == CELL_KIND_FAULT:
-        with tracer.span(
-            "campaign.cell",
-            kind=kind,
-            scenario=params["scenario"],
-            loss_rate=params["loss_rate"],
-            crash_fraction=params["crash_fraction"],
-        ):
-            network = _cell_network(params)
-            policy = None
-            if params["reliable"]:
-                policy = RetryPolicy(
-                    max_retries=params["max_retries"], rto=params["rto"]
-                )
-            point = run_fault_cell(
-                network,
-                params["loss_rate"],
-                params["crash_fraction"],
-                detector_config=_cell_detector(params),
-                retry_policy=policy,
-                seed=params["seed"],
-                max_rounds=params["max_rounds"],
-                tracer=tracer,
-            )
-        return fault_point_doc(point)
     raise ValueError(f"unknown campaign cell kind {kind!r}")
 
 
@@ -404,19 +309,6 @@ def error_point_from_doc(doc: Mapping[str, Any]) -> ErrorSweepPoint:
     )
 
 
-def fault_point_doc(point: RobustnessPoint) -> Dict[str, Any]:
-    """JSON document of one fault-grid cell result."""
-    doc = dataclasses.asdict(point)
-    doc["type"] = "fault_point"
-    return doc
-
-
-def fault_point_from_doc(doc: Mapping[str, Any]) -> RobustnessPoint:
-    """Inverse of :func:`fault_point_doc`."""
-    names = [f.name for f in dataclasses.fields(RobustnessPoint)]
-    return RobustnessPoint(**{name: doc[name] for name in names})
-
-
 # -- aggregation -----------------------------------------------------------
 
 
@@ -430,10 +322,7 @@ def render_campaign_tables(
     """Aggregate per-cell result documents into the campaign's tables.
 
     ``results`` must align with :func:`expand`'s cell order (one document
-    per cell; ``None`` marks a missing cell and raises).  Single-slice
-    robustness campaigns render byte-identically to the ``repro-boundary
-    robustness`` CLI's ``--out`` file, which is how a committed campaign
-    spec regenerates ``results/robustness_baseline.txt`` exactly.
+    per cell; ``None`` marks a missing cell and raises).
     """
     cells = expand(spec)
     if len(results) != len(cells):
@@ -462,34 +351,17 @@ def render_campaign_tables(
             sections.append(
                 f"=== scenario={scenario} seed={seed} variant={variant} ==="
             )
-        if spec.kind == KIND_ERROR_SWEEP:
-            points = [error_point_from_doc(doc) for _, doc in group]
-            sections.append(
-                "[Fig. 1(g)] boundary node counts vs distance measurement error\n"
-                + render_error_sweep_counts(points)
-            )
-            sections.append(
-                "[Fig. 1(h)] mistaken boundary node hop distribution\n"
-                + render_mistaken_distribution(points)
-            )
-            sections.append(
-                "[Fig. 1(i)] missing boundary node hop distribution\n"
-                + render_missing_distribution(points)
-            )
-        else:
-            for mode, mode_iter in groupby(
-                group, key=lambda cr: cr[0].axes["mode"]
-            ):
-                mode_group = list(mode_iter)
-                points = [fault_point_from_doc(doc) for _, doc in mode_group]
-                if mode == "raw":
-                    header = "[robustness] raw protocols (no reliability layer)"
-                else:
-                    first = mode_group[0][0].params
-                    header = (
-                        f"[robustness] reliable wrapper "
-                        f"(max_retries={first['max_retries']}, "
-                        f"rto={first['rto']})"
-                    )
-                sections.append(header + "\n" + render_robustness_table(points))
+        points = [error_point_from_doc(doc) for _, doc in group]
+        sections.append(
+            "[Fig. 1(g)] boundary node counts vs distance measurement error\n"
+            + render_error_sweep_counts(points)
+        )
+        sections.append(
+            "[Fig. 1(h)] mistaken boundary node hop distribution\n"
+            + render_mistaken_distribution(points)
+        )
+        sections.append(
+            "[Fig. 1(i)] missing boundary node hop distribution\n"
+            + render_missing_distribution(points)
+        )
     return "\n\n".join(sections) + "\n"

@@ -3,7 +3,7 @@
 The experiment drivers used to derive each sweep cell's random substream
 from the cell's *position* in the sweep (``default_rng([seed, index])``),
 which made a cell's result depend on which other cells happened to be in
-the same grid: the ``loss=0.3`` cell of a three-point sweep drew from a
+the same grid: the ``level=0.3`` cell of a three-point sweep drew from a
 different stream than the same cell run alone.  That breaks the campaign
 manager's memoization contract -- a cell must be a pure function of its
 own identity so that running it standalone, inside a hand-rolled sweep,
@@ -29,7 +29,7 @@ from typing import Any, Dict, Mapping
 
 import numpy as np
 
-__all__ = ["cell_substream", "cell_rng", "error_cell_identity", "fault_cell_identity"]
+__all__ = ["cell_substream", "cell_rng", "error_cell_identity"]
 
 
 def _normalize(value: Any) -> Any:
@@ -73,16 +73,3 @@ def error_cell_identity(level: float) -> Dict[str, Any]:
     """Identity of one measurement-error sweep cell (Figs. 1(g-i))."""
     return {"cell": "error", "level": float(level)}
 
-
-def fault_cell_identity(loss_rate: float, crash_fraction: float) -> Dict[str, Any]:
-    """Identity of one channel-fault sweep cell (loss x crash grid).
-
-    Deliberately excludes the reliable/raw mode: the raw and reliable
-    runs of the same ``(loss, crash)`` cell share a substream so their
-    comparison is paired (same crash sample, same channel draws).
-    """
-    return {
-        "cell": "robustness",
-        "crash": float(crash_fraction),
-        "loss": float(loss_rate),
-    }

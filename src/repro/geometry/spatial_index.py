@@ -19,7 +19,7 @@ queries read that layout:
 * :meth:`UniformGridIndex.neighbor_pairs_array` -- every pair within the
   radius, expanded from the same blocks with vectorized cross products.
   It is the kernel's numpy twin (the graph's fallback when no C compiler
-  is available) and feeds :func:`~repro.network.radio.build_adjacency`.
+  is available).
 
 Pairs are returned in lexicographic ``(i, j)`` order, which is also exactly
 what a brute-force ``O(n^2)`` scan produces -- the differential tests compare

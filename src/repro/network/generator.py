@@ -164,14 +164,12 @@ def generate_network(
         )
         scale = 1.0 / radio
         scaled = positions * scale
+        graph = NetworkGraph(scaled, radio_range=1.0)
         if attempt_config.quasi_udg_alpha is not None:
-            from repro.network.radio import QuasiUnitDiskModel, build_adjacency
+            from repro.network.radio import QuasiUnitDiskModel, quasi_udg_graph
 
             model = QuasiUnitDiskModel(attempt_config.quasi_udg_alpha)
-            adjacency = build_adjacency(scaled, model, rng)
-            graph = NetworkGraph(scaled, radio_range=1.0, adjacency=adjacency)
-        else:
-            graph = NetworkGraph(scaled, radio_range=1.0)
+            graph = quasi_udg_graph(graph, model, rng)
         network = Network(
             graph=graph,
             truth_boundary=truth,

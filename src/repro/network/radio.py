@@ -4,22 +4,22 @@ Definition 1 of the paper assumes only "an arbitrary radio transmission
 model with a maximum radio transmission range of 1".  The generator
 defaults to unit-disk connectivity (link iff distance <= 1), which
 :class:`~repro.network.graph.NetworkGraph` builds directly from positions.
-Setting ``DeploymentConfig.quasi_udg_alpha`` switches it to the standard
-quasi-unit-disk model (quasi-UDG) here: links are certain up to ``alpha``,
-impossible beyond 1, and exist with a distance-interpolated probability in
-between -- the usual abstraction for real radios' gray zone.  Link
-decisions are symmetric (one draw per pair) and deterministic given the
-RNG seed; ``alpha = 1`` is unit-disk connectivity and draws nothing.
+Setting ``DeploymentConfig.quasi_udg_alpha`` thins that graph to the
+standard quasi-unit-disk model (quasi-UDG) here: links are certain up to
+``alpha``, impossible beyond 1, and exist with a distance-interpolated
+probability in between -- the usual abstraction for real radios' gray
+zone.  Link decisions are symmetric (one draw per pair) and deterministic
+given the RNG seed; ``alpha = 1`` is unit-disk connectivity and draws
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
+from repro.network.graph import NetworkGraph
 
 
 @dataclass(frozen=True)
@@ -49,27 +49,31 @@ class QuasiUnitDiskModel:
         return rng.uniform(size=d.shape) < probability
 
 
-def build_adjacency(
-    positions: np.ndarray,
+def quasi_udg_graph(
+    graph: NetworkGraph,
     model: QuasiUnitDiskModel,
     rng: np.random.Generator,
-) -> List[List[int]]:
-    """Adjacency lists under a quasi-UDG model (one symmetric draw per pair).
+) -> NetworkGraph:
+    """The links of a unit-ball ``graph`` that survive a quasi-UDG draw.
 
-    Candidate pairs are those within the normalized radio range 1, the
-    farthest any link can reach.
+    Candidate pairs are the unit-ball graph's edges, the farthest any link
+    can reach, drawn once each in :meth:`NetworkGraph.edge_array` order so
+    the decision is symmetric.  The kept links are a mask over the graph's
+    CSR: its upper-triangle entries list the edges in that same order, and
+    its lower-triangle entries list them ordered by ``(v, u)``.
     """
-    n = positions.shape[0]
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    if n == 0:
-        return adjacency
-    index = UniformGridIndex(positions, cell_size=auto_cell_size(1.0))
-    pairs = index.neighbor_pairs_array(1.0)
-    if not pairs.size:
-        return adjacency
-    dists = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
-    mask = model.link_mask(dists, rng)
-    for u, v in pairs[mask].tolist():
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency
+    edges = graph.edge_array()
+    positions = graph.positions
+    dists = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+    link = model.link_mask(dists, rng)
+    indptr, indices = graph.csr()
+    heads = np.repeat(np.arange(graph.n_nodes), np.diff(indptr))
+    upper = heads < indices
+    keep = np.empty(indices.size, dtype=bool)
+    keep[upper] = link
+    keep[~upper] = link[np.argsort(edges[:, 1], kind="stable")]
+    new_indptr = np.zeros_like(indptr)
+    np.cumsum(np.bincount(heads[keep], minlength=graph.n_nodes), out=new_indptr[1:])
+    return NetworkGraph.from_csr(
+        positions, graph.radio_range, new_indptr, indices[keep]
+    )

@@ -47,7 +47,7 @@ def write_atomic(path, text: str, encoding: str = "utf-8") -> Path:
     destination untouched.  The helper lives here (the bottom layer of the
     import DAG) so every artifact writer -- trace export below,
     ``repro.io.serialization`` (which re-exports it as the public home),
-    and the bench/robustness/service layers -- can share one
+    and the bench and service layers -- can share one
     implementation without upward imports.
     """
     path = Path(path)

@@ -19,33 +19,16 @@ with one-hop communication only:
 ``tests/integration/test_runtime_equivalence.py`` pins each protocol's
 outcome to its centralized counterpart.
 
-The runtime also owns the failure story: :mod:`repro.runtime.faults`
-declares seeded fault models (:class:`~repro.runtime.faults.FaultPlan`:
-uniform/per-link/burst loss, duplication, bounded delay, crash schedules)
-that :class:`~repro.runtime.simulator.Simulator` injects, and
-:class:`~repro.runtime.protocols.ReliableProtocol` adds per-hop
-dedup + ack/retransmit under a bounded
-:class:`~repro.runtime.protocols.RetryPolicy`.  See ``docs/ROBUSTNESS.md``.
+Delivery is synchronous and loss-free, as the paper assumes: every message
+sent in round ``t`` arrives in round ``t + 1``.
 """
 
-from repro.runtime.faults import (
-    CrashSpec,
-    DelaySpec,
-    FaultInjector,
-    FaultPlan,
-    GilbertElliott,
-    sample_crashes,
-)
 from repro.runtime.message import Message
 from repro.runtime.protocols import (
     MinLabelProtocol,
-    ReliableProtocol,
-    ReliableStats,
-    RetryPolicy,
     TTLFloodProtocol,
     VoronoiCellProtocol,
     distributed_landmark_election,
-    reliable_stats,
     run_grouping_distributed,
     run_iff_distributed,
 )
@@ -70,14 +53,4 @@ __all__ = [
     "distributed_landmark_election",
     "run_iff_distributed",
     "run_grouping_distributed",
-    "FaultPlan",
-    "FaultInjector",
-    "GilbertElliott",
-    "DelaySpec",
-    "CrashSpec",
-    "sample_crashes",
-    "ReliableProtocol",
-    "ReliableStats",
-    "RetryPolicy",
-    "reliable_stats",
 ]

@@ -20,12 +20,8 @@ class Message:
         Arbitrary protocol data.  Payloads should be small immutable
         values (tuples, ints) -- the simulator counts every message, and
         the per-protocol payload sizes are part of the cost story.
-    round_sent:
-        The round in which the message was emitted; it is delivered at
-        ``round_sent + 1``.
     """
 
     sender: int
     recipient: int
     payload: Any
-    round_sent: int

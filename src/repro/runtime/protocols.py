@@ -1,46 +1,32 @@
 """Message-level protocols for the paper's localized building blocks.
 
-Besides the paper's protocols (TTL flood, min-label grouping, Voronoi
-cells, landmark election) this module provides *reliable-delivery
-primitives* for lossy channels: :class:`ReliableProtocol` wraps any inner
-protocol with per-link idempotent dedup plus ack/retransmit under a
-bounded :class:`RetryPolicy`, and :func:`reliable_stats` aggregates the
-retry-budget observables from a finished run.  The ``run_*_distributed``
-drivers accept an optional :class:`repro.runtime.faults.FaultPlan` and
-retry policy so every phase can be exercised under injected faults.
+The TTL flood (IFF), min-label grouping, Voronoi cells and the phased
+landmark election, each run on the synchronous loss-free
+:class:`~repro.runtime.simulator.Simulator`, plus the ``run_*_distributed``
+drivers that return their fixed points in the shape of the centralized
+code's results.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-import numpy as np
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.network.graph import NetworkGraph
-from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import NodeContext, Protocol, SimulationResult, Simulator
 
 
 class TTLFloodProtocol(Protocol):
     """IFF's local flood (Sec. II-B).
 
-    Every participant originates one flooding packet with TTL ``ttl``;
-    packets are re-broadcast with a decremented TTL whenever a node hears
-    a given originator with *more* residual TTL than any earlier copy.  On
-    quiescence each node's ``state["heard"]`` holds the set of distinct
-    originators it received (itself included), i.e. exactly the
-    participants within ``ttl`` hops in the participant-induced subgraph
-    -- the count IFF compares against ``theta``.
-
-    Tracking the best residual TTL per originator (``state["ttls"]``)
-    instead of a first-arrival-wins bit makes the outcome a monotone fixed
-    point, independent of message ordering: under synchronous lossless
-    delivery the first copy always carries the maximal TTL so behaviour
-    (and message counts) are unchanged, while under fault-injected delay
-    or retransmission a late shortest-path copy still extends the flood
-    instead of being swallowed by an earlier long-path arrival.
+    Every participant originates one flooding packet with TTL ``ttl``; a
+    node re-broadcasts an originator's packet, with a decremented TTL, the
+    first time it hears that originator.  Under synchronous delivery the
+    first round in which an originator reaches a node is its hop distance,
+    and every copy arriving in that round carries the same residual TTL, so
+    first arrival wins.  On quiescence each node's ``state["heard"]`` holds
+    the set of distinct originators it received (itself included), i.e.
+    exactly the participants within ``ttl`` hops in the participant-induced
+    subgraph -- the count IFF compares against ``theta``.
     """
 
     def __init__(self, ttl: int):
@@ -50,16 +36,14 @@ class TTLFloodProtocol(Protocol):
 
     def on_start(self, ctx: NodeContext) -> None:
         ctx.state["heard"] = {ctx.node}
-        ctx.state["ttls"] = {ctx.node: self.ttl}
         ctx.broadcast((ctx.node, self.ttl))
 
     def on_message(self, ctx: NodeContext, sender: int, payload: Any) -> None:
         origin, ttl = payload
-        ttls: Dict[int, int] = ctx.state["ttls"]
-        if ttls.get(origin, 0) >= ttl:
+        heard: Set[int] = ctx.state["heard"]
+        if origin in heard:
             return
-        ttls[origin] = ttl
-        ctx.state["heard"].add(origin)
+        heard.add(origin)
         if ttl > 1:
             ctx.broadcast((origin, ttl - 1))
 
@@ -115,238 +99,6 @@ class VoronoiCellProtocol(Protocol):
     def on_finish(self, ctx: NodeContext) -> None:
         best = ctx.state["best"]
         ctx.state["cell"] = best[1] if best is not None else None
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded ack/retransmit parameters for :class:`ReliableProtocol`.
-
-    Attributes
-    ----------
-    max_retries:
-        Retransmissions allowed per (destination, message) after the
-        initial send; the total transmission budget is ``max_retries + 1``.
-        At per-attempt loss ``p`` the residual failure probability is
-        ``p ** (max_retries + 1)`` (1e-6 at 10% loss with the default 5).
-    rto:
-        Base retransmission timeout in rounds.  The synchronous round-trip
-        is exactly 2 rounds (data out, ack back), so the default never
-        retransmits a message whose ack is still legitimately in flight.
-    rto_backoff:
-        Multiplicative backoff applied per retransmission of the *same*
-        message: the r-th retransmission waits ``rto * rto_backoff**r``
-        rounds (rounded up), capped at ``rto_cap``.  The default 1.0 keeps
-        the legacy fixed-RTO behaviour.  Backoff spaces retries out on
-        persistently bad links, trading latency for less retry traffic.
-    rto_cap:
-        Upper bound (in rounds) on any backed-off timeout; ignored when
-        ``rto_backoff`` is 1.0.
-    """
-
-    max_retries: int = 5
-    rto: int = 2
-    rto_backoff: float = 1.0
-    rto_cap: int = 64
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.rto < 1:
-            raise ValueError("rto must be at least 1 round")
-        if self.rto_backoff < 1.0:
-            raise ValueError("rto_backoff must be at least 1.0")
-        if self.rto_cap < self.rto:
-            raise ValueError("rto_cap must be at least rto")
-
-    def timeout_for(self, retries_used: int) -> int:
-        """Rounds to wait before the next retransmission of one message.
-
-        ``retries_used`` is how many retransmissions the message has
-        already consumed (0 before the first one).
-        """
-        if self.rto_backoff == 1.0:  # lint: allow[FLT009] -- 1.0 is the exact config sentinel for "no backoff", not a computed float
-            return self.rto
-        scaled = self.rto * self.rto_backoff**retries_used
-        return min(self.rto_cap, int(math.ceil(scaled)))
-
-
-@dataclass(frozen=True)
-class ReliableStats:
-    """Aggregate retry-budget observables of one reliable run."""
-
-    retransmissions: int
-    gave_up: int
-    duplicates_suppressed: int
-    acks_sent: int
-
-
-#: Reserved key in ``ctx.state`` for the reliable layer's bookkeeping.
-RELIABLE_STATE_KEY = "_reliable"
-
-_DATA = "data"
-_ACK = "ack"
-
-
-class _ReliableContext:
-    """The :class:`NodeContext` facade handed to the inner protocol.
-
-    Reads (``node``, ``neighbors``, ``state``) pass through; ``send`` and
-    ``broadcast`` are rerouted through the reliable channel so the inner
-    protocol stays oblivious to sequencing, acks, and retransmissions.
-    """
-
-    __slots__ = ("_ctx", "_proto")
-
-    def __init__(self, ctx: NodeContext, proto: "ReliableProtocol"):
-        self._ctx = ctx
-        self._proto = proto
-
-    @property
-    def node(self) -> int:
-        return self._ctx.node
-
-    @property
-    def neighbors(self) -> List[int]:
-        return self._ctx.neighbors
-
-    @property
-    def state(self) -> Dict[str, Any]:
-        return self._ctx.state
-
-    def send(self, to: int, payload: Any) -> None:
-        self._proto._reliable_send(self._ctx, to, payload)
-
-    def broadcast(self, payload: Any) -> None:
-        for nbr in self._ctx.neighbors:
-            self._proto._reliable_send(self._ctx, nbr, payload)
-
-    def set_timer(self, delay: int) -> None:
-        self._ctx.set_timer(delay)
-
-
-class ReliableProtocol(Protocol):
-    """Loss tolerance for any inner protocol: dedup + ack/retransmit.
-
-    Every application message is wrapped as ``(data, seq, payload)`` and
-    acknowledged per hop with ``(ack, seq)``.  The sender retransmits an
-    unacknowledged message every ``rto`` rounds up to ``max_retries``
-    times; the receiver deduplicates by ``(sender, seq)`` so retransmits
-    and channel-duplicated copies deliver exactly once to the inner
-    protocol.  A message whose every transmission is lost is abandoned
-    after the budget (counted in ``gave_up``) -- delivery is *reliable up
-    to the retry budget*, not guaranteed.
-
-    Per-node bookkeeping lives in ``ctx.state["_reliable"]``; the inner
-    protocol keeps using its own keys in the same state dict.
-    """
-
-    def __init__(self, inner: Protocol, policy: Optional[RetryPolicy] = None):
-        self.inner = inner
-        # Per-instance default: a module-level shared default instance
-        # would let one protocol's policy alias another's (harmless today
-        # because RetryPolicy is frozen, but a refactor away from a bug).
-        self.policy = policy if policy is not None else RetryPolicy()
-
-    def _rel(self, ctx: NodeContext) -> Dict[str, Any]:
-        return ctx.state[RELIABLE_STATE_KEY]
-
-    def on_start(self, ctx: NodeContext) -> None:
-        ctx.state[RELIABLE_STATE_KEY] = {
-            "next_seq": 0,
-            # (to, seq) -> [payload, retries_used, last_sent_round]
-            "pending": {},
-            "seen": set(),
-            "retransmissions": 0,
-            "gave_up": 0,
-            "duplicates_suppressed": 0,
-            "acks_sent": 0,
-        }
-        self.inner.on_start(_ReliableContext(ctx, self))
-
-    def _reliable_send(self, ctx: NodeContext, to: int, payload: Any) -> None:
-        rel = self._rel(ctx)
-        seq = rel["next_seq"]
-        rel["next_seq"] = seq + 1
-        rel["pending"][(to, seq)] = [payload, 0, ctx._round]
-        ctx.send(to, (_DATA, seq, payload))
-        ctx.set_timer(self.policy.timeout_for(0))
-
-    def on_message(self, ctx: NodeContext, sender: int, payload: Any) -> None:
-        rel = self._rel(ctx)
-        kind, seq = payload[0], payload[1]
-        if kind == _ACK:
-            rel["pending"].pop((sender, seq), None)
-            return
-        # Data: always re-ack (the previous ack may have been lost), but
-        # deliver to the inner protocol at most once per (sender, seq).
-        ctx.send(sender, (_ACK, seq))
-        rel["acks_sent"] += 1
-        key = (sender, seq)
-        if key in rel["seen"]:
-            rel["duplicates_suppressed"] += 1
-            return
-        rel["seen"].add(key)
-        self.inner.on_message(_ReliableContext(ctx, self), sender, payload[2])
-
-    def on_timer(self, ctx: NodeContext) -> None:
-        rel = self._rel(ctx)
-        pending = rel["pending"]
-        now = ctx._round
-        min_due: Optional[int] = None
-        for key in list(pending):
-            entry = pending[key]
-            timeout = self.policy.timeout_for(entry[1])
-            if now - entry[2] < timeout:
-                due = entry[2] + timeout - now
-                min_due = due if min_due is None else min(min_due, due)
-                continue
-            if entry[1] >= self.policy.max_retries:
-                del pending[key]
-                rel["gave_up"] += 1
-                continue
-            entry[1] += 1
-            entry[2] = now
-            rel["retransmissions"] += 1
-            ctx.send(key[0], (_DATA, key[1], entry[0]))
-            due = self.policy.timeout_for(entry[1])
-            min_due = due if min_due is None else min(min_due, due)
-        if pending:
-            if self.policy.rto_backoff == 1.0:  # lint: allow[FLT009] -- exact config sentinel for the legacy fixed-RTO cadence
-                # Legacy fixed cadence, kept bit-for-bit so pinned
-                # robustness baselines are unaffected by the backoff knob.
-                ctx.set_timer(self.policy.rto)
-            else:
-                ctx.set_timer(max(1, min_due if min_due is not None else self.policy.rto))
-
-    def on_finish(self, ctx: NodeContext) -> None:
-        self.inner.on_finish(_ReliableContext(ctx, self))
-
-
-def reliable_stats(result: SimulationResult) -> ReliableStats:
-    """Sum the per-node retry-budget observables of a reliable run."""
-    totals = {
-        "retransmissions": 0,
-        "gave_up": 0,
-        "duplicates_suppressed": 0,
-        "acks_sent": 0,
-    }
-    for state in result.states.values():
-        rel = state.get(RELIABLE_STATE_KEY)
-        if rel is None:
-            continue
-        for field_name in totals:
-            totals[field_name] += rel[field_name]
-    return ReliableStats(**totals)
-
-
-def _maybe_reliable(
-    protocol: Protocol, retry_policy: Optional[RetryPolicy]
-) -> Protocol:
-    return (
-        protocol
-        if retry_policy is None
-        else ReliableProtocol(protocol, retry_policy)
-    )
 
 
 class _BoundedFloodProtocol(Protocol):
@@ -437,30 +189,20 @@ def run_iff_distributed(
     theta: int,
     ttl: int,
     *,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    rng: Optional[np.random.Generator] = None,
     max_rounds: int = 10_000,
 ) -> Tuple[Set[int], SimulationResult]:
     """IFF as an actual protocol run (message-level Sec. II-B).
 
-    With a ``fault_plan`` the flood runs over the faulty channel; with a
-    ``retry_policy`` each hop additionally runs the
-    :class:`ReliableProtocol` ack/retransmit wrapper.  Nodes that never
-    ran (crashed from round 0) have no heard-set and cannot survive the
-    ``theta`` filter.  Returns the surviving candidate set plus the raw
-    simulation result (for message accounting).
+    Returns the surviving candidate set plus the raw simulation result
+    (for message accounting).
     """
     candidate_set = set(int(c) for c in candidates)
-    sim = Simulator(
-        graph, participants=candidate_set, fault_plan=fault_plan, rng=rng
-    )
-    result = sim.run(_maybe_reliable(TTLFloodProtocol(ttl), retry_policy),
-                     max_rounds=max_rounds)
+    sim = Simulator(graph, participants=candidate_set)
+    result = sim.run(TTLFloodProtocol(ttl), max_rounds=max_rounds)
     survivors = {
         node
         for node, state in result.states.items()
-        if len(state.get("heard", ())) >= theta
+        if len(state["heard"]) >= theta
     }
     return survivors, result
 
@@ -469,28 +211,13 @@ def run_grouping_distributed(
     graph: NetworkGraph,
     boundary: Iterable[int],
     *,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    rng: Optional[np.random.Generator] = None,
     max_rounds: int = 10_000,
 ) -> Tuple[Dict[int, int], SimulationResult]:
-    """Grouping as min-label propagation; returns node -> group label.
-
-    Accepts the same fault/retry knobs as :func:`run_iff_distributed`.
-    Nodes that never ran (crashed from round 0) carry no label and are
-    omitted from the returned mapping.
-    """
+    """Grouping as min-label propagation; returns node -> group label."""
     boundary_set = set(int(b) for b in boundary)
-    sim = Simulator(
-        graph, participants=boundary_set, fault_plan=fault_plan, rng=rng
-    )
-    result = sim.run(_maybe_reliable(MinLabelProtocol(), retry_policy),
-                     max_rounds=max_rounds)
-    labels = {
-        node: state["label"]
-        for node, state in result.states.items()
-        if "label" in state
-    }
+    sim = Simulator(graph, participants=boundary_set)
+    result = sim.run(MinLabelProtocol(), max_rounds=max_rounds)
+    labels = {node: state["label"] for node, state in result.states.items()}
     return labels, result
 
 

@@ -3,42 +3,31 @@
 Execution model: in round 0 every participating node runs
 ``Protocol.on_start``; messages emitted in round ``t`` are delivered at the
 start of round ``t + 1``, when each recipient handles them one at a time
-via ``Protocol.on_message``.  After deliveries, timers scheduled for the
-round fire via ``Protocol.on_timer``.  The simulation ends when nothing is
-left in flight -- no queued messages, no pending timers, no fault-delayed
-messages (quiescence) -- or a round cap is hit, in which case a
-:class:`NonQuiescentTermination` warning is emitted.
+via ``Protocol.on_message``.  Delivery is loss-free, as the paper assumes.
+The simulation ends when no message is left in flight (quiescence) or a
+round cap is hit, in which case a :class:`NonQuiescentTermination` warning
+is emitted.
 
-The simulator optionally restricts participation to a node subset, in which
-case messages to non-participants are silently dropped -- this models the
-paper's floods that are "forwarded by other boundary nodes but not
-non-boundary nodes" without the protocol code having to know.
-
-Failure injection is declarative: pass a :class:`repro.runtime.faults.FaultPlan`
-(message loss, burst loss, duplication, delay/reordering, asymmetric links,
-node crash schedules) and a seeded generator; identical plan + seed yields
-an identical :class:`SimulationResult`.  The legacy ``loss_rate`` float is
-kept as a shim for uniform loss.
+The simulator optionally restricts participation to a node subset: a node
+only sees its participating neighbors, which models the paper's floods that
+are "forwarded by other boundary nodes but not non-boundary nodes" without
+the protocol code having to know.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.network.graph import NetworkGraph
 from repro.observability.tracer import ensure_tracer
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.message import Message
 
 
 class NonQuiescentTermination(RuntimeWarning):
-    """The round cap was hit with messages or timers still pending."""
+    """The round cap was hit with messages still pending."""
 
 
 class NodeContext:
@@ -60,9 +49,6 @@ class NodeContext:
         self.neighbors = neighbors
         self.state: Dict[str, Any] = {}
         self._outbox = outbox
-        self._round = 0
-        self._timers: List[Tuple[int, int, int]] = []
-        self._timer_seq = 0
 
     def send(self, to: int, payload: Any) -> None:
         """Queue a message to one neighbor (delivered next round)."""
@@ -70,28 +56,12 @@ class NodeContext:
             raise ValueError(
                 f"node {self.node} cannot send to non-neighbor {to}"
             )
-        self._outbox.append(Message(self.node, to, payload, self._round))
+        self._outbox.append(Message(self.node, to, payload))
 
     def broadcast(self, payload: Any) -> None:
         """Queue the same message to every participating neighbor."""
         for nbr in self.neighbors:
-            self._outbox.append(Message(self.node, nbr, payload, self._round))
-
-    def set_timer(self, delay: int) -> None:
-        """Schedule ``on_timer`` at this node ``delay`` rounds from now.
-
-        Timers keep the simulation alive: quiescence requires the timer
-        queue to drain, so a protocol waiting on a retransmission timeout
-        is never cut off early.  Timers cannot be cancelled -- a protocol
-        with nothing left to do simply returns from ``on_timer`` without
-        sending, and the run quiesces once the queue empties.
-        """
-        if delay < 1:
-            raise ValueError("timer delay must be at least 1 round")
-        self._timer_seq += 1
-        heapq.heappush(
-            self._timers, (self._round + delay, self._timer_seq, self.node)
-        )
+            self._outbox.append(Message(self.node, nbr, payload))
 
 
 class Protocol(ABC):
@@ -104,9 +74,6 @@ class Protocol(ABC):
     @abstractmethod
     def on_message(self, ctx: NodeContext, sender: int, payload: Any) -> None:
         """Handle one delivered message at one node."""
-
-    def on_timer(self, ctx: NodeContext) -> None:
-        """Handle one expired timer at one node (see ``set_timer``)."""
 
     def on_finish(self, ctx: NodeContext) -> None:
         """Optional post-quiescence hook at one node."""
@@ -126,23 +93,12 @@ class SimulationResult:
         Total messages queued (the localized-cost observable).
     quiesced:
         True when the run ended by quiescence rather than the round cap.
-    messages_dropped:
-        Messages removed by the fault model (loss, burst loss, crashes of
-        the recipient).  Drops of messages addressed to non-participants
-        are a modeling device, not a fault, and are not counted here.
-    messages_duplicated:
-        Extra copies injected by the duplication fault.
-    timers_fired:
-        ``on_timer`` callbacks executed (retry-machinery observable).
     """
 
     states: Dict[int, Dict[str, Any]]
     rounds: int
     messages_sent: int
     quiesced: bool
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    timers_fired: int = 0
 
 
 class Simulator:
@@ -153,42 +109,16 @@ class Simulator:
     graph:
         Connectivity; messages travel along its edges only.
     participants:
-        Node subset running the protocol (default: all nodes).  Messages
-        addressed to non-participants are dropped on delivery.
-    loss_rate:
-        Back-compat shim: an independent per-message drop probability in
-        ``[0, 1]``, equivalent to ``fault_plan=FaultPlan(loss_rate=...)``.
-        Mutually exclusive with ``fault_plan``.
-    fault_plan:
-        Declarative fault model (loss, bursts, duplication, delay,
-        asymmetric links, crash schedules); see
-        :class:`repro.runtime.faults.FaultPlan`.  Dropped messages still
-        count in ``messages_sent`` (the sender paid for them).
-    rng:
-        Randomness source for fault injection; defaults to a seed-0
-        generator so runs are reproducible out of the box.  Pass a fresh
-        seeded generator per run to replay a specific schedule.
+        Node subset running the protocol (default: all nodes).  Each
+        participant's neighbor list holds participants only.
     """
 
     def __init__(
         self,
         graph: NetworkGraph,
         participants: Optional[Iterable[int]] = None,
-        *,
-        loss_rate: float = 0.0,
-        fault_plan: Optional[FaultPlan] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
-        if fault_plan is not None and loss_rate > 0.0:
-            raise ValueError("pass either loss_rate (legacy) or fault_plan, not both")
         self.graph = graph
-        self.loss_rate = float(loss_rate)
-        if fault_plan is None and loss_rate > 0.0:
-            fault_plan = FaultPlan.uniform_loss(loss_rate)
-        self.fault_plan = fault_plan
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         if participants is None:
             self._participants: Set[int] = set(range(graph.n_nodes))
         else:
@@ -205,8 +135,8 @@ class Simulator:
 
         ``tracer`` (optional :class:`repro.observability.Tracer`) wraps the
         run in a ``simulator.run`` span recording the protocol name,
-        participant count, and the round/message/timer counters of the
-        returned :class:`SimulationResult`.
+        participant count, and the round/message counters of the returned
+        :class:`SimulationResult`.
         """
         tracer = ensure_tracer(tracer)
         with tracer.span(
@@ -214,84 +144,49 @@ class Simulator:
             protocol=type(protocol).__name__,
             n_participants=len(self._participants),
             max_rounds=max_rounds,
-            faulty=self.fault_plan is not None and not self.fault_plan.is_ideal,
         ) as span:
             result = self._run(protocol, max_rounds=max_rounds)
             if tracer.enabled:
                 span.set("rounds", result.rounds)
                 span.set("messages_sent", result.messages_sent)
-                span.set("messages_dropped", result.messages_dropped)
-                span.set("messages_duplicated", result.messages_duplicated)
-                span.set("timers_fired", result.timers_fired)
                 span.set("quiesced", result.quiesced)
         return result
 
     def _run(self, protocol: Protocol, *, max_rounds: int) -> SimulationResult:
         outbox: List[Message] = []
         contexts: Dict[int, NodeContext] = {}
-        timers: List[Tuple[int, int, int]] = []
         for node in sorted(self._participants):
             neighbor_ids = [
                 int(v)
                 for v in self.graph.neighbors(node)
                 if int(v) in self._participants
             ]
-            ctx = NodeContext(node, neighbor_ids, outbox)
-            ctx._timers = timers
-            contexts[node] = ctx
-
-        injector: Optional[FaultInjector] = None
-        if self.fault_plan is not None and not self.fault_plan.is_ideal:
-            injector = FaultInjector(self.fault_plan, self._rng)
+            contexts[node] = NodeContext(node, neighbor_ids, outbox)
 
         messages_sent = 0
-        timers_fired = 0
         for node in sorted(contexts):
-            if injector is not None and injector.is_down(node, 0):
-                continue
             protocol.on_start(contexts[node])
         rounds = 0
-        quiesced = False
-        while rounds < max_rounds:
-            pending_delayed = injector is not None and injector.has_pending()
-            if not outbox and not timers and not pending_delayed:
-                quiesced = True
-                break
+        while outbox and rounds < max_rounds:
             inbox = outbox
             messages_sent += len(inbox)
             outbox = []
             rounds += 1
             for ctx in contexts.values():
                 ctx._outbox = outbox
-                ctx._round = rounds
-            if injector is not None:
-                inbox = injector.deliveries(inbox, rounds)
             # Deterministic delivery order: by (recipient, sender, queue
             # position) -- the index breaks ties between same-link copies.
             for _, msg in sorted(
                 enumerate(inbox),
                 key=lambda item: (item[1].recipient, item[1].sender, item[0]),
             ):
-                ctx = contexts.get(msg.recipient)
-                if ctx is None:
-                    continue
-                protocol.on_message(ctx, msg.sender, msg.payload)
-            while timers and timers[0][0] <= rounds:
-                _, _, node = heapq.heappop(timers)
-                if injector is not None and injector.is_down(node, rounds):
-                    continue
-                timers_fired += 1
-                protocol.on_timer(contexts[node])
+                protocol.on_message(contexts[msg.recipient], msg.sender, msg.payload)
 
-        if not quiesced:
-            # The cap may land exactly on the last productive round.
-            pending_delayed = injector is not None and injector.has_pending()
-            quiesced = not outbox and not timers and not pending_delayed
+        quiesced = not outbox
         if not quiesced:
             warnings.warn(
                 f"simulation hit the round cap ({max_rounds}) before "
-                f"quiescence: {len(outbox)} messages and {len(timers)} "
-                "timers still pending",
+                f"quiescence: {len(outbox)} messages still pending",
                 NonQuiescentTermination,
                 stacklevel=2,
             )
@@ -303,7 +198,4 @@ class Simulator:
             rounds=rounds,
             messages_sent=messages_sent,
             quiesced=quiesced,
-            messages_dropped=injector.messages_dropped if injector else 0,
-            messages_duplicated=injector.messages_duplicated if injector else 0,
-            timers_fired=timers_fired,
         )

@@ -2,12 +2,13 @@
 
 One directory tree *is* the queue: every job is a directory holding an
 atomically-rewritten ``job.json`` record, an append-only ``log.jsonl``
-transition log, and ``O_CREAT | O_EXCL`` lock files that arbitrate the
+transition log, and exclusive-create lock files that arbitrate the
 only two races the design admits (two workers claiming the same queued
 job; two reapers expiring the same lease).  No daemon, no database, no
 in-memory state that a crash can lose: a worker that dies mid-job leaves
 an expiring lease behind, and any other worker's next poll requeues the
-work.
+work.  The claim lock itself carries the claim's expiry, so a worker
+killed between winning a claim and recording it is reaped the same way.
 
 Job lifecycle::
 
@@ -54,10 +55,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -285,7 +287,8 @@ class JobStore:
         jobs/<job_id>/log.jsonl       -- append-only transition log
         jobs/<job_id>/lease.json      -- current lease (worker, expiry,
                                          generation/attempt fencing token)
-        jobs/<job_id>/claim-<gen>-<n>.lock  -- O_EXCL claim arbitration
+        jobs/<job_id>/claim-<gen>-<n>.lock  -- claim arbitration (created
+                                         once, holding the claim expiry)
         jobs/<job_id>/expire-<gen>-<n>.lock -- O_EXCL reap arbitration
         results/<cache_key>.json      -- result cache
         traces/<job_id>.trace.jsonl   -- per-job JSONL trace
@@ -368,6 +371,43 @@ class JobStore:
         os.close(fd)
         return True
 
+    def _try_claim_lock(
+        self, record: JobRecord, worker_id: str, expires_at: float
+    ) -> bool:
+        """Create the claim lock for ``record``'s next attempt, holding the
+        claimer and the claim's expiry; False if another worker holds it.
+
+        The content is written before the name appears (a tmp file, then
+        ``os.link``, which fails if the name exists), so a worker killed
+        right after winning the claim still leaves an expiry behind for
+        :meth:`reap_expired`.
+        """
+        job_dir = self.job_dir(record.job_id)
+        fd, tmp_name = tempfile.mkstemp(
+            prefix="claim.", suffix=".tmp", dir=str(job_dir)
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump({"worker": worker_id, "expires_at": expires_at}, fh)
+            os.link(tmp_name, job_dir / self._claim_lock_name(record))
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp_name)
+        return True
+
+    def _claim_of(self, record: JobRecord) -> Optional[Dict[str, Any]]:
+        """The claim lock for ``record``'s next attempt, or ``None`` when
+        it is absent or holds no expiry."""
+        path = self.job_dir(record.job_id) / self._claim_lock_name(record)
+        try:
+            claim = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if not isinstance(claim, dict) or "expires_at" not in claim:
+            return None
+        return claim
+
     @staticmethod
     def _claim_lock_name(record: JobRecord) -> str:
         """One-shot claim lock for the *next* attempt of ``record``.
@@ -379,9 +419,31 @@ class JobStore:
         return f"claim-{record.generation}-{record.attempts}.lock"
 
     @staticmethod
-    def _expire_lock_name(record: JobRecord) -> str:
-        """One-shot reap lock for the *current* attempt of ``record``."""
-        return f"expire-{record.generation}-{record.attempts}.lock"
+    def _expire_lock_name(generation: int, attempt: int) -> str:
+        """One-shot reap lock for one attempt of a job."""
+        return f"expire-{generation}-{attempt}.lock"
+
+    def _lapsed_attempt(
+        self, record: JobRecord, now: float
+    ) -> Optional[Tuple[int, Optional[str]]]:
+        """``(attempt, worker)`` of ``record``'s lapsed attempt, if any.
+
+        A leased or running job lapses when its lease expires.  A queued
+        job lapses when the claim lock of its next attempt has expired:
+        the claimer died after winning the lock and before recording the
+        claim.
+        """
+        if record.state in (STATE_LEASED, STATE_RUNNING):
+            lease = self.lease_of(record.job_id)
+            if lease is None or lease["expires_at"] > now:
+                return None
+            return record.attempts, record.worker_id
+        if record.state in CLAIMABLE_STATES:
+            claim = self._claim_of(record)
+            if claim is None or claim["expires_at"] > now:
+                return None
+            return record.attempts + 1, claim.get("worker")
+        return None
 
     def _check_current(
         self,
@@ -493,10 +555,13 @@ class JobStore:
         Jobs are scanned in id order (= submission order).  The
         ``claim-<generation>-<attempt>.lock`` file is the arbitration
         point: of any number of workers that read the same queued record,
-        exactly one wins the ``O_EXCL`` create and transitions it to
-        ``leased``.
+        exactly one wins the lock's create and transitions it to
+        ``leased``.  The lease is written before the record, so a leased
+        record always has its lease; until then the lock's expiry stands
+        in for it.
         """
         now = self.clock() if now is None else now
+        expires_at = now + lease_ttl
         for job_id in self.job_ids():
             try:
                 record = self.load(job_id)
@@ -506,7 +571,7 @@ class JobStore:
                 continue
             if record.not_before > now:
                 continue
-            if not self._try_lock(job_id, self._claim_lock_name(record)):
+            if not self._try_claim_lock(record, worker_id, expires_at):
                 continue  # another worker won this attempt
             record = self.load(job_id)  # re-read under the lock
             if record.state not in CLAIMABLE_STATES:
@@ -514,14 +579,14 @@ class JobStore:
             record.state = STATE_LEASED
             record.attempts += 1
             record.worker_id = worker_id
+            self._write_lease(record, worker_id, expires_at)
             self._write_record(record)
-            self._write_lease(record, worker_id, now + lease_ttl)
             self._log(
                 job_id,
                 "leased",
                 worker=worker_id,
                 attempt=record.attempts,
-                expires_at=now + lease_ttl,
+                expires_at=expires_at,
             )
             self.metrics.counter("service.jobs.claimed").inc()
             return record
@@ -609,6 +674,8 @@ class JobStore:
 
         Any worker may reap; the ``expire-<generation>-<attempt>.lock``
         file guarantees each lapsed attempt is processed exactly once.
+        A queued job whose claim lock has expired is a claim whose worker
+        died before recording it: that attempt lapses the same way.
         """
         backoff = backoff if backoff is not None else RetryBackoff()
         now = self.clock() if now is None else now
@@ -618,15 +685,21 @@ class JobStore:
                 record = self.load(job_id)
             except (OSError, ValueError, KeyError):
                 continue
-            if record.state not in (STATE_LEASED, STATE_RUNNING):
+            lapsed = self._lapsed_attempt(record, now)
+            if lapsed is None:
                 continue
-            lease = self.lease_of(job_id)
-            if lease is None or lease["expires_at"] > now:
-                continue
-            if not self._try_lock(job_id, self._expire_lock_name(record)):
+            attempt, worker_id = lapsed
+            generation = record.generation
+            lock = self._expire_lock_name(generation, attempt)
+            if not self._try_lock(job_id, lock):
                 continue  # another reaper handled this lapse
             record = self.load(job_id)
-            if record.state not in (STATE_LEASED, STATE_RUNNING):
+            if record.state in CLAIMABLE_STATES:
+                if (record.generation, record.attempts + 1) != (generation, attempt):
+                    continue  # re-read under the lock: no longer orphaned
+                record.attempts = attempt
+                record.worker_id = worker_id
+            elif record.state not in (STATE_LEASED, STATE_RUNNING):
                 continue
             self.metrics.counter("service.lease.expired").inc()
             self._log(

@@ -3,9 +3,8 @@
 Each test runs a small pinned campaign spec (committed next to this file
 under ``tests/golden/``) through a fresh job store and byte-compares the
 rendered tables against the checked-in golden.  Any change to network
-generation, the detection pipeline, the fault simulator, the
-identity-derived cell substreams, or the table renderers shows up here as
-a byte diff.
+generation, the detection pipeline, the identity-derived cell substreams,
+or the table renderers shows up here as a byte diff.
 
 To intentionally re-pin after such a change::
 
@@ -47,7 +46,3 @@ def test_error_sweep_golden(tmp_path, update_goldens):
     """Fig. 1(g)-style error sweep, two levels x two config variants."""
     run_golden_campaign(tmp_path, "error_sweep_small", update_goldens)
 
-
-def test_robustness_golden(tmp_path, update_goldens):
-    """Robustness grid: two loss rates, raw and reliable modes."""
-    run_golden_campaign(tmp_path, "robustness_small", update_goldens)

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.evaluation.campaign import (
-    CELL_KIND_FAULT,
+    CELL_KIND_ERROR,
     CampaignSpec,
     execute_cell,
     expand,
@@ -46,16 +46,14 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 SPEC = CampaignSpec(
     name="t-service",
-    kind="robustness",
+    kind="error_sweep",
     scenarios=("sphere",),
     seeds=(0,),
     n_surface=60,
     n_interior=100,
     target_degree=12.0,
     theta=10,
-    loss_rates=(0.0, 0.4),
-    crash_fractions=(0.0,),
-    modes=("raw",),
+    levels=(0.0, 0.4),
 )
 
 
@@ -96,10 +94,10 @@ class TestMemoization:
         store = JobStore(tmp_path / "store")
         run_campaign(store, SPEC)
         wider = CampaignSpec.from_dict(
-            {**SPEC.as_dict(), "loss_rates": [0.0, 0.4, 0.2]}
+            {**SPEC.as_dict(), "levels": [0.0, 0.4, 0.2]}
         )
         report = run_campaign(store, wider)
-        # Only the genuinely new (loss=0.2) cell executed.
+        # Only the genuinely new (level=0.2) cell executed.
         assert report.submitted == 1
         assert report.executed == 1
         assert report.reused == 2
@@ -143,8 +141,8 @@ class TestResume:
         ensure_submitted(store, SPEC)
         assert Worker(store, "w0").run(max_jobs=1) == 1
         slices = campaign_status(store, SPEC).slice_counts()
-        assert slices["loss"]["0.0"] == {"done": 1}
-        assert slices["loss"]["0.4"] == {"queued": 1}
+        assert slices["level"]["0.0"] == {"done": 1}
+        assert slices["level"]["0.4"] == {"queued": 1}
         assert slices["scenario"]["sphere"] == {"done": 1, "queued": 1}
 
 
@@ -162,25 +160,25 @@ class TestInvariance:
         fwd_store = JobStore(tmp_path / "fwd")
         rev_store = JobStore(tmp_path / "rev")
         reversed_spec = CampaignSpec.from_dict(
-            {**SPEC.as_dict(), "loss_rates": [0.4, 0.0]}
+            {**SPEC.as_dict(), "levels": [0.4, 0.0]}
         )
         fwd = run_campaign(fwd_store, SPEC)
         rev = run_campaign(rev_store, reversed_spec)
-        fwd_by_loss = {
-            cell.axes["loss"]: fwd_store.load(job_id).result
+        fwd_by_level = {
+            cell.axes["level"]: fwd_store.load(job_id).result
             for cell, job_id in zip(expand(SPEC), fwd.job_ids)
         }
-        rev_by_loss = {
-            cell.axes["loss"]: rev_store.load(job_id).result
+        rev_by_level = {
+            cell.axes["level"]: rev_store.load(job_id).result
             for cell, job_id in zip(expand(reversed_spec), rev.job_ids)
         }
-        assert fwd_by_loss == rev_by_loss
+        assert fwd_by_level == rev_by_level
 
 
 class TestKillMidCampaign:
     def test_sigkill_then_rerun_converges_to_same_tables(self, tmp_path):
-        spec_path = GOLDEN_DIR / "robustness_small.json"
-        golden = (GOLDEN_DIR / "robustness_small.golden.txt").read_text(
+        spec_path = GOLDEN_DIR / "error_sweep_small.json"
+        golden = (GOLDEN_DIR / "error_sweep_small.golden.txt").read_text(
             encoding="utf-8"
         )
         root = tmp_path / "store"
@@ -207,7 +205,15 @@ class TestKillMidCampaign:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        time.sleep(1.0)  # mid-campaign: some cells done, some not
+        # Mid-campaign: the first cell's trace is written after its job is
+        # done, and the other cells still need a detection run each.
+        deadline = time.monotonic() + 120.0
+        while (
+            proc.poll() is None
+            and time.monotonic() < deadline
+            and not any((root / "traces").glob("*.trace.jsonl"))
+        ):
+            time.sleep(0.01)
         proc.send_signal(signal.SIGKILL)
         proc.wait()
 
@@ -221,6 +227,7 @@ class TestKillMidCampaign:
         report = run_campaign(store, spec, lease_ttl=2.0)
         assert report.dead == 0
         assert report.submitted + report.reused == len(expand(spec))
+        assert report.executed >= 1  # the kill left cells to finish
         assert report.tables == golden
 
 
@@ -229,7 +236,7 @@ class TestExecuteJobDispatch:
         store = JobStore(tmp_path / "store")
         cell = expand(SPEC)[0]
         spec = cell_job_spec(cell)
-        assert spec.kind == CELL_KIND_FAULT
+        assert spec.kind == CELL_KIND_ERROR
         record = store.submit(spec)
         assert not record.cache_hit
         Worker(store, "w0").run(exit_when_idle=True)
@@ -245,14 +252,15 @@ class TestExecuteJobDispatch:
         assert twin.result == done.result
 
     def test_unknown_cell_kind_dead_letters(self, tmp_path):
+        """A stored job of an unknown kind -- including the deleted
+        fault-grid cell kind -- dead-letters instead of crashing the worker."""
         store = JobStore(tmp_path / "store")
-        record = store.submit(
-            JobSpec(kind="eval.mystery", cell={}), max_attempts=1
-        )
-        Worker(store, "w0").run(exit_when_idle=True)
-        dead = store.load(record.job_id)
-        assert dead.state == "dead"
-        assert dead.error["type"] == "ValueError"
+        for kind in ("eval.mystery", "eval.fault_cell"):
+            record = store.submit(JobSpec(kind=kind, cell={}), max_attempts=1)
+            Worker(store, "w0").run(exit_when_idle=True)
+            dead = store.load(record.job_id)
+            assert dead.state == "dead"
+            assert dead.error["type"] == "ValueError"
 
     def test_cell_payload_drives_cache_key(self):
         base = cell_job_spec(expand(SPEC)[0])

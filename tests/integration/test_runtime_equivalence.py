@@ -45,6 +45,16 @@ class TestIFFEquivalence:
         survivors, _ = run_iff_distributed(graph, candidates, theta=20, ttl=3)
         assert survivors == expected
 
+    def test_flood_cost_pinned(self, boundary_setup):
+        """First arrival wins: under synchronous loss-free delivery every
+        copy of an originator reaching a node in one round carries the same
+        TTL, so the flood needs no best-TTL map.  The round and message
+        counts are those of the best-TTL flood it replaced."""
+        graph, candidates, _, _ = boundary_setup
+        _, result = run_iff_distributed(graph, candidates, theta=20, ttl=3)
+        assert (result.rounds, result.messages_sent) == (3, 133_856)
+        assert result.quiesced
+
 
 class TestGroupingEquivalence:
     def test_labels_encode_components(self, boundary_setup):

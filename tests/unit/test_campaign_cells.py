@@ -2,10 +2,9 @@
 
 The RNG-consistency contract (identity-derived substreams, see
 ``repro.evaluation.seeding``): a sweep cell produces the *same* result
-whether it runs standalone (``run_error_cell`` / ``run_fault_cell``),
-inside a hand-rolled sweep (``run_error_sweep`` / ``run_robustness_sweep``
-of any shape or order), or as a campaign job (``execute_cell`` /
-``execute_job``).  These tests pin that equivalence on every path pair.
+whether it runs standalone (``run_error_cell``), inside a hand-rolled
+sweep (``run_error_sweep`` of any shape or order), or as a campaign job
+(``execute_cell`` / ``execute_job``).  These tests pin that equivalence on every path pair.
 """
 
 from __future__ import annotations
@@ -15,17 +14,13 @@ import pytest
 from repro.core.config import DetectorConfig, IFFConfig, UBFConfig
 from repro.evaluation.campaign import (
     CELL_KIND_ERROR,
-    CELL_KIND_FAULT,
     CampaignSpec,
     error_point_from_doc,
     execute_cell,
     expand,
-    fault_point_from_doc,
 )
 from repro.evaluation.experiments import run_error_cell, run_error_sweep
-from repro.evaluation.robustness import run_fault_cell, run_robustness_sweep
 from repro.network.generator import DeploymentConfig, generate_network
-from repro.runtime.protocols import RetryPolicy
 from repro.shapes.library import scenario_by_name
 
 DEPLOYMENT = DeploymentConfig(
@@ -41,10 +36,11 @@ def network():
     )
 
 
-def campaign_cell_params(kind: str, **axes):
-    """The campaign payload matching DEPLOYMENT/CONFIG for one axis point."""
-    spec_kwargs = dict(
+def campaign_cell_params(level: float):
+    """The campaign payload matching DEPLOYMENT/CONFIG for one level."""
+    spec = CampaignSpec(
         name="xpath",
+        kind="error_sweep",
         scenarios=("sphere",),
         seeds=(0,),
         n_surface=60,
@@ -52,18 +48,8 @@ def campaign_cell_params(kind: str, **axes):
         target_degree=12.0,
         theta=10,
         ttl=3,
+        levels=(level,),
     )
-    if kind == CELL_KIND_ERROR:
-        spec = CampaignSpec(kind="error_sweep", levels=(axes["level"],), **spec_kwargs)
-    else:
-        spec = CampaignSpec(
-            kind="robustness",
-            loss_rates=(axes["loss"],),
-            crash_fractions=(axes["crash"],),
-            modes=(axes["mode"],),
-            max_retries=4,
-            **spec_kwargs,
-        )
     (cell,) = expand(spec)
     return cell.params
 
@@ -88,66 +74,9 @@ class TestErrorCellPaths:
     def test_campaign_cell_equals_standalone(self, network):
         standalone = run_error_cell(network, 0.3, detector_config=CONFIG, seed=0)
         doc = execute_cell(
-            CELL_KIND_ERROR, campaign_cell_params(CELL_KIND_ERROR, level=0.3)
+            CELL_KIND_ERROR, campaign_cell_params(0.3)
         )
         assert error_point_from_doc(doc) == standalone
-
-
-class TestFaultCellPaths:
-    def test_standalone_equals_sweep_member_any_shape(self, network):
-        standalone = run_fault_cell(
-            network, 0.3, 0.2, detector_config=CONFIG, seed=0
-        )
-        single = run_robustness_sweep(
-            network, loss_rates=(0.3,), crash_fractions=(0.2,),
-            detector_config=CONFIG, seed=0,
-        )
-        grid = run_robustness_sweep(
-            network, loss_rates=(0.0, 0.3), crash_fractions=(0.0, 0.2),
-            detector_config=CONFIG, seed=0,
-        )
-        assert single[0] == standalone
-        assert grid[3] == standalone
-
-    def test_sweep_order_invariance(self, network):
-        """Reversing the grid axes permutes, never changes, the cells."""
-        fwd = run_robustness_sweep(
-            network, loss_rates=(0.0, 0.3), crash_fractions=(0.0, 0.2),
-            detector_config=CONFIG, seed=0,
-        )
-        rev = run_robustness_sweep(
-            network, loss_rates=(0.3, 0.0), crash_fractions=(0.2, 0.0),
-            detector_config=CONFIG, seed=0,
-        )
-        by_cell = {(p.crash_fraction, p.loss_rate): p for p in fwd}
-        assert len(by_cell) == 4
-        for point in rev:
-            assert point == by_cell[(point.crash_fraction, point.loss_rate)]
-
-    def test_raw_and_reliable_share_the_substream(self, network):
-        """Paired comparison: mode is excluded from the cell identity, so
-        the crash sample (and hence n_truth exposure) matches across modes."""
-        raw = run_fault_cell(network, 0.0, 0.3, detector_config=CONFIG, seed=0)
-        reliable = run_fault_cell(
-            network, 0.0, 0.3, detector_config=CONFIG,
-            retry_policy=RetryPolicy(max_retries=4), seed=0,
-        )
-        # Lossless: the reliable wrapper changes overhead, not the outcome.
-        assert reliable.n_found == raw.n_found
-        assert reliable.f1 == raw.f1
-
-    def test_campaign_cell_equals_standalone(self, network):
-        standalone = run_fault_cell(
-            network, 0.3, 0.0, detector_config=CONFIG,
-            retry_policy=RetryPolicy(max_retries=4, rto=2), seed=0,
-        )
-        doc = execute_cell(
-            CELL_KIND_FAULT,
-            campaign_cell_params(
-                CELL_KIND_FAULT, loss=0.3, crash=0.0, mode="reliable"
-            ),
-        )
-        assert fault_point_from_doc(doc) == standalone
 
 
 class TestExecuteCellErrors:

@@ -8,35 +8,19 @@ import pytest
 
 from repro.evaluation.campaign import (
     CELL_KIND_ERROR,
-    CELL_KIND_FAULT,
     CampaignSpec,
     expand,
     error_point_doc,
     error_point_from_doc,
-    fault_point_doc,
-    fault_point_from_doc,
     load_spec,
     render_campaign_tables,
 )
 from repro.evaluation.experiments import ErrorSweepPoint
 from repro.evaluation.metrics import DetectionStats
-from repro.evaluation.robustness import RobustnessPoint
 
 
 def error_spec(**overrides) -> CampaignSpec:
     base = dict(name="t-err", kind="error_sweep", levels=(0.0, 0.2))
-    base.update(overrides)
-    return CampaignSpec(**base)
-
-
-def fault_spec(**overrides) -> CampaignSpec:
-    base = dict(
-        name="t-rob",
-        kind="robustness",
-        loss_rates=(0.0, 0.3),
-        crash_fractions=(0.0,),
-        modes=("raw",),
-    )
     base.update(overrides)
     return CampaignSpec(**base)
 
@@ -57,12 +41,43 @@ class TestSpecValidation:
             CampaignSpec(name="x", kind="error_sweep")
 
     def test_robustness_needs_loss_rates(self):
-        with pytest.raises(ValueError, match="loss_rates"):
+        """The deleted fault-grid kind and its loss-rate axis no longer load."""
+        old = {
+            "format_version": 1,
+            "name": "robustness-baseline",
+            "kind": "robustness",
+            "scenarios": ["sphere"],
+            "seeds": [0],
+            "n_surface": 150,
+            "n_interior": 250,
+            "target_degree": 14.0,
+            "epsilon": 0.001,
+            "theta": 20,
+            "ttl": 3,
+            "loss_rates": [0.0, 0.1, 0.3],
+            "crash_fractions": [0.0, 0.2],
+            "max_rounds": 10000,
+            "output": "results/robustness_baseline.txt",
+        }
+        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+            CampaignSpec.from_dict(old)
+        with pytest.raises(ValueError, match="unknown campaign kind"):
             CampaignSpec(name="x", kind="robustness")
+        with pytest.raises(ValueError, match="unknown campaign kind"):
+            error_spec(kind="robustness")
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="modes"):
-            fault_spec(modes=("raw", "best-effort"))
+        """The raw/reliable mode axis and its retry knobs are gone."""
+        doc = error_spec().as_dict()
+        doc["modes"] = ["raw", "reliable"]
+        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+            CampaignSpec.from_dict(doc)
+        doc = error_spec().as_dict()
+        doc.update(max_retries=8, rto=2)
+        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+            CampaignSpec.from_dict(doc)
+        with pytest.raises(ValueError, match="unknown keys"):
+            error_spec(variants=({"name": "a", "max_retries": 4},))
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -89,7 +104,7 @@ class TestSpecValidation:
             CampaignSpec.from_dict(doc)
 
     def test_round_trip_preserves_spec_and_hash(self):
-        spec = fault_spec(modes=("raw", "reliable"), variants=({"name": "a"},))
+        spec = error_spec(seeds=(0, 3), variants=({"name": "a"},))
         again = CampaignSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
         assert again == spec
         assert again.spec_hash() == spec.spec_hash()
@@ -127,34 +142,11 @@ class TestExpansion:
         base = [c for c in cells if c.axes["variant"] == "base"]
         assert all(c.params["theta"] == spec.theta for c in base)
 
-    def test_robustness_order_is_mode_major_then_crash_loss(self):
-        spec = fault_spec(
-            loss_rates=(0.0, 0.3),
-            crash_fractions=(0.0, 0.2),
-            modes=("raw", "reliable"),
-        )
-        cells = expand(spec)
-        assert [c.kind for c in cells] == [CELL_KIND_FAULT] * 8
-        grid = [(c.axes["mode"], c.axes["crash"], c.axes["loss"]) for c in cells]
-        assert grid == [
-            ("raw", 0.0, 0.0),
-            ("raw", 0.0, 0.3),
-            ("raw", 0.2, 0.0),
-            ("raw", 0.2, 0.3),
-            ("reliable", 0.0, 0.0),
-            ("reliable", 0.0, 0.3),
-            ("reliable", 0.2, 0.0),
-            ("reliable", 0.2, 0.3),
-        ]
-        assert all(
-            c.params["reliable"] == (c.axes["mode"] == "reliable") for c in cells
-        )
-
     def test_cell_payload_is_position_free(self):
         """The same axis point has an identical payload in any grid shape."""
-        wide = fault_spec(loss_rates=(0.0, 0.1, 0.3))
-        narrow = fault_spec(loss_rates=(0.3,))
-        wide_cell = next(c for c in expand(wide) if c.axes["loss"] == 0.3)
+        wide = error_spec(levels=(0.0, 0.1, 0.3))
+        narrow = error_spec(levels=(0.3,))
+        wide_cell = next(c for c in expand(wide) if c.axes["level"] == 0.3)
         narrow_cell = expand(narrow)[0]
         assert wide_cell.params == narrow_cell.params
 
@@ -171,27 +163,6 @@ class TestResultDocs:
         )
         doc = json.loads(json.dumps(error_point_doc(point)))
         assert error_point_from_doc(doc) == point
-
-    def test_fault_point_round_trip(self):
-        point = RobustnessPoint(
-            loss_rate=0.1,
-            crash_fraction=0.0,
-            reliable=True,
-            precision=0.5,
-            recall=0.75,
-            f1=0.6,
-            n_found=6,
-            n_truth=8,
-            n_groups=1,
-            messages_sent=100,
-            messages_dropped=10,
-            retransmissions=9,
-            gave_up=1,
-            rounds=20,
-            quiesced=True,
-        )
-        doc = json.loads(json.dumps(fault_point_doc(point)))
-        assert fault_point_from_doc(doc) == point
 
 
 class TestRendering:

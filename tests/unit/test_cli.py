@@ -27,31 +27,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "--scenario", "cube", "--out", "x"])
 
-    def test_robustness_args(self):
-        args = build_parser().parse_args(
-            ["robustness", "--scenario", "sphere", "--loss", "0,0.2",
-             "--crash", "0,0.1", "--mode", "reliable", "--max-retries", "3"]
-        )
-        assert args.loss == "0,0.2"
-        assert args.crash == "0,0.1"
-        assert args.mode == "reliable"
-        assert args.max_retries == 3
-        assert args.func.__name__ == "cmd_robustness"
-
-    def test_robustness_defaults(self):
-        args = build_parser().parse_args(["robustness"])
-        assert args.loss == "0,0.1,0.3"
-        assert args.crash == "0"
-        assert args.mode == "both"
-
-    def test_robustness_bad_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["robustness", "--mode", "lossy"])
-
     def test_trace_flag_default_off(self):
         for argv in (
             ["detect", "--network", "x.json"],
-            ["robustness"],
             ["bench"],
         ):
             assert build_parser().parse_args(argv).trace is None
@@ -262,35 +240,3 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "INVALID" in out
         assert "format_version" in out
-
-    def test_robustness_runs_and_writes_report(self, capsys, tmp_path):
-        report_path = str(tmp_path / "robustness.txt")
-        assert (
-            main(
-                [
-                    "robustness",
-                    "--scenario",
-                    "sphere",
-                    "--surface-nodes",
-                    "120",
-                    "--interior-nodes",
-                    "200",
-                    "--degree",
-                    "14",
-                    "--theta",
-                    "10",
-                    "--loss",
-                    "0,0.3",
-                    "--mode",
-                    "raw",
-                    "--out",
-                    report_path,
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "raw protocols" in out
-        assert "30%" in out
-        with open(report_path, encoding="utf-8") as fh:
-            assert "F1" in fh.read()

@@ -1,4 +1,4 @@
-"""Coverage for evaluation corners: seeding, bench artifacts, sweep driver."""
+"""Coverage for evaluation corners: seeding and bench artifacts."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from repro.evaluation.bench import (
     load_artifact,
     write_artifacts,
 )
-from repro.evaluation.robustness import run_scenario_robustness
 from repro.evaluation.seeding import (
     cell_rng,
     cell_substream,
     error_cell_identity,
-    fault_cell_identity,
 )
 
 
@@ -48,10 +46,6 @@ class TestCellSubstreams:
         other = cell_rng(7, error_cell_identity(0.4)).random(4)
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
-
-    def test_fault_identity_excludes_mode(self):
-        """Raw/reliable pairing: identity has only the fault axes."""
-        assert set(fault_cell_identity(0.1, 0.2)) == {"cell", "crash", "loss"}
 
 
 class TestBenchArtifacts:
@@ -89,20 +83,3 @@ class TestBenchArtifacts:
         issues = check_regression({"ubf": bad}, tmp_path, time_factor=3.0)
         assert any("drifted" in issue for issue in issues)
         assert any("regressed" in issue for issue in issues)
-
-
-class TestScenarioRobustnessDriver:
-    def test_generates_and_sweeps(self):
-        from repro.core.config import DetectorConfig, IFFConfig
-        from repro.network.generator import DeploymentConfig
-
-        points = run_scenario_robustness(
-            "sphere",
-            DeploymentConfig(n_surface=40, n_interior=70, target_degree=10, seed=0),
-            loss_rates=(0.0,),
-            detector_config=DetectorConfig(iff=IFFConfig(theta=8, ttl=3)),
-            seed=0,
-        )
-        assert len(points) == 1
-        assert points[0].loss_rate == 0.0
-        assert points[0].quiesced

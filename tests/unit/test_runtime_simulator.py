@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.network.graph import NetworkGraph
-from repro.runtime.faults import FaultPlan
 from repro.runtime.protocols import MinLabelProtocol, TTLFloodProtocol
 from repro.runtime.simulator import (
     NodeContext,
@@ -90,16 +89,6 @@ class TestSimulatorMechanics:
             result = Simulator(chain).run(EchoOnce(), max_rounds=1)
         assert result.quiesced and result.rounds == 1
 
-    def test_no_faults_counters_zero(self, chain):
-        result = Simulator(chain).run(EchoOnce())
-        assert result.messages_dropped == 0
-        assert result.messages_duplicated == 0
-        assert result.timers_fired == 0
-
-    def test_loss_rate_and_fault_plan_mutually_exclusive(self, chain):
-        with pytest.raises(ValueError):
-            Simulator(chain, loss_rate=0.5, fault_plan=FaultPlan(loss_rate=0.5))
-
     def test_delivery_order_stable_for_same_link_copies(self, chain):
         """Two same-link messages in one round arrive in send order."""
 
@@ -114,54 +103,6 @@ class TestSimulatorMechanics:
 
         result = Simulator(chain).run(TwoSends())
         assert result.states[1]["log"] == ["first", "second"]
-
-
-class TestTimers:
-    def test_timer_fires_after_delay(self, chain):
-        class OneTimer(Protocol):
-            def on_start(self, ctx):
-                if ctx.node == 0:
-                    ctx.set_timer(3)
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-            def on_timer(self, ctx):
-                ctx.state["fired_at"] = ctx._round
-
-        result = Simulator(chain).run(OneTimer())
-        assert result.states[0]["fired_at"] == 3
-        assert result.timers_fired == 1
-        assert result.rounds == 3 and result.quiesced
-
-    def test_timer_keeps_simulation_alive_past_empty_outbox(self, chain):
-        """Quiescence waits for the timer queue to drain."""
-
-        class LateSender(Protocol):
-            def on_start(self, ctx):
-                if ctx.node == 0:
-                    ctx.set_timer(2)
-
-            def on_message(self, ctx, sender, payload):
-                ctx.state["got"] = payload
-
-            def on_timer(self, ctx):
-                ctx.send(1, "late")
-
-        result = Simulator(chain).run(LateSender())
-        assert result.states[1]["got"] == "late"
-        assert result.quiesced
-
-    def test_timer_delay_must_be_positive(self, chain):
-        class BadTimer(Protocol):
-            def on_start(self, ctx):
-                ctx.set_timer(0)
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-        with pytest.raises(ValueError):
-            Simulator(chain).run(BadTimer())
 
 
 class TestTTLFlood:
@@ -197,8 +138,8 @@ class TestMinLabel:
 
 class TestNonQuiescentTermination:
     def test_warning_carries_round_and_pending_counts(self, chain):
-        """The warning message reports the cap plus pending message and
-        timer counts so a truncated run is diagnosable from the log."""
+        """The warning message reports the cap plus the pending message
+        count so a truncated run is diagnosable from the log."""
 
         class Chatter(Protocol):
             def on_start(self, ctx):
@@ -209,78 +150,7 @@ class TestNonQuiescentTermination:
 
         with pytest.warns(
             NonQuiescentTermination,
-            match=r"round cap \(3\).*\d+ messages and \d+ timers",
+            match=r"round cap \(3\).*\d+ messages still pending",
         ):
             result = Simulator(chain).run(Chatter(), max_rounds=3)
         assert not result.quiesced
-
-    def test_pending_timer_at_cap_is_reported(self, chain):
-        """A run cut off with only a timer outstanding still warns, and
-        the counts distinguish timers from messages."""
-
-        class SlowTimer(Protocol):
-            def on_start(self, ctx):
-                if ctx.node == 0:
-                    ctx.broadcast("tick")
-                    ctx.set_timer(10)
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-        with pytest.warns(
-            NonQuiescentTermination, match=r"0 messages and 1 timers"
-        ):
-            result = Simulator(chain).run(SlowTimer(), max_rounds=2)
-        assert not result.quiesced
-
-    def test_post_loop_recheck_with_timer_on_final_round(self, chain):
-        """A timer that fires exactly on the cap round and produces no new
-        work leaves the run quiescent: the post-loop re-check must not
-        report a false truncation."""
-
-        class FinalTimer(Protocol):
-            def on_start(self, ctx):
-                if ctx.node == 0:
-                    ctx.broadcast("tick")
-                    ctx.set_timer(1)
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-            def on_timer(self, ctx):
-                ctx.state["fired"] = True
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NonQuiescentTermination)
-            result = Simulator(chain).run(FinalTimer(), max_rounds=1)
-        assert result.quiesced
-        assert result.states[0].get("fired") is True
-        assert result.timers_fired == 1
-
-    def test_reliable_stats_aggregate_on_truncated_run(self, chain):
-        """reliable_stats still sums per-node counters when the reliable
-        run is cut off by the round cap mid-retransmission."""
-        from repro.runtime.faults import FaultPlan
-        from repro.runtime.protocols import (
-            ReliableProtocol,
-            RetryPolicy,
-            reliable_stats,
-        )
-
-        plan = FaultPlan(loss_rate=1.0)
-        with pytest.warns(NonQuiescentTermination, match="round cap"):
-            result = Simulator(
-                chain, fault_plan=plan, rng=np.random.default_rng(0)
-            ).run(
-                ReliableProtocol(TTLFloodProtocol(2), RetryPolicy(max_retries=50)),
-                max_rounds=6,
-            )
-        assert not result.quiesced
-        stats = reliable_stats(result)
-        # Every link is dead, so retransmissions accumulated but nothing
-        # was acked or duplicated before the cap hit.
-        assert stats.retransmissions > 0
-        assert stats.acks_sent == 0
-        assert stats.duplicates_suppressed == 0
-        # No give-ups yet: the budget (50) outlives the 6-round cap.
-        assert stats.gave_up == 0

@@ -265,6 +265,53 @@ class TestLeaseReaping:
         store._write_record(loaded)
         assert store.reap_expired() == []
 
+    def test_orphaned_claim_lock_reaped(self, store, clock):
+        """A claimer killed after winning the lock, before writing the
+        leased record, leaves a queued job that no worker can claim; its
+        lock's expiry lets the reaper lapse that attempt."""
+        rec = store.submit(JobSpec(seed=1), max_attempts=3)
+        assert store._try_claim_lock(rec, "w-dead", clock.now + 5.0)
+        assert store.claim_next("w0", lease_ttl=5.0) is None
+        assert store.reap_expired() == []  # the claim is still live
+        clock.advance(6.0)
+        backoff = RetryBackoff(jitter=0.0)
+        assert store.reap_expired(backoff=backoff) == [rec.job_id]
+        assert store.reap_expired(backoff=backoff) == []
+        loaded = store.load(rec.job_id)
+        assert loaded.state == STATE_QUEUED
+        assert loaded.attempts == 1
+        assert loaded.error["type"] == "LeaseExpired"
+        assert "w-dead" in loaded.error["message"]
+        clock.advance(backoff.delay(loaded.spec.cache_key(), 2) + 0.1)
+        claimed = store.claim_next("w0", lease_ttl=5.0)
+        assert claimed.job_id == rec.job_id
+        assert claimed.attempts == 2
+
+    def test_orphaned_claim_at_cap_dead_letters(self, store, clock):
+        rec = store.submit(JobSpec(seed=1), max_attempts=1)
+        assert store._try_claim_lock(rec, "w-dead", clock.now + 5.0)
+        clock.advance(6.0)
+        assert store.reap_expired() == [rec.job_id]
+        assert store.load(rec.job_id).state == STATE_DEAD
+
+    def test_claim_lock_holds_expiry_and_lease_matches(self, store, clock):
+        rec = store.submit(JobSpec(seed=1))
+        claimed = store.claim_next("w0", lease_ttl=5.0)
+        lock = store.job_dir(rec.job_id) / "claim-0-0.lock"
+        assert json.loads(lock.read_text()) == {
+            "worker": "w0",
+            "expires_at": clock.now + 5.0,
+        }
+        lease = store.lease_of(rec.job_id)
+        assert lease["expires_at"] == clock.now + 5.0
+        assert lease["attempt"] == claimed.attempts
+        assert sorted(p.name for p in store.job_dir(rec.job_id).iterdir()) == [
+            "claim-0-0.lock",
+            "job.json",
+            "lease.json",
+            "log.jsonl",
+        ]
+
 
 class TestStaleWorkerFencing:
     """A worker that stalls past its lease must not corrupt the live
