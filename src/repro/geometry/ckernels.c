@@ -1,6 +1,6 @@
 /* Native hot-path kernels: the unit-ball graph build, hop-bounded BFS
- * (frame collection, IFF flood counts, components), the "sparse"
- * localization engine and the UBF candidate search.
+ * (frame collection, IFF flood counts, components, surface hop rows), the
+ * "sparse" localization engine and the UBF candidate search.
  *
  * Compiled on demand by repro.geometry.native with the system C compiler
  * (see native.py for the cache/fallback protocol); every routine has a
@@ -20,6 +20,10 @@
  *   min/add, no FMA contraction (-ffp-contract=off in the build flags).
  *   Rows whose pivot entry d[i][k] is +inf are skipped, which changes no
  *   bit (inf + x never wins the min).
+ * - syevr_top_batch calls LAPACK dsyevr (resolved by the caller from the
+ *   library scipy's flapack module links against) with the arguments and
+ *   workspace sizes of scipy's f2py wrapper, so its eigenpairs equal that
+ *   wrapper's bit for bit.
  * - smacof_refine_frames reproduces smacof_refine's majorization
  *   (including the d > 1e-12 ratio guard and the relative stress stopping
  *   rule); coordinates agree with it within SMACOF_BATCH_COORD_TOL and
@@ -107,20 +111,24 @@ static void sort_int64(int64_t *a, int64_t n)
 
 /* One search of hop_bfs (below): from source s, visiting nodes whose
  * stamp is below `floor_` and stamping them `tag`.  Writes the visit order
- * to `queue` and returns its length; *n1 receives the hop-1 count. */
+ * to `queue` and returns its length; *n1 receives the hop-1 count.  When
+ * `depth` is non-NULL, depth[v] receives v's hop count from s for every
+ * node the search visits. */
 static int64_t bfs_from(const int64_t *indptr, const int64_t *indices,
                         int64_t s, const uint8_t *mask, int64_t hops,
                         int64_t *stamp, int64_t tag, int64_t floor_,
-                        int64_t *queue, int64_t *n1)
+                        int64_t *queue, int64_t *n1, int64_t *depth)
 {
     *n1 = 0;
     if ((mask && !mask[s]) || stamp[s] >= floor_)
         return 0;
     stamp[s] = tag;
     queue[0] = s;
+    if (depth)
+        depth[s] = 0;
     int64_t head = 0, tail = 1;
-    for (int64_t depth = 0; head < tail && (hops < 0 || depth < hops);
-         ++depth) {
+    for (int64_t level = 0; head < tail && (hops < 0 || level < hops);
+         ++level) {
         int64_t level_end = tail;
         for (; head < level_end; ++head) {
             int64_t u = queue[head];
@@ -130,9 +138,11 @@ static int64_t bfs_from(const int64_t *indptr, const int64_t *indices,
                     continue;
                 stamp[v] = tag;
                 queue[tail++] = v;
+                if (depth)
+                    depth[v] = level + 1;
             }
         }
-        if (depth == 0)
+        if (level == 0)
             *n1 = tail - 1;
     }
     return tail;
@@ -154,7 +164,9 @@ static int64_t bfs_from(const int64_t *indptr, const int64_t *indices,
  * `stamp` (n-sized):
  * - count pass (members == NULL): writes ptr[0..n_src] (collection
  *   offsets, source included) and, if non-NULL, n_one_hop[i] (the
- *   collection's hop-1 size); `queue` is an n-sized scratch.
+ *   collection's hop-1 size) and depth[v] (v's hop count from the search
+ *   that visited it last; nodes no search visits keep their value);
+ *   `queue` is an n-sized scratch.
  * - fill pass: writes collection i into members[ptr[i]..ptr[i+1]) in
  *   frame order -- the source, its hop-1 nodes in CSR row order (the
  *   rows are sorted, so ascending), then the nodes at hop >= 2
@@ -162,7 +174,8 @@ static int64_t bfs_from(const int64_t *indptr, const int64_t *indices,
 void hop_bfs(const int64_t *indptr, const int64_t *indices,
              const int64_t *sources, int64_t n_src, const uint8_t *mask,
              int64_t hops, int shared, int64_t *stamp, int64_t *queue,
-             int64_t *ptr, int64_t *n_one_hop, int64_t *members)
+             int64_t *ptr, int64_t *n_one_hop, int64_t *depth,
+             int64_t *members)
 {
     if (members == NULL)
         ptr[0] = 0;
@@ -170,7 +183,8 @@ void hop_bfs(const int64_t *indptr, const int64_t *indices,
         int64_t tag = i + 1, n1;
         int64_t *out = members ? members + ptr[i] : queue;
         int64_t reached = bfs_from(indptr, indices, sources[i], mask, hops,
-                                   stamp, tag, shared ? 1 : tag, out, &n1);
+                                   stamp, tag, shared ? 1 : tag, out, &n1,
+                                   members ? NULL : depth);
         if (members) {
             if (reached > 1 + n1)
                 sort_int64(out + 1 + n1, reached - 1 - n1);
@@ -401,6 +415,61 @@ void center_gram_batch(double *d, int64_t b, int64_t m, double *rowmean)
             for (int64_t j = 0; j < m; ++j)
                 rowi[j] = -0.5 * (((rowi[j] - ri) - rowmean[j]) + totalmean);
         }
+    }
+}
+
+/* ---------------------------------------------------------------- */
+/* Top-k symmetric eigensolve through LAPACK dsyevr                  */
+/* ---------------------------------------------------------------- */
+
+/* Fortran LAPACK dsyevr with 32-bit integers, as scipy's flapack module
+ * calls it, plus the hidden character-length arguments gfortran appends.
+ * The caller resolves the symbol (native.lapack_dsyevr) and passes its
+ * address, so this file links against no LAPACK itself. */
+typedef void (*dsyevr_fn)(const char *jobz, const char *range,
+                          const char *uplo, const int32_t *n, double *a,
+                          const int32_t *lda, const double *vl,
+                          const double *vu, const int32_t *il,
+                          const int32_t *iu, const double *abstol,
+                          int32_t *m_found, double *w, double *z,
+                          const int32_t *ldz, int32_t *isuppz, double *work,
+                          const int32_t *lwork, int32_t *iwork,
+                          const int32_t *liwork, int32_t *info,
+                          size_t jobz_len, size_t range_len,
+                          size_t uplo_len);
+
+/* The top k eigenpairs of every slice of a C-contiguous (b, m, m) stack
+ * of symmetric matrices, one dsyevr call per slice with exactly the
+ * arguments scipy's f2py wrapper passes for
+ * syevr(a, compute_v=1, range="I", il=m-k+1, iu=m, lower=0): jobz "V",
+ * range "I", uplo "U", a column-major copy of the slice (`a`, m*m
+ * scratch), vl = 0, vu = 1, abstol = 0, ldz = m, and the wrapper's
+ * default workspaces lwork = 26m (`work`) and liwork = 10m (`iwork`).
+ * The workspace size decides dsytrd's block size, so it is part of the
+ * bit-for-bit contract.  `w` (m) and `isuppz` (2m) are scratch.
+ * Outputs per slice s: vals[s*k ..] the k eigenvalues ascending,
+ * vecs[s*k*m ..] their eigenvectors as k rows of m (dsyevr's
+ * column-major z), info[s] dsyevr's status; a slice with info != 0 has
+ * unspecified vals/vecs. */
+void syevr_top_batch(void *dsyevr, const double *gram, int64_t b, int64_t m,
+                     int64_t k, double *a, double *w, double *work,
+                     int32_t *iwork, int32_t *isuppz, double *vals,
+                     double *vecs, int32_t *info)
+{
+    dsyevr_fn solve = (dsyevr_fn)dsyevr;
+    const int32_t n = (int32_t)m, il = (int32_t)(m - k + 1), iu = (int32_t)m;
+    const int32_t lwork = (int32_t)(26 * m), liwork = (int32_t)(10 * m);
+    const double vl = 0.0, vu = 1.0, abstol = 0.0;
+    for (int64_t s = 0; s < b; ++s) {
+        const double *gs = gram + s * m * m;
+        for (int64_t j = 0; j < m; ++j)
+            for (int64_t i = 0; i < m; ++i)
+                a[i + j * m] = gs[i * m + j];
+        int32_t found = 0;
+        solve("V", "I", "U", &n, a, &n, &vl, &vu, &il, &iu, &abstol, &found,
+              w, vecs + s * k * m, &n, isuppz, work, &lwork, iwork, &liwork,
+              info + s, 1, 1, 1);
+        memcpy(vals + s * k, w, (size_t)k * sizeof(double));
     }
 }
 

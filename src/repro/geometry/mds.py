@@ -25,7 +25,10 @@ and :func:`smacof_refine_batch`.  Stacking ``B`` same-size problems
 amortizes numpy call overhead ``B``-fold and lets the LAPACK stages run
 as tight loops instead of one wrapped call per node.  The native kernels
 of :mod:`repro.geometry.native` (``fw_complete``, ``center_gram``,
-``smacof_refine``) are the compiled twins of these steps.
+``smacof_refine``) are the compiled twins of these steps, and
+``syevr_top`` runs the eigensolve's ``dsyevr`` calls in one C loop that
+equals scipy's f2py call (:func:`_syevr`) bit for bit without importing
+``scipy.linalg``.
 
 Completion and classical MDS are one function each, so every engine gets
 *bit-identical* results from them.  SMACOF keeps two forms: the scalar
@@ -164,10 +167,36 @@ def torgerson_gram_batch(distances: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _syevr():
-    """The raw LAPACK ``dsyevr`` handle."""
+    """scipy's f2py wrapper of LAPACK ``dsyevr``.
+
+    The eigensolve's path when the native kernels or the ``dsyevr``
+    symbol are missing, and the oracle the native loop
+    (:meth:`repro.geometry.native.NativeKernels.syevr_top`) is tested
+    against: both reach the same LAPACK routine with the same arguments.
+    Importing it loads ``scipy.linalg``, which the native loop avoids.
+    """
     from scipy.linalg import get_lapack_funcs
 
     return get_lapack_funcs(("syevr",), (np.empty((1, 1)),))[0]
+
+
+def _syevr_top(gram: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, z, info)`` of :meth:`NativeKernels.syevr_top`, one
+    :func:`_syevr` call per slice."""
+    n_batch, m, _ = gram.shape
+    w_all = np.empty((n_batch, k))
+    z_all = np.empty((n_batch, k, m))
+    info_all = np.zeros(n_batch, dtype=np.int32)
+    syevr = _syevr()
+    for b in range(n_batch):
+        w, z, _, _, info = syevr(
+            gram[b], compute_v=1, range="I", il=m - k + 1, iu=m, lower=0
+        )
+        info_all[b] = info
+        if info == 0:
+            w_all[b] = w[:k]
+            z_all[b] = z.T
+    return w_all, z_all, info_all
 
 
 def classical_mds_from_gram_stack(
@@ -175,35 +204,40 @@ def classical_mds_from_gram_stack(
 ) -> np.ndarray:
     """Embed a ``(B, m, m)`` stack of pre-centered Gram matrices.
 
-    The one classical-MDS eigensolve every engine runs: one raw LAPACK
+    The one classical-MDS eigensolve every engine runs: one LAPACK
     ``dsyevr`` call per slice (MRRR, top ``n_components`` eigenpairs only,
     ~5x cheaper than a full ``syevd`` factorization at typical frame
-    sizes, and no scipy-wrapper validation per call), with the clip /
-    degenerate-cutoff / sign-canonicalization / scaling epilogue
-    vectorized across the whole stack.  A slice on which ``dsyevr``
-    reports an error falls back to the full ``np.linalg.eigh`` spectrum.
-    Because the ``pernode`` oracle (through :func:`classical_mds`) and the
-    sparse engine share this solve, the classical-MDS seed is
-    bit-identical across engines -- a hard requirement, since the SMACOF
-    refinement that follows can amplify a last-ulp seed difference past
-    the 1e-9 engine contract on ill-conditioned frames.
+    sizes), with the clip / degenerate-cutoff / sign-canonicalization /
+    scaling epilogue vectorized across the whole stack.  With native
+    kernels the calls run in one C loop
+    (:meth:`~repro.geometry.native.NativeKernels.syevr_top`), which
+    imports no scipy module; otherwise each goes through scipy's f2py
+    wrapper (:func:`_syevr`).  Both call the same routine with the same
+    arguments and workspace, so they agree bit for bit.  A slice on which
+    ``dsyevr`` reports an error falls back to the full
+    ``np.linalg.eigh`` spectrum.  Because the ``pernode`` oracle (through
+    :func:`classical_mds`) and the sparse engine share this solve, the
+    classical-MDS seed is bit-identical across engines -- a hard
+    requirement, since the SMACOF refinement that follows can amplify a
+    last-ulp seed difference past the 1e-9 engine contract on
+    ill-conditioned frames.
     """
+    # Imported here: repro.geometry.native imports this module.
+    from repro.geometry.native import load_kernels
+
     n_batch, m, _ = gram.shape
     if m == 0:
         return np.zeros((n_batch, 0, n_components))
     k = min(n_components, m)
-    vals = np.empty((n_batch, k))
-    vecs = np.empty((n_batch, m, k))
-    syevr = _syevr()
-    for b in range(n_batch):
-        w, z, _, _, info = syevr(
-            gram[b], compute_v=1, range="I", il=m - k + 1, iu=m, lower=0
-        )
-        if info != 0:
-            w, z = np.linalg.eigh(gram[b])
-            w, z = w[m - k :], z[:, m - k :]
-        vals[b] = w[k - 1 :: -1]
-        vecs[b] = z[:, ::-1]
+    kernels = load_kernels()
+    solved = kernels.syevr_top(gram, k) if kernels is not None else None
+    w, z, info = solved if solved is not None else _syevr_top(gram, k)
+    for b in np.flatnonzero(info).tolist():
+        full_w, full_z = np.linalg.eigh(gram[b])
+        w[b] = full_w[m - k :]
+        z[b] = full_z[:, m - k :].T
+    vals = np.ascontiguousarray(w[:, ::-1])
+    vecs = np.ascontiguousarray(np.swapaxes(z, 1, 2)[:, :, ::-1])
     top_vals = np.clip(vals, 0.0, None)
     top_vals = np.where(
         top_vals < DEGENERATE_EIGENVALUE_RATIO * top_vals[..., :1], 0.0, top_vals

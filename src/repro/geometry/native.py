@@ -1,17 +1,19 @@
 """On-demand native kernels for the unit-ball graph build, graph floods,
-the sparse localization engine and UBF.
+the sparse localization engine, UBF and the surface hop rows.
 
 The hot loops (the unit-ball CSR build, hop-bounded BFS, frame assembly,
-Floyd-Warshall completion, double centering, SMACOF majorization, and the
-fused UBF candidate search) are written once in portable C
-(``ckernels.c``) and compiled lazily with the
+Floyd-Warshall completion, double centering, the top-k ``dsyevr``
+eigensolve loop, SMACOF majorization, and the fused UBF candidate search)
+are written once in portable C (``ckernels.c``) and compiled lazily with the
 system C compiler the first time they are requested.  The resulting
 shared object is cached on disk keyed by the source hash, so every later
 process (including pool workers) dlopens the same binary -- a
 precondition for the byte-identical sharded outputs repro-san checks.
 
 No new dependency is introduced: the build shells out to ``cc`` (or
-``$CC``) with ``ctypes`` doing the loading.  When no compiler is
+``$CC``) with ``ctypes`` doing the loading.  The eigensolve loop calls the
+LAPACK ``dsyevr`` that scipy's ``flapack`` module links against, found by
+:func:`lapack_dsyevr` without importing scipy.  When no compiler is
 available, compilation fails, or ``REPRO_NATIVE=0`` is set, callers
 receive ``None`` and fall back to the pure-numpy twins in
 :mod:`repro.geometry.spatial_index` / :mod:`repro.network.graph` /
@@ -26,7 +28,10 @@ operation for operation; see ckernels.c for the per-routine contracts.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import tempfile
@@ -79,7 +84,7 @@ class NativeKernels:
         library.hop_bfs.argtypes = [
             _INT64_P, _INT64_P, _INT64_P, ctypes.c_int64, _UINT8_P,
             ctypes.c_int64, ctypes.c_int, _INT64_P, _INT64_P,
-            _INT64_P, _INT64_P, _INT64_P,
+            _INT64_P, _INT64_P, _INT64_P, _INT64_P,
         ]
         library.assemble_frames.restype = ctypes.c_int64
         library.assemble_frames.argtypes = [
@@ -95,6 +100,12 @@ class NativeKernels:
         library.center_gram_batch.restype = None
         library.center_gram_batch.argtypes = [
             _DOUBLE_P, ctypes.c_int64, ctypes.c_int64, _DOUBLE_P,
+        ]
+        library.syevr_top_batch.restype = None
+        library.syevr_top_batch.argtypes = [
+            ctypes.c_void_p, _DOUBLE_P, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT32_P,
+            _INT32_P, _DOUBLE_P, _DOUBLE_P, _INT32_P,
         ]
         library.smacof_refine_frames.restype = ctypes.c_int64
         library.smacof_refine_frames.argtypes = [
@@ -190,6 +201,7 @@ class NativeKernels:
         self._lib.hop_bfs(
             *common, _ptr(stamp, ctypes.c_int64), _ptr(queue, ctypes.c_int64),
             _ptr(ptr, ctypes.c_int64), _ptr(n_one_hop, ctypes.c_int64), None,
+            None,
         )
         if not fill:
             return ptr, n_one_hop, None
@@ -197,9 +209,36 @@ class NativeKernels:
         stamp = np.zeros(max(n, 1), dtype=np.int64)
         self._lib.hop_bfs(
             *common, _ptr(stamp, ctypes.c_int64), None,
-            _ptr(ptr, ctypes.c_int64), None, _ptr(members, ctypes.c_int64),
+            _ptr(ptr, ctypes.c_int64), None, None, _ptr(members, ctypes.c_int64),
         )
         return ptr, n_one_hop, members
+
+    def bfs_depths(
+        self, indptr: np.ndarray, indices: np.ndarray, source: int, unreached: int
+    ) -> np.ndarray:
+        """Unbounded BFS hop count from ``source`` to every node (int64).
+
+        One count-only :meth:`hop_bfs` search with its per-node depth
+        output; nodes the search does not reach hold ``unreached``.
+        """
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        n = indptr.shape[0] - 1
+        if n < 0 or indptr[-1] != indices.shape[0]:
+            raise ValueError("bfs_depths: indptr does not describe indices")
+        if not 0 <= source < n:
+            raise ValueError("bfs_depths: source id must lie in [0, n_nodes)")
+        depth = np.full(n, unreached, dtype=np.int64)
+        sources = np.array([source], dtype=np.int64)
+        ptr = np.empty(2, dtype=np.int64)
+        self._lib.hop_bfs(
+            _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
+            _ptr(sources, ctypes.c_int64), 1, None, -1, 0,
+            _ptr(np.zeros(n, dtype=np.int64), ctypes.c_int64),
+            _ptr(np.empty(n, dtype=np.int64), ctypes.c_int64),
+            _ptr(ptr, ctypes.c_int64), None, _ptr(depth, ctypes.c_int64), None,
+        )
+        return depth
 
     def assemble_frames(
         self,
@@ -246,6 +285,44 @@ class NativeKernels:
             _ptr(stack, ctypes.c_double), b, m,
             _ptr(rowmean, ctypes.c_double),
         )
+
+    def syevr_top(
+        self, gram: np.ndarray, k: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Top-``k`` eigenpairs of every slice of a ``(B, m, m)`` stack.
+
+        One native loop of LAPACK ``dsyevr`` calls, each with the
+        arguments of scipy's ``syevr(a, compute_v=1, range="I",
+        il=m-k+1, iu=m, lower=0)``, so the results equal that call bit for
+        bit.  Returns ``(w, z, info)``: ``w`` ``(B, k)`` eigenvalues
+        ascending, ``z`` ``(B, k, m)`` their eigenvectors as rows, and
+        ``info`` ``(B,)`` int32 ``dsyevr`` statuses (a slice with nonzero
+        status holds unspecified values).  None when
+        :func:`lapack_dsyevr` finds no ``dsyevr``.
+        """
+        dsyevr = lapack_dsyevr()
+        if dsyevr is None:
+            return None
+        gram = np.ascontiguousarray(gram, dtype=np.float64)
+        if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
+            raise ValueError("syevr_top: gram must be a (B, m, m) stack")
+        b, m, _ = gram.shape
+        if not 1 <= k <= m:
+            raise ValueError("syevr_top: k must lie in [1, m]")
+        w = np.empty((b, k))
+        z = np.empty((b, k, m))
+        info = np.zeros(b, dtype=np.int32)
+        self._lib.syevr_top_batch(
+            dsyevr, _ptr(gram, ctypes.c_double), b, m, k,
+            _ptr(np.empty(m * m), ctypes.c_double),
+            _ptr(np.empty(m), ctypes.c_double),
+            _ptr(np.empty(26 * m), ctypes.c_double),
+            _ptr(np.empty(10 * m, dtype=np.int32), ctypes.c_int32),
+            _ptr(np.empty(2 * m, dtype=np.int32), ctypes.c_int32),
+            _ptr(w, ctypes.c_double), _ptr(z, ctypes.c_double),
+            _ptr(info, ctypes.c_int32),
+        )
+        return w, z, info
 
     def smacof_refine(
         self,
@@ -366,6 +443,40 @@ class NativeKernels:
             _ptr(witness_pair, ctypes.c_int64),
         )
         return tested, checked, witness_center, witness_pair
+
+
+@functools.lru_cache(maxsize=None)
+def lapack_dsyevr() -> Optional[int]:
+    """Address of the LAPACK ``dsyevr`` scipy's ``flapack`` module calls.
+
+    The ``scipy/linalg/_flapack`` extension is dlopened as a plain shared
+    library (found through :func:`importlib.util.find_spec`, so no scipy
+    module is imported), and ``scipy_dsyevr_`` (scipy's bundled
+    OpenBLAS), then ``dsyevr_`` (a system LAPACK), is looked up through it
+    and the libraries it links against.  This is the very routine the
+    f2py wrapper calls -- never numpy's ILP64 OpenBLAS or another LAPACK,
+    whose rounding may differ.  None when scipy, the extension or the
+    symbol is missing.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for package in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(package, "linalg", "_flapack" + suffix)
+            if not os.path.exists(path):
+                continue
+            try:
+                library = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in ("scipy_dsyevr_", "dsyevr_"):
+                try:
+                    symbol = getattr(library, name)
+                except AttributeError:
+                    continue
+                return ctypes.cast(symbol, ctypes.c_void_p).value
+    return None
 
 
 def _cache_dir() -> str:

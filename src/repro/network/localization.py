@@ -37,15 +37,16 @@ engines with *observably identical* results:
     without native kernels), frames of equal size grouped into
     ``(B, m, m)`` stacks, and the MDS chain of :mod:`repro.geometry.mds`
     run once per stack -- Floyd-Warshall completion, Torgerson centering,
-    a top-3 subset eigensolve (MRRR driver) instead of the full spectrum,
-    and SMACOF over the measured *edge list* rather than dense ``(m, m)``
-    weight matrices.  Assembly, completion, centering, and refinement use
-    the native kernels from :mod:`repro.geometry.native` whenever they
-    load, with the numpy forms
+    a top-3 subset eigensolve (LAPACK ``dsyevr``) instead of the full
+    spectrum, and SMACOF over the measured *edge list* rather than dense
+    ``(m, m)`` weight matrices.  Assembly, completion, centering, the
+    eigensolve loop and refinement use the native kernels from
+    :mod:`repro.geometry.native` whenever they load, so the engine then
+    imports no scipy module; otherwise the numpy forms
     (:func:`~repro.geometry.mds.complete_distance_matrix`,
     :func:`~repro.geometry.mds.torgerson_gram_batch`,
-    :func:`~repro.geometry.mds.smacof_refine_batch`) behind the same
-    contract otherwise.
+    :func:`~repro.geometry.mds.smacof_refine_batch`) and scipy's f2py
+    ``dsyevr`` wrapper run behind the same contract.
 
 The engine contract (enforced by the differential tests): member lists,
 one-hop counts, and SMACOF iteration counts agree *exactly*; coordinates

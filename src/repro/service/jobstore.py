@@ -8,7 +8,9 @@ job; two reapers expiring the same lease).  No daemon, no database, no
 in-memory state that a crash can lose: a worker that dies mid-job leaves
 an expiring lease behind, and any other worker's next poll requeues the
 work.  The claim lock itself carries the claim's expiry, so a worker
-killed between winning a claim and recording it is reaped the same way.
+killed between winning a claim and recording it is reaped the same way;
+the expire lock carries its reaper's expiry too, so a reaper killed
+mid-reap hands the reap to the next one.
 
 Job lifecycle::
 
@@ -95,6 +97,11 @@ STATE_DEAD = "dead"
 #: States a claim can start from / terminal states.
 CLAIMABLE_STATES = (STATE_QUEUED,)
 TERMINAL_STATES = (STATE_DONE, STATE_DEAD)
+
+#: Seconds an expire lock stays its reaper's.  Past that (or holding no
+#: expiry at all) the lock belongs to a reaper that died mid-reap, and the
+#: next reaper takes the reap over; a live reap takes a few file writes.
+REAP_LOCK_TTL = 30.0
 
 
 @dataclass(frozen=True)
@@ -289,7 +296,9 @@ class JobStore:
                                          generation/attempt fencing token)
         jobs/<job_id>/claim-<gen>-<n>.lock  -- claim arbitration (created
                                          once, holding the claim expiry)
-        jobs/<job_id>/expire-<gen>-<n>.lock -- O_EXCL reap arbitration
+        jobs/<job_id>/expire-<gen>-<n>[.<t>].lock -- reap arbitration
+                                         (holding the reaper's expiry;
+                                         .<t> for the t-th takeover)
         results/<cache_key>.json      -- result cache
         traces/<job_id>.trace.jsonl   -- per-job JSONL trace
         workers/<worker_id>.metrics.json -- worker metric snapshots
@@ -346,7 +355,19 @@ class JobStore:
         ]
 
     def jobs(self) -> List[JobRecord]:
-        return [self.load(job_id) for job_id in self.job_ids()]
+        """Every job's record, in id order.
+
+        A job directory without a record -- :meth:`submit` killed between
+        allocating the id and writing ``job.json`` -- is skipped, as
+        :meth:`claim_next` and :meth:`reap_expired` skip it.
+        """
+        records = []
+        for job_id in self.job_ids():
+            try:
+                records.append(self.load(job_id))
+            except FileNotFoundError:
+                continue
+        return records
 
     def _log(self, job_id: str, event: str, **fields: Any) -> None:
         doc = {"ts": self.clock(), "event": event}
@@ -361,52 +382,80 @@ class JobStore:
         finally:
             os.close(fd)
 
-    def _try_lock(self, job_id: str, name: str) -> bool:
-        """Atomically create a one-shot lock file; False if it exists."""
-        path = self.job_dir(job_id) / name
-        try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-    def _try_claim_lock(
-        self, record: JobRecord, worker_id: str, expires_at: float
+    def _try_lock(
+        self, job_id: str, name: str, content: Optional[Dict[str, Any]] = None
     ) -> bool:
-        """Create the claim lock for ``record``'s next attempt, holding the
-        claimer and the claim's expiry; False if another worker holds it.
+        """Atomically create a one-shot lock file holding ``content`` (a
+        JSON object); False if the lock exists.
 
         The content is written before the name appears (a tmp file, then
-        ``os.link``, which fails if the name exists), so a worker killed
-        right after winning the claim still leaves an expiry behind for
-        :meth:`reap_expired`.
+        ``os.link``, which fails if the name exists), so a holder killed
+        right after winning the lock still leaves its expiry behind.
         """
-        job_dir = self.job_dir(record.job_id)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix="claim.", suffix=".tmp", dir=str(job_dir)
-        )
+        job_dir = self.job_dir(job_id)
+        fd, tmp_name = tempfile.mkstemp(prefix="lock.", suffix=".tmp", dir=str(job_dir))
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"worker": worker_id, "expires_at": expires_at}, fh)
-            os.link(tmp_name, job_dir / self._claim_lock_name(record))
+                json.dump(content or {}, fh)
+            os.link(tmp_name, job_dir / name)
         except FileExistsError:
             return False
         finally:
             os.unlink(tmp_name)
         return True
 
+    def _lock_of(self, job_id: str, name: str) -> Optional[Dict[str, Any]]:
+        """The content of a lock, or ``None`` when it is absent or holds no
+        expiry."""
+        path = self.job_dir(job_id) / name
+        try:
+            lock = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if not isinstance(lock, dict) or "expires_at" not in lock:
+            return None
+        return lock
+
+    def _try_claim_lock(
+        self, record: JobRecord, worker_id: str, expires_at: float
+    ) -> bool:
+        """Create the claim lock for ``record``'s next attempt, holding the
+        claimer and the claim's expiry; False if another worker holds it.
+        A worker killed right after winning the claim leaves that expiry
+        behind for :meth:`reap_expired`."""
+        return self._try_lock(
+            record.job_id,
+            self._claim_lock_name(record),
+            {"worker": worker_id, "expires_at": expires_at},
+        )
+
     def _claim_of(self, record: JobRecord) -> Optional[Dict[str, Any]]:
         """The claim lock for ``record``'s next attempt, or ``None`` when
         it is absent or holds no expiry."""
-        path = self.job_dir(record.job_id) / self._claim_lock_name(record)
-        try:
-            claim = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(claim, dict) or "expires_at" not in claim:
-            return None
-        return claim
+        return self._lock_of(record.job_id, self._claim_lock_name(record))
+
+    def _try_reap_lock(
+        self, job_id: str, generation: int, attempt: int, reaper: str, now: float
+    ) -> bool:
+        """Win the reap of one lapsed attempt; False if a live reaper has it.
+
+        The expire lock holds its reaper and an expiry
+        :data:`REAP_LOCK_TTL` ahead.  A reaper killed before it requeued
+        the job leaves its lock to lapse; the next reaper then takes the
+        reap over by winning the next lock of the chain
+        (``expire-<generation>-<attempt>.<t>.lock``).  A lock holding no
+        expiry counts as lapsed.
+        """
+        content = {"reaper": reaper, "expires_at": now + REAP_LOCK_TTL}
+        takeover = 0
+        while True:
+            name = self._expire_lock_name(generation, attempt, takeover)
+            if self._try_lock(job_id, name, content):
+                return True
+            held = self._lock_of(job_id, name)
+            if held is not None and held["expires_at"] > now:
+                return False
+            takeover += 1
 
     @staticmethod
     def _claim_lock_name(record: JobRecord) -> str:
@@ -419,9 +468,11 @@ class JobStore:
         return f"claim-{record.generation}-{record.attempts}.lock"
 
     @staticmethod
-    def _expire_lock_name(generation: int, attempt: int) -> str:
-        """One-shot reap lock for one attempt of a job."""
-        return f"expire-{generation}-{attempt}.lock"
+    def _expire_lock_name(generation: int, attempt: int, takeover: int = 0) -> str:
+        """One-shot reap lock for one attempt of a job (and for the
+        ``takeover``-th reaper to take a lapsed reap of it over)."""
+        suffix = f".{takeover}" if takeover else ""
+        return f"expire-{generation}-{attempt}{suffix}.lock"
 
     def _lapsed_attempt(
         self, record: JobRecord, now: float
@@ -669,13 +720,16 @@ class JobStore:
         *,
         backoff: Optional[RetryBackoff] = None,
         now: Optional[float] = None,
+        reaper: str = "reaper",
     ) -> List[str]:
         """Requeue (or dead-letter) every job whose lease has lapsed.
 
         Any worker may reap; the ``expire-<generation>-<attempt>.lock``
-        file guarantees each lapsed attempt is processed exactly once.
-        A queued job whose claim lock has expired is a claim whose worker
-        died before recording it: that attempt lapses the same way.
+        file guarantees each lapsed attempt is processed exactly once,
+        and its expiry lets a later reaper finish the reap of one killed
+        mid-way (see :meth:`_try_reap_lock`).  A queued job whose claim
+        lock has expired is a claim whose worker died before recording
+        it: that attempt lapses the same way.
         """
         backoff = backoff if backoff is not None else RetryBackoff()
         now = self.clock() if now is None else now
@@ -690,17 +744,14 @@ class JobStore:
                 continue
             attempt, worker_id = lapsed
             generation = record.generation
-            lock = self._expire_lock_name(generation, attempt)
-            if not self._try_lock(job_id, lock):
-                continue  # another reaper handled this lapse
+            if not self._try_reap_lock(job_id, generation, attempt, reaper, now):
+                continue  # another reaper handles this lapse
             record = self.load(job_id)
+            if record.generation != generation or self._lapsed_attempt(record, now) != lapsed:
+                continue  # re-read under the lock: this lapse is gone
             if record.state in CLAIMABLE_STATES:
-                if (record.generation, record.attempts + 1) != (generation, attempt):
-                    continue  # re-read under the lock: no longer orphaned
                 record.attempts = attempt
                 record.worker_id = worker_id
-            elif record.state not in (STATE_LEASED, STATE_RUNNING):
-                continue
             self.metrics.counter("service.lease.expired").inc()
             self._log(
                 job_id,

@@ -241,7 +241,9 @@ class Worker:
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            expired = self.store.reap_expired(backoff=self.backoff)
+            expired = self.store.reap_expired(
+                backoff=self.backoff, reaper=self.worker_id
+            )
             if expired:
                 self.store.metrics.counter("service.reaps").inc(len(expired))
             record = self.store.claim_next(self.worker_id, self.lease_ttl)

@@ -42,9 +42,8 @@ def build_cdg(hops: GroupHops, cells: Dict[int, int]) -> Set[Edge]:
     keep = columns >= 0
     labels = np.full(hops.nodes.size, -1, dtype=np.int64)
     labels[columns[keep]] = owners[keep]
-    sub = hops.subgraph
-    own = labels[np.repeat(np.arange(hops.nodes.size), np.diff(sub.indptr))]
-    other = labels[sub.indices]
+    own = labels[np.repeat(np.arange(hops.nodes.size), np.diff(hops.indptr))]
+    other = labels[hops.indices]
     touching = (own >= 0) & (other >= 0) & (own != other)
     pairs, first = np.unique(
         np.stack([np.minimum(own, other), np.maximum(own, other)], axis=1)[touching],

@@ -6,9 +6,11 @@ Voronoi cells (I), CDM and completion paths (III, IV), candidate pairs
 (IV), and edge lengths for flips and hole patches (V).  :class:`GroupHops`
 cuts the group's induced subgraph out of the network's CSR adjacency and
 computes one hop row per source -- the source's distance to every group
-member, from ``scipy.sparse.csgraph`` -- at most once per source.  One
-landmark's row is shared by every step, every landmark spacing tried, and
-every finalize round of :class:`repro.surface.pipeline.SurfaceBuilder`.
+member, from one unbounded BFS over that subgraph (the native
+:meth:`~repro.geometry.native.NativeKernels.bfs_depths`, or a numpy
+level-synchronous BFS without native kernels) -- at most once per source.
+One landmark's row is shared by every step, every landmark spacing tried,
+and every finalize round of :class:`repro.surface.pipeline.SurfaceBuilder`.
 
 The scalar BFS queries of :class:`repro.network.graph.NetworkGraph` stay
 the reference these rows and paths are tested against.
@@ -16,11 +18,40 @@ the reference these rows and paths are tested against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.geometry.native import load_kernels
 from repro.network.graph import NetworkGraph
+
+
+def _csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The neighbours of ``rows``, concatenated, and each row's count."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.repeat(starts - offsets, sizes) + np.arange(int(sizes.sum()))
+    return indices[flat], sizes
+
+
+def _bfs_depths(
+    indptr: np.ndarray, indices: np.ndarray, source: int, unreached: int
+) -> np.ndarray:
+    """Numpy twin of :meth:`NativeKernels.bfs_depths`: one BFS level per
+    step, the frontier's unvisited neighbours forming the next level."""
+    depth = np.full(indptr.size - 1, unreached, dtype=np.int64)
+    depth[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        reached, _ = _csr_rows(indptr, indices, frontier)
+        frontier = np.unique(reached[depth[reached] == unreached])
+        depth[frontier] = level
+    return depth
 
 
 class GroupHops:
@@ -40,14 +71,13 @@ class GroupHops:
     sentinel:
         ``len(members) + 1``, the row entry of every member the source does
         not reach, so unreachable pairs sort after every real distance.
-    subgraph:
-        The induced subgraph as a ``scipy.sparse`` CSR matrix in column
-        space, neighbour columns ascending in every row.
+    indptr, indices:
+        The induced subgraph as int64 CSR arrays in column space: column
+        ``c``'s neighbours are ``indices[indptr[c]:indptr[c + 1]]``,
+        ascending.
     """
 
     def __init__(self, graph: NetworkGraph, group: Iterable[int]):
-        from scipy.sparse import csr_matrix
-
         self.graph = graph
         self.members: Set[int] = set(int(g) for g in group)
         self.nodes = np.array(sorted(self.members), dtype=np.int64)
@@ -59,14 +89,16 @@ class GroupHops:
         self._dtype = np.min_scalar_type(-self.sentinel - 1)
         self._rows: Dict[int, np.ndarray] = {}
 
-        # Induced subgraph in column space, float64 (what csgraph runs on,
-        # so no call converts it).  ``path`` needs every row's neighbours
-        # ascending, as in ``graph.csr()``.
-        indptr, indices = graph.csr()
-        n = graph.n_nodes
-        adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-        self.subgraph = adjacency[self.nodes][:, self.nodes]
-        self.subgraph.sort_indices()
+        # The graph's rows are ascending and ``index`` is monotone on the
+        # members, so every column's neighbours stay ascending, as
+        # ``path`` needs.
+        neighbours, sizes = _csr_rows(*graph.csr(), self.nodes)
+        columns = self.index[neighbours]
+        inside = columns >= 0
+        owner = np.repeat(np.arange(self.nodes.size), sizes)[inside]
+        self.indptr = np.zeros(self.nodes.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=self.nodes.size), out=self.indptr[1:])
+        self.indices = columns[inside]
 
     def columns(self, nodes) -> np.ndarray:
         """Row columns of ``nodes``, ``-1`` for every non-member.
@@ -96,15 +128,10 @@ class GroupHops:
             if column < 0:
                 row = np.full(self.nodes.size, self.sentinel, dtype=self._dtype)
             else:
-                from scipy.sparse.csgraph import shortest_path
-
-                # The subgraph is symmetric, so ``directed=True`` is exact
-                # and skips the CSC conversion an undirected call makes.
-                dist = shortest_path(
-                    self.subgraph, unweighted=True, directed=True, indices=[column]
-                )[0]
-                dist[np.isinf(dist)] = self.sentinel
-                row = dist.astype(self._dtype)
+                kernels = load_kernels()
+                bfs = kernels.bfs_depths if kernels is not None else _bfs_depths
+                depth = bfs(self.indptr, self.indices, column, self.sentinel)
+                row = depth.astype(self._dtype)
             row.flags.writeable = False
             self._rows[source] = row
         return row
@@ -136,7 +163,7 @@ class GroupHops:
         remaining = int(to_j[column])
         if remaining == self.sentinel:
             return None
-        indptr, indices = self.subgraph.indptr, self.subgraph.indices
+        indptr, indices = self.indptr, self.indices
         path = [int(i)]
         while remaining:
             remaining -= 1

@@ -49,7 +49,7 @@ MarkMap = Dict[int, Set[Edge]]
 
 def _mark_path(marks: MarkMap, edge: Edge, path: List[int], hops: GroupHops) -> None:
     """Record that ``path`` realizes ``edge``, with one-hop dilation."""
-    indptr, indices = hops.subgraph.indptr, hops.subgraph.indices
+    indptr, indices = hops.indptr, hops.indices
     dilated = set(path[1:-1])
     for column in hops.columns(path[1:-1]).tolist():
         dilated.update(hops.nodes[indices[indptr[column] : indptr[column + 1]]].tolist())

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.service.campaign import (
     CampaignIncomplete,
     campaign_status,
     cell_job_spec,
+    drain_campaign,
     ensure_submitted,
     render_from_store,
     run_campaign,
@@ -144,6 +146,31 @@ class TestResume:
         assert slices["level"]["0.0"] == {"done": 1}
         assert slices["level"]["0.4"] == {"queued": 1}
         assert slices["scenario"]["sphere"] == {"done": 1, "queued": 1}
+
+
+class TestKilledReaper:
+    def test_lapsed_reap_lock_is_taken_over(self, tmp_path):
+        """A reaper killed after taking a lapsed attempt's expire lock and
+        before requeueing the job: the job stays leased under a lapsed
+        lease with the lock taken.  A later reaper must take the reap
+        over, so the campaign drains to the uninterrupted tables."""
+        reference = run_campaign(JobStore(tmp_path / "a"), SPEC)
+        store = JobStore(tmp_path / "b")
+        ensure_submitted(store, SPEC)
+        claimed = store.claim_next("w-dead", lease_ttl=1.0, now=time.time() - 60.0)
+        assert claimed.state == "leased" and claimed.attempts == 1
+        (store.job_dir(claimed.job_id) / "expire-0-1.lock").touch()
+
+        drained = threading.Thread(
+            target=drain_campaign,
+            args=(store, [r.job_id for r in store.jobs()]),
+            daemon=True,
+        )
+        drained.start()
+        drained.join(timeout=120.0)
+        assert not drained.is_alive(), "drain_campaign never finished"
+        assert store.load(claimed.job_id).state == "done"
+        assert render_from_store(store, SPEC) == reference.tables
 
 
 class TestInvariance:

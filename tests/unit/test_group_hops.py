@@ -4,15 +4,19 @@
 (the sentinel where BFS does not reach), ``distance`` must read the same
 hop counts, and ``path`` must reproduce ``graph.shortest_path`` without
 running a BFS per query.  Sources and endpoints outside the group reach
-nothing.
+nothing.  Rows come from the native BFS or, without native kernels, from
+the numpy level-synchronous BFS; the cases parametrized over
+:data:`tests.native_paths.PATHS` check both in one run.
 """
 
 import numpy as np
 import pytest
 
+from repro.geometry.native import load_kernels
 from repro.network.graph import NetworkGraph
-from repro.surface.hops import GroupHops
+from repro.surface.hops import GroupHops, _bfs_depths
 from repro.surface.landmarks import elect_landmarks
+from tests.native_paths import PATHS, on_path
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +121,65 @@ def test_row_dtype_is_smallest_signed_holding_sentinel(size, dtype):
     row = hops.row(0)
     assert row.dtype == dtype
     assert row[0] == 0 and (row[1:] == size + 1).all()
+
+
+#: Eight nodes on a line, 0.9 apart: a path graph.  Leaving out nodes 3
+#: and 6 splits the group into {0, 1, 2}, {4, 5} and {7}.
+LINE = NetworkGraph(np.c_[0.9 * np.arange(8), np.zeros((8, 2))])
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("group", [{0, 1, 2, 4, 5, 7}, {5}, set(range(8))])
+def test_rows_and_paths_on_both_bfs_paths(path, group):
+    """Unreachable members, non-member sources and a one-member group."""
+    with on_path(path):
+        hops = GroupHops(LINE, group)
+        sentinel = len(group) + 1
+        ids = range(-1, LINE.n_nodes + 1)
+        for j in ids:
+            reference = (
+                LINE.bfs_hops([j], within=group) if j in group else {}
+            )
+            expected = [reference.get(n, sentinel) for n in sorted(group)]
+            assert hops.row(j).tolist() == expected
+            for i in ids:
+                expected_path = (
+                    LINE.shortest_path(i, j, within=group)
+                    if i in group and j in group
+                    else None
+                )
+                assert hops.path(i, j) == expected_path
+
+
+@pytest.mark.skipif(load_kernels() is None, reason="no native kernels")
+def test_native_and_numpy_bfs_depths_agree(groups):
+    kernels = load_kernels()
+    for graph, group in groups:
+        hops = GroupHops(graph, group)
+        for column in range(0, hops.nodes.size, 7):
+            native_depth = kernels.bfs_depths(
+                hops.indptr, hops.indices, column, hops.sentinel
+            )
+            numpy_depth = _bfs_depths(hops.indptr, hops.indices, column, hops.sentinel)
+            assert native_depth.tobytes() == numpy_depth.tobytes()
+
+
+@pytest.mark.skipif(load_kernels() is None, reason="no native kernels")
+def test_native_bfs_depths_rejects_bad_input():
+    hops = GroupHops(LINE, set(range(8)))
+    kernels = load_kernels()
+    for source in (-1, 8):
+        with pytest.raises(ValueError):
+            kernels.bfs_depths(hops.indptr, hops.indices, source, 9)
+    with pytest.raises(ValueError):
+        kernels.bfs_depths(hops.indptr, hops.indices[:-1], 0, 9)
+
+
+def test_induced_subgraph_columns_ascending(groups):
+    for graph, group in groups:
+        hops = GroupHops(graph, group)
+        assert hops.indptr.dtype == hops.indices.dtype == np.int64
+        for column, node in enumerate(hops.nodes.tolist()):
+            nbrs = hops.indices[hops.indptr[column] : hops.indptr[column + 1]]
+            expected = [n for n in graph.neighbors(node).tolist() if n in hops.members]
+            assert hops.nodes[nbrs].tolist() == sorted(expected)

@@ -11,11 +11,14 @@ engine runs when native kernels are unavailable.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.geometry import mds
+from repro.geometry import mds, native
 from repro.geometry.mds import (
     DEGENERATE_EIGENVALUE_RATIO,
     FW_CHUNK_SLICES,
@@ -28,6 +31,12 @@ from repro.geometry.mds import (
     smacof_refine_batch,
     torgerson_gram_batch,
 )
+from repro.geometry.native import load_kernels
+from repro.network import localization
+from repro.network.generator import DeploymentConfig, generate_network
+from repro.network.measurement import UniformAbsoluteError, measure_distances
+from repro.shapes.library import scenario_by_name
+from tests.native_paths import on_path
 
 
 def _random_partial_stack(rng, b, m, missing_fraction=0.4):
@@ -127,19 +136,124 @@ class TestBatchedClassicalMDS:
 
     def test_lapack_error_falls_back_to_full_eigh(self, rng, monkeypatch):
         """A slice whose ``dsyevr`` call reports an error is embedded from
-        ``np.linalg.eigh``'s full spectrum instead."""
-        gram = torgerson_gram_batch(
-            complete_distance_matrix(_random_partial_stack(rng, 3, 10))
-        )
-        expected = classical_mds_from_gram_stack(gram.copy())
+        ``np.linalg.eigh``'s full spectrum instead.  With native kernels a
+        stand-in ``dsyevr`` that sets ``info = 1`` is handed to the C loop;
+        without them this is the scipy-wrapper case below."""
+        path = "native" if load_kernels() is not None else "fallback"
+        _check_failing_dsyevr_falls_back(rng, monkeypatch, path)
 
+    def test_lapack_error_falls_back_to_full_eigh_on_scipy_wrapper(
+        self, rng, monkeypatch
+    ):
+        """Without native kernels, scipy's wrapper is replaced by one
+        returning ``info = 1``."""
+        _check_failing_dsyevr_falls_back(rng, monkeypatch, "fallback")
+
+
+def _check_failing_dsyevr_falls_back(rng, monkeypatch, path):
+    """Fail every ``dsyevr`` call on ``path``; the embedding must come from
+    the full ``np.linalg.eigh`` spectrum and match the unfailed one."""
+    gram = torgerson_gram_batch(
+        complete_distance_matrix(_random_partial_stack(rng, 3, 10))
+    )
+    expected = classical_mds_from_gram_stack(gram.copy())
+
+    calls = []
+    if path == "native":
+        def failing_dsyevr(*args):
+            calls.append(1)
+            args[20][0] = 1  # info
+
+        failing = _DSYEVR_TYPE(failing_dsyevr)
+        monkeypatch.setattr(
+            native, "lapack_dsyevr",
+            lambda: ctypes.cast(failing, ctypes.c_void_p).value,
+        )
+    else:
         def failing_syevr(a, **_):
+            calls.append(1)
             return None, None, None, None, 1
 
         monkeypatch.setattr(mds, "_syevr", lambda: failing_syevr)
+    with on_path(path):
         fallback = classical_mds_from_gram_stack(gram.copy())
-        assert fallback.shape == expected.shape
-        assert np.allclose(fallback, expected, rtol=0.0, atol=1e-9)
+    assert len(calls) == gram.shape[0]
+    assert fallback.shape == expected.shape
+    assert np.allclose(fallback, expected, rtol=0.0, atol=1e-9)
+
+
+#: The Fortran signature the native loop calls ``dsyevr`` with: 20
+#: pointers, ``info``, then three hidden string lengths.
+_DSYEVR_TYPE = ctypes.CFUNCTYPE(
+    None, *[ctypes.c_void_p] * 20, ctypes.POINTER(ctypes.c_int32),
+    *[ctypes.c_size_t] * 3,
+)
+
+
+def _digest(*arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.skipif(
+    load_kernels() is None or native.lapack_dsyevr() is None,
+    reason="no native kernels or no dsyevr symbol",
+)
+class TestNativeEigensolve:
+    """The native ``dsyevr`` loop equals scipy's f2py call byte for byte:
+    same routine, same arguments, same workspace sizes."""
+
+    @pytest.mark.parametrize("m", [3, 7, 8, 32, 33, 70, 128])
+    def test_matches_scipy_wrapper(self, rng, m):
+        gram = torgerson_gram_batch(
+            complete_distance_matrix(_random_partial_stack(rng, 6, m))
+        )
+        k = min(3, m)
+        w, z, info = load_kernels().syevr_top(gram, k)
+        ref_w, ref_z, ref_info = mds._syevr_top(gram, k)
+        assert not info.any() and not ref_info.any()
+        assert w.tobytes() == ref_w.tobytes()
+        assert z.tobytes() == ref_z.tobytes()
+
+    def test_rejects_bad_shapes(self):
+        kernels = load_kernels()
+        with pytest.raises(ValueError):
+            kernels.syevr_top(np.zeros((2, 3, 4)), 3)
+        with pytest.raises(ValueError):
+            kernels.syevr_top(np.zeros((2, 3, 3)), 4)
+        with pytest.raises(ValueError):
+            kernels.syevr_top(np.zeros((2, 3, 3)), 0)
+
+    def test_every_gram_stack_of_the_noisy_3k_sphere(self, monkeypatch):
+        """Every Gram stack the sparse engine solves on the benchmark's
+        30 %-error 3k sphere (seed 11), compared by digest."""
+        net = generate_network(
+            scenario_by_name("sphere"),
+            DeploymentConfig(
+                n_surface=1200, n_interior=1800, target_degree=24.0, seed=11
+            ),
+            scenario="sphere",
+        )
+        measured = measure_distances(
+            net.graph, UniformAbsoluteError(0.3), np.random.default_rng(11)
+        )
+        stacks = []
+
+        def capture(gram, n_components=3):
+            stacks.append(gram.copy())
+            return classical_mds_from_gram_stack(gram, n_components)
+
+        monkeypatch.setattr(localization, "classical_mds_from_gram_stack", capture)
+        localization.build_frames(net.graph, measured)
+        assert sum(g.shape[0] for g in stacks) == net.n_nodes
+        kernels = load_kernels()
+        for gram in stacks:
+            k = min(3, gram.shape[1])
+            assert _digest(*kernels.syevr_top(gram, k)) == _digest(
+                *mds._syevr_top(gram, k)
+            )
 
 
 class TestBatchedSmacof:

@@ -11,6 +11,7 @@ from repro.service.jobstore import (
     STATE_LEASED,
     STATE_QUEUED,
     STATE_RUNNING,
+    REAP_LOCK_TTL,
     JobRecord,
     JobSpec,
     JobStore,
@@ -311,6 +312,57 @@ class TestLeaseReaping:
             "lease.json",
             "log.jsonl",
         ]
+
+    def _stuck_reap(self, store, clock):
+        """A leased job whose lease lapsed, with its expire lock taken."""
+        rec = store.submit(JobSpec(seed=1), max_attempts=3)
+        store.claim_next("w0", lease_ttl=5.0)
+        clock.advance(6.0)
+        return rec, store.job_dir(rec.job_id) / "expire-0-1.lock"
+
+    def test_live_reap_lock_blocks_other_reapers(self, store, clock):
+        rec, lock = self._stuck_reap(store, clock)
+        assert store._try_reap_lock(rec.job_id, 0, 1, "r-busy", clock.now)
+        assert json.loads(lock.read_text()) == {
+            "reaper": "r-busy",
+            "expires_at": clock.now + REAP_LOCK_TTL,
+        }
+        assert store.reap_expired(reaper="r1") == []
+        assert store.load(rec.job_id).state == STATE_LEASED
+
+    def test_lapsed_reap_lock_taken_over(self, store, clock):
+        """A reaper killed between taking the expire lock and writing the
+        requeued record: once its lock lapses, the next reaper finishes."""
+        rec, lock = self._stuck_reap(store, clock)
+        assert store._try_reap_lock(rec.job_id, 0, 1, "r-dead", clock.now)
+        clock.advance(REAP_LOCK_TTL + 1.0)
+        assert store.reap_expired(reaper="r1") == [rec.job_id]
+        assert store.load(rec.job_id).state == STATE_QUEUED
+        taken = store.job_dir(rec.job_id) / "expire-0-1.1.lock"
+        assert json.loads(taken.read_text())["reaper"] == "r1"
+        assert store.reap_expired(reaper="r2") == []
+
+    def test_reap_lock_without_expiry_taken_over(self, store, clock):
+        """An empty expire lock (no reaper, no expiry) counts as lapsed."""
+        rec, lock = self._stuck_reap(store, clock)
+        lock.touch()
+        assert store.reap_expired() == [rec.job_id]
+        loaded = store.load(rec.job_id)
+        assert loaded.state == STATE_QUEUED
+        assert loaded.error["type"] == "LeaseExpired"
+
+
+class TestRecordLessJobDir:
+    def test_jobs_skip_a_dir_without_record(self, store):
+        """``submit`` allocates the directory before it writes the record;
+        a kill in between must not break readers of every record."""
+        first = store.submit(JobSpec(seed=1))
+        bare = store._allocate_job_id(JobSpec(seed=2).cache_key())
+        assert [r.job_id for r in store.jobs()] == [first.job_id]
+        assert store.counts() == {STATE_QUEUED: 1}
+        assert store.job_ids() == [first.job_id, bare]
+        second = store.submit(JobSpec(seed=2))
+        assert [r.job_id for r in store.jobs()] == [first.job_id, second.job_id]
 
 
 class TestStaleWorkerFencing:
