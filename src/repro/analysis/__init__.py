@@ -15,8 +15,8 @@ enforces the invariants the paper's claims rest on:
   ``repro/core/config.py``;
 * **DET007** no set iteration / unsorted filesystem enumeration in
   ranked layers;
-* **PAR008** pool payloads must be module-level picklable functions
-  without module-global mutation;
+* **PAR008** functions submitted to a pool must not mutate module
+  globals;
 * **FLT009** no exact float ``==``/``!=`` or float reductions over
   unordered collections in ranked layers;
 * **TRC010** tracer spans entered with ``with``; metric names keep one

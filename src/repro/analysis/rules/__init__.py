@@ -9,7 +9,7 @@ Importing this package registers every rule with
 * ``MUT004`` / ``EXC005`` Python pitfalls (:mod:`repro.analysis.rules.pitfalls`)
 * ``CFG006`` config-key consistency (:mod:`repro.analysis.rules.config_keys`)
 * ``DET007`` deterministic ordering (:mod:`repro.analysis.rules.determinism`)
-* ``PAR008`` fork/pickle safety (:mod:`repro.analysis.rules.parallel_safety`)
+* ``PAR008`` thread safety of pool payloads (:mod:`repro.analysis.rules.parallel_safety`)
 * ``FLT009`` float hazards (:mod:`repro.analysis.rules.float_hazards`)
 * ``TRC010`` observability misuse (:mod:`repro.analysis.rules.tracing`)
 """

@@ -9,7 +9,7 @@ pinned, seeded scenario end to end -- ``generate`` -> ``detect`` ->
   leaks (set iteration, dict displays built from sets), which only vary
   *between* interpreter runs;
 * ``--workers`` in ``{1, 2, 4}`` -- flushes out sharding and
-  pool-scheduling leaks (including the shared-memory payload transport);
+  pool-scheduling leaks (shards run on pool threads);
 * ``--engines`` (optional third axis) -- replays the matrix per
   localization engine.  Engines legitimately differ at the documented
   1e-9 coordinate tolerance, so cells are byte-compared only against the

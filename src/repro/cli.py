@@ -12,7 +12,7 @@ Subcommands::
     repro-campaign run       --spec campaigns/error_sweep_mini.json --root store/
 
 ``generate`` writes a network JSON; ``detect`` runs the UBF+IFF pipeline
-on it (``--workers N`` shards MDS frame construction across processes;
+on it (``--workers N`` shards MDS frame construction across threads;
 every other stage runs in-process); ``surface`` builds and exports the
 triangular boundary meshes; ``scenario`` runs one of the Figs. 6-10
 scenarios end to end and prints the summary; ``sweep`` prints the
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for MDS frame construction (deterministic for any N)",
+        help="threads for MDS frame construction (deterministic for any N)",
     )
     p.add_argument(
         "--localization",
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for MDS frame construction (deterministic for any N)",
+        help="threads for MDS frame construction (deterministic for any N)",
     )
     p.add_argument("--svg", default=None, help="also render the result to SVG")
     p.set_defaults(func=cmd_scenario)

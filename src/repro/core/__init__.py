@@ -9,8 +9,8 @@
   surviving boundary nodes, one group per network boundary.
 * :mod:`repro.core.parallel` -- :func:`run_frames_parallel`, step (I)
   for the whole network; MDS frames run in fixed 512-node shards on a
-  process pool fed through shared memory (ordered merge, byte-identical
-  to one in-process call).
+  thread pool that reads the caller's graph and measured distances in
+  place (ordered merge, byte-identical to one in-process call).
 * :mod:`repro.core.pipeline` -- :class:`BoundaryDetector`, the end-to-end
   localization -> UBF -> IFF -> grouping pipeline.
 """

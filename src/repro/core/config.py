@@ -122,12 +122,12 @@ class DetectorConfig:
         ``"true"`` -- nodes know their coordinates, step (I) skipped;
         ``"auto"`` -- ``"true"`` under :class:`NoError`, else ``"mds"``.
     workers:
-        Worker processes for MDS frame construction.  ``1`` (default)
-        runs in-process; larger values shard the nodes' frames across a
-        process pool (each frame reads only its own collection) and merge
+        Threads for MDS frame construction.  ``1`` (default) runs on the
+        caller's thread; larger values shard the nodes' frames across a
+        thread pool (each frame reads only its own collection) and merge
         deterministically -- results are byte-identical to the sequential
         path for any worker count.  True-coordinate frames, UBF, IFF and
-        grouping always run in this process.
+        grouping always run on the caller's thread.
     """
 
     ubf: UBFConfig = field(default_factory=UBFConfig)

@@ -164,9 +164,7 @@ class NetworkGraph:
         per-row neighbor columns must already be sorted ascending, exactly
         as :meth:`csr` emits them.  Unlike the constructor, nothing is
         re-derived or copied -- ``positions`` and ``indices`` are adopted
-        as-is (read-only shared-memory buffers included), with no per-node
-        work.  This is the zero-copy rehydration path for shared-memory
-        payloads.
+        as-is, with no per-node work.
         """
         self = cls.__new__(cls)
         pos = as_points(positions)

@@ -324,6 +324,7 @@ def build_frames(
     hops: int = DEFAULT_COLLECTION_HOPS,
     engine: str = DEFAULT_ENGINE,
     nodes: Optional[Sequence[int]] = None,
+    edge_vals: Optional[np.ndarray] = None,
 ) -> FrameBatch:
     """MDS local frames for ``nodes`` (all nodes by default), in order.
 
@@ -334,6 +335,10 @@ def build_frames(
     ``hops``-hop collection -- the sparse engine changes how the per-node
     computations are *scheduled*, never what information they consume, so
     the paper's locality argument is untouched.
+
+    ``edge_vals`` passes ``measured.csr_values(*graph.csr())`` in when
+    the caller already holds it (the sharded driver computes it once per
+    run, not once per shard); the sparse engine computes it otherwise.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -345,7 +350,7 @@ def build_frames(
             establish_local_frame(graph, measured, node, hops=hops)
             for node in node_ids
         )
-    return _build_frames_sparse(graph, measured, node_ids, hops)
+    return _build_frames_sparse(graph, measured, node_ids, hops, edge_vals)
 
 
 def _frame_order_from_sweep(graph: NetworkGraph, sources: np.ndarray, hops: int):
@@ -456,6 +461,7 @@ def _build_frames_sparse(
     measured: MeasuredDistances,
     node_ids: List[int],
     hops: int,
+    edge_vals: Optional[np.ndarray] = None,
 ) -> FrameBatch:
     """The ``sparse`` engine behind :func:`build_frames`.
 
@@ -478,7 +484,8 @@ def _build_frames_sparse(
         return batch
     kernels = load_kernels()
     indptr, indices = graph.csr()
-    edge_vals = measured.csr_values(indptr, indices)
+    if edge_vals is None:
+        edge_vals = measured.csr_values(indptr, indices)
     sizes = np.diff(ptr)
     # Scratch global->local maps (int32 for the C kernel, int64 for the
     # numpy gather), reset to -1 after each frame's assembly.

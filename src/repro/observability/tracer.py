@@ -20,7 +20,7 @@ Two deliberate design points:
   span timings -- and therefore whole exported traces -- byte-for-byte
   reproducible; the parallel shard driver gives every shard a *fresh*
   clock from ``shard_clock`` so per-shard spans do not depend on how
-  shards were packed onto worker processes.
+  shards were packed onto pool threads.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class TickClock:
 
     Injected by tests (``Tracer(clock=TickClock(), shard_clock=TickClock)``)
     to make exported traces byte-identical across runs and across worker
-    counts.  Picklable by reference, so the class itself can travel to
-    worker processes as a per-shard clock factory.
+    counts.  The class itself serves as the per-shard clock factory: each
+    shard gets an instance of its own.
     """
 
     def __init__(self) -> None:
@@ -156,10 +156,9 @@ class Tracer:
         defaults to :func:`time.perf_counter`.
     shard_clock:
         Optional zero-argument factory producing a *fresh* clock.  Parallel
-        drivers use it to time each shard independently of how shards are
-        distributed across processes (None means shards use
-        ``time.perf_counter``).  Must be picklable (a module-level class or
-        function) to reach worker processes.
+        drivers call it once per shard, on the shard's own thread, to time
+        each shard independently of how shards are distributed across
+        threads (None means shards use ``time.perf_counter``).
     """
 
     enabled = True
@@ -192,7 +191,7 @@ class Tracer:
             self._stack[-1].event(name, **attrs)
 
     def attach(self, span_dicts: List[Dict[str, Any]]) -> None:
-        """Graft pre-built span dicts (e.g. from worker processes).
+        """Graft pre-built span dicts (e.g. from pool threads).
 
         The spans become children of the innermost open span, or roots when
         no span is open; input order is preserved, which is what makes the

@@ -12,10 +12,13 @@ sandbox:
   case); elsewhere the breach is detected post-hoc at context exit from
   elapsed time.
 * **Peak RSS** is checked post-hoc at context exit via
-  ``resource.getrusage`` -- a cheap high-water-mark read, not a limit the
-  kernel enforces mid-run.  Note the high-water mark is *per process and
-  monotone*: once a worker process has breached, every later reading in
-  that process stays above the mark.  The degradation ladder absorbs
+  ``resource.getrusage(RUSAGE_SELF)`` -- a cheap high-water-mark read, not
+  a limit the kernel enforces mid-run.  It covers everything the job
+  runs, MDS frame shards at ``workers > 1`` included: they run on threads
+  of this process (``RUSAGE_SELF`` never counted child processes).  Note
+  the high-water mark is *per process and monotone*: once a worker
+  process has breached, every later reading in that process stays above
+  the mark.  The degradation ladder absorbs
   this: degraded attempts run unenforced.
 
 **Degradation ladder.**  On the first breach the job is *not* failed: the

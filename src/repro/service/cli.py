@@ -46,7 +46,7 @@ def _add_submit_args(parser: argparse.ArgumentParser) -> None:
                         choices=LOCALIZATION_MODES)
     parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
     parser.add_argument("--workers", type=int, default=1,
-                        help="pipeline worker processes inside the job")
+                        help="MDS frame-construction threads inside the job")
     parser.add_argument("--no-surface", action="store_true",
                         help="skip surface construction")
     parser.add_argument("--surface-k", type=int, default=4)

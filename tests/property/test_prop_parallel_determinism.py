@@ -1,31 +1,35 @@
-"""Determinism properties of the process-parallel shard driver.
+"""Determinism properties of the thread-parallel shard driver.
 
 Three properties pin the parallel paths to the sequential semantics:
 
 * **Worker-count invariance** -- the serialized detection result must be
-  *byte-identical* for ``workers`` in {1, 2, 4}.  Sharding, worker
-  processes, and the merge must leave no trace in the output.
+  *byte-identical* for ``workers`` in {1, 2, 4}.  Sharding, pool
+  threads, and the merge must leave no trace in the output.
 * **Node-relabeling invariance** -- permuting node IDs (same geometry,
   new labels) must permute the detected boundary set and nothing else.
   UBF is a per-node geometric predicate; its verdict cannot depend on the
   ID a node happens to carry.
 * **Frame-stage invariance** -- ``run_frames_parallel`` (step I sharded
-  over processes) must return byte-identical coordinates and identical
-  SMACOF step counts for any worker count, in every localization mode.
+  over threads) must return byte-identical coordinates and identical
+  SMACOF step counts for any worker count, in every localization mode
+  and on both MDS engines, traced (tick-clock spans included) or not.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro import BoundaryDetector, DetectorConfig
-from repro.core.parallel import run_frames_parallel
+from repro.core.parallel import FRAME_SHARD_SIZE, run_frames_parallel
 from repro.core.ubf import run_ubf
 from repro.io.serialization import save_detection_result
 from repro.network.generator import DeploymentConfig, Network, generate_network
 from repro.network.graph import NetworkGraph
 from repro.network.measurement import UniformAbsoluteError, measure_distances
+from repro.observability.export import trace_lines
 from repro.observability.tracer import TickClock, Tracer
 from repro.shapes.library import sphere_scenario
 
@@ -137,31 +141,90 @@ def measured_network():
     return network, measured
 
 
-def _frames_equal(a, b) -> bool:
+@pytest.fixture(scope="module")
+def sharded_network(sphere_network):
+    """The 1200-node test sphere at 30% ranging error: three shards."""
+    measured = measure_distances(
+        sphere_network.graph, UniformAbsoluteError(0.3), np.random.default_rng(7)
+    )
+    return sphere_network, measured
+
+
+def _batch_bytes(frames):
+    """Exact byte-level projection of a frame batch."""
     return (
-        a.node == b.node
-        and a.members == b.members
-        and a.n_one_hop == b.n_one_hop
-        and a.smacof_iterations == b.smacof_iterations
-        and a.coordinates.tobytes() == b.coordinates.tobytes()
+        frames.nodes.tobytes(),
+        frames.ptr.tobytes(),
+        frames.members.tobytes(),
+        frames.coords.tobytes(),
+        frames.n_one_hop.tobytes(),
+        frames.smacof_iterations.tobytes(),
     )
 
 
 class TestFrameStageWorkerInvariance:
-    @pytest.mark.parametrize("mode", ("mds", "true"))
+    @pytest.mark.parametrize(
+        "mode, engine", [("mds", "sparse"), ("mds", "pernode"), ("true", "sparse")]
+    )
     def test_frames_byte_identical_across_worker_counts(
-        self, measured_network, mode
+        self, sharded_network, mode, engine
     ):
-        network, measured = measured_network
-        reference = run_frames_parallel(network, measured, mode=mode, workers=1)
-        assert [f.node for f in reference] == list(range(network.graph.n_nodes))
+        network, measured = sharded_network
+        assert network.graph.n_nodes > 2 * FRAME_SHARD_SIZE
+        # The scalar pernode oracle builds a frame in ~25 ms: two shards
+        # (a 64-node second one) run it on two threads at half the cost.
+        nodes = list(range(network.graph.n_nodes))
+        if engine == "pernode":
+            nodes = nodes[: FRAME_SHARD_SIZE + 64]
+        reference = run_frames_parallel(
+            network, measured, mode=mode, engine=engine, workers=1, nodes=nodes
+        )
+        assert reference.nodes.tolist() == nodes
         for workers in WORKER_COUNTS[1:]:
             frames = run_frames_parallel(
-                network, measured, mode=mode, workers=workers
+                network, measured, mode=mode, engine=engine, workers=workers,
+                nodes=nodes,
             )
-            assert all(_frames_equal(a, b) for a, b in zip(reference, frames)), (
-                f"mode={mode} workers={workers} changed the frame bytes"
+            assert _batch_bytes(frames) == _batch_bytes(reference), (
+                f"mode={mode} engine={engine} workers={workers} changed the frame bytes"
             )
+
+    def test_traced_frames_and_spans_byte_identical(self, sharded_network):
+        """Under tick clocks, frames and the exported trace (one
+        ``localization.shard`` span per shard) match for any worker count."""
+        network, measured = sharded_network
+        runs = {}
+        for workers in WORKER_COUNTS:
+            tracer = Tracer(clock=TickClock(), shard_clock=TickClock)
+            frames = run_frames_parallel(
+                network, measured, workers=workers, tracer=tracer
+            )
+            runs[workers] = (_batch_bytes(frames), trace_lines(tracer.roots))
+        reference = runs[1]
+        assert sum("localization.shard" in line for line in reference[1]) == 3
+        for workers, run in runs.items():
+            assert run == reference, f"workers={workers} changed frames or spans"
+
+    def test_frames_byte_identical_under_forced_thread_switching(
+        self, sharded_network
+    ):
+        """Eight shards on eight threads (more than the cores) with a 1 us
+        switch interval, from a cold ``MeasuredDistances`` cache: a shard
+        racing on shared state would change the frame bytes."""
+        network, measured = sharded_network
+        nodes = list(range(network.graph.n_nodes)) * 3
+        reference = run_frames_parallel(network, measured, workers=1, nodes=nodes)
+        cold = measure_distances(
+            network.graph, UniformAbsoluteError(0.3), np.random.default_rng(7)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            frames = run_frames_parallel(network, cold, workers=8, nodes=nodes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(frames) > 7 * FRAME_SHARD_SIZE
+        assert _batch_bytes(frames) == _batch_bytes(reference)
 
     def test_engine_oracle_agrees_through_the_driver(self, measured_network):
         """Sharding composes with the engine contract: pernode through the

@@ -5,8 +5,10 @@
 one :class:`~repro.core.ubf.UBFOutcomes`; the per-node
 ``LocalFrame``/``UBFNodeOutcome`` objects survive only as views and
 oracle outputs.  These tests pin the batch operations, the memory a
-true-mode batch holds, that ``detect()`` builds no per-node object, and
-that true-mode frames never start a process pool or cut shards.
+true-mode batch holds, that ``detect()`` builds no per-node object, that
+true-mode frames never start a thread pool or cut shards, that a
+failing MDS shard starts no shard past the pool's window, and that a
+sharded MDS run computes its CSR edge values once, not once per shard.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.parallel import run_frames_parallel
 from repro.core.pipeline import BoundaryDetector
 from repro.core.ubf import UBFNodeOutcome, UBFOutcomes, localize_frames, run_ubf
 from repro.network.localization import FrameBatch, LocalFrame, true_local_frame
-from repro.network.measurement import UniformAbsoluteError
+from repro.network.measurement import UniformAbsoluteError, measure_distances
 from repro.observability.export import trace_lines
 from repro.observability.tracer import TickClock, Tracer
 
@@ -132,9 +134,9 @@ def test_true_frames_never_use_the_pool(sphere_network, monkeypatch):
     reference, reference_lines = _traced(1)
 
     def _no_pool(*args, **kwargs):
-        raise AssertionError("true-mode frames started a process pool")
+        raise AssertionError("true-mode frames started a thread pool")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _no_pool)
     assert sphere_network.graph.n_nodes > parallel.FRAME_SHARD_SIZE  # 2+ shards
     batch = run_frames_parallel(sphere_network, mode="true", workers=2)
     assert _batches_equal(batch, reference)
@@ -142,6 +144,62 @@ def test_true_frames_never_use_the_pool(sphere_network, monkeypatch):
     assert _batches_equal(traced, reference)
     assert lines == reference_lines
     assert not [line for line in lines if "localization.shard" in line]
+
+
+class _ShardFailed(Exception):
+    """Injected into the first MDS shard."""
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_failing_shard_starts_no_shard_past_the_window(
+    sphere_network, monkeypatch, workers
+):
+    """When the first shard raises, at most ``workers`` shards ever start:
+    shard ``k`` is submitted only after shard ``k - workers`` returned."""
+    measured = measure_distances(
+        sphere_network.graph, UniformAbsoluteError(0.3), np.random.default_rng(7)
+    )
+    started = []
+    build = parallel.build_frames
+
+    def failing_first(graph, measured, *, nodes, **kwargs):
+        started.append(nodes[0])
+        if nodes[0] == 0:  # only the first shard starts at node 0
+            raise _ShardFailed
+        return build(graph, measured, nodes=nodes, **kwargs)
+
+    monkeypatch.setattr(parallel, "build_frames", failing_first)
+    # Four copies of the node set: ten shards, the first one failing.
+    nodes = list(range(sphere_network.graph.n_nodes)) * 4
+    with pytest.raises(_ShardFailed):
+        run_frames_parallel(sphere_network, measured, workers=workers, nodes=nodes)
+    assert 0 in started and len(started) <= workers, started
+
+
+@pytest.mark.parametrize("workers, traced", ((1, True), (2, False), (4, True)))
+def test_sharded_run_prepares_edge_values_once(
+    sphere_network, monkeypatch, workers, traced
+):
+    """The measured value of every CSR entry is computed once per run,
+    before the fan-out, not once per shard."""
+    measured = measure_distances(
+        sphere_network.graph, UniformAbsoluteError(0.3), np.random.default_rng(7)
+    )
+    calls = []
+    csr_values = type(measured).csr_values
+
+    def counting(self, indptr, indices):
+        calls.append(len(indices))
+        return csr_values(self, indptr, indices)
+
+    monkeypatch.setattr(type(measured), "csr_values", counting)
+    nodes = list(range(sphere_network.graph.n_nodes)) * 2
+    assert len(parallel.shard_nodes_by_size(nodes)) >= 4
+    tracer = Tracer(clock=TickClock(), shard_clock=TickClock) if traced else None
+    run_frames_parallel(
+        sphere_network, measured, workers=workers, nodes=nodes, tracer=tracer
+    )
+    assert calls == [len(sphere_network.graph.csr()[1])]
 
 
 def test_true_batch_bytes_per_member(sphere_3k):
